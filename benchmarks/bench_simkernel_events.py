@@ -206,10 +206,18 @@ def run_topology_bench(args):
 
     Replays the same uniform workload (equal node count, equal message
     count) through the 2-D baseline mesh and each ``--topology`` spec,
-    and reports serial event throughput.  The generalized N-D router is
-    on the per-hop hot path, so ``--check`` gates every topology at
+    and reports serial event throughput.  Each network routes a pair
+    once, through its topology's route table, and walks a compiled
+    plan per message, so ``--check`` gates every topology at
     ``--min-ratio`` times the baseline events/sec (node counts must
     match the baseline, otherwise the comparison is meaningless).
+
+    Each iteration runs the baseline and every topology back to back,
+    and each workload's best events/sec is taken over the iterations.
+    Interleaving spreads every workload's samples over the same span
+    of host time, so a host-load swing lasting seconds cannot fall on
+    one topology's samples only, as it could when each topology ran
+    all of its iterations in one block.
     """
     from repro.mesh.spec import TopologySpec
     from repro.simkernel.engine_parallel import ScheduleTraffic, run_serial_schedule
@@ -223,7 +231,8 @@ def run_topology_bench(args):
                   f"{baseline_spec.num_nodes}; equal node counts required")
             return 1
 
-    def throughput(spec):
+    workloads = []
+    for spec in [baseline_spec] + specs:
         config = MeshConfig.from_spec(spec)
         traffic = ScheduleTraffic.compile_pattern(
             config,
@@ -231,22 +240,23 @@ def run_topology_bench(args):
             messages_per_source=args.parallel_messages,
             seed=1234,
         )
-        best, events = float("inf"), 0
-        for _ in range(args.iterations):
-            started = time.perf_counter()
-            result = run_serial_schedule(config, traffic, scheduler="calendar")
-            best = min(best, time.perf_counter() - started)
-            events = result.events_fired
-        return events / best
+        workloads.append((config, traffic))
 
     print(f"topology workload: {baseline_spec.num_nodes} nodes, "
-          f"{args.parallel_messages} uniform messages/source ...")
-    base_rate = throughput(baseline_spec)
+          f"{args.parallel_messages} uniform messages/source, "
+          f"{args.iterations} interleaved iterations ...")
+    best = [0.0] * len(workloads)  # best events/sec per workload
+    for _ in range(args.iterations):
+        for k, (config, traffic) in enumerate(workloads):
+            started = time.perf_counter()
+            result = run_serial_schedule(config, traffic, scheduler="calendar")
+            rate = result.events_fired / (time.perf_counter() - started)
+            best[k] = max(best[k], rate)
+    base_rate = best[0]
     print(f"{'topology':>20} {'events/sec':>12} {'vs 2-D':>8}")
     print(f"{baseline_spec.canonical():>20} {base_rate:>12,.0f} {'1.00x':>8}")
     failed = False
-    for spec in specs:
-        rate = throughput(spec)
+    for spec, rate in zip(specs, best[1:]):
         ratio = rate / base_rate
         print(f"{spec.canonical():>20} {rate:>12,.0f} {ratio:>7.2f}x")
         if args.check and ratio < args.min_ratio:

@@ -111,13 +111,14 @@ class WormholeLatencyModel:
 
     def _channel_rates(self, rate_scale: float) -> Dict[Tuple[int, int], float]:
         rates: Dict[Tuple[int, int], float] = {}
+        routes = self.topology.routes
         n = self.characterization.num_nodes
         for src in range(n):
             for dst in range(n):
                 rate = self._pair_rates[src, dst] * rate_scale
                 if rate <= 0 or src == dst:
                     continue
-                for hop in self.topology.route(src, dst):
+                for hop in routes.get(src, dst):
                     key = (hop.src, hop.dst)
                     rates[key] = rates.get(key, 0.0) + rate
         return rates
@@ -143,6 +144,7 @@ class WormholeLatencyModel:
                 waits[key] = rho * service / (1.0 - rho)
 
         # Aggregate over pairs, weighted by pair rate.
+        routes = self.topology.routes
         n = self.characterization.num_nodes
         total_rate = 0.0
         weighted_latency = 0.0
@@ -157,7 +159,7 @@ class WormholeLatencyModel:
                 rate = self._pair_rates[src, dst] * rate_scale
                 if rate <= 0 or src == dst:
                     continue
-                route = self.topology.route(src, dst)
+                route = routes.get(src, dst)
                 base = self.config.zero_load_latency(len(route), mean_bytes)
                 queueing = sum(waits[(h.src, h.dst)] for h in route)
                 total_rate += rate

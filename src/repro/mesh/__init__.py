@@ -18,8 +18,8 @@ Public surface:
   :func:`~repro.mesh.spec.register_topology` plugin registry.
 * :class:`~repro.mesh.config.MeshConfig` -- a spec plus timing knobs.
 * :class:`~repro.mesh.topology.MeshTopology` (and the N-D/hierarchical
-  classes) -- node/coordinate algebra and routing.
-* :func:`~repro.mesh.routing.xy_route` -- dimension-order routing.
+  classes) -- node/coordinate algebra and routing, with a lazily
+  filled per-instance :class:`~repro.mesh.topology.RouteTable`.
 * :class:`~repro.mesh.packet.NetworkMessage` -- a message in flight.
 * :class:`~repro.mesh.network.MeshNetwork` -- the simulator proper.
 * :class:`~repro.mesh.netlog.NetworkLog` -- the activity log analyzed by
@@ -68,7 +68,6 @@ from repro.mesh.patterns import (
     register_pattern,
     registered_patterns,
 )
-from repro.mesh.routing import xy_route
 from repro.mesh.spec import (
     TOPOLOGIES,
     TopologySpec,
@@ -139,5 +138,4 @@ __all__ = [
     "summarize_csv",
     "summarize_npz",
     "summary_from_manifest",
-    "xy_route",
 ]

@@ -9,6 +9,12 @@ is released when the tail drains.  Time spent blocked on channel
 acquisition is accumulated as the message's *contention*, exactly the
 quantity the paper's simulator reports alongside latency and resource
 utilization.
+
+Routing is deterministic, so everything a transfer yields except its
+body-flit hold is a function of ``(src, dst, lane)``.  The network
+compiles that sequence once per key into a *transfer plan* (see
+:meth:`MeshNetwork._compile_plan`) over the topology's route table, and
+every later transfer with the same key walks the plan.
 """
 
 from __future__ import annotations
@@ -18,11 +24,19 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetLogRecord, NetworkLog
 from repro.mesh.packet import NetworkMessage
+from repro.mesh.topology import ROUTE_TABLE_CAP, Hop
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import CHANNELS_PID, NULL_TIMELINE, TimelineRecorder
-from repro.simkernel import Facility, Mailbox, SimEvent, Simulator, hold, release, request
+from repro.simkernel import Facility, Hold, Mailbox, Release, Request, SimEvent, Simulator
 
 DeliveryHandler = Callable[[NetworkMessage, NetLogRecord], None]
+
+#: A compiled transfer: source-NI request, per-hop ``(request, hold)``
+#: steps, destination-NI request, every release in acquisition order,
+#: and the route the steps walk.
+Plan = Tuple[
+    Request, Tuple[Tuple[Request, Hold], ...], Request, Tuple[Release, ...], Tuple[Hop, ...]
+]
 
 
 class MeshNetwork:
@@ -69,6 +83,7 @@ class MeshNetwork:
         self.simulator = simulator
         self.config = config
         self.topology = config.make_topology()
+        self._num_nodes = config.num_nodes
         # ``log`` lets runs inject a collector with different storage
         # (e.g. a spilling StreamingNetworkLog); anything with the
         # NetworkLog append surface works.
@@ -80,11 +95,33 @@ class MeshNetwork:
             for lane in range(config.virtual_channels)
         }
         self._injection = [
-            Facility(simulator, name=f"inj[{n}]") for n in range(config.num_nodes)
+            Facility(simulator, name=f"inj[{n}]") for n in range(self._num_nodes)
         ]
         self._ejection = [
-            Facility(simulator, name=f"ej[{n}]") for n in range(config.num_nodes)
+            Facility(simulator, name=f"ej[{n}]") for n in range(self._num_nodes)
         ]
+        # Commands are immutable, so each facility's request/release
+        # and each fixed-duration hold is built once and yielded by
+        # every transfer that needs it.
+        self._channel_commands: Dict[Tuple[int, int, int], Tuple[Request, Release]] = {
+            key: (Request(facility), Release(facility))
+            for key, facility in self._channels.items()
+        }
+        self._injection_commands = [(Request(f), Release(f)) for f in self._injection]
+        self._ejection_commands = [(Request(f), Release(f)) for f in self._ejection]
+        self._injection_hold = Hold(float(config.injection_time))
+        self._ejection_hold = Hold(float(config.ejection_time))
+        self._hop_holds: Dict[float, Hold] = {}
+        self._lanes = config.virtual_channels
+        self._adaptive = config.routing == "adaptive"
+        # Compiled transfer plans keyed by (src, dst, free lane); under
+        # adaptive routing, (src, dst) -> (XY plan, YX plan, first
+        # channels to compare or None).  Both stop growing at the route
+        # table's cap.
+        self._plans: Dict[Tuple[int, int, int], Plan] = {}
+        self._adaptive_plans: Dict[
+            Tuple[int, int], Tuple[Plan, Plan, Optional[Tuple[Facility, Facility]]]
+        ] = {}
         self._handlers: Dict[int, List[DeliveryHandler]] = {}
         self._mailboxes: Dict[int, Mailbox] = {}
         self._in_flight = 0
@@ -176,74 +213,69 @@ class MeshNetwork:
         an aborted transfer cannot corrupt the contention and
         utilization accounting of the survivors.
         """
+        plan = self._plans.get((message.src, message.dst, message.msg_id % self._lanes))
+        if plan is None:
+            plan = self._plan_for(message)
+        inj_request, steps, ej_request, releases, route = plan
         cfg = self.config
-        self._check_node(message.src)
-        self._check_node(message.dst)
+        simulator = self.simulator
         observed = self._observed
         timeline_on = self.timeline.enabled
-        owner = self.simulator.current_process
+        owner = simulator.current_process
         self._in_flight += 1
         self.total_injected += 1
         if observed:
             self._m_injected.inc()
             self._m_in_flight.set(self._in_flight)
-        inject_time = self.simulator.now
+        inject_time = simulator.now
         contention = 0.0
-        path = self._select_route(message)
-        acquired: List[Facility] = []
+        # Facilities granted so far / released so far, both counted in
+        # ``releases`` order (source NI, route channels, destination NI).
+        acquired = 0
         released = 0
         delivered = False
-        # (channel key, acquire time) pairs for the timeline's per-
-        # channel occupancy spans (wormhole: held until the tail drains).
-        channel_spans: List[Tuple[Tuple[int, int], float]] = []
+        # Channel acquire times for the timeline's per-channel occupancy
+        # spans (wormhole: held until the tail drains).
+        acquire_times: List[float] = []
 
         try:
             # Source NI: serializes messages leaving the same node.
-            inj = self._injection[message.src]
-            t0 = self.simulator.now
-            yield request(inj)
-            contention += self.simulator.now - t0
-            acquired.append(inj)
-            start_time = self.simulator.now
-            yield hold(cfg.injection_time)
+            t0 = simulator.now
+            yield inj_request
+            contention += simulator.now - t0
+            acquired = 1
+            start_time = simulator.now
+            yield self._injection_hold
 
-            # Head flit walks the selected route, seizing each channel
-            # lane in order.  Hops that pin a virtual-channel class (the
-            # torus dateline, adaptive dimension orders) get it; free hops
-            # spread over lanes.
-            free_lane = message.msg_id % cfg.virtual_channels
-            for hop in path:
-                lane = hop.vclass if hop.vclass is not None else free_lane
-                channel = self._channels[(hop.src, hop.dst, lane)]
-                t0 = self.simulator.now
-                yield request(channel)
-                hop_wait = self.simulator.now - t0
+            # Head flit walks the compiled route, seizing each channel
+            # lane in order and holding its routing + (scaled) channel
+            # time.
+            for request_cmd, hold_cmd in steps:
+                t0 = simulator.now
+                yield request_cmd
+                hop_wait = simulator.now - t0
                 contention += hop_wait
                 if observed:
                     self._m_hop_wait.observe(hop_wait)
                 if timeline_on:
-                    channel_spans.append(((hop.src, hop.dst), self.simulator.now))
-                acquired.append(channel)
-                # hop.scale carries the spec's per-dimension link-scale
-                # (TSV-style slow links); 1.0 leaves the float math
-                # bit-identical to the unscaled formula.
-                yield hold(cfg.routing_time + cfg.channel_time * hop.scale)
+                    acquire_times.append(simulator.now)
+                acquired += 1
+                yield hold_cmd
 
             # Destination NI.
-            ej = self._ejection[message.dst]
-            t0 = self.simulator.now
-            yield request(ej)
-            contention += self.simulator.now - t0
-            acquired.append(ej)
-            yield hold(cfg.ejection_time)
+            t0 = simulator.now
+            yield ej_request
+            contention += simulator.now - t0
+            acquired += 1
+            yield self._ejection_hold
 
             # Body flits stream over the held path (pipelined circuit).
             flits = cfg.flits_for(message.length_bytes)
             if flits > 1:
-                yield hold((flits - 1) * cfg.channel_time)
+                yield Hold(float((flits - 1) * cfg.channel_time))
 
-            for facility in acquired:
-                yield release(facility)
+            for release_cmd in releases:
+                yield release_cmd
                 released += 1
 
             record = NetLogRecord(
@@ -254,9 +286,9 @@ class MeshNetwork:
                 kind=message.kind,
                 inject_time=inject_time,
                 start_time=start_time,
-                deliver_time=self.simulator.now,
+                deliver_time=simulator.now,
                 contention=contention,
-                hops=len(path),
+                hops=len(route),
             )
             self.log.add(record)
             self._in_flight -= 1
@@ -267,13 +299,13 @@ class MeshNetwork:
                 self._m_in_flight.set(self._in_flight)
                 self._m_latency.observe(record.latency)
                 self._m_contention.observe(contention)
-                self._m_hops.observe(len(path))
+                self._m_hops.observe(len(route))
                 self._deliveries_since_sample += 1
                 if self._deliveries_since_sample >= self.CHANNEL_SAMPLE_INTERVAL:
                     self._deliveries_since_sample = 0
-                    self._sample_channels(self.simulator.now)
+                    self._sample_channels(simulator.now)
             if timeline_on:
-                now = self.simulator.now
+                now = simulator.now
                 self.timeline.complete(
                     name=f"{message.kind} -> {message.dst}",
                     category="message",
@@ -285,27 +317,27 @@ class MeshNetwork:
                         "msg_id": message.msg_id,
                         "bytes": message.length_bytes,
                         "contention": contention,
-                        "hops": len(path),
+                        "hops": len(route),
                     },
                 )
-                for key, acquire_time in channel_spans:
+                for hop, acquire_time in zip(route, acquire_times):
                     self.timeline.complete(
                         name=f"msg {message.msg_id}",
                         category="channel",
                         start=acquire_time,
                         duration=now - acquire_time,
                         pid=CHANNELS_PID,
-                        tid=self._channel_tids[key],
+                        tid=self._channel_tids[(hop.src, hop.dst)],
                         args={"src": message.src, "dst": message.dst},
                     )
             self._deliver(message, record)
         except BaseException:
             # The unwind may arrive via GeneratorExit (shutdown/GC), so
             # no yields here: facilities are released synchronously.
-            holder = owner if owner is not None else self.simulator.current_process
+            holder = owner if owner is not None else simulator.current_process
             if holder is not None:
-                for facility in acquired[released:]:
-                    facility._abandon(holder)
+                for release_cmd in releases[released:acquired]:
+                    release_cmd.facility._abandon(holder)
             if not delivered:
                 self._in_flight -= 1
                 if observed:
@@ -376,28 +408,75 @@ class MeshNetwork:
 
         sampler.watch_window(window)
 
-    def _select_route(self, message: NetworkMessage):
-        """Pick the message's route (and pinned lanes).
+    # ------------------------------------------------------------------
+    # transfer plans
+    # ------------------------------------------------------------------
+    def _plan_for(self, message: NetworkMessage) -> Plan:
+        """The plan :meth:`transfer` walks when its key is not stored:
+        validates the endpoints, then compiles (and, under the cap,
+        stores) the deterministic plan or makes the adaptive choice."""
+        src, dst = message.src, message.dst
+        self._check_node(src)
+        self._check_node(dst)
+        if self._adaptive:
+            return self._adaptive_plan(src, dst)
+        lane = message.msg_id % self._lanes
+        plan = self._compile_plan(self.topology.routes.get(src, dst), src, dst, lane)
+        if len(self._plans) < ROUTE_TABLE_CAP:
+            self._plans[(src, dst, lane)] = plan
+        return plan
 
-        Deterministic mode delegates to the topology.  Adaptive mode
-        (mesh) compares the XY and YX dimension orders and takes YX --
-        on its dedicated VC class 1 -- when XY's first channel is busy
-        and YX's is free; XY rides class 0.
+    def _adaptive_plan(self, src: int, dst: int) -> Plan:
+        """Adaptive routing (2-D mesh): XY on VC class 0, or YX on class
+        1 when XY's first channel is busy and YX's -- a different
+        channel -- is free."""
+        choice = self._adaptive_plans.get((src, dst))
+        if choice is None:
+            xy = self.topology.routes.get(src, dst)
+            yx = self.topology.routes_yx.get(src, dst)
+            xy_plan = self._compile_plan(xy, src, dst, 0, pinned=True)
+            yx_plan = self._compile_plan(yx, src, dst, 1, pinned=True)
+            firsts = None
+            if xy and yx and (xy[0].src, xy[0].dst) != (yx[0].src, yx[0].dst):
+                firsts = (xy_plan[1][0][0].facility, yx_plan[1][0][0].facility)
+            choice = (xy_plan, yx_plan, firsts)
+            if len(self._adaptive_plans) < ROUTE_TABLE_CAP:
+                self._adaptive_plans[(src, dst)] = choice
+        xy_plan, yx_plan, firsts = choice
+        if firsts is not None and not firsts[0].is_free and firsts[1].is_free:
+            self.adaptive_yx_taken += 1
+            return yx_plan
+        return xy_plan
+
+    def _compile_plan(
+        self, route: Tuple[Hop, ...], src: int, dst: int, lane: int, pinned: bool = False
+    ) -> Plan:
+        """Everything a transfer over ``route`` yields, except the body hold.
+
+        Each hop rides its pinned virtual-channel class (torus dateline,
+        chiplet up/down phases), else ``lane``; ``pinned`` forces
+        ``lane`` on every hop (the adaptive orders' classes).  A hop
+        holds ``routing_time + channel_time * scale``: the same float
+        expression, so the same durations, as building it per message.
         """
-        from repro.mesh.topology import Hop
-
-        if self.config.routing != "adaptive":
-            return self.topology.route(message.src, message.dst)
-        xy = self.topology.route(message.src, message.dst)
-        yx = self.topology.route_yx(message.src, message.dst)
-        chosen, lane = xy, 0
-        if xy and yx and (xy[0].src, xy[0].dst) != (yx[0].src, yx[0].dst):
-            xy_first = self._channels[(xy[0].src, xy[0].dst, 0)]
-            yx_first = self._channels[(yx[0].src, yx[0].dst, 1)]
-            if not xy_first.is_free and yx_first.is_free:
-                chosen, lane = yx, 1
-                self.adaptive_yx_taken += 1
-        return [Hop(h.src, h.dst, lane, h.scale) for h in chosen]
+        cfg = self.config
+        holds = self._hop_holds
+        inj_request, inj_release = self._injection_commands[src]
+        ej_request, ej_release = self._ejection_commands[dst]
+        steps = []
+        releases = [inj_release]
+        for hop in route:
+            hop_lane = lane if pinned or hop.vclass is None else hop.vclass
+            request_cmd, release_cmd = self._channel_commands[(hop.src, hop.dst, hop_lane)]
+            hold_cmd = holds.get(hop.scale)
+            if hold_cmd is None:
+                hold_cmd = holds[hop.scale] = Hold(
+                    float(cfg.routing_time + cfg.channel_time * hop.scale)
+                )
+            steps.append((request_cmd, hold_cmd))
+            releases.append(release_cmd)
+        releases.append(ej_release)
+        return (inj_request, tuple(steps), ej_request, tuple(releases), route)
 
     # ------------------------------------------------------------------
     # delivery + stats
@@ -468,7 +547,5 @@ class MeshNetwork:
         return max(utils) if utils else 0.0
 
     def _check_node(self, node: int) -> None:
-        if not (0 <= node < self.config.num_nodes):
-            raise ValueError(
-                f"node {node} outside mesh with {self.config.num_nodes} nodes"
-            )
+        if not (0 <= node < self._num_nodes):
+            raise ValueError(f"node {node} outside mesh with {self._num_nodes} nodes")

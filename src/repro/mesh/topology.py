@@ -20,17 +20,28 @@ Topologies are built from specs through the registry in
 :mod:`repro.mesh.spec` (:func:`register_topology`); the built-in kinds
 ``mesh``, ``torus``, ``hypercube`` and ``chiplet`` register themselves
 when this module is imported.
+
+Because every discipline is deterministic, a route is a pure function
+of ``(src, dst)``.  Hot paths therefore read a topology's
+:attr:`Topology.routes` table, which computes each pair once through
+:meth:`Topology.route` and keeps it as an immutable tuple.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mesh.spec import TopologySpec, register_topology
 
 Coordinate = Tuple[int, int]
+
+#: Most ``(src, dst)`` entries one :class:`RouteTable` keeps.  Past the
+#: cap a miss is still computed, just not stored.  65,536 pairs hold
+#: every mesh up to 16x16.
+ROUTE_TABLE_CAP = 65_536
 
 
 @dataclass(frozen=True)
@@ -45,11 +56,52 @@ class Hop:
     scale: float = 1.0
 
 
+class RouteTable:
+    """A topology's lazily filled ``(src, dst) -> route`` table.
+
+    A miss calls the owning topology's route method (looked up by name
+    at miss time, so a wrapped or patched method is honoured) and
+    stores the result as a tuple of :class:`Hop` objects interned in
+    this table: equal hops of different routes are one object, so a
+    full table costs one pointer per hop.  Only pairs actually routed
+    are computed -- no dense precompute -- and at most
+    :data:`ROUTE_TABLE_CAP` entries are kept.
+    """
+
+    __slots__ = ("_owner", "_method", "_entries", "_hops")
+
+    def __init__(self, owner: "Topology", method: str = "route") -> None:
+        self._owner = owner
+        self._method = method
+        self._entries: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
+        self._hops: Dict[Hop, Hop] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, src: int, dst: int) -> Tuple[Hop, ...]:
+        """The route from ``src`` to ``dst`` (empty when equal)."""
+        key = (src, dst)
+        entry = self._entries.get(key)
+        if entry is None:
+            intern = self._hops.setdefault
+            route = getattr(self._owner, self._method)(src, dst)
+            entry = tuple([intern(hop, hop) for hop in route])
+            if len(self._entries) < ROUTE_TABLE_CAP:
+                self._entries[key] = entry
+        return entry
+
+
 class Topology(ABC):
     """Interface every network topology implements."""
 
     #: Short name used in configs and reports.
     name: str = "topology"
+
+    @cached_property
+    def routes(self) -> RouteTable:
+        """This instance's table of :meth:`route` results."""
+        return RouteTable(self)
 
     @property
     @abstractmethod
@@ -133,22 +185,18 @@ class NDMeshTopology(Topology):
         for i in range(1, ndim):
             strides[i] = strides[i - 1] * dims[i - 1]
         self._strides = tuple(strides)
+        self._num_nodes = strides[-1] * dims[-1]
         self.name = "torus" if any(self.wrap) else "mesh"
         self.required_vclasses = 2 if any(self.wrap) else 1
 
     @property
     def num_nodes(self) -> int:
-        nodes = 1
-        for d in self.dims:
-            nodes *= d
-        return nodes
+        return self._num_nodes
 
     def coordinates(self, node: int) -> Tuple[int, ...]:
         """Map node id -> coordinate vector (row-major layout)."""
         self._check_node(node)
-        return tuple(
-            (node // self._strides[i]) % self.dims[i] for i in range(len(self.dims))
-        )
+        return tuple([(node // s) % d for s, d in zip(self._strides, self.dims)])
 
     def node_at(self, *coords: int) -> int:
         """Map a coordinate vector -> node id."""
@@ -229,41 +277,47 @@ class NDMeshTopology(Topology):
             steps.append(position)
         return steps
 
-    def _axis_hops(self, path: List[Hop], position: List[int], target: int, axis: int) -> None:
-        """Walk one unwrapped dimension to ``target`` (plain e-cube)."""
-        scale = self.link_scale[axis]
-        while position[axis] != target:
-            nxt = position[axis] + 1 if target > position[axis] else position[axis] - 1
-            u = self.node_at(*position)
-            position[axis] = nxt
-            path.append(Hop(u, self.node_at(*position), None, scale))
+    # The axis walkers step ``node`` (the current position's id) by the
+    # axis stride and return the node they stop at.
 
-    def _ring_axis_hops(self, path: List[Hop], position: List[int], target: int, axis: int) -> None:
+    def _axis_hops(self, path: List[Hop], node: int, start: int, target: int, axis: int) -> int:
+        """Walk one unwrapped dimension from ``start`` to ``target`` (plain e-cube)."""
+        scale = self.link_scale[axis]
+        stride = self._strides[axis] if target > start else -self._strides[axis]
+        for _ in range(abs(target - start)):
+            path.append(Hop(node, node + stride, None, scale))
+            node += stride
+        return node
+
+    def _ring_axis_hops(self, path: List[Hop], node: int, start: int, target: int, axis: int) -> int:
         """Walk one wrapped dimension with the dateline VC discipline."""
         scale = self.link_scale[axis]
+        stride = self._strides[axis]
         vclass = 0
-        for nxt in self._ring_steps(position[axis], target, self.dims[axis]):
-            u = self.node_at(*position)
-            wrapped = abs(nxt - position[axis]) > 1
-            position[axis] = nxt
-            v = self.node_at(*position)
-            if wrapped:
+        position = start
+        for nxt in self._ring_steps(start, target, self.dims[axis]):
+            v = node + (nxt - position) * stride
+            if abs(nxt - position) > 1:
                 # Crossing the wrap channel: everything after the
                 # dateline rides class 1.
-                path.append(Hop(u, v, 0, scale))
+                path.append(Hop(node, v, 0, scale))
                 vclass = 1
             else:
-                path.append(Hop(u, v, vclass, scale))
+                path.append(Hop(node, v, vclass, scale))
+            node = v
+            position = nxt
+        return node
 
     def route(self, src: int, dst: int) -> List[Hop]:
-        position = list(self.coordinates(src))
+        s = self.coordinates(src)
         d = self.coordinates(dst)
         path: List[Hop] = []
+        node = src
         for axis in range(len(self.dims)):
             if self.wrap[axis] and self.dims[axis] > 1:
-                self._ring_axis_hops(path, position, d[axis], axis)
+                node = self._ring_axis_hops(path, node, s[axis], d[axis], axis)
             else:
-                self._axis_hops(path, position, d[axis], axis)
+                node = self._axis_hops(path, node, s[axis], d[axis], axis)
         return path
 
 
@@ -296,6 +350,11 @@ class MeshTopology(NDMeshTopology):
     def height(self) -> int:
         return self.dims[1]
 
+    @cached_property
+    def routes_yx(self) -> RouteTable:
+        """This instance's table of :meth:`route_yx` results."""
+        return RouteTable(self, "route_yx")
+
     def route_yx(self, src: int, dst: int) -> List[Hop]:
         """Dimension-order route traversing Y before X.
 
@@ -303,11 +362,11 @@ class MeshTopology(NDMeshTopology):
         order; on its own virtual-channel class it is deadlock-free by
         the same dimension-order argument.
         """
-        position = list(self.coordinates(src))
+        s = self.coordinates(src)
         d = self.coordinates(dst)
         path: List[Hop] = []
-        self._axis_hops(path, position, d[1], 1)
-        self._axis_hops(path, position, d[0], 0)
+        node = self._axis_hops(path, src, s[1], d[1], 1)
+        self._axis_hops(path, node, s[0], d[0], 0)
         return path
 
 

@@ -404,7 +404,7 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                                 fac._busy += 1
                                 held_map = proc._held
                                 held_map[fac] = held_map.get(fac, 0) + 1
-                                fac._wait_times.append(0.0)
+                                fac._grants += 1
                                 proc.state = RUNNABLE
                                 proc.waiting_on = None
                                 fifo.append(rec)
@@ -437,7 +437,8 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                             if queue:
                                 nxt = queue.popleft()
                                 queued_at = fac._enqueue_times.pop(id(nxt))
-                                fac._wait_times.append(now - queued_at)
+                                fac._grants += 1
+                                fac._wait_total += now - queued_at
                                 held_map = nxt._held
                                 held_map[fac] = held_map.get(fac, 0) + 1
                                 nxt.state = RUNNABLE

@@ -76,7 +76,10 @@ class Facility:
         self._last_change = 0.0
         self.total_requests = 0
         self.total_queued = 0
-        self._wait_times: List[float] = []
+        # Grant count and summed queueing wait: O(1) state however many
+        # requests a run makes (the mean is all that is reported).
+        self._grants = 0
+        self._wait_total = 0.0
         self._enqueue_times: Dict[int, float] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -137,10 +140,11 @@ class Facility:
         return self._queue_integral / elapsed
 
     def mean_wait_time(self) -> float:
-        """Mean time requests spent queued before acquiring a server."""
-        if not self._wait_times:
+        """Mean time granted requests spent queued before acquiring a
+        server (immediate grants count as zero waits)."""
+        if not self._grants:
             return 0.0
-        return sum(self._wait_times) / len(self._wait_times)
+        return self._wait_total / self._grants
 
     # ------------------------------------------------------------------
     # engine hooks
@@ -160,7 +164,7 @@ class Facility:
         if self._busy < self.servers:
             self._busy += 1
             self._grant(proc)
-            self._wait_times.append(0.0)
+            self._grants += 1
             self.simulator._schedule_step(proc, None, delay=0.0)
         else:
             self.total_queued += 1
@@ -182,7 +186,8 @@ class Facility:
         if self._queue:
             nxt = self._queue.popleft()
             queued_at = self._enqueue_times.pop(id(nxt))
-            self._wait_times.append(self.simulator.now - queued_at)
+            self._grants += 1
+            self._wait_total += self.simulator.now - queued_at
             self._grant(nxt)
             self.simulator._schedule_step(nxt, None, delay=0.0)
         else:

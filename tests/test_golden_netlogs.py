@@ -1,0 +1,150 @@
+"""Golden netlog digests: one small run per routing discipline.
+
+Each run's activity log is hashed column by column (SHA-256 with
+``msg_id`` rebased to the log's smallest id, as
+``perfbench/checks.log_digest`` does) and compared with a digest pinned
+here.  Anything that changes what the simulator computes -- a route, a
+lane, a wait, a float duration -- changes a digest; a pure speed-up of
+the routing or transfer path must not.  Every case runs on both kernel
+schedulers, and the event count is pinned alongside the digest.
+
+The pinned values were recorded before route tables and compiled
+transfer plans replaced per-message route construction.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.apps import create_app
+from repro.core.options import RunOptions
+from repro.core.run import run_dynamic
+from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
+from repro.simkernel import Simulator, hold
+from repro.simkernel.engine_parallel import ScheduleTraffic
+
+DIGEST_COLUMNS = (
+    "msg_id", "src", "dst", "length_bytes", "inject_time", "start_time",
+    "deliver_time", "contention", "hops",
+)
+
+SCHEDULERS = ("calendar", "heap")
+
+#: name -> (config, pattern, messages per source, mean gap)
+SCHEDULE_CASES = {
+    "adaptive-4x4-2vc": (
+        lambda: MeshConfig(spec="4x4", virtual_channels=2, routing="adaptive"),
+        "uniform", 40, 2.0,
+    ),
+    # Tornado on rings of 4 is a conflict-free permutation, so it pins
+    # wrapped routes and timing but never contends; the uniform run
+    # makes the dateline lanes matter.
+    "torus-4x4x2-tornado": (lambda: MeshConfig.parse("4x4x2:torus"), "tornado", 30, 2.0),
+    "torus-4x4x2-uniform": (lambda: MeshConfig.parse("4x4x2:torus"), "uniform", 30, 2.0),
+    "mesh-4x4x2-z4": (lambda: MeshConfig.parse("4x4x2:mesh:z=4.0"), "uniform", 30, 4.0),
+    "chiplet-2x2-hubs2": (lambda: MeshConfig.parse("chiplet(2x2,hubs=2)"), "uniform", 40, 2.0),
+    "hypercube-8": (lambda: MeshConfig.parse("4x2:hypercube"), "uniform", 40, 2.0),
+}
+
+#: name -> (sha256 of the log, kernel events fired); the app case pins
+#: its record count instead of events.
+GOLDEN = {
+    "adaptive-4x4-2vc": (
+        "1c73d6f38b5f874f07ddd427c6ee11e879c0c79e8cd3f303a91f964bd82be04f",
+        10308,
+    ),
+    "app-1d-fft-4x2": (
+        "452806044ce6186e6607ab81ca3f968d35c657ebec230882615fc72c9b968739",
+        164,
+    ),
+    "chiplet-2x2-hubs2": (
+        "f76995d47161b851e323a210c61b7f0e653078eb3d3cb77df3fb7ef27a865554",
+        4773,
+    ),
+    "hypercube-8": (
+        "7599ae6d9f127077535cbc8833df6ccdf2b1f5ba5a5dba665e50080e5f927000",
+        4197,
+    ),
+    "mesh-4x4x2-z4": (
+        "8cb45d36e5178c7ea3ab2dfca8e37c80c8a3c725a1ba06580a26e7beac09b9ad",
+        16349,
+    ),
+    "torus-4x4x2-tornado": (
+        "be6c183984b95f3fe816031a2c894d40875e58d8f33ad314db9300be12478905",
+        13472,
+    ),
+    "torus-4x4x2-uniform": (
+        "fa04c9360033c1e1ce35b023439bb81b4163d6041c61393910c494119a198981",
+        14927,
+    ),
+}
+
+
+def log_digest(log) -> str:
+    cols, vocab = log.columns()
+    digest = hashlib.sha256()
+    for name in DIGEST_COLUMNS:
+        values = cols[name]
+        if name == "msg_id" and values.size:
+            values = values - values.min()
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(values).tobytes())
+    kinds = [vocab[code] for code in cols["kind"]] if vocab else []
+    digest.update("\x00".join(kinds).encode())
+    return digest.hexdigest()
+
+
+def replay(config, traffic, scheduler):
+    """Closed-loop replay of a pre-drawn schedule; returns the network
+    (so adaptive cases can show the YX order was taken) and simulator."""
+    sim = Simulator(scheduler=scheduler)
+    net = MeshNetwork(sim, config)
+
+    def source(src, entries):
+        for gap, dst, length_bytes, msg_id in entries:
+            yield hold(gap)
+            yield from net.transfer(
+                NetworkMessage(src=src, dst=dst, length_bytes=length_bytes,
+                               kind="pattern", msg_id=msg_id)
+            )
+
+    for src in sorted(traffic.per_source):
+        sim.process(source(src, traffic.per_source[src]), name=f"source-{src}")
+    sim.run(check_stall=True)
+    net.log.seal()
+    return net, sim
+
+
+def run_schedule_case(name, scheduler):
+    make_config, pattern, messages, gap = SCHEDULE_CASES[name]
+    config = make_config()
+    traffic = ScheduleTraffic.compile_pattern(
+        config, pattern=pattern, messages_per_source=messages, seed=11, mean_gap=gap
+    )
+    net, sim = replay(config, traffic, scheduler)
+    return net, log_digest(net.log), sim.events_fired
+
+
+def run_app_case(scheduler):
+    run = run_dynamic(
+        create_app("1d-fft", n=64, seed=1),
+        mesh_config=MeshConfig.parse("4x2"),
+        options=RunOptions(scheduler=scheduler),
+    )
+    return log_digest(run.log), len(run.log)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("name", sorted(SCHEDULE_CASES))
+def test_schedule_digest(name, scheduler):
+    net, digest, events = run_schedule_case(name, scheduler)
+    assert (digest, events) == GOLDEN[name]
+    assert net.total_injected == net.total_delivered == len(net.log)
+    if net.config.routing == "adaptive":
+        assert net.adaptive_yx_taken > 0
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_app_digest(scheduler):
+    assert run_app_case(scheduler) == GOLDEN["app-1d-fft-4x2"]

@@ -3,8 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.mesh import MeshConfig, MeshTopology, xy_route
-from repro.mesh.routing import route_hops
+from repro.mesh import MeshConfig, MeshTopology
+
+
+def xy_channels(topo, src, dst):
+    """The ordered directed channels of ``topo.route(src, dst)``."""
+    return [(hop.src, hop.dst) for hop in topo.route(src, dst)]
 
 
 class TestTopology:
@@ -63,18 +67,18 @@ class TestTopology:
 class TestXYRouting:
     def test_same_node_empty_path(self):
         topo = MeshTopology(4, 4)
-        assert xy_route(topo, 5, 5) == []
+        assert topo.route(5, 5) == []
 
     def test_x_then_y(self):
         topo = MeshTopology(4, 4)
-        path = xy_route(topo, 0, 15)
+        path = xy_channels(topo, 0, 15)
         # First moves must be along X (east), then along Y (south).
         assert path[:3] == [(0, 1), (1, 2), (2, 3)]
         assert path[3:] == [(3, 7), (7, 11), (11, 15)]
 
     def test_westward_and_northward(self):
         topo = MeshTopology(4, 4)
-        path = xy_route(topo, 15, 0)
+        path = xy_channels(topo, 15, 0)
         assert path[:3] == [(15, 14), (14, 13), (13, 12)]
         assert path[3:] == [(12, 8), (8, 4), (4, 0)]
 
@@ -82,8 +86,10 @@ class TestXYRouting:
         topo = MeshTopology(5, 5)
         for src in range(topo.num_nodes):
             for dst in range(topo.num_nodes):
-                assert len(xy_route(topo, src, dst)) == topo.hops(src, dst)
-                assert route_hops(topo, src, dst) == topo.hops(src, dst)
+                sx, sy = topo.coordinates(src)
+                dx, dy = topo.coordinates(dst)
+                assert topo.hops(src, dst) == abs(sx - dx) + abs(sy - dy)
+                assert len(topo.route(src, dst)) == topo.hops(src, dst)
 
     @given(
         width=st.integers(1, 6),
@@ -94,7 +100,7 @@ class TestXYRouting:
         topo = MeshTopology(width, height)
         src = data.draw(st.integers(0, topo.num_nodes - 1))
         dst = data.draw(st.integers(0, topo.num_nodes - 1))
-        path = xy_route(topo, src, dst)
+        path = xy_channels(topo, src, dst)
         node = src
         for u, v in path:
             assert u == node

@@ -350,6 +350,34 @@ class TestFacility:
         # a waits 0, b waits 10.
         assert fac.mean_wait_time() == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+    def test_wait_stats_keep_no_per_request_storage(self, scheduler):
+        """10^5 grants leave O(1) wait state and the same mean wait."""
+        sim = Simulator(scheduler=scheduler)
+        fac = Facility(sim, name="f")
+        waits = []
+
+        def user(offset):
+            yield hold(offset)
+            for _ in range(50_000):
+                t0 = sim.now
+                yield request(fac)
+                waits.append(sim.now - t0)
+                yield hold(1.0)
+                yield release(fac)
+
+        sim.process(user(0.0), name="a")
+        sim.process(user(0.25), name="b")
+        sim.run()
+        assert fac.total_requests == len(waits) == 100_000
+        assert fac.mean_wait_time() > 0
+        assert fac.mean_wait_time() == pytest.approx(sum(waits) / len(waits))
+        containers = [
+            value for value in vars(fac).values()
+            if hasattr(value, "__len__") and not isinstance(value, str)
+        ]
+        assert sum(len(value) for value in containers) == 0
+
     def test_zero_servers_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):

@@ -13,16 +13,20 @@ on the hierarchy).
 import math
 import pickle
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.mesh.topology as topology_module
 from repro.mesh import (
     ChipletTopology,
     MeshConfig,
+    MeshNetwork,
     MeshPartition,
     MeshTopology,
     NDMeshTopology,
+    NetworkMessage,
     TopologySpec,
     TopologySpecError,
     TorusTopology,
@@ -33,6 +37,7 @@ from repro.mesh import (
     registered_topologies,
 )
 from repro.mesh.spec import TOPOLOGIES
+from repro.simkernel import Simulator, hold, release, request
 from repro.simkernel.engine_parallel import (
     ScheduleTraffic,
     logs_bit_identical,
@@ -406,6 +411,146 @@ class TestNDRouting:
         assert all(
             h.scale == 1.0 for h in topo.route(0, topo.num_nodes - 1)
         )
+
+
+# ---------------------------------------------------------------------------
+# Route tables and compiled transfer plans
+# ---------------------------------------------------------------------------
+
+scales = st.sampled_from((1.0, 0.5, 2.0, 4.0))
+
+#: One spec strategy per registered topology kind.
+SPEC_STRATEGIES = {
+    "mesh": st.builds(
+        lambda dims, scale: TopologySpec(
+            kind="mesh", dims=dims, link_scale=(1.0,) * (len(dims) - 1) + (scale,)
+        ),
+        dims_nd, scales,
+    ),
+    "torus": st.builds(lambda dims: TopologySpec(kind="torus", dims=dims), dims_nd),
+    "hypercube": st.builds(
+        lambda a, b: TopologySpec(kind="hypercube", dims=(2 ** a, 2 ** b)),
+        st.integers(0, 3), st.integers(1, 3),
+    ),
+    "chiplet": st.builds(
+        lambda dims, hubs, scale: TopologySpec(
+            kind="chiplet", dims=dims, hubs=hubs, link_scale=(scale,) + (1.0,) * (len(dims) - 1)
+        ),
+        st.lists(st.integers(1, 3), min_size=2, max_size=3).map(tuple),
+        st.integers(1, 3), scales,
+    ),
+}
+
+any_spec = st.sampled_from(sorted(SPEC_STRATEGIES)).flatmap(lambda kind: SPEC_STRATEGIES[kind])
+
+
+def _pairs(n):
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1,
+                    max_size=30)
+
+
+def _fields(route):
+    return [(h.src, h.dst, h.vclass, h.scale) for h in route]
+
+
+class TestRouteTable:
+    def test_every_registered_kind_is_covered(self):
+        assert set(registered_topologies()) <= set(SPEC_STRATEGIES)
+
+    @given(spec=any_spec, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_entries_match_route(self, spec, data):
+        topo = spec.build()
+        for src, dst in data.draw(_pairs(topo.num_nodes)):
+            entry = topo.routes.get(src, dst)
+            assert type(entry) is tuple
+            assert _fields(entry) == _fields(topo.route(src, dst))
+            assert len(entry) == topo.hops(src, dst)
+            assert topo.routes.get(src, dst) is entry
+
+    @given(spec=any_spec)
+    @settings(max_examples=40, deadline=None)
+    def test_entries_share_interned_hops(self, spec):
+        topo = spec.build()
+        n = topo.num_nodes
+        by_value = {}
+        for src in range(n):
+            for dst in range(n):
+                for hop in topo.routes.get(src, dst):
+                    assert by_value.setdefault(hop, hop) is hop
+        assert len(topo.routes) == n * n
+
+    @given(spec=any_spec, cap=st.integers(0, 12), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_full_table_stops_growing_and_still_answers(self, spec, cap, data):
+        topo = spec.build()
+        pairs = data.draw(_pairs(topo.num_nodes))
+        with mock.patch.object(topology_module, "ROUTE_TABLE_CAP", cap):
+            for src, dst in pairs + pairs:
+                assert _fields(topo.routes.get(src, dst)) == _fields(topo.route(src, dst))
+                assert len(topo.routes) <= cap
+        assert len(topo.routes) == min(cap, len(set(pairs)))
+
+    def test_yx_table_matches_route_yx(self):
+        topo = TopologySpec.parse("4x3").build()
+        for src in range(12):
+            for dst in range(12):
+                entry = topo.routes_yx.get(src, dst)
+                assert _fields(entry) == _fields(topo.route_yx(src, dst))
+
+    def test_table_is_per_instance(self):
+        spec = TopologySpec.parse("4x4:torus")
+        first, second = spec.build(), spec.build()
+        first.routes.get(0, 5)
+        assert len(first.routes) == 1 and len(second.routes) == 0
+
+
+class TestAdaptivePlans:
+    """Plans are compiled once per pair, but the XY/YX choice is made
+    per message: YX only when XY's first channel (class 0) is busy and
+    YX's first channel (class 1) is free."""
+
+    @staticmethod
+    def probe(xy_busy, yx_busy, dst=5):
+        """Send 0 -> dst with the chosen first channels held, then again
+        once they are free; returns how many messages took YX."""
+        sim = Simulator()
+        net = MeshNetwork(sim, MeshConfig(spec="4x4", virtual_channels=2, routing="adaptive"))
+        # 0 -> 5: XY starts on channel 0->1 (class 0), YX on 0->4 (class 1).
+        xy_first, yx_first = net.channel(0, 1, 0), net.channel(0, 4, 1)
+        blocked = [xy_first] * xy_busy + [yx_first] * yx_busy
+
+        def blocker(facility):
+            yield request(facility)
+            yield hold(50.0)
+            yield release(facility)
+
+        def prober():
+            yield hold(1.0)
+            yield from net.transfer(NetworkMessage(src=0, dst=dst, length_bytes=8))
+            yield hold(100.0)  # blockers gone: same pair, same plans
+            yield from net.transfer(NetworkMessage(src=0, dst=dst, length_bytes=8))
+
+        for facility in blocked:
+            sim.process(blocker(facility), name=f"block-{facility.name}")
+        sim.process(prober(), name="prober")
+        sim.run()
+        assert len(net.log) == 2
+        # Every message took exactly one of the two first channels.
+        if dst == 5:
+            took_xy = xy_first.total_requests - xy_busy
+            took_yx = yx_first.total_requests - yx_busy
+            assert took_xy + took_yx == 2 and took_yx == net.adaptive_yx_taken
+        return net.adaptive_yx_taken
+
+    @pytest.mark.parametrize("xy_busy", [False, True])
+    @pytest.mark.parametrize("yx_busy", [False, True])
+    def test_yx_only_when_xy_busy_and_yx_free(self, xy_busy, yx_busy):
+        assert self.probe(xy_busy, yx_busy) == int(xy_busy and not yx_busy)
+
+    def test_same_first_channel_never_takes_yx(self):
+        # 0 -> 3 runs along x only: both orders start on channel 0->1.
+        assert self.probe(True, False, dst=3) == 0
 
 
 class TestChipletRouting:
