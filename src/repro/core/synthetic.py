@@ -23,7 +23,7 @@ from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
 from repro.obs.live import start_live_telemetry
 from repro.simkernel import check_leaks, hold
-from repro.stats.spatial_models import SpatialPattern, UniformPattern
+from repro.stats.spatial_models import SpatialPattern, UniformPattern, choice_sampler
 
 
 class SyntheticTrafficGenerator:
@@ -128,24 +128,23 @@ class SyntheticTrafficGenerator:
         # ``seed + 1000 * src`` arithmetic where (seed=1000, src=0) and
         # (seed=0, src=1) would share a stream.
         streams = np.random.SeedSequence(self.seed).spawn(num_nodes)
+        draw_length = choice_sampler(self._length_values, self._length_probs)
 
         for src in sources:
-            pattern = self._pattern_for(src)
+            draw_dst = self._pattern_for(src).destination_sampler(src, num_nodes)
             sampler = self._interarrival_sampler(src)
             rng = np.random.default_rng(streams[src])
             use_aggregate = src not in self.characterization.temporal.per_source_fits
             scale = n_sources if use_aggregate else 1.0
 
             def source_process(
-                src=src, pattern=pattern, sampler=sampler, rng=rng, scale=scale
+                src=src, draw_dst=draw_dst, sampler=sampler, rng=rng, scale=scale
             ):
                 for _ in range(messages_per_source):
                     gap = sampler(rng) * scale / self.rate_scale
                     yield hold(gap)
-                    dst = pattern.sample_destination(src, num_nodes, rng)
-                    length = int(
-                        rng.choice(self._length_values, p=self._length_probs)
-                    )
+                    dst = int(draw_dst(rng))
+                    length = int(draw_length(rng))
                     message = NetworkMessage(
                         src=src, dst=dst, length_bytes=length, kind="synthetic"
                     )
@@ -263,15 +262,21 @@ class PhaseCoupledTrafficGenerator:
         model = self.burst_model
         num_nodes = self.mesh_config.num_nodes
         burst_p = 1.0 / max(model.mean_burst_size, 1.0)
+        draw_source = choice_sampler(self._sources, self._source_probs)
+        draw_dst = {
+            src: self._pattern_for(src).destination_sampler(src, num_nodes)
+            for src in self._sources
+        }
+        draw_length = choice_sampler(self._length_values, self._length_probs)
 
         def driver():
             sent = 0
             while sent < total_messages:
                 burst_size = min(int(rng.geometric(burst_p)), total_messages - sent)
                 for _ in range(burst_size):
-                    src = int(rng.choice(self._sources, p=self._source_probs))
-                    dst = self._pattern_for(src).sample_destination(src, num_nodes, rng)
-                    length = int(rng.choice(self._length_values, p=self._length_probs))
+                    src = int(draw_source(rng))
+                    dst = int(draw_dst[src](rng))
+                    length = int(draw_length(rng))
                     network.inject(
                         NetworkMessage(src=src, dst=dst, length_bytes=length, kind="burst")
                     )

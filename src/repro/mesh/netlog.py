@@ -36,6 +36,7 @@ fast binary round trips at sweep scale.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import zipfile
@@ -868,13 +869,15 @@ class NetworkLog:
         column lengths, an unknown schema version, or kind codes
         pointing outside the stored vocabulary.
         """
-        try:
-            data = np.load(path, allow_pickle=False)
-        except (OSError, ValueError, zipfile.BadZipFile) as error:
-            # BadZipFile is what a truncated npz (torn spill segment)
-            # actually raises; it is not an OSError subclass.
-            raise NetLogFormatError(f"{path}: not a netlog npz: {error}") from error
-        with data:
+        with contextlib.ExitStack() as stack:
+            # The file is ours to close: on a truncated npz (torn spill
+            # segment) np.load raises BadZipFile, not an OSError, with
+            # the file it opened itself still open.
+            try:
+                handle = stack.enter_context(open(path, "rb"))
+                data = stack.enter_context(np.load(handle, allow_pickle=False))
+            except (OSError, ValueError, zipfile.BadZipFile) as error:
+                raise NetLogFormatError(f"{path}: not a netlog npz: {error}") from error
             present = set(data.files)
             required = {name for name, _ in _SCHEMA} | {"schema", "kind_vocab"}
             missing = sorted(required - present)

@@ -7,6 +7,13 @@ synthetic traffic generator, and the unconstrained-vector plumbing the
 secant regression needs (positive parameters are fit in log space,
 probabilities through a logistic transform, so the solver can roam all
 of R^n without leaving the family's domain).
+
+The six families SciPy also ships as ``rv_continuous`` distributions
+(Erlang, Gamma, Weibull, Normal, Lognormal, Pareto) evaluate SciPy's
+own density and CDF expressions directly with NumPy and
+``scipy.special`` ufuncs, under the same wrapper rules (:func:`_pdf`,
+:func:`_cdf`).  The values are bit-identical to SciPy's, without
+importing its statistics package (about 45 MiB and 0.8 s per process).
 """
 
 from __future__ import annotations
@@ -16,9 +23,12 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import expm1, gammainc, gammaln, ndtr, xlogy
 
 _EPS = 1e-12
+
+#: SciPy's normal-density constant, ``sqrt(2 pi)``.
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 def _exp(value: float) -> float:
@@ -36,6 +46,105 @@ def _sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def _standardize(x, loc: float, scale: float, args: tuple):
+    """Return ``y = (x - loc) / scale``, a zero output shaped like ``y``
+    with nan where ``y`` is nan, and whether the parameters pass
+    ``rv_continuous``' check (``scale`` and every shape parameter > 0,
+    so nan fails).  When they fail, the output is nan everywhere."""
+    y = np.asarray((np.asarray(x, dtype=float) - loc) / scale)
+    out = np.zeros(y.shape)
+    ok = scale > 0 and all(a > 0 for a in args)
+    out[np.isnan(y) | (not ok)] = np.nan
+    return y, out, ok
+
+
+def _reduced(formula, y, inside, args):
+    """Run ``formula`` on the in-support ``y`` laid out as SciPy's
+    ``argsreduce`` lays it out: ``y`` contiguous and 1-D, each shape
+    parameter a full-length array when every ``y`` is inside, else a
+    one-element array (which broadcasts when more than one is inside).
+    The layout is part of the result: NumPy's power loop computes a
+    broadcast exponent of -1, 0.5 or 2 as a reciprocal, square root or
+    square, any other through its vectorized ``pow``, and the two can
+    round differently."""
+    if inside.all():
+        return formula(y.ravel(), *(np.full(y.size, a) for a in args))
+    return formula(y[inside], *(np.array([a]) for a in args))
+
+
+def _pdf(x, density, args: tuple, scale: float, loc: float = 0.0,
+         low: float = 0.0, closed: bool = True):
+    """``rv_continuous.pdf``'s rules around a standardized ``density``.
+
+    ``density(y, *args)`` runs once, on the in-support values of
+    ``y = (x - loc) / scale``, and is divided by ``scale``.  The support
+    is ``[low, inf]`` (``(low, inf)`` unless ``closed``); outside it the
+    density is 0 and at nan it is nan.  A scalar ``x`` gives a scalar.
+    """
+    y, out, ok = _standardize(x, loc, scale, args)
+    if ok:
+        with np.errstate(invalid="ignore"):
+            inside = (low <= y) if closed else (low < y) & (y < np.inf)
+        if inside.any():
+            out[inside] = _reduced(density, y, inside, args) / scale
+    return out[()] if out.ndim == 0 else out
+
+
+def _cdf(x, cumulative, args: tuple, scale: float, loc: float = 0.0,
+         low: float = 0.0):
+    """``rv_continuous.cdf``'s rules around a standardized ``cumulative``:
+    evaluated on the open support ``(low, inf)``, 1 at ``inf``, 0 at or
+    below ``low``, nan at nan."""
+    y, out, ok = _standardize(x, loc, scale, args)
+    if ok:
+        with np.errstate(invalid="ignore"):
+            inside = (low < y) & (y < np.inf)
+        out[y == np.inf] = 1.0
+        if inside.any():
+            out[inside] = _reduced(cumulative, y, inside, args)
+    return out[()] if out.ndim == 0 else out
+
+
+# SciPy's standardized formulas (``_pdf``/``_cdf`` of its ``gamma``,
+# ``weibull_min``, ``norm``, ``lognorm`` and ``pareto``), term for term.
+
+
+def _gamma_pdf(y, a):
+    return np.exp(xlogy(a - 1.0, y) - y - gammaln(a))
+
+
+def _gamma_cdf(y, a):
+    return gammainc(a, y)
+
+
+def _weibull_pdf(y, c):
+    return c * pow(y, c - 1) * np.exp(-pow(y, c))
+
+
+def _weibull_cdf(y, c):
+    return -expm1(-pow(y, c))
+
+
+def _normal_pdf(y):
+    return np.exp(-y**2 / 2.0) / _SQRT_2PI
+
+
+def _lognormal_pdf(y, s):
+    return np.exp(-np.log(y)**2 / (2 * s**2) - np.log(s * y * _SQRT_2PI))
+
+
+def _lognormal_cdf(y, s):
+    return ndtr(np.log(y) / s)
+
+
+def _pareto_pdf(y, b):
+    return b * y**(-b - 1)
+
+
+def _pareto_cdf(y, b):
+    return 1 - y**(-b)
 
 
 class Distribution(ABC):
@@ -221,10 +330,10 @@ class Erlang(Distribution):
         self.rate = float(rate)
 
     def pdf(self, x):
-        return sps.erlang.pdf(np.asarray(x, dtype=float), self.k, scale=1.0 / self.rate)
+        return _pdf(x, _gamma_pdf, (self.k,), 1.0 / self.rate)
 
     def cdf(self, x):
-        return sps.erlang.cdf(np.asarray(x, dtype=float), self.k, scale=1.0 / self.rate)
+        return _cdf(x, _gamma_cdf, (self.k,), 1.0 / self.rate)
 
     def mean(self):
         return self.k / self.rate
@@ -268,10 +377,10 @@ class Gamma(Distribution):
         self.scale = float(scale)
 
     def pdf(self, x):
-        return sps.gamma.pdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return _pdf(x, _gamma_pdf, (self.shape,), self.scale)
 
     def cdf(self, x):
-        return sps.gamma.cdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return _cdf(x, _gamma_cdf, (self.shape,), self.scale)
 
     def mean(self):
         return self.shape * self.scale
@@ -314,10 +423,10 @@ class Weibull(Distribution):
         self.scale = float(scale)
 
     def pdf(self, x):
-        return sps.weibull_min.pdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return _pdf(x, _weibull_pdf, (self.shape,), self.scale)
 
     def cdf(self, x):
-        return sps.weibull_min.cdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return _cdf(x, _weibull_cdf, (self.shape,), self.scale)
 
     def mean(self):
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
@@ -364,10 +473,10 @@ class Normal(Distribution):
         self.sigma = float(sigma)
 
     def pdf(self, x):
-        return sps.norm.pdf(np.asarray(x, dtype=float), self.mu, self.sigma)
+        return _pdf(x, _normal_pdf, (), self.sigma, loc=self.mu, low=-np.inf)
 
     def cdf(self, x):
-        return sps.norm.cdf(np.asarray(x, dtype=float), self.mu, self.sigma)
+        return _cdf(x, ndtr, (), self.sigma, loc=self.mu, low=-np.inf)
 
     def mean(self):
         return self.mu
@@ -646,14 +755,10 @@ class Lognormal(Distribution):
         self.sigma = float(sigma)
 
     def pdf(self, x):
-        return sps.lognorm.pdf(
-            np.asarray(x, dtype=float), self.sigma, scale=math.exp(self.mu)
-        )
+        return _pdf(x, _lognormal_pdf, (self.sigma,), math.exp(self.mu), closed=False)
 
     def cdf(self, x):
-        return sps.lognorm.cdf(
-            np.asarray(x, dtype=float), self.sigma, scale=math.exp(self.mu)
-        )
+        return _cdf(x, _lognormal_cdf, (self.sigma,), math.exp(self.mu))
 
     def mean(self):
         return math.exp(self.mu + self.sigma**2 / 2.0)
@@ -706,10 +811,10 @@ class Pareto(Distribution):
         self.scale = float(scale)
 
     def pdf(self, x):
-        return sps.pareto.pdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return _pdf(x, _pareto_pdf, (self.shape,), self.scale, low=1.0)
 
     def cdf(self, x):
-        return sps.pareto.cdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return _cdf(x, _pareto_cdf, (self.shape,), self.scale, low=1.0)
 
     def mean(self):
         if self.shape <= 1:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Type
 
 import numpy as np
-from scipy import optimize
 
 from repro.stats.distributions import Distribution
 
@@ -66,6 +65,9 @@ def fit_mle(
     max_iter: int = 400,
 ) -> Optional[MLEResult]:
     """Maximum-likelihood fit of one family; None if it cannot start."""
+    # Imported here: only the MLE ablation needs scipy.optimize.
+    from scipy import optimize
+
     data = np.asarray(data, dtype=float)
     if data.size < 2:
         raise ValueError(f"need at least 2 observations, got {data.size}")

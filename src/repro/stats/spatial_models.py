@@ -20,13 +20,51 @@ mirroring the SAS regression on the spatial data.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.stats.goodness import r_squared
+
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1``.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def choice_sampler(a, p) -> Callable[[np.random.Generator], object]:
+    """Return ``draw(rng)``, equal to ``rng.choice(a, p=p)`` draw for draw.
+
+    ``p`` is checked once, as :meth:`numpy.random.Generator.choice`
+    checks it, and its CDF is built once, as ``choice`` builds it on
+    every call (``cumsum``, then divided by its last entry).  Each draw
+    spends one ``rng.random()`` on a right-sided ``searchsorted``, the
+    algorithm ``choice`` itself runs, so draws and generator state match
+    ``choice`` exactly.  An integer ``a`` draws indices ``0..a-1``.
+    """
+    values = None if np.ndim(a) == 0 else np.asarray(a)
+    size = operator.index(a) if values is None else len(values)
+    p = np.ascontiguousarray(p, dtype=float)
+    if size <= 0:
+        raise ValueError("a must be a positive integer or a non-empty sequence")
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if p.size != size:
+        raise ValueError("a and p must have same size")
+    total = float(p.sum())
+    if math.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    search = cdf.searchsorted
+    if values is None:
+        return lambda rng: search(rng.random(), side="right")
+    return lambda rng: values[search(rng.random(), side="right")]
 
 
 class SpatialPattern(ABC):
@@ -42,15 +80,21 @@ class SpatialPattern(ABC):
     def describe(self) -> str:
         """Human-readable parameterization."""
 
-    def sample_destination(
-        self, src: int, num_nodes: int, rng: np.random.Generator
-    ) -> int:
-        """Draw a destination according to the pattern."""
+    def destination_sampler(
+        self, src: int, num_nodes: int
+    ) -> Callable[[np.random.Generator], int]:
+        """``draw(rng)`` of ``src``'s destinations (see :func:`choice_sampler`)."""
         probs = self.fractions(src, num_nodes)
         total = probs.sum()
         if total <= 0:
             raise ValueError(f"pattern predicts no traffic from source {src}")
-        return int(rng.choice(num_nodes, p=probs / total))
+        return choice_sampler(num_nodes, probs / total)
+
+    def sample_destination(
+        self, src: int, num_nodes: int, rng: np.random.Generator
+    ) -> int:
+        """Draw a destination according to the pattern."""
+        return int(self.destination_sampler(src, num_nodes)(rng))
 
 
 class UniformPattern(SpatialPattern):

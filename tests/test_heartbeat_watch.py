@@ -92,6 +92,7 @@ class TestReader:
         records = read_heartbeats(path)
         assert len(records) == 2
         assert records[-1]["sim_time"] == 5.0
+        writer.finish()
 
     def test_corrupt_interior_line_raises(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -277,9 +278,11 @@ class TestHeartbeatFollower:
         writer.write_window(sim_time=5.0, events=10)
         writer.write_window(sim_time=6.0, events=20)
         assert len(follower.poll()) == 3
-        HeartbeatWriter(path, label="attempt2", wall_clock=FakeClock())
+        restarted = HeartbeatWriter(path, label="attempt2", wall_clock=FakeClock())
         records = follower.poll()
         assert [r["label"] for r in records] == ["attempt2"]
+        restarted.finish()
+        writer.finish()
 
     def test_same_size_restart_is_detected(self, tmp_path):
         # Regression: a restarted stream whose rewritten file is the
@@ -325,6 +328,7 @@ class TestHeartbeatFollower:
         writer.write_window(sim_time=1.0, events=5)
         writer.write_window(sim_time=2.0, events=9)
         assert len(follower.poll()) == 2  # only the new records
+        writer.finish()
 
     def test_unparseable_lines_skipped(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

@@ -20,8 +20,10 @@ zero partials, and truncated/missing segment shards raising
 :class:`NetLogFormatError` naming the offending shard.
 """
 
+import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -334,8 +336,13 @@ class TestEdgeCases:
         victim = os.path.join(str(tmp_path), "netlog.part-000.npz")
         with open(victim, "r+b") as handle:
             handle.truncate(20)  # torn write
-        with pytest.raises(NetLogFormatError, match="part-000"):
-            list(iter_segments(manifest))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(NetLogFormatError, match="part-000"):
+                list(iter_segments(manifest))
+            gc.collect()
+        # The rejected shard's file handle is closed, not left to the GC.
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_record_count_mismatch_rejected(self, tmp_path):
         streaming = StreamingNetworkLog(str(tmp_path), window=3)

@@ -204,7 +204,8 @@ class TestRegistryExport:
         # The helper also creates missing parent directories.
         nested = str(tmp_path / "sub" / "x.txt")
         atomic_write_text(nested, "payload")
-        assert open(nested).read() == "payload"
+        with open(nested) as handle:
+            assert handle.read() == "payload"
 
     def test_load_metrics_rejects_non_metrics_json(self, tmp_path):
         path = str(tmp_path / "bad.json")

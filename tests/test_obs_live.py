@@ -58,7 +58,8 @@ class TestLiveSeries:
         s.append(5.0, 10.0, 9.5, {"x.rate": 4.0})
         path = str(tmp_path / "live.jsonl")
         s.write_jsonl(path)
-        lines = [json.loads(l) for l in open(path).read().splitlines()]
+        with open(path) as handle:
+            lines = [json.loads(l) for l in handle.read().splitlines()]
         assert [l["window"] for l in lines] == [0, 1]
         assert lines[1]["x.rate"] == 4.0
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.stats import (
     BimodalUniformPattern,
@@ -9,6 +10,7 @@ from repro.stats import (
     UniformPattern,
     classify_spatial,
 )
+from repro.stats.spatial_models import choice_sampler
 
 RNG = np.random.default_rng(5)
 
@@ -131,3 +133,53 @@ class TestClassifier:
         observed = UniformPattern().fractions(src=1, num_nodes=8)
         fits = classify_spatial(observed, src=1, width=4, height=2)
         assert "R2=" in fits[0].describe()
+
+
+class TestChoiceSampler:
+    """``choice_sampler`` must be ``Generator.choice`` with the CDF hoisted."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=40
+        ).filter(lambda w: sum(w) > 0),
+        seed=st.integers(0, 2**32 - 1),
+        as_array=st.booleans(),
+        draws=st.integers(1, 60),
+    )
+    def test_draws_equal_rng_choice(self, weights, seed, as_array, draws):
+        p = np.array(weights) / np.sum(weights)
+        a = np.arange(100, 100 + 3 * p.size, 3) if as_array else p.size
+        draw = choice_sampler(a, p)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            got, want = draw(ours), theirs.choice(a, p=p)
+            assert got == want
+            assert p[(got - 100) // 3 if as_array else got] > 0
+        # Same generator state afterwards: one uniform per draw, as choice.
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize(
+        "a, p",
+        [
+            (3, [0.5, 0.5]),  # size mismatch
+            (2, [1.5, -0.5]),  # negative entry
+            (2, [0.5, float("nan")]),
+            (2, [0.5, 0.4]),  # does not sum to 1
+            (0, []),
+            (2, [[0.5, 0.5]]),  # not 1-D
+        ],
+    )
+    def test_rejects_what_choice_rejects(self, a, p):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(a, p=p)
+        with pytest.raises(ValueError):
+            choice_sampler(a, p)
+
+    def test_sample_destination_matches_rng_choice(self):
+        pattern = BimodalUniformPattern(favorite=3, p_favorite=0.6)
+        probs = pattern.fractions(0, 8)
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(50):
+            want = theirs.choice(8, p=probs / probs.sum())
+            assert pattern.sample_destination(0, 8, ours) == want
