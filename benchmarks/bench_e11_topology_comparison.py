@@ -12,20 +12,21 @@ hypercube, whose XOR partners are single hops.
 import pytest
 
 from repro import SyntheticTrafficGenerator
-from repro.mesh import MeshConfig, make_topology
+from repro.mesh import MeshConfig
 
+#: name -> spec; ``MeshConfig.parse`` grants the torus its 2 VCs.
 TOPOLOGIES = (
-    ("mesh", dict(topology="mesh", virtual_channels=1)),
-    ("torus", dict(topology="torus", virtual_channels=2)),
-    ("hypercube", dict(topology="hypercube", virtual_channels=1)),
+    ("mesh", "4x2"),
+    ("torus", "4x2:torus"),
+    ("hypercube", "4x2:hypercube"),
 )
 
 
 def test_e11_topology_comparison_table(runs, benchmark):
     characterization = runs.run("1d-fft").characterization
     rows = []
-    for name, overrides in TOPOLOGIES:
-        config = MeshConfig(width=4, height=2, **overrides)
+    for name, spec in TOPOLOGIES:
+        config = MeshConfig.parse(spec)
         generator = SyntheticTrafficGenerator(
             characterization, mesh_config=config, seed=5, rate_scale=2.0
         )
@@ -48,7 +49,7 @@ def test_e11_topology_comparison_table(runs, benchmark):
     benchmark.pedantic(
         lambda: SyntheticTrafficGenerator(
             characterization,
-            mesh_config=MeshConfig(width=4, height=2, topology="hypercube"),
+            mesh_config=MeshConfig("4x2:hypercube"),
             seed=6,
         ).generate(messages_per_source=60),
         rounds=1,
@@ -58,8 +59,6 @@ def test_e11_topology_comparison_table(runs, benchmark):
 
 def test_e11_average_distance_ordering(runs):
     # Static topology property backing the dynamic result above.
-    mesh = make_topology("mesh", 4, 2)
-    torus = make_topology("torus", 4, 2)
-    cube = make_topology("hypercube", 4, 2)
+    mesh, torus, cube = (MeshConfig.parse(spec).make_topology() for _, spec in TOPOLOGIES)
     assert cube.average_distance() < mesh.average_distance()
     assert torus.average_distance() <= mesh.average_distance()

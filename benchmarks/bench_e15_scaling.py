@@ -18,9 +18,9 @@ from repro import (
 from repro.mesh import MeshConfig
 
 MACHINES = (
-    ("2x2", MeshConfig(width=2, height=2)),
-    ("4x2", MeshConfig(width=4, height=2)),
-    ("4x4", MeshConfig(width=4, height=4)),
+    ("2x2", MeshConfig("2x2")),
+    ("4x2", MeshConfig("4x2")),
+    ("4x4", MeshConfig("4x4")),
 )
 
 
@@ -56,7 +56,7 @@ def test_e15_scaling_table(scaling_runs, benchmark):
 
     benchmark.pedantic(
         lambda: characterize_shared_memory(
-            create_app("1d-fft", n=256), mesh_config=MeshConfig(width=4, height=4)
+            create_app("1d-fft", n=256), mesh_config=MeshConfig("4x4")
         ),
         rounds=1,
         iterations=1,

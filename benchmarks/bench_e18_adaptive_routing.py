@@ -46,14 +46,14 @@ def test_e18_routing_comparison_table(runs, benchmark):
     characterization = runs.run("1d-fft").characterization
     rows = []
     for label, routing in (("deterministic", "deterministic"), ("adaptive", "adaptive")):
-        config = MeshConfig(width=4, height=2, virtual_channels=2, routing=routing)
+        config = MeshConfig("4x2", virtual_channels=2, routing=routing)
         log = SyntheticTrafficGenerator(
             characterization, mesh_config=config, seed=13, rate_scale=4.0
         ).generate(messages_per_source=150)
         rows.append((label, log))
-    random_det = random_traffic(MeshConfig(width=4, height=4, virtual_channels=2))
+    random_det = random_traffic(MeshConfig("4x4", virtual_channels=2))
     random_ada = random_traffic(
-        MeshConfig(width=4, height=4, virtual_channels=2, routing="adaptive")
+        MeshConfig("4x4", virtual_channels=2, routing="adaptive")
     )
 
     print()
@@ -81,7 +81,7 @@ def test_e18_routing_comparison_table(runs, benchmark):
 
     benchmark.pedantic(
         lambda: random_traffic(
-            MeshConfig(width=4, height=4, virtual_channels=2, routing="adaptive")
+            MeshConfig("4x4", virtual_channels=2, routing="adaptive")
         ),
         rounds=1,
         iterations=1,

@@ -22,7 +22,7 @@ def test_e21_capacity_sweep_table(runs, benchmark):
     )
     slow = sweep_load(
         characterization,
-        mesh_config=MeshConfig(width=4, height=2, channel_time=20.0),
+        mesh_config=MeshConfig("4x2", channel_time=20.0),
         rate_scales=SCALES,
         messages_per_source=80,
         seed=41,

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import analyze_spatial
 from repro.core.report import spatial_table
+from repro.mesh import MeshConfig
 
 from conftest import MESSAGE_PASSING, SHARED_MEMORY
 
@@ -63,5 +64,5 @@ def test_e5_mg_p0_favorite(runs):
 
 def test_e5_classification_benchmark(runs, benchmark):
     log = runs.run("nbody").log
-    spatial = benchmark(analyze_spatial, log, 4, 2)
+    spatial = benchmark(analyze_spatial, log, MeshConfig("4x2").make_topology())
     assert len(spatial.per_source) == 8

@@ -59,7 +59,7 @@ def run_mesh(scheduler, messages_per_source, sample_interval=None):
     otherwise the sampler's :class:`~repro.obs.live.LiveSeries`.
     """
     sim = Simulator(scheduler=scheduler)
-    net = MeshNetwork(sim, MeshConfig(width=4, height=4))
+    net = MeshNetwork(sim, MeshConfig("4x4"))
     nodes = 16
 
     def source(src):

@@ -163,7 +163,7 @@ def run_parallel_bench(args):
         messages_per_source=args.parallel_messages,
         seed=1234,
     )
-    print(f"parallel workload: {config.width}x{config.height} mesh, "
+    print(f"parallel workload: {config.spec.canonical()} mesh, "
           f"{traffic.message_count} row-local messages, "
           f"{args.regions} regions ...")
     serial_best = parallel_best = float("inf")

@@ -19,10 +19,11 @@ from repro import SyntheticTrafficGenerator, characterize_shared_memory, create_
 from repro.core import WormholeLatencyModel
 from repro.mesh import MeshConfig, drive_pattern, make_pattern
 
+#: name -> spec; ``MeshConfig.parse`` grants the torus its 2 VCs.
 TOPOLOGIES = (
-    ("mesh", dict(topology="mesh")),
-    ("torus", dict(topology="torus", virtual_channels=2)),
-    ("hypercube", dict(topology="hypercube")),
+    ("mesh", "4x2"),
+    ("torus", "4x2:torus"),
+    ("hypercube", "4x2:hypercube"),
 )
 
 PATTERNS = ("uniform", "bit-complement", "transpose", "hotspot")
@@ -39,8 +40,8 @@ def main() -> None:
     print()
     print("=== topology comparison under the characterized workload ===")
     print(f"{'topology':<10} {'sim latency':>12} {'model latency':>14} {'saturation':>11}")
-    for name, overrides in TOPOLOGIES:
-        config = MeshConfig(width=4, height=2, **overrides)
+    for name, spec in TOPOLOGIES:
+        config = MeshConfig.parse(spec)
         log = SyntheticTrafficGenerator(
             characterization, mesh_config=config, seed=17, rate_scale=2.0
         ).generate(messages_per_source=150)
@@ -53,7 +54,7 @@ def main() -> None:
 
     print()
     print("=== characterized vs classic synthetic patterns (4x4 mesh) ===")
-    config = MeshConfig(width=4, height=4)
+    config = MeshConfig("4x4")
     print(f"{'workload':<16} {'latency':>9} {'contention':>11} {'mean hops':>10}")
     for pattern_name in PATTERNS:
         pattern = make_pattern(pattern_name, 16)

@@ -32,12 +32,7 @@ from repro.core.loadsweep import (
     measure_load_point,
     sweep_load,
 )
-from repro.core.options import (
-    PARALLEL_SYNC_MODES,
-    RUN_SCHEDULERS,
-    RunOptions,
-    resolve_run_options,
-)
+from repro.core.options import PARALLEL_SYNC_MODES, RUN_SCHEDULERS, RunOptions
 from repro.core.phases import PhaseSegment, phase_table, segment_phases
 from repro.core.methodology import (
     CharacterizationRun,
@@ -83,7 +78,6 @@ __all__ = [
     "estimate_bursts",
     "measure_load_point",
     "phase_table",
-    "resolve_run_options",
     "run_dynamic",
     "run_pattern",
     "run_static",

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 from repro.apps.base import MessagePassingApplication, SharedMemoryApplication
 from repro.coherence.config import CoherenceConfig
 from repro.core.attributes import CommunicationCharacterization
-from repro.core.options import RunOptions, resolve_run_options
+from repro.core.options import RunOptions
 from repro.core.spatial import analyze_spatial
 from repro.core.temporal import analyze_temporal
 from repro.core.volume import analyze_volume
@@ -56,7 +56,7 @@ class CharacterizationRun:
         with observability enabled).
     registry:
         The live metrics registry that observed the run (when
-        ``options.metrics`` was on or a legacy ``obs=`` was passed).
+        ``options.metrics`` was on).
     timeline:
         The timeline recorder that observed the run, ready to
         ``write()`` (when ``options.timeline`` was on).
@@ -91,7 +91,7 @@ def characterize_log(
         strategy=strategy,
         num_nodes=mesh_config.num_nodes,
         temporal=analyze_temporal(log, per_source=per_source_temporal),
-        spatial=analyze_spatial(log, mesh_config.width, mesh_config.height),
+        spatial=analyze_spatial(log, mesh_config.make_topology()),
         volume=analyze_volume(log, mesh_config.num_nodes),
     )
 
@@ -102,18 +102,17 @@ def characterize_shared_memory(
     coherence_config: Optional[CoherenceConfig] = None,
     per_source_temporal: bool = False,
     options: Optional[RunOptions] = None,
-    obs: Optional[MetricsRegistry] = None,
-    timeline: Optional[TimelineRecorder] = None,
 ) -> CharacterizationRun:
     """Run the dynamic strategy on a shared-memory application.
 
     Pass ``options`` (a :class:`~repro.core.options.RunOptions`) to
     configure instrumentation and kernel knobs; the returned run then
     carries the materialized ``registry``/``timeline`` and a
-    ``metrics`` snapshot.  The ``obs=``/``timeline=`` object kwargs are
-    deprecated (one :class:`DeprecationWarning`) but keep working.
+    ``metrics`` snapshot.
     """
-    options, registry, recorder = resolve_run_options(options, obs, timeline)
+    options = options or RunOptions()
+    registry = options.make_registry()
+    recorder = options.make_timeline()
     mesh_config = mesh_config or MeshConfig()
     sim = app.run(
         mesh_config=mesh_config,
@@ -147,19 +146,17 @@ def characterize_message_passing(
     time_scale: float = 1.0,
     per_source_temporal: bool = False,
     options: Optional[RunOptions] = None,
-    obs: Optional[MetricsRegistry] = None,
-    timeline: Optional[TimelineRecorder] = None,
 ) -> CharacterizationRun:
     """Run the static strategy on a message-passing application.
 
     The rank count equals the mesh's node count (each SP2 rank maps
     onto one mesh node for the replay).  ``options`` configures both
     the SP2 run and the replay (the registry observes both, the
-    timeline records the replay's network activity); the legacy
-    ``obs=``/``timeline=`` object kwargs are deprecated but keep
-    working.
+    timeline records the replay's network activity).
     """
-    options, registry, recorder = resolve_run_options(options, obs, timeline)
+    options = options or RunOptions()
+    registry = options.make_registry()
+    recorder = options.make_timeline()
     mesh_config = mesh_config or MeshConfig()
     runtime = app.run(
         num_ranks=mesh_config.num_nodes, sp2=sp2, obs=registry, options=options

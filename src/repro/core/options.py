@@ -8,18 +8,12 @@ whole stack: ``run_dynamic``/``run_static``/``run_synthetic``
 (:mod:`repro.core.run`), the ``characterize_*`` pipelines,
 :func:`~repro.core.loadsweep.measure_load_point`, and sweep cell specs
 (where it becomes part of the cell's content address).
-
-The old per-function ``obs=``/``timeline=`` keyword arguments keep
-working through :func:`resolve_run_options`, which emits a single
-:class:`DeprecationWarning` per call and folds the legacy objects into
-the resolved instruments.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
@@ -256,40 +250,3 @@ class RunOptions:
                 f"expected a subset of {sorted(known)}"
             )
         return cls(**dict(doc))  # type: ignore[arg-type]
-
-
-#: The message every deprecated ``obs=``/``timeline=`` call site gets.
-_LEGACY_MESSAGE = (
-    "passing obs=/timeline= is deprecated; pass "
-    "options=RunOptions(metrics=True, timeline=True) instead "
-    "(the run result carries the materialized registry/recorder)"
-)
-
-
-def resolve_run_options(
-    options: Optional[RunOptions],
-    obs: Optional[MetricsRegistry] = None,
-    timeline: Optional[TimelineRecorder] = None,
-    stacklevel: int = 3,
-) -> Tuple[RunOptions, Optional[MetricsRegistry], Optional[TimelineRecorder]]:
-    """Merge an options bundle with legacy instrument kwargs.
-
-    Returns ``(options, registry, recorder)`` where the instruments are
-    the legacy objects when given (so callers that kept references
-    still observe the run), else freshly built from the bundle.  Emits
-    exactly one :class:`DeprecationWarning` per call when any legacy
-    object is supplied; ``stacklevel`` defaults to pointing at the
-    caller of the deprecated pipeline function.
-    """
-    if obs is not None or timeline is not None:
-        warnings.warn(_LEGACY_MESSAGE, DeprecationWarning, stacklevel=stacklevel)
-    if options is None:
-        options = RunOptions(metrics=obs is not None, timeline=timeline is not None)
-    else:
-        if obs is not None and not options.metrics:
-            options = options.with_(metrics=True)
-        if timeline is not None and not options.timeline:
-            options = options.with_(timeline=True)
-    registry = obs if obs is not None else options.make_registry()
-    recorder = timeline if timeline is not None else options.make_timeline()
-    return options, registry, recorder

@@ -44,13 +44,7 @@ from repro.mesh.netlog_stream import (
 )
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
-from repro.mesh.partition import (
-    PARTITIONERS,
-    MeshPartition,
-    make_partition,
-    register_partitioner,
-    slice_partition,
-)
+from repro.mesh.partition import MeshPartition, slice_partition
 from repro.mesh.patterns import (
     PATTERNS,
     BitComplementTraffic,
@@ -83,8 +77,6 @@ from repro.mesh.topology import (
     MeshTopology,
     NDMeshTopology,
     Topology,
-    TorusTopology,
-    make_topology,
 )
 
 __all__ = [
@@ -106,7 +98,6 @@ __all__ = [
     "MeshPartition",
     "NetworkLog",
     "NetworkMessage",
-    "PARTITIONERS",
     "PATTERNS",
     "ShuffleTraffic",
     "StreamingNetworkLog",
@@ -116,20 +107,16 @@ __all__ = [
     "TopologySpec",
     "TopologySpecError",
     "TornadoTraffic",
-    "TorusTopology",
     "TrafficPattern",
     "TransposeTraffic",
     "UniformTraffic",
     "build_topology",
     "drive_pattern",
     "iter_segments",
-    "make_partition",
     "make_pattern",
-    "make_topology",
     "materialize_manifest",
     "pattern_for_config",
     "read_manifest",
-    "register_partitioner",
     "register_pattern",
     "register_topology",
     "registered_patterns",

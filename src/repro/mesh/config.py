@@ -1,37 +1,17 @@
 """Configuration of the simulated network: a TopologySpec plus timing.
 
-:class:`MeshConfig` is the value every simulator layer consumes.  Since
-the :class:`~repro.mesh.spec.TopologySpec` redesign it is a thin facade
-over a spec: geometry lives in ``config.spec`` (any N-D or hierarchical
-topology), timing and wormhole parameters live here.  The legacy 2-D
-``width=``/``height=``/``topology=`` keyword arguments still work as a
-compatibility shim (one :class:`DeprecationWarning` per process), and
-``width``/``height``/``topology`` remain readable properties so
-existing consumers keep working unchanged.
+:class:`MeshConfig` is the value every simulator layer consumes.
+Geometry lives in ``config.spec`` (a
+:class:`~repro.mesh.spec.TopologySpec`: any N-D or hierarchical
+topology); timing and wormhole parameters live here.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.mesh.spec import TopologySpec
-
-_LEGACY_GEOMETRY_MESSAGE = (
-    "MeshConfig(width=, height=, topology=) is deprecated; pass "
-    "spec=TopologySpec(...) or use MeshConfig.parse('WxH[:kind]') / "
-    "MeshConfig.from_spec(...)"
-)
-_legacy_geometry_warned = False
-
-
-def _warn_legacy_geometry() -> None:
-    """Warn about width=/height=/topology= once per process."""
-    global _legacy_geometry_warned
-    if not _legacy_geometry_warned:
-        _legacy_geometry_warned = True
-        warnings.warn(_LEGACY_GEOMETRY_MESSAGE, DeprecationWarning, stacklevel=4)
 
 
 @dataclass(frozen=True, init=False)
@@ -94,9 +74,6 @@ class MeshConfig:
         self,
         spec: Optional[Union[TopologySpec, str]] = None,
         *,
-        width: Optional[int] = None,
-        height: Optional[int] = None,
-        topology: Optional[str] = None,
         virtual_channels: int = 1,
         routing: str = "deterministic",
         flit_bytes: int = 8,
@@ -106,24 +83,7 @@ class MeshConfig:
         injection_time: float = 1.0,
         ejection_time: float = 1.0,
     ) -> None:
-        if width is not None or height is not None or topology is not None:
-            if spec is not None:
-                raise ValueError(
-                    "pass spec= or the legacy width=/height=/topology= "
-                    "keywords, not both"
-                )
-            _warn_legacy_geometry()
-            legacy_width = 4 if width is None else width
-            legacy_height = 2 if height is None else height
-            if legacy_width < 1 or legacy_height < 1:
-                raise ValueError(
-                    f"mesh must be at least 1x1, got {legacy_width}x{legacy_height}"
-                )
-            spec = TopologySpec(
-                kind=topology if topology is not None else "mesh",
-                dims=(legacy_width, legacy_height),
-            )
-        elif spec is None:
+        if spec is None:
             spec = TopologySpec()
         elif isinstance(spec, str):
             spec = TopologySpec.parse(spec)
@@ -148,7 +108,7 @@ class MeshConfig:
         built = self.make_topology()
         if self.virtual_channels < built.required_vclasses:
             raise ValueError(
-                f"{self.topology} routing needs >= {built.required_vclasses} "
+                f"{self.spec.kind} routing needs >= {built.required_vclasses} "
                 f"virtual channels, got {self.virtual_channels}"
             )
         if self.routing not in ("deterministic", "adaptive"):
@@ -156,7 +116,7 @@ class MeshConfig:
                 f"routing must be 'deterministic' or 'adaptive', got {self.routing!r}"
             )
         if self.routing == "adaptive":
-            if self.topology != "mesh" or len(self.spec.dims) != 2 or self.spec.wraps:
+            if self.spec.kind != "mesh" or len(self.spec.dims) != 2 or self.spec.wraps:
                 raise ValueError("adaptive routing is only supported on the mesh")
             if self.virtual_channels < 2:
                 raise ValueError(
@@ -203,25 +163,6 @@ class MeshConfig:
         point sees.
         """
         return cls.from_spec(TopologySpec.parse(spec))
-
-    # ------------------------------------------------------------------
-    # Legacy geometry views
-    # ------------------------------------------------------------------
-
-    @property
-    def width(self) -> int:
-        """Fastest-varying dimension (the 2-D width)."""
-        return self.spec.dims[0]
-
-    @property
-    def height(self) -> int:
-        """All remaining geometry: ``num_nodes // width`` (the 2-D height)."""
-        return self.num_nodes // self.spec.dims[0]
-
-    @property
-    def topology(self) -> str:
-        """The spec's topology kind (legacy name)."""
-        return self.spec.kind
 
     @property
     def num_nodes(self) -> int:

@@ -21,27 +21,20 @@ next (head-flit routing plus one boundary-channel traversal, including
 that axis' link scale), which bounds how far a region may safely
 advance past its neighbours.
 
-Partitioners are pluggable through :func:`register_partitioner`; the
-default ``"slice"`` partitioner cuts the highest axis into bands as
-evenly as possible (empty bands when ``regions > depth`` are allowed
-and simply idle).
+:func:`slice_partition` builds one by cutting the highest axis into
+bands as evenly as possible (empty bands when ``regions > depth`` are
+allowed and simply idle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.mesh.config import MeshConfig
 from repro.mesh.spec import TopologySpec
 
-__all__ = [
-    "PARTITIONERS",
-    "MeshPartition",
-    "make_partition",
-    "register_partitioner",
-    "slice_partition",
-]
+__all__ = ["MeshPartition", "slice_partition"]
 
 
 @dataclass(frozen=True)
@@ -67,9 +60,9 @@ class MeshPartition:
 
     def __post_init__(self) -> None:
         cfg = self.config
-        if cfg.topology != "mesh" or cfg.spec.wraps or cfg.spec.is_hierarchical:
+        if cfg.spec.kind != "mesh" or cfg.spec.wraps or cfg.spec.is_hierarchical:
             raise ValueError(
-                f"parallel regions require the mesh topology, got {cfg.topology!r} "
+                f"parallel regions require the mesh topology, got {cfg.spec.kind!r} "
                 "(wraparound or hub channels would couple non-adjacent regions)"
             )
         if cfg.routing != "deterministic":
@@ -264,36 +257,3 @@ def slice_partition(config: MeshConfig, regions: int) -> MeshPartition:
         bounds.append((layer, layer + take))
         layer += take
     return MeshPartition(config=config, bounds=tuple(bounds))
-
-
-#: Named partitioning strategies: ``fn(config, regions) -> MeshPartition``.
-PARTITIONERS: Dict[str, Callable[[MeshConfig, int], MeshPartition]] = {
-    "slice": slice_partition,
-}
-
-
-def register_partitioner(
-    name: str, fn: Callable[[MeshConfig, int], MeshPartition]
-) -> None:
-    """Register a custom partitioning strategy under ``name``.
-
-    The callable must return a :class:`MeshPartition` (contiguous
-    layer bands); re-registering an existing name replaces it.
-    """
-    if not name:
-        raise ValueError("partitioner name must be non-empty")
-    PARTITIONERS[name] = fn
-
-
-def make_partition(
-    config: MeshConfig, regions: int, partitioner: str = "slice"
-) -> MeshPartition:
-    """Build a partition with the named strategy (default ``"slice"``)."""
-    try:
-        fn = PARTITIONERS[partitioner]
-    except KeyError:
-        raise ValueError(
-            f"unknown partitioner {partitioner!r}; registered: "
-            + ", ".join(sorted(PARTITIONERS))
-        ) from None
-    return fn(config, regions)

@@ -1,17 +1,15 @@
 """First-class topology descriptions: :class:`TopologySpec` + registry.
 
-The paper simulates one 2-D wormhole mesh; the repo's consumers used to
-hard-wire that geometry as ``width``/``height`` pairs threaded through
-``MeshConfig``, ``make_topology(name, width, height)`` and three
-independently-parsed ``"WxH[:topology]"`` string grammars (CLI, sweep
-grids, serve validation).  :class:`TopologySpec` replaces all of that
-with one frozen, serializable value:
+The paper simulates one 2-D wormhole mesh.  :class:`TopologySpec` is
+the one way to describe that network or any other: every consumer
+(``MeshConfig``, the CLI, sweep grids, serve validation, spatial
+fitting) gets its geometry from one frozen, serializable value:
 
 * ``kind`` -- which routing discipline/graph family builds the network
   (``mesh``, ``torus``, ``hypercube``, ``chiplet``, or anything
   registered via :func:`register_topology`);
 * ``dims`` -- N-dimensional radix vector, row-major node numbering
-  (``dims[0]`` is the fastest-varying axis, the 2-D ``width``);
+  (``dims[0]`` is the fastest-varying axis);
 * ``wrap`` -- per-dimension wraparound flags (derived from ``kind``
   when omitted: a torus wraps every dimension);
 * ``link_scale`` -- per-dimension channel-latency multipliers, the
@@ -325,10 +323,8 @@ TOPOLOGIES: Dict[str, Callable[[TopologySpec], object]] = {}
 def register_topology(kind: str, builder: Callable[[TopologySpec], object]) -> None:
     """Register (or replace) the builder for a topology ``kind``.
 
-    The plugin seam mirroring
-    :func:`repro.mesh.partition.register_partitioner`: builders take the
-    full :class:`TopologySpec` so they can honor dims, wrap flags,
-    link scales and hierarchy blocks as they see fit.
+    Builders take the full :class:`TopologySpec` so they can honor
+    dims, wrap flags, link scales and hierarchy blocks as they see fit.
     """
     if not kind or not isinstance(kind, str):
         raise ValueError(f"topology kind must be a non-empty string, got {kind!r}")

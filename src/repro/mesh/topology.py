@@ -36,8 +36,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mesh.spec import TopologySpec, register_topology
 
-Coordinate = Tuple[int, int]
-
 #: Most ``(src, dst)`` entries one :class:`RouteTable` keeps.  Past the
 #: cap a miss is still computed, just not stored.  65,536 pairs hold
 #: every mesh up to 16x16.
@@ -325,30 +323,19 @@ class MeshTopology(NDMeshTopology):
     """``width x height`` 2-D mesh with dimension-order (XY) routing.
 
     Node ids are row-major: node ``i`` sits at ``(i % width, i // width)``.
-    XY routing is deadlock-free with a single virtual-channel class.
+    XY routing is deadlock-free with a single virtual-channel class.  A
+    2-D torus is an :class:`NDMeshTopology` with both axes wrapped; this
+    class adds the YX order adaptive routing needs.
     """
-
-    name = "mesh"
 
     def __init__(
         self,
         width: int,
         height: int,
         *,
-        wrap: Optional[Sequence[bool]] = None,
         link_scale: Optional[Sequence[float]] = None,
     ) -> None:
-        if width < 1 or height < 1:
-            raise ValueError(f"mesh must be at least 1x1, got {width}x{height}")
-        super().__init__((width, height), wrap=wrap, link_scale=link_scale)
-
-    @property
-    def width(self) -> int:
-        return self.dims[0]
-
-    @property
-    def height(self) -> int:
-        return self.dims[1]
+        super().__init__((width, height), link_scale=link_scale)
 
     @cached_property
     def routes_yx(self) -> RouteTable:
@@ -368,30 +355,6 @@ class MeshTopology(NDMeshTopology):
         node = self._axis_hops(path, src, s[1], d[1], 1)
         self._axis_hops(path, node, s[0], d[0], 0)
         return path
-
-
-class TorusTopology(MeshTopology):
-    """``width x height`` 2-D torus: mesh plus wraparound channels.
-
-    Dimension-order routing taking the shorter way around each ring.
-    Wormhole deadlock freedom inside a ring uses the classic *dateline*
-    discipline: a worm starts each dimension on virtual-channel class 0
-    and switches to class 1 after crossing that ring's wrap channel, so
-    the channel-dependence graph is acyclic.  Hence
-    ``required_vclasses = 2``.
-    """
-
-    name = "torus"
-    required_vclasses = 2
-
-    def __init__(
-        self,
-        width: int,
-        height: int,
-        *,
-        link_scale: Optional[Sequence[float]] = None,
-    ) -> None:
-        super().__init__(width, height, wrap=(True, True), link_scale=link_scale)
 
 
 class HypercubeTopology(Topology):
@@ -548,24 +511,9 @@ class ChipletTopology(Topology):
         return up + [hub] + down
 
 
-def make_topology(name: str, width: int, height: int) -> Topology:
-    """Build a topology by name over ``width * height`` nodes.
-
-    The legacy 2-D entry point, now a thin wrapper over the
-    :mod:`repro.mesh.spec` registry: ``"mesh"`` and ``"torus"`` use the
-    2-D geometry directly; ``"hypercube"`` requires ``width * height``
-    to be a power of two.  Prefer building from a
-    :class:`~repro.mesh.spec.TopologySpec` directly.
-    """
-    return TopologySpec(kind=str(name), dims=(int(width), int(height))).build()
-
-
 def _build_cartesian(spec: TopologySpec) -> Topology:
-    if len(spec.dims) == 2:
-        if not spec.wraps:
-            return MeshTopology(spec.dims[0], spec.dims[1], link_scale=spec.link_scale)
-        if all(spec.wrap):
-            return TorusTopology(spec.dims[0], spec.dims[1], link_scale=spec.link_scale)
+    if len(spec.dims) == 2 and not spec.wraps:
+        return MeshTopology(spec.dims[0], spec.dims[1], link_scale=spec.link_scale)
     return NDMeshTopology(spec.dims, wrap=spec.wrap, link_scale=spec.link_scale)
 
 

@@ -19,15 +19,14 @@ Three pieces:
 
 Enabling it end to end::
 
-    from repro import characterize_shared_memory, create_app
-    from repro.obs import MetricsRegistry, TimelineRecorder
+    from repro import RunOptions, characterize_shared_memory, create_app
 
-    obs, timeline = MetricsRegistry(), TimelineRecorder()
     run = characterize_shared_memory(
-        create_app("1d-fft", n=256), obs=obs, timeline=timeline
+        create_app("1d-fft", n=256),
+        options=RunOptions(metrics=True, timeline=True),
     )
-    obs.write_json("metrics.json")
-    timeline.write("timeline.json")   # load in https://ui.perfetto.dev
+    run.registry.write_json("metrics.json")
+    run.timeline.write("timeline.json")   # load in https://ui.perfetto.dev
 """
 
 from repro.obs.fsio import atomic_write_text

@@ -87,7 +87,7 @@ from repro.mesh.netlog_stream import (
 )
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
-from repro.mesh.partition import MeshPartition, make_partition
+from repro.mesh.partition import MeshPartition, slice_partition
 from repro.obs.fsio import atomic_write_text
 from repro.simkernel.engine import Simulator, hold
 
@@ -701,7 +701,6 @@ def run_parallel_mesh(
     directory: Optional[str] = None,
     stem: str = "netlog",
     window: int = DEFAULT_WINDOW,
-    partitioner: str = "slice",
     max_rounds: Optional[int] = None,
 ) -> ParallelRunResult:
     """Replay ``traffic`` on ``regions`` conservative worker processes.
@@ -720,7 +719,7 @@ def run_parallel_mesh(
             f"traffic drawn for {traffic.num_nodes} nodes, mesh has "
             f"{config.num_nodes}"
         )
-    partition = make_partition(config, regions, partitioner)
+    partition = slice_partition(config, regions)
     lookahead = partition.lookahead()
     if directory is None:
         directory = tempfile.mkdtemp(prefix="repro-parallel-")
@@ -859,7 +858,7 @@ def run_parallel_mesh(
             "regions": partition.num_regions,
             "active_regions": list(active),
             "sync": sync,
-            "partitioner": partitioner,
+            "partitioner": "slice",
             "lookahead": lookahead,
             "rounds": rounds,
             "region_manifests": [os.path.basename(p) for p in region_manifests],

@@ -9,8 +9,8 @@ classifies the per-processor histograms against simple named patterns:
 * **bimodal uniform** -- "one processor gets the maximum number of
   messages and the rest of them get equal number of messages" (the
   *favorite processor* pattern of IS, Cholesky and MG's broadcasts);
-* **locality decay** -- the share falls off with mesh distance
-  (nearest-neighbour algorithms like Nbody/MG halos).
+* **locality decay** -- the share falls off with route length in the
+  network (nearest-neighbour algorithms like Nbody/MG halos).
 
 Each model here predicts a fraction vector given a source; fitting is
 linear least squares on the observed fractions with R-squared scoring,
@@ -151,33 +151,32 @@ class BimodalUniformPattern(SpatialPattern):
 
 
 class LocalityDecayPattern(SpatialPattern):
-    """Share decays exponentially with mesh hop distance:
-    ``P(d) proportional to exp(-decay * hops(src, d))``."""
+    """Share decays exponentially with route length:
+    ``P(d) proportional to exp(-decay * hops[d])``.
+
+    ``hops`` is one source's row of route lengths, ``hops[d] ==
+    topology.hops(src, d)``, so the pattern describes that source only.
+    """
 
     name = "locality-decay"
 
-    def __init__(self, decay: float, width: int, height: int) -> None:
+    def __init__(self, decay: float, hops: Sequence[int]) -> None:
         if decay < 0:
             raise ValueError(f"decay must be >= 0, got {decay}")
-        if width < 1 or height < 1:
-            raise ValueError("mesh dimensions must be positive")
         self.decay = float(decay)
-        self.width = int(width)
-        self.height = int(height)
-
-    def _hops(self, a: int, b: int) -> int:
-        ax, ay = a % self.width, a // self.width
-        bx, by = b % self.width, b // self.width
-        return abs(ax - bx) + abs(ay - by)
+        self.hops = tuple(hops)
 
     def fractions(self, src: int, num_nodes: int) -> np.ndarray:
-        if num_nodes != self.width * self.height:
+        hops = self.hops
+        if len(hops) != num_nodes:
             raise ValueError(
-                f"pattern built for {self.width * self.height} nodes, asked for {num_nodes}"
+                f"pattern built for {len(hops)} nodes, asked for {num_nodes}"
             )
+        if hops[src] != 0:
+            raise ValueError(f"hop row is not source {src}'s (hops[{src}] != 0)")
         out = np.array(
             [
-                0.0 if n == src else math.exp(-self.decay * self._hops(src, n))
+                0.0 if n == src else math.exp(-self.decay * hops[n])
                 for n in range(num_nodes)
             ]
         )
@@ -187,7 +186,7 @@ class LocalityDecayPattern(SpatialPattern):
         return out / total
 
     def describe(self) -> str:
-        return f"locality-decay(decay={self.decay:.3f}, mesh={self.width}x{self.height})"
+        return f"locality-decay(decay={self.decay:.3f})"
 
 
 class ButterflyPattern(SpatialPattern):
@@ -278,11 +277,11 @@ def _fit_butterfly(observed: np.ndarray, src: int) -> Optional[SpatialFit]:
 
 
 def _fit_locality(
-    observed: np.ndarray, src: int, width: int, height: int
+    observed: np.ndarray, src: int, hops: Sequence[int]
 ) -> Optional[SpatialFit]:
     best: Optional[SpatialFit] = None
     for decay in np.linspace(0.0, 4.0, 41):
-        pattern = LocalityDecayPattern(decay=float(decay), width=width, height=height)
+        pattern = LocalityDecayPattern(decay=float(decay), hops=hops)
         try:
             predicted = pattern.fractions(src, observed.size)
         except ValueError:
@@ -302,8 +301,7 @@ BIMODAL_PREFERENCE_MARGIN = 0.10
 def classify_spatial(
     observed_fractions: np.ndarray,
     src: int,
-    width: int,
-    height: int,
+    hops: Sequence[int],
 ) -> List[SpatialFit]:
     """Rank the spatial models against one source's observed fractions.
 
@@ -314,18 +312,19 @@ def classify_spatial(
         source sent nothing).
     src:
         Source node id (its own entry is expected to be ~0).
-    width, height:
-        Mesh geometry (used by the locality model).
+    hops:
+        Route length from ``src`` to every node, ``topology.hops(src,
+        n)`` for ``n`` in ``range(num_nodes)`` (used by the locality
+        model).
 
     Returns
     -------
     list of SpatialFit, best first.
     """
     observed = np.asarray(observed_fractions, dtype=float)
-    num_nodes = width * height
-    if observed.size != num_nodes:
+    if observed.size != len(hops):
         raise ValueError(
-            f"expected {num_nodes} fractions for a {width}x{height} mesh, got {observed.size}"
+            f"expected {len(hops)} fractions (one per hop entry), got {observed.size}"
         )
     if observed.sum() <= 0:
         raise ValueError(f"source {src} sent no messages; nothing to classify")
@@ -339,7 +338,7 @@ def classify_spatial(
     butterfly = _fit_butterfly(observed, src)
     if butterfly is not None:
         fits.append(butterfly)
-    locality = _fit_locality(observed, src, width, height)
+    locality = _fit_locality(observed, src, hops)
     if locality is not None:
         fits.append(locality)
 

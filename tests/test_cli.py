@@ -20,11 +20,11 @@ class TestParamParsing:
 class TestMeshParsing:
     def test_simple(self):
         config = _parse_mesh("4x2")
-        assert (config.width, config.height, config.topology) == (4, 2, "mesh")
+        assert (config.spec.dims, config.spec.kind) == ((4, 2), "mesh")
 
     def test_with_topology(self):
         config = _parse_mesh("4x2:torus")
-        assert config.topology == "torus"
+        assert config.spec.kind == "torus"
         assert config.virtual_channels == 2
 
     def test_malformed(self):

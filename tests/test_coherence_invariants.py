@@ -113,7 +113,7 @@ def test_invariants_hold_after_random_programs(seed, cache_lines, protocol):
     rng = np.random.default_rng(seed)
     words = 8 * 12  # 12 blocks over 8 nodes
     sim = ExecutionDrivenSimulation(
-        mesh_config=MeshConfig(width=4, height=2),
+        mesh_config=MeshConfig("4x2"),
         coherence_config=CoherenceConfig(
             cache_lines=cache_lines, associativity=2, protocol=protocol
         ),

@@ -9,7 +9,7 @@ from repro.mesh import MeshConfig
 
 def make_sim(**coh):
     return ExecutionDrivenSimulation(
-        mesh_config=MeshConfig(width=4, height=2),
+        mesh_config=MeshConfig("4x2"),
         coherence_config=CoherenceConfig(consistency="release", **coh),
     )
 

@@ -79,7 +79,7 @@ class TestValidation:
     def test_mesh_mismatch_rejected(self, fft_run):
         with pytest.raises(ValueError):
             WormholeLatencyModel(
-                fft_run.characterization, mesh_config=MeshConfig(width=4, height=4)
+                fft_run.characterization, mesh_config=MeshConfig("4x4")
             )
 
     def test_bad_scale_rejected(self, model):
@@ -87,10 +87,8 @@ class TestValidation:
             model.predict(0.0)
 
     def test_works_on_other_topologies(self, fft_run):
-        for topology, vcs in (("torus", 2), ("hypercube", 1)):
-            config = MeshConfig(
-                width=4, height=2, topology=topology, virtual_channels=vcs
-            )
+        for spec in ("4x2:torus", "4x2:hypercube"):
+            config = MeshConfig.parse(spec)
             model = WormholeLatencyModel(fft_run.characterization, mesh_config=config)
             estimate = model.predict(1.0)
             assert np.isfinite(estimate.mean_latency)
@@ -99,7 +97,7 @@ class TestValidation:
         mesh_model = WormholeLatencyModel(fft_run.characterization)
         cube_model = WormholeLatencyModel(
             fft_run.characterization,
-            mesh_config=MeshConfig(width=4, height=2, topology="hypercube"),
+            mesh_config=MeshConfig("4x2:hypercube"),
         )
         assert (
             cube_model.predict(1.0).mean_latency

@@ -130,5 +130,5 @@ class TestPhaseCoupledGenerator:
             PhaseCoupledTrafficGenerator(
                 fft_run.characterization,
                 source_log=fft_run.log,
-                mesh_config=MeshConfig(width=4, height=4),
+                mesh_config=MeshConfig("4x4"),
             )

@@ -39,7 +39,7 @@ class TestSweepLoad:
 
     def test_saturation_detected_on_slow_network(self, fft_characterization):
         # Slow channels cap throughput; heavy requests can't be met.
-        slow = MeshConfig(width=4, height=2, channel_time=20.0)
+        slow = MeshConfig("4x2", channel_time=20.0)
         sweep = sweep_load(
             fft_characterization,
             mesh_config=slow,
@@ -66,7 +66,7 @@ class TestSweepLoad:
         # Sources are closed-loop, so past saturation the achieved rate
         # plateaus at the network's capacity instead of growing with the
         # requested rate: doubling the request must not double delivery.
-        slow = MeshConfig(width=4, height=2, channel_time=20.0)
+        slow = MeshConfig("4x2", channel_time=20.0)
         sweep = sweep_load(
             fft_characterization,
             mesh_config=slow,

@@ -21,6 +21,8 @@ from repro.core.report import full_report, spatial_table, temporal_table, volume
 from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
 from repro.simkernel import Simulator, hold
 
+TOPOLOGY_4X2 = MeshConfig("4x2").make_topology()
+
 
 def synthetic_log(gaps_by_source, mesh=MeshConfig(), lengths=64):
     """Drive a small mesh with deterministic per-source gaps."""
@@ -68,13 +70,13 @@ class TestAnalyses:
         rng = np.random.default_rng(1)
         dsts = {s: [int(d) for d in rng.integers(0, 8, 700) if d != s] for s in range(8)}
         log = synthetic_log({s: (3.0, dsts[s]) for s in range(8)})
-        spatial = analyze_spatial(log, 4, 2)
+        spatial = analyze_spatial(log, TOPOLOGY_4X2)
         assert spatial.dominant_pattern == "uniform"
         assert spatial.fraction_matrix.shape == (8, 8)
 
     def test_spatial_identifies_favorite(self):
         log = synthetic_log({s: (3.0, [0] * 30) for s in range(1, 8)})
-        spatial = analyze_spatial(log, 4, 2)
+        spatial = analyze_spatial(log, TOPOLOGY_4X2)
         for src in range(1, 8):
             assert spatial.favorite_of(src) == 0
         assert spatial.dominant_pattern == "bimodal-uniform"
@@ -82,7 +84,29 @@ class TestAnalyses:
     def test_spatial_empty_log_rejected(self):
         log = synthetic_log({})
         with pytest.raises(ValueError):
-            analyze_spatial(log, 4, 2)
+            analyze_spatial(log, TOPOLOGY_4X2)
+
+    @pytest.mark.parametrize("spec, src, dst, route_hops", [
+        ("4x4:torus", 0, 3, 1),
+        ("4x4x2", 0, 16, 1),
+        ("4x2:hypercube", 0, 3, 2),
+        ("chiplet(2x2,hubs=2)", 0, 4, 1),
+    ])
+    def test_spatial_locality_uses_route_lengths(self, spec, src, dst, route_hops):
+        """The locality model's distance is the route length, not a
+        flattened 2-D grid distance (3, 4, 3 and 2 hops for these pairs)."""
+        config = MeshConfig.parse(spec)
+        topology = config.make_topology()
+        hops = [topology.hops(src, n) for n in range(config.num_nodes)]
+        # Traffic that halves with every hop of route length.
+        dsts = [n for n in range(config.num_nodes) if n != src
+                for _ in range(2 ** (max(hops) - hops[n]))]
+        log = synthetic_log({src: (3.0, dsts)}, mesh=config)
+        fit = analyze_spatial(log, topology).per_source[src]
+        assert fit.name == "locality-decay"
+        assert list(fit.pattern.hops) == hops
+        assert fit.pattern.hops[dst] == route_hops
+        assert fit.r2 > 0.99
 
     def test_volume_length_modes(self):
         sim = Simulator()
@@ -205,7 +229,7 @@ class TestSyntheticAndValidation:
     def test_mesh_mismatch_rejected(self, fft_run):
         with pytest.raises(ValueError):
             SyntheticTrafficGenerator(
-                fft_run.characterization, mesh_config=MeshConfig(width=4, height=4)
+                fft_run.characterization, mesh_config=MeshConfig("4x4")
             )
 
     def test_bad_parameters_rejected(self, fft_run):

@@ -8,7 +8,7 @@ from repro.mesh import MeshConfig
 
 
 def make_sim():
-    return ExecutionDrivenSimulation(mesh_config=MeshConfig(width=4, height=2))
+    return ExecutionDrivenSimulation(mesh_config=MeshConfig("4x2"))
 
 
 class TestSharedArray:

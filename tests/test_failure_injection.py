@@ -108,7 +108,7 @@ class TestKernelFailures:
 class TestNetworkBoundaries:
     def test_1x1_mesh_only_local_traffic(self):
         sim = Simulator()
-        net = MeshNetwork(sim, MeshConfig(width=1, height=1))
+        net = MeshNetwork(sim, MeshConfig("1x1"))
         done = net.inject(NetworkMessage(src=0, dst=0, length_bytes=8))
         sim.run()
         assert done.value.hops == 0
@@ -218,13 +218,13 @@ class TestTraceAndAnalysisBoundaries:
 
     def test_analyses_reject_starved_logs(self):
         from repro.core import analyze_spatial, analyze_temporal, analyze_volume
-        from repro.mesh import NetworkLog
+        from repro.mesh import MeshConfig, NetworkLog
 
         empty = NetworkLog()
         with pytest.raises(ValueError):
             analyze_temporal(empty)
         with pytest.raises(ValueError):
-            analyze_spatial(empty, 4, 2)
+            analyze_spatial(empty, MeshConfig("4x2").make_topology())
         with pytest.raises(ValueError):
             analyze_volume(empty, 8)
 

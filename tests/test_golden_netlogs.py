@@ -9,7 +9,9 @@ the routing or transfer path must not.  Every case runs on both kernel
 schedulers, and the event count is pinned alongside the digest.
 
 The pinned values were recorded before route tables and compiled
-transfer plans replaced per-message route construction.
+transfer plans replaced per-message route construction; the 2-D torus
+case was recorded while 2-D tori still had a topology class of their
+own, before they became wrapped ``NDMeshTopology`` instances.
 """
 
 import hashlib
@@ -40,6 +42,7 @@ SCHEDULE_CASES = {
     # Tornado on rings of 4 is a conflict-free permutation, so it pins
     # wrapped routes and timing but never contends; the uniform run
     # makes the dateline lanes matter.
+    "torus-4x4-uniform": (lambda: MeshConfig.parse("4x4:torus"), "uniform", 30, 2.0),
     "torus-4x4x2-tornado": (lambda: MeshConfig.parse("4x4x2:torus"), "tornado", 30, 2.0),
     "torus-4x4x2-uniform": (lambda: MeshConfig.parse("4x4x2:torus"), "uniform", 30, 2.0),
     "mesh-4x4x2-z4": (lambda: MeshConfig.parse("4x4x2:mesh:z=4.0"), "uniform", 30, 4.0),
@@ -69,6 +72,10 @@ GOLDEN = {
     "mesh-4x4x2-z4": (
         "8cb45d36e5178c7ea3ab2dfca8e37c80c8a3c725a1ba06580a26e7beac09b9ad",
         16349,
+    ),
+    "torus-4x4-uniform": (
+        "c87c1b2d8886f321d8b1d8cba4c97f2028d8be98c63185d57b1f566d20483822",
+        7036,
     ),
     "torus-4x4x2-tornado": (
         "be6c183984b95f3fe816031a2c894d40875e58d8f33ad314db9300be12478905",

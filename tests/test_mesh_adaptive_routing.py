@@ -7,9 +7,7 @@ from repro.simkernel import Simulator, hold
 
 
 def adaptive_config(**kwargs):
-    return MeshConfig(
-        width=4, height=2, routing="adaptive", virtual_channels=2, **kwargs
-    )
+    return MeshConfig("4x2", routing="adaptive", virtual_channels=2, **kwargs)
 
 
 class TestRouteYX:
@@ -35,7 +33,7 @@ class TestRouteYX:
 class TestAdaptiveConfig:
     def test_requires_mesh(self):
         with pytest.raises(ValueError):
-            MeshConfig(topology="torus", routing="adaptive", virtual_channels=2)
+            MeshConfig("4x2:torus", routing="adaptive", virtual_channels=2)
 
     def test_requires_two_vcs(self):
         with pytest.raises(ValueError):
@@ -74,7 +72,7 @@ class TestAdaptiveBehaviour:
 
     def test_adaptive_not_slower_than_deterministic(self):
         deterministic = self.run_hotspot(
-            MeshConfig(width=4, height=2, virtual_channels=2)
+            MeshConfig("4x2", virtual_channels=2)
         )
         adaptive = self.run_hotspot(adaptive_config())
         assert adaptive.log.mean_latency() <= deterministic.log.mean_latency() * 1.05

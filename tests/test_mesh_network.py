@@ -6,9 +6,9 @@ from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
 from repro.simkernel import Simulator, hold
 
 
-def make_net(width=4, height=2, **kwargs):
+def make_net(spec="4x2", **kwargs):
     sim = Simulator()
-    cfg = MeshConfig(width=width, height=height, **kwargs)
+    cfg = MeshConfig(spec, **kwargs)
     return sim, MeshNetwork(sim, cfg)
 
 
@@ -63,7 +63,7 @@ class TestContention:
         assert r2.deliver_time > r1.deliver_time
 
     def test_crossing_messages_on_shared_channel_contend(self):
-        sim, net = make_net(width=4, height=1)
+        sim, net = make_net("4x1")
         # Both messages use channel (1->2).
         d1 = net.inject(NetworkMessage(src=0, dst=3, length_bytes=64))
         d2 = net.inject(NetworkMessage(src=1, dst=3, length_bytes=64))
@@ -72,7 +72,7 @@ class TestContention:
         assert total_contention > 0.0
 
     def test_disjoint_paths_no_contention(self):
-        sim, net = make_net(width=4, height=2)
+        sim, net = make_net("4x2")
         d1 = net.inject(NetworkMessage(src=0, dst=1, length_bytes=8))
         d2 = net.inject(NetworkMessage(src=6, dst=7, length_bytes=8))
         sim.run()
@@ -80,7 +80,7 @@ class TestContention:
         assert d2.value.contention == 0.0
 
     def test_contention_increases_latency(self):
-        sim, net = make_net(width=4, height=1)
+        sim, net = make_net("4x1")
         d1 = net.inject(NetworkMessage(src=0, dst=3, length_bytes=256))
         d2 = net.inject(NetworkMessage(src=0, dst=3, length_bytes=256))
         sim.run()
@@ -136,7 +136,7 @@ class TestNetworkStats:
         assert net.in_flight == 0
 
     def test_channel_utilization_nonzero_on_used_channel(self):
-        sim, net = make_net(width=2, height=1)
+        sim, net = make_net("2x1")
 
         def traffic():
             for _ in range(10):

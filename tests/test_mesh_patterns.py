@@ -104,7 +104,7 @@ class TestFactoryAndHarness:
     def test_transpose_skips_self_messages(self):
         pattern = make_pattern("transpose", 16)
         log = drive_pattern(
-            pattern, MeshConfig(width=4, height=4), messages_per_source=10
+            pattern, MeshConfig("4x4"), messages_per_source=10
         )
         # Four diagonal nodes send nothing.
         assert len(log) == (16 - 4) * 10
@@ -113,7 +113,7 @@ class TestFactoryAndHarness:
 
     def test_bit_complement_latency_exceeds_uniform(self):
         # Bit-complement maximizes distance on the mesh.
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         uniform_log = drive_pattern(
             make_pattern("uniform", 16), config, messages_per_source=30, seed=3
         )
@@ -129,7 +129,7 @@ class TestFactoryAndHarness:
         with pytest.raises(ValueError):
             drive_pattern(pattern, MeshConfig(), mean_gap=0)
         with pytest.raises(ValueError):
-            drive_pattern(pattern, MeshConfig(width=4, height=4))
+            drive_pattern(pattern, MeshConfig("4x4"))
 
     def test_pattern_needs_two_nodes(self):
         with pytest.raises(ValueError):

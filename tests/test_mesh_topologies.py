@@ -9,31 +9,34 @@ from repro.mesh import (
     MeshNetwork,
     MeshTopology,
     NetworkMessage,
-    TorusTopology,
-    make_topology,
+    TopologySpec,
 )
 from repro.simkernel import Simulator
 
 
+def build_torus(width, height):
+    return TopologySpec.parse(f"{width}x{height}:torus").build()
+
+
 class TestTorusTopology:
     def test_neighbors_wraparound(self):
-        torus = TorusTopology(4, 4)
+        torus = build_torus(4, 4)
         assert sorted(torus.neighbors(0)) == [1, 3, 4, 12]
 
     def test_hops_take_shorter_direction(self):
-        torus = TorusTopology(4, 4)
+        torus = build_torus(4, 4)
         # 0 -> 3: one wrap hop west instead of 3 east.
         assert torus.hops(0, 3) == 1
         assert torus.hops(0, 15) == 2  # wrap both dimensions
 
     def test_route_length_matches_hops(self):
-        torus = TorusTopology(4, 3)
+        torus = build_torus(4, 3)
         for src in range(torus.num_nodes):
             for dst in range(torus.num_nodes):
                 assert len(torus.route(src, dst)) == torus.hops(src, dst)
 
     def test_route_is_connected(self):
-        torus = TorusTopology(5, 4)
+        torus = build_torus(5, 4)
         for src in (0, 7, 13):
             for dst in range(torus.num_nodes):
                 node = src
@@ -44,7 +47,7 @@ class TestTorusTopology:
                 assert node == dst
 
     def test_wrap_hop_switches_vclass(self):
-        torus = TorusTopology(4, 1)
+        torus = build_torus(4, 1)
         # 0 -> 3 goes west through the wrap channel (0, 3).
         route = torus.route(1, 3)
         # 1 -> 0 (class 0), 0 -> 3 wrap (class 0), after which nothing.
@@ -54,7 +57,7 @@ class TestTorusTopology:
         assert all(h.vclass == 0 for h in route_east)
 
     def test_dateline_classes_after_wrap(self):
-        torus = TorusTopology(5, 1)
+        torus = build_torus(5, 1)
         # 4 -> 1 shortest is east through the wrap: 4->0 (wrap), 0->1.
         route = torus.route(4, 1)
         assert [(h.src, h.dst) for h in route] == [(4, 0), (0, 1)]
@@ -63,13 +66,13 @@ class TestTorusTopology:
 
     def test_average_distance_below_mesh(self):
         mesh = MeshTopology(4, 4)
-        torus = TorusTopology(4, 4)
+        torus = build_torus(4, 4)
         assert torus.average_distance() < mesh.average_distance()
 
     def test_requires_two_vclasses(self):
         with pytest.raises(ValueError):
-            MeshConfig(topology="torus", virtual_channels=1)
-        MeshConfig(topology="torus", virtual_channels=2)  # ok
+            MeshConfig("4x2:torus", virtual_channels=1)
+        MeshConfig("4x2:torus", virtual_channels=2)  # ok
 
 
 class TestHypercubeTopology:
@@ -111,17 +114,16 @@ class TestHypercubeTopology:
 
 class TestMakeTopology:
     def test_by_name(self):
-        assert make_topology("mesh", 4, 2).name == "mesh"
-        assert make_topology("torus", 4, 2).name == "torus"
-        assert make_topology("hypercube", 4, 2).name == "hypercube"
+        for name in ("mesh", "torus", "hypercube"):
+            assert MeshConfig.parse(f"4x2:{name}").make_topology().name == name
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
-            make_topology("ring", 4, 2)
+            MeshConfig.parse("4x2:ring")
 
     def test_hypercube_node_count_enforced(self):
         with pytest.raises(ValueError):
-            MeshConfig(width=3, height=2, topology="hypercube")
+            MeshConfig("3x2:hypercube")
 
 
 @settings(max_examples=30, deadline=None)
@@ -130,7 +132,7 @@ class TestMakeTopology:
     data=st.data(),
 )
 def test_route_property_connected_and_minimal(name, data):
-    topo = make_topology(name, 4, 2)
+    topo = MeshConfig.parse(f"4x2:{name}").make_topology()
     src = data.draw(st.integers(0, topo.num_nodes - 1))
     dst = data.draw(st.integers(0, topo.num_nodes - 1))
     route = topo.route(src, dst)
@@ -153,21 +155,21 @@ class TestNetworkOnAlternativeTopologies:
         return net, [e.value for e in events]
 
     def test_torus_delivers_under_load(self):
-        config = MeshConfig(width=4, height=2, topology="torus", virtual_channels=2)
+        config = MeshConfig("4x2:torus", virtual_channels=2)
         pairs = [(s, (s + 3) % 8) for s in range(8)] * 5
         net, records = self.run_traffic(config, pairs)
         assert len(net.log) == 40
         assert all(r.deliver_time > 0 for r in records)
 
     def test_torus_shortens_long_routes(self):
-        mesh_cfg = MeshConfig(width=4, height=2, topology="mesh")
-        torus_cfg = MeshConfig(width=4, height=2, topology="torus", virtual_channels=2)
+        mesh_cfg = MeshConfig("4x2")
+        torus_cfg = MeshConfig("4x2:torus", virtual_channels=2)
         _, mesh_records = self.run_traffic(mesh_cfg, [(0, 3)])
         _, torus_records = self.run_traffic(torus_cfg, [(0, 3)])
         assert torus_records[0].hops < mesh_records[0].hops
 
     def test_hypercube_delivers(self):
-        config = MeshConfig(width=4, height=2, topology="hypercube")
+        config = MeshConfig("4x2:hypercube")
         net, records = self.run_traffic(config, [(0, 7), (5, 2)])
         assert records[0].hops == 3  # Hamming(0, 7)
         assert records[1].hops == 3  # Hamming(5, 2)
@@ -175,14 +177,13 @@ class TestNetworkOnAlternativeTopologies:
     def test_virtual_channels_reduce_blocking(self):
         # Cross traffic converging on channel (2, 3): with 2 lanes,
         # worms from different sources can overlap on the shared link.
-        base = dict(width=4, height=1, topology="mesh")
         pairs = [(0, 3), (1, 3), (2, 3), (0, 3), (1, 3), (2, 3)]
-        single, _ = self.run_traffic(MeshConfig(**base, virtual_channels=1), pairs)
-        double, _ = self.run_traffic(MeshConfig(**base, virtual_channels=2), pairs)
+        single, _ = self.run_traffic(MeshConfig("4x1", virtual_channels=1), pairs)
+        double, _ = self.run_traffic(MeshConfig("4x1", virtual_channels=2), pairs)
         assert double.log.mean_contention() < single.log.mean_contention()
 
     def test_vc_lane_lookup(self):
-        config = MeshConfig(width=4, height=1, virtual_channels=2)
+        config = MeshConfig("4x1", virtual_channels=2)
         sim = Simulator()
         net = MeshNetwork(sim, config)
         assert net.channel(0, 1, lane=0) is not net.channel(0, 1, lane=1)

@@ -136,7 +136,7 @@ class TestMeshConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MeshConfig(width=0)
+            MeshConfig("0x2")
         with pytest.raises(ValueError):
             MeshConfig(flit_bytes=0)
         with pytest.raises(ValueError):

@@ -9,7 +9,12 @@ import json
 
 import pytest
 
-from repro import characterize_message_passing, characterize_shared_memory, create_app
+from repro import (
+    RunOptions,
+    characterize_message_passing,
+    characterize_shared_memory,
+    create_app,
+)
 from repro.mesh import MeshConfig, MeshNetwork
 from repro.obs import (
     CHANNELS_PID,
@@ -312,8 +317,9 @@ class TestRunReport:
 
 class TestInstrumentedPipelines:
     def test_shared_memory_metrics_content(self):
-        obs = MetricsRegistry()
-        run = characterize_shared_memory(create_app("1d-fft", n=64), obs=obs)
+        run = characterize_shared_memory(
+            create_app("1d-fft", n=64), options=RunOptions(metrics=True)
+        )
         metrics = run.metrics
         assert metrics is not None
         # The acceptance trio: event-queue depth, per-channel
@@ -331,8 +337,9 @@ class TestInstrumentedPipelines:
         assert metrics["sim.holds_per_process"]["count"] > 0
 
     def test_message_passing_metrics_content(self):
-        obs = MetricsRegistry()
-        run = characterize_message_passing(create_app("3d-fft", n=8), obs=obs)
+        run = characterize_message_passing(
+            create_app("3d-fft", n=8), options=RunOptions(metrics=True)
+        )
         metrics = run.metrics
         assert metrics is not None
         assert metrics["mp.messages"]["value"] > 0
@@ -345,11 +352,10 @@ class TestInstrumentedPipelines:
         assert run.metrics is None
 
     def test_timeline_spans_match_log(self):
-        timeline = TimelineRecorder()
         run = characterize_shared_memory(
-            create_app("1d-fft", n=64), timeline=timeline
+            create_app("1d-fft", n=64), options=RunOptions(timeline=True)
         )
-        doc = timeline.to_dict()
+        doc = run.timeline.to_dict()
         spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         messages = [e for e in spans if e["cat"] == "message"]
         channels = [e for e in spans if e["cat"] == "channel"]
@@ -364,8 +370,7 @@ class TestInstrumentedPipelines:
         plain = characterize_shared_memory(create_app("1d-fft", n=64))
         observed = characterize_shared_memory(
             create_app("1d-fft", n=64),
-            obs=MetricsRegistry(),
-            timeline=TimelineRecorder(),
+            options=RunOptions(metrics=True, timeline=True),
         )
         assert len(plain.log) == len(observed.log)
         assert [r.deliver_time for r in plain.log] == [
@@ -375,14 +380,15 @@ class TestInstrumentedPipelines:
     def test_network_inherits_simulator_registry(self):
         obs = MetricsRegistry()
         sim = Simulator(obs=obs)
-        net = MeshNetwork(sim, MeshConfig(width=2, height=2))
+        net = MeshNetwork(sim, MeshConfig("2x2"))
         assert net.obs is obs
 
 
 class TestReportFromRun:
     def test_report_reflects_run(self):
-        obs = MetricsRegistry()
-        run = characterize_shared_memory(create_app("1d-fft", n=64), obs=obs)
+        run = characterize_shared_memory(
+            create_app("1d-fft", n=64), options=RunOptions(metrics=True)
+        )
         report = report_from_run(
             run, app_params={"n": 64}, wall_seconds=1.0, metrics=run.metrics
         )

@@ -89,7 +89,7 @@ class TestLiveSeries:
 def _drive(scheduler="calendar", interval=10.0, registry=None, messages=30):
     """A small mesh run with a sampler attached; returns the sampler."""
     sim = Simulator(scheduler=scheduler)
-    net = MeshNetwork(sim, MeshConfig(width=2, height=2))
+    net = MeshNetwork(sim, MeshConfig("2x2"))
 
     def source(src):
         for n in range(messages):
@@ -253,7 +253,7 @@ class TestPipelineIntegration:
         base = characterize_shared_memory(create_app("1d-fft", n=64))
         gen = SyntheticTrafficGenerator(
             base.characterization,
-            mesh_config=MeshConfig(width=4, height=2),
+            mesh_config=MeshConfig("4x2"),
             options=RunOptions(sample_interval=100.0),
         )
         gen.generate(messages_per_source=40)
@@ -303,7 +303,7 @@ class TestOnlineHealth:
         # ejection channel can drain. The backlog grows, and the live
         # verdicts must flag it before the run ends.
         sim = Simulator()
-        net = MeshNetwork(sim, MeshConfig(width=4, height=4))
+        net = MeshNetwork(sim, MeshConfig("4x4"))
 
         def source(src):
             for _ in range(40):

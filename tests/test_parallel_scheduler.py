@@ -31,13 +31,7 @@ from repro.mesh.netlog_stream import (
     read_manifest,
     summary_from_manifest,
 )
-from repro.mesh.partition import (
-    PARTITIONERS,
-    MeshPartition,
-    make_partition,
-    register_partitioner,
-    slice_partition,
-)
+from repro.mesh.partition import MeshPartition, slice_partition
 from repro.simkernel import SCHEDULERS
 from repro.simkernel.engine_parallel import (
     SYNC_MODES,
@@ -71,17 +65,17 @@ def uniform_traffic(config, messages=8, seed=7):
 # ----------------------------------------------------------------------
 class TestSlicePartition:
     def test_even_split(self):
-        part = slice_partition(MeshConfig(width=4, height=4), 2)
+        part = slice_partition(MeshConfig("4x4"), 2)
         assert part.bounds == ((0, 2), (2, 4))
         assert part.num_regions == 2
         assert not any(part.is_empty(r) for r in range(2))
 
     def test_remainder_rows_go_to_the_first_bands(self):
-        part = slice_partition(MeshConfig(width=4, height=5), 2)
+        part = slice_partition(MeshConfig("4x5"), 2)
         assert part.bounds == ((0, 3), (3, 5))
 
     def test_more_regions_than_rows_leaves_empty_tail_bands(self):
-        part = slice_partition(MeshConfig(width=4, height=2), 4)
+        part = slice_partition(MeshConfig("4x2"), 4)
         assert part.bounds == ((0, 1), (1, 2), (2, 2), (2, 2))
         assert part.is_empty(2) and part.is_empty(3)
         with pytest.raises(ValueError, match="empty"):
@@ -89,7 +83,7 @@ class TestSlicePartition:
 
     def test_rejects_non_positive_region_count(self):
         with pytest.raises(ValueError, match="regions must be >= 1"):
-            slice_partition(MeshConfig(width=4, height=4), 0)
+            slice_partition(MeshConfig("4x4"), 0)
 
 
 class TestPartitionValidation:
@@ -98,24 +92,24 @@ class TestPartitionValidation:
             slice_partition(MeshConfig.parse("4x4:torus"), 2)
 
     def test_rejects_adaptive_routing(self):
-        config = MeshConfig(width=4, height=4, routing="adaptive", virtual_channels=2)
+        config = MeshConfig("4x4", routing="adaptive", virtual_channels=2)
         with pytest.raises(ValueError, match="deterministic"):
             slice_partition(config, 2)
 
     def test_rejects_gapped_bounds(self):
         with pytest.raises(ValueError, match="contiguously"):
             MeshPartition(
-                config=MeshConfig(width=4, height=4), bounds=((0, 1), (2, 4))
+                config=MeshConfig("4x4"), bounds=((0, 1), (2, 4))
             )
 
     def test_rejects_short_coverage(self):
         with pytest.raises(ValueError, match="mesh has 4"):
-            MeshPartition(config=MeshConfig(width=4, height=4), bounds=((0, 3),))
+            MeshPartition(config=MeshConfig("4x4"), bounds=((0, 3),))
 
 
 class TestIdAlgebra:
     def test_region_of_and_local_roundtrip(self):
-        part = slice_partition(MeshConfig(width=4, height=4), 2)
+        part = slice_partition(MeshConfig("4x4"), 2)
         for node in range(16):
             region = part.region_of(node)
             assert node in part.nodes(region)
@@ -123,34 +117,34 @@ class TestIdAlgebra:
             assert part.to_global(region, local) == node
 
     def test_to_local_rejects_foreign_nodes(self):
-        part = slice_partition(MeshConfig(width=4, height=4), 2)
+        part = slice_partition(MeshConfig("4x4"), 2)
         with pytest.raises(ValueError, match="not in region"):
             part.to_local(0, 15)
 
     def test_region_config_keeps_width_and_timing(self):
-        config = MeshConfig(width=4, height=4, channel_time=2.5)
+        config = MeshConfig("4x4", channel_time=2.5)
         sub = slice_partition(config, 2).region_config(1)
-        assert (sub.width, sub.height) == (4, 2)
+        assert sub.spec.dims == (4, 2)
         assert sub.channel_time == 2.5
 
 
 class TestRouteLegs:
     def test_same_region_is_one_leg(self):
-        part = slice_partition(MeshConfig(width=4, height=4), 2)
+        part = slice_partition(MeshConfig("4x4"), 2)
         assert part.route_legs(0, 5) == [(0, 0, 5)]
 
     def test_crossing_exits_on_the_destination_column(self):
-        part = slice_partition(MeshConfig(width=4, height=4), 2)
+        part = slice_partition(MeshConfig("4x4"), 2)
         # 1 (row 0) -> 14 (row 3, column 2): XY corrects X in row 0,
         # so region 0's leg ends at row 1 column 2 (node 6).
         assert part.route_legs(1, 14) == [(0, 1, 6), (1, 10, 14)]
 
     def test_upward_route_reverses_the_chain(self):
-        part = slice_partition(MeshConfig(width=4, height=4), 2)
+        part = slice_partition(MeshConfig("4x4"), 2)
         assert part.route_legs(14, 1) == [(1, 14, 9), (0, 5, 1)]
 
     def test_three_region_chain(self):
-        part = slice_partition(MeshConfig(width=2, height=6), 3)
+        part = slice_partition(MeshConfig("2x6"), 3)
         legs = part.route_legs(0, 11)  # row 0 -> row 5, column 1
         assert [leg[0] for leg in legs] == [0, 1, 2]
         assert part.region_chain(0, 11) == (0, 1, 2)
@@ -163,33 +157,13 @@ class TestRouteLegs:
         assert leg_hops + (len(legs) - 1) == manhattan
 
     def test_lookahead_is_the_boundary_channel_latency(self):
-        config = MeshConfig(width=4, height=4, routing_time=1.5, channel_time=0.5)
+        config = MeshConfig("4x4", routing_time=1.5, channel_time=0.5)
         assert slice_partition(config, 2).lookahead() == 2.0
 
     def test_zero_lookahead_is_rejected(self):
-        config = MeshConfig(width=4, height=4, routing_time=0.0, channel_time=0.0)
+        config = MeshConfig("4x4", routing_time=0.0, channel_time=0.0)
         with pytest.raises(ValueError, match="positive inter-region"):
             slice_partition(config, 2).lookahead()
-
-
-class TestPartitionerRegistry:
-    def test_unknown_partitioner_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            make_partition(MeshConfig(width=4, height=4), 2, "voronoi")
-
-    def test_register_and_use_a_custom_partitioner(self):
-        def top_heavy(config, regions):
-            assert regions == 2
-            return MeshPartition(
-                config=config, bounds=((0, config.height - 1), (config.height - 1, config.height))
-            )
-
-        register_partitioner("top-heavy", top_heavy)
-        try:
-            part = make_partition(MeshConfig(width=4, height=4), 2, "top-heavy")
-            assert part.bounds == ((0, 3), (3, 4))
-        finally:
-            del PARTITIONERS["top-heavy"]
 
 
 # ----------------------------------------------------------------------
@@ -197,30 +171,30 @@ class TestPartitionerRegistry:
 # ----------------------------------------------------------------------
 class TestScheduleTraffic:
     def test_local_pattern_stays_in_the_source_row(self):
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         traffic = local_traffic(config)
         for src, entries in traffic.per_source.items():
             for _, dst, _, _ in entries:
                 assert dst // 4 == src // 4 and dst != src
 
     def test_local_pattern_never_crosses_a_row_sliced_boundary(self):
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         part = slice_partition(config, 4)
         assert local_traffic(config).crossing_pairs(part) == set()
 
     def test_uniform_pattern_crosses_boundaries(self):
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         part = slice_partition(config, 2)
         assert uniform_traffic(config).crossing_pairs(part)
 
     def test_compile_is_deterministic_per_seed(self):
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         a, b = uniform_traffic(config, seed=5), uniform_traffic(config, seed=5)
         assert a.per_source == b.per_source
         assert a.per_source != uniform_traffic(config, seed=6).per_source
 
     def test_rejections(self):
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         with pytest.raises(ValueError, match="unknown pattern"):
             ScheduleTraffic.compile_pattern(config, pattern="zipf")
         with pytest.raises(ValueError, match="mean_gap"):
@@ -242,7 +216,7 @@ class TestParallelBitIdentity:
     @pytest.mark.parametrize("regions", [2, 4])
     @pytest.mark.parametrize("sync", SYNC_MODES)
     def test_row_local_traffic_is_bit_identical(self, tmp_path, regions, sync):
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         traffic = local_traffic(config)
         serial = run_serial_schedule(config, traffic, scheduler="calendar")
         parallel = run_parallel_mesh(
@@ -259,7 +233,7 @@ class TestParallelBitIdentity:
         assert parallel.rounds == 1
 
     def test_empty_regions_idle_without_breaking_identity(self, tmp_path):
-        config = MeshConfig(width=4, height=2)
+        config = MeshConfig("4x2")
         traffic = local_traffic(config)
         serial = run_serial_schedule(config, traffic, scheduler="calendar")
         parallel = run_parallel_mesh(
@@ -270,7 +244,7 @@ class TestParallelBitIdentity:
         assert logs_bit_identical(serial.log, parallel.merged_log())
 
     def test_single_region_degenerates_to_serial(self, tmp_path):
-        config = MeshConfig(width=4, height=2)
+        config = MeshConfig("4x2")
         traffic = uniform_traffic(config)
         serial = run_serial_schedule(config, traffic, scheduler="calendar")
         parallel = run_parallel_mesh(
@@ -281,7 +255,7 @@ class TestParallelBitIdentity:
     def test_matches_the_heap_oracle_too(self, tmp_path):
         # Transitivity check on the whole equivalence suite: parallel
         # == calendar == heap on boundary-free traffic.
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         traffic = local_traffic(config)
         heap = run_serial_schedule(config, traffic, scheduler="heap")
         parallel = run_parallel_mesh(config, traffic, directory=str(tmp_path))
@@ -291,7 +265,7 @@ class TestParallelBitIdentity:
 class TestCrossRegionConservation:
     @pytest.mark.parametrize("sync", SYNC_MODES)
     def test_uniform_traffic_is_exactly_conserved(self, tmp_path, sync):
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         traffic = uniform_traffic(config)
         serial = run_serial_schedule(config, traffic, scheduler="calendar")
         parallel = run_parallel_mesh(
@@ -324,7 +298,7 @@ class TestCrossRegionConservation:
     def test_null_mode_outpaces_the_barrier(self, tmp_path):
         # Per-region null-message horizons must never need *more*
         # rounds than the single global barrier horizon.
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         traffic = uniform_traffic(config)
         barrier = run_parallel_mesh(
             config, traffic, regions=2, sync="barrier",
@@ -340,7 +314,7 @@ class TestCrossRegionConservation:
 
 class TestParallelValidation:
     def test_unknown_sync_mode(self, tmp_path):
-        config = MeshConfig(width=4, height=2)
+        config = MeshConfig("4x2")
         with pytest.raises(ValueError, match="unknown sync mode"):
             run_parallel_mesh(
                 config, local_traffic(config), sync="optimistic",
@@ -348,14 +322,14 @@ class TestParallelValidation:
             )
 
     def test_traffic_mesh_size_mismatch(self, tmp_path):
-        traffic = local_traffic(MeshConfig(width=4, height=4))
+        traffic = local_traffic(MeshConfig("4x4"))
         with pytest.raises(ValueError, match="traffic drawn for 16 nodes"):
             run_parallel_mesh(
-                MeshConfig(width=4, height=2), traffic, directory=str(tmp_path)
+                MeshConfig("4x2"), traffic, directory=str(tmp_path)
             )
 
     def test_zero_lookahead_is_rejected_up_front(self, tmp_path):
-        config = MeshConfig(width=4, height=2, routing_time=0.0, channel_time=0.0)
+        config = MeshConfig("4x2", routing_time=0.0, channel_time=0.0)
         with pytest.raises(ValueError, match="positive inter-region"):
             run_parallel_mesh(
                 config, local_traffic(config), directory=str(tmp_path)
@@ -367,7 +341,7 @@ class TestParallelValidation:
 # ----------------------------------------------------------------------
 class TestMergedManifest:
     def test_manifest_readable_by_every_spill_consumer(self, tmp_path):
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig("4x4")
         traffic = uniform_traffic(config)
         parallel = run_parallel_mesh(
             config, traffic, regions=2, directory=str(tmp_path)
@@ -386,7 +360,7 @@ class TestMergedManifest:
     def test_doctor_accepts_the_merged_manifest(self, tmp_path, capsys):
         from repro.cli import main
 
-        config = MeshConfig(width=4, height=2)
+        config = MeshConfig("4x2")
         parallel = run_parallel_mesh(
             config, uniform_traffic(config), directory=str(tmp_path)
         )
@@ -422,7 +396,7 @@ class TestParallelOptions:
         assert doc["parallel_regions"] == 2
 
     def test_run_pattern_dispatches_on_the_scheduler(self, tmp_path):
-        config = MeshConfig(width=4, height=2)
+        config = MeshConfig("4x2")
         serial = run_pattern(
             config, pattern="local", messages_per_source=6,
             options=RunOptions(scheduler="calendar"),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.coherence import BlockMap, Cache, CacheState
-from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage, make_topology
+from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
 from repro.simkernel import Facility, Simulator, hold, release, request
 from repro.stats import (
     Exponential,
@@ -151,8 +151,7 @@ class TestMeshProperties:
         data=st.data(),
     )
     def test_single_message_latency_equals_zero_load(self, name, data):
-        vcs = 2 if name == "torus" else 1
-        config = MeshConfig(width=4, height=2, topology=name, virtual_channels=vcs)
+        config = MeshConfig.parse(f"4x2:{name}")
         src = data.draw(st.integers(0, 7))
         dst = data.draw(st.integers(0, 7))
         nbytes = data.draw(st.integers(0, 256))
@@ -175,7 +174,7 @@ class TestMeshProperties:
     def test_all_messages_always_delivered(self, pairs):
         """No deadlock, no loss, and latency >= zero-load, whatever the
         traffic mix."""
-        config = MeshConfig(width=4, height=2)
+        config = MeshConfig("4x2")
         sim = Simulator()
         net = MeshNetwork(sim, config)
         for s, d in pairs:
@@ -195,7 +194,7 @@ class TestMeshProperties:
         )
     )
     def test_torus_never_deadlocks(self, pairs):
-        config = MeshConfig(width=4, height=2, topology="torus", virtual_channels=2)
+        config = MeshConfig("4x2:torus", virtual_channels=2)
         sim = Simulator()
         net = MeshNetwork(sim, config)
         for s, d in pairs:

@@ -1,18 +1,15 @@
-"""The unified RunOptions API and its legacy-kwarg deprecation shim."""
+"""The unified RunOptions API."""
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
 from repro.apps import create_app
 from repro.core import (
     RunOptions,
-    characterize_shared_memory,
     measure_load_point,
-    resolve_run_options,
     run_dynamic,
     run_static,
     run_synthetic,
@@ -79,59 +76,6 @@ def test_run_kwargs_gates_stall_check_on_truncation():
     }
     assert options.run_kwargs(until=5.0)["check_stall"] is False
     assert RunOptions(check_stall=False).run_kwargs()["check_stall"] is False
-
-
-# ----------------------------------------------------------------------
-# the deprecation shim
-# ----------------------------------------------------------------------
-def test_resolve_warns_exactly_once_even_with_both_legacy_kwargs():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        options, registry, recorder = resolve_run_options(
-            None, MetricsRegistry(), TimelineRecorder()
-        )
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1
-    assert "RunOptions" in str(deprecations[0].message)
-    assert options.metrics and options.timeline
-    assert registry is not None and recorder is not None
-
-
-def test_resolve_without_legacy_kwargs_is_silent():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        options, registry, recorder = resolve_run_options(
-            RunOptions(metrics=True)
-        )
-    assert not [w for w in caught if w.category is DeprecationWarning]
-    assert isinstance(registry, MetricsRegistry)
-    assert recorder is None
-
-
-def test_resolve_keeps_caller_owned_instruments():
-    mine = MetricsRegistry()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        options, registry, _ = resolve_run_options(RunOptions(), obs=mine)
-    assert registry is mine
-    assert options.metrics  # folded in so snapshots are taken
-
-
-def test_legacy_and_options_pipelines_produce_identical_runs():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = characterize_shared_memory(
-            create_app("1d-fft", n=16), obs=MetricsRegistry()
-        )
-    assert (
-        len([w for w in caught if w.category is DeprecationWarning]) == 1
-    )
-    modern = characterize_shared_memory(
-        create_app("1d-fft", n=16), options=RunOptions(metrics=True)
-    )
-    assert _normalized(legacy.log) == _normalized(modern.log)
-    assert legacy.metrics is not None and modern.metrics is not None
-    assert modern.registry is not None
 
 
 # ----------------------------------------------------------------------

@@ -140,7 +140,7 @@ def test_mesh_netlog_bit_identical_across_schedulers(seed):
 
     def run(scheduler):
         sim = Simulator(scheduler=scheduler)
-        net = MeshNetwork(sim, MeshConfig(width=3, height=3))
+        net = MeshNetwork(sim, MeshConfig("3x3"))
         nodes = 9
 
         def source(src):

@@ -172,7 +172,7 @@ class TestShutdownRegrant:
 
     def test_contended_transfer_survives_truncated_run(self):
         sim = Simulator()
-        net = MeshNetwork(sim, MeshConfig(width=2, height=2))
+        net = MeshNetwork(sim, MeshConfig("2x2"))
 
         def sender(name):
             yield from net.transfer(
@@ -239,7 +239,7 @@ class TestShutdownRegrant:
                         )
                     )
                     msg_id += 1
-        mesh = MeshConfig(width=2, height=2)
+        mesh = MeshConfig("2x2")
         characterization = characterize_log(source_log, mesh)
         generator = SyntheticTrafficGenerator(
             characterization,
@@ -278,7 +278,7 @@ class TestShutdownRegrant:
 class TestTransferCleanup:
     def _network(self):
         sim = Simulator()
-        net = MeshNetwork(sim, MeshConfig(width=2, height=2))
+        net = MeshNetwork(sim, MeshConfig("2x2"))
         return sim, net
 
     def test_raising_delivery_handler_leaves_no_leaks(self):
@@ -362,7 +362,7 @@ class TestDeadlockDetection:
         sim = Simulator()
         net = MeshNetwork(
             sim,
-            MeshConfig(width=2, height=2, routing="adaptive", virtual_channels=2),
+            MeshConfig("2x2", routing="adaptive", virtual_channels=2),
         )
         # Well-formed adaptive transfers are deadlock-free by design, so
         # drive the network's channel facilities directly: a two-process
@@ -572,7 +572,7 @@ class TestOfferedRate:
                     hops=1,
                 )
             )
-        mesh = MeshConfig(width=2, height=1)
+        mesh = MeshConfig("2x1")
         measurement = measure_load_point(
             characterize_log(source_log, mesh),
             mesh_config=mesh,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mesh import TopologySpec
 from repro.stats import (
     BimodalUniformPattern,
     LocalityDecayPattern,
@@ -13,6 +14,12 @@ from repro.stats import (
 from repro.stats.spatial_models import choice_sampler
 
 RNG = np.random.default_rng(5)
+MESH_4X2 = TopologySpec.parse("4x2").build()
+
+
+def hop_row(src, topology=MESH_4X2):
+    """``topology.hops(src, n)`` for every node ``n``."""
+    return tuple(topology.hops(src, n) for n in range(topology.num_nodes))
 
 
 class TestUniformPattern:
@@ -68,31 +75,36 @@ class TestBimodalUniformPattern:
 
 class TestLocalityDecayPattern:
     def test_zero_decay_is_uniform(self):
-        pattern = LocalityDecayPattern(decay=0.0, width=4, height=2)
+        pattern = LocalityDecayPattern(decay=0.0, hops=hop_row(0))
         fracs = pattern.fractions(src=0, num_nodes=8)
         assert np.allclose(np.delete(fracs, 0), 1.0 / 7)
 
     def test_strong_decay_prefers_neighbors(self):
-        pattern = LocalityDecayPattern(decay=3.0, width=4, height=2)
+        pattern = LocalityDecayPattern(decay=3.0, hops=hop_row(0))
         fracs = pattern.fractions(src=0, num_nodes=8)
         # Node 1 and node 4 are the 1-hop neighbours of node 0.
         assert fracs[1] > fracs[2] > fracs[3]
         assert fracs[4] > fracs[5]
 
     def test_wrong_node_count_rejected(self):
-        pattern = LocalityDecayPattern(decay=1.0, width=4, height=2)
+        pattern = LocalityDecayPattern(decay=1.0, hops=hop_row(0))
         with pytest.raises(ValueError):
             pattern.fractions(src=0, num_nodes=9)
 
+    def test_other_sources_hop_row_rejected(self):
+        pattern = LocalityDecayPattern(decay=1.0, hops=hop_row(0))
+        with pytest.raises(ValueError, match="hop row"):
+            pattern.fractions(src=1, num_nodes=8)
+
     def test_negative_decay_rejected(self):
         with pytest.raises(ValueError):
-            LocalityDecayPattern(decay=-1.0, width=2, height=2)
+            LocalityDecayPattern(decay=-1.0, hops=hop_row(0))
 
 
 class TestClassifier:
     def test_classifies_uniform(self):
         observed = UniformPattern().fractions(src=0, num_nodes=8)
-        fits = classify_spatial(observed, src=0, width=4, height=2)
+        fits = classify_spatial(observed, src=0, hops=hop_row(0))
         assert fits[0].name == "uniform"
         assert fits[0].r2 == pytest.approx(1.0)
 
@@ -100,17 +112,17 @@ class TestClassifier:
         observed = BimodalUniformPattern(favorite=5, p_favorite=0.7).fractions(
             src=0, num_nodes=8
         )
-        fits = classify_spatial(observed, src=0, width=4, height=2)
+        fits = classify_spatial(observed, src=0, hops=hop_row(0))
         assert fits[0].name == "bimodal-uniform"
         assert fits[0].pattern.favorite == 5
         assert fits[0].pattern.p_favorite == pytest.approx(0.7)
         assert fits[0].r2 > 0.99
 
     def test_classifies_locality(self):
-        observed = LocalityDecayPattern(decay=2.0, width=4, height=2).fractions(
+        observed = LocalityDecayPattern(decay=2.0, hops=hop_row(0)).fractions(
             src=0, num_nodes=8
         )
-        fits = classify_spatial(observed, src=0, width=4, height=2)
+        fits = classify_spatial(observed, src=0, hops=hop_row(0))
         assert fits[0].name == "locality-decay"
         assert fits[0].r2 > 0.98
 
@@ -118,21 +130,34 @@ class TestClassifier:
         rng = np.random.default_rng(99)
         counts = rng.multinomial(500, UniformPattern().fractions(src=0, num_nodes=8))
         observed = counts / counts.sum()
-        fits = classify_spatial(observed, src=0, width=4, height=2)
+        fits = classify_spatial(observed, src=0, hops=hop_row(0))
         assert fits[0].name == "uniform"
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
-            classify_spatial(np.zeros(8), src=0, width=4, height=2)
+            classify_spatial(np.zeros(8), src=0, hops=hop_row(0))
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            classify_spatial(np.ones(6) / 6, src=0, width=4, height=2)
+            classify_spatial(np.ones(6) / 6, src=0, hops=hop_row(0))
 
     def test_describe_lines(self):
         observed = UniformPattern().fractions(src=1, num_nodes=8)
-        fits = classify_spatial(observed, src=1, width=4, height=2)
+        fits = classify_spatial(observed, src=1, hops=hop_row(1))
         assert "R2=" in fits[0].describe()
+
+    def test_mesh_fit_is_pinned(self):
+        """On the 2-D mesh, route lengths are the flattened-grid
+        distances, so every fit keeps its recorded value bit for bit."""
+        counts = np.array([3, 10, 3, 1, 9, 0, 11, 4], dtype=float)
+        fits = classify_spatial(counts / counts.sum(), src=5, hops=hop_row(5))
+        assert [(fit.name, fit.r2) for fit in fits] == [
+            ("locality-decay", 0.9788782602586124),
+            ("bimodal-uniform", 0.47980295566502473),
+            ("uniform", 0.23659394792399735),
+            ("butterfly", -1.0544460688910196),
+        ]
+        assert fits[0].pattern.decay == 1.1
 
 
 class TestChoiceSampler:

@@ -1,18 +1,17 @@
-"""TopologySpec API: grammar, registry, N-D routing, 2-D equivalence.
+"""TopologySpec API: grammar, registry, N-D routing, the 2-D XY oracle.
 
-The topology redesign (spec-first configuration, N-D meshes/tori,
-chiplet hierarchies) must not perturb the paper's 2-D results: the
-hypothesis suites here check that spec-built 2-D networks route and
-log *bit-identically* to the legacy construction paths, and that the
-new N-D routes keep the invariants the conservative parallel scheduler
-and the deadlock argument rely on (minimal hops, dimension-order
-monotonicity, dateline virtual-channel discipline, up*/down* ordering
-on the hierarchy).
+The spec is the only way to build a network, and it must not perturb
+the paper's 2-D results: a hypothesis suite checks spec-built 2-D
+meshes against an independent XY-routing oracle (the golden netlog
+digests in ``test_golden_netlogs.py`` pin whole runs), and the N-D
+suites check that routes keep the invariants the conservative parallel
+scheduler and the deadlock argument rely on (minimal hops,
+dimension-order monotonicity, dateline virtual-channel discipline,
+up*/down* ordering on the hierarchy).
 """
 
 import math
 import pickle
-import warnings
 from unittest import mock
 
 import pytest
@@ -23,18 +22,14 @@ from repro.mesh import (
     ChipletTopology,
     MeshConfig,
     MeshNetwork,
-    MeshPartition,
-    MeshTopology,
     NDMeshTopology,
     NetworkMessage,
     TopologySpec,
     TopologySpecError,
-    TorusTopology,
     build_topology,
-    make_partition,
-    make_topology,
     register_topology,
     registered_topologies,
+    slice_partition,
 )
 from repro.mesh.spec import TOPOLOGIES
 from repro.simkernel import Simulator, hold, release, request
@@ -165,17 +160,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="registered"):
             build_topology(TopologySpec(kind="klein", dims=(4, 4)))
 
-    def test_make_topology_shim(self):
-        topo = make_topology("torus", 4, 4)
-        assert isinstance(topo, TorusTopology)
-        assert topo.num_nodes == 16
-
 
 class TestMeshConfigFacade:
     def test_spec_construction(self):
         cfg = MeshConfig(spec=TopologySpec.parse("4x4x2:torus"), virtual_channels=2)
         assert cfg.num_nodes == 32
-        assert cfg.topology == "torus"
+        assert cfg.spec.kind == "torus"
 
     def test_string_spec(self):
         cfg = MeshConfig(spec="4x4x2:torus", virtual_channels=2)
@@ -184,40 +174,6 @@ class TestMeshConfigFacade:
     def test_parse_auto_vcs(self):
         cfg = MeshConfig.parse("4x4x2:torus")
         assert cfg.virtual_channels >= 2
-
-    def test_legacy_kwargs_warn_once(self, monkeypatch):
-        import repro.mesh.config as config_mod
-
-        monkeypatch.setattr(config_mod, "_legacy_geometry_warned", False)
-        with pytest.warns(DeprecationWarning, match="TopologySpec"):
-            cfg = MeshConfig(width=4, height=2)
-        assert cfg.spec == TopologySpec(kind="mesh", dims=(4, 2))
-        # Second construction stays silent (one warning per process).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            MeshConfig(width=4, height=2)
-
-    def test_legacy_kwargs_match_spec(self, monkeypatch):
-        import repro.mesh.config as config_mod
-
-        monkeypatch.setattr(config_mod, "_legacy_geometry_warned", True)
-        assert MeshConfig(width=4, height=2) == MeshConfig(spec="4x2")
-        assert (
-            MeshConfig(width=4, height=4, topology="torus", virtual_channels=2)
-            == MeshConfig(spec="4x4:torus", virtual_channels=2)
-        )
-
-    def test_spec_and_legacy_conflict(self, monkeypatch):
-        import repro.mesh.config as config_mod
-
-        monkeypatch.setattr(config_mod, "_legacy_geometry_warned", True)
-        with pytest.raises(ValueError, match="both"):
-            MeshConfig(spec="4x4", width=4)
-
-    def test_width_height_properties(self):
-        cfg = MeshConfig(spec="4x4x2:torus", virtual_channels=2)
-        assert cfg.width == 4
-        assert cfg.width * cfg.height == cfg.num_nodes
 
     def test_torus_needs_vcs(self):
         with pytest.raises(ValueError, match="virtual channels"):
@@ -233,40 +189,14 @@ class TestMeshConfigFacade:
 
 
 # ---------------------------------------------------------------------------
-# 2-D equivalence: spec-built vs legacy construction
+# 2-D equivalence: spec-built meshes vs the paper's XY routing
 # ---------------------------------------------------------------------------
 
 dims_2d = st.tuples(st.integers(2, 6), st.integers(1, 5))
 
 
 class TestLegacyEquivalence:
-    @given(dims=dims_2d, data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_mesh_routes_identical(self, dims, data):
-        width, height = dims
-        legacy = MeshTopology(width, height)
-        built = TopologySpec.parse(f"{width}x{height}").build()
-        n = width * height
-        src = data.draw(st.integers(0, n - 1))
-        dst = data.draw(st.integers(0, n - 1))
-        assert built.route(src, dst) == legacy.route(src, dst)
-        assert built.hops(src, dst) == legacy.hops(src, dst)
-        assert built.neighbors(src) == legacy.neighbors(src)
-
-    @given(dims=dims_2d, data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_torus_routes_identical(self, dims, data):
-        width, height = dims
-        legacy = TorusTopology(width, height)
-        built = TopologySpec.parse(f"{width}x{height}:torus").build()
-        n = width * height
-        src = data.draw(st.integers(0, n - 1))
-        dst = data.draw(st.integers(0, n - 1))
-        route_legacy = legacy.route(src, dst)
-        route_built = built.route(src, dst)
-        assert [(h.src, h.dst, h.vclass) for h in route_built] == [
-            (h.src, h.dst, h.vclass) for h in route_legacy
-        ]
+    """Spec-built 2-D meshes route exactly as the paper's XY mesh."""
 
     @given(dims=dims_2d, data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -292,33 +222,6 @@ class TestLegacyEquivalence:
         got = [(h.src, h.dst) for h in topo.route(src, dst)]
         assert got == expected
         assert len(got) == abs(sx - dx) + abs(sy - dy)
-
-    @pytest.mark.parametrize("spec_text, legacy_kwargs", [
-        ("4x2", dict(width=4, height=2)),
-        ("4x4:torus", dict(width=4, height=4, topology="torus",
-                           virtual_channels=2)),
-        ("4x4:hypercube", dict(width=4, height=4, topology="hypercube")),
-    ])
-    def test_netlogs_bit_identical(self, spec_text, legacy_kwargs, monkeypatch):
-        """The paper's 2-D configs produce bit-identical activity logs
-        whether configured through the spec grammar or legacy kwargs."""
-        import repro.mesh.config as config_mod
-
-        monkeypatch.setattr(config_mod, "_legacy_geometry_warned", True)
-        spec_cfg = MeshConfig(
-            spec=spec_text,
-            virtual_channels=legacy_kwargs.get("virtual_channels", 1),
-        )
-        legacy_cfg = MeshConfig(**legacy_kwargs)
-        assert spec_cfg == legacy_cfg
-        traffic = ScheduleTraffic.compile_pattern(
-            spec_cfg, pattern="uniform", messages_per_source=15, seed=7
-        )
-        a = run_serial_schedule(spec_cfg, traffic)
-        b = run_serial_schedule(legacy_cfg, traffic)
-        assert logs_bit_identical(a.log, b.log)
-        assert a.clock == b.clock
-        assert a.events_fired == b.events_fired
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +507,7 @@ class TestChipletRouting:
 class TestNDPartition:
     def test_slices_highest_dimension(self):
         cfg = MeshConfig(spec="4x3x4:mesh")
-        part = make_partition(cfg, regions=2)
+        part = slice_partition(cfg, regions=2)
         assert part.depth == 4
         assert part.plane == 12
         assert part.bounds == ((0, 2), (2, 4))
@@ -613,18 +516,18 @@ class TestNDPartition:
 
     def test_lookahead_uses_sliced_axis_scale(self):
         cfg = MeshConfig(spec="4x4x2:mesh:z=4.0")
-        part = make_partition(cfg, regions=2)
+        part = slice_partition(cfg, regions=2)
         assert part.lookahead() == cfg.routing_time + cfg.channel_time * 4.0
 
     def test_rejects_wrap_and_hierarchy(self):
         with pytest.raises(ValueError, match="mesh"):
-            make_partition(MeshConfig(spec="4x4x2:torus", virtual_channels=2), 2)
+            slice_partition(MeshConfig(spec="4x4x2:torus", virtual_channels=2), 2)
         with pytest.raises(ValueError, match="mesh"):
-            make_partition(MeshConfig.parse("chiplet(4x4,hubs=2)"), 2)
+            slice_partition(MeshConfig.parse("chiplet(4x4,hubs=2)"), 2)
 
     def test_route_legs_cross_region_3d(self):
         cfg = MeshConfig(spec="2x2x4:mesh")
-        part = make_partition(cfg, regions=2)
+        part = slice_partition(cfg, regions=2)
         legs = part.route_legs(0, 15)
         assert [leg[0] for leg in legs] == [0, 1]
         # Hand-off happens at the destination's in-plane offset.

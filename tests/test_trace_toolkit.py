@@ -16,9 +16,9 @@ def build_trace(entries):
     return trace
 
 
-def fresh_network(width=4, height=2):
+def fresh_network():
     sim = Simulator()
-    return MeshNetwork(sim, MeshConfig(width=width, height=height))
+    return MeshNetwork(sim, MeshConfig("4x2"))
 
 
 class TestTraceLog:
