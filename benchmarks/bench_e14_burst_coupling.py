@@ -1,6 +1,6 @@
 """E14 (extension) -- burst-coupled synthetic traffic.
 
-E8 documents the structural limit of independent open-loop sources:
+E8 documents the structural limit of independent closed-loop sources:
 they reproduce each source's marginal distributions but not the
 cross-source barrier bursts, so synthetic contention underestimates
 the original's.  This extension fits a two-level burst model to the

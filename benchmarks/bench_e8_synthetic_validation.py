@@ -6,7 +6,7 @@ and a static-strategy one (3D-FFT), synthetic traffic drawn from the
 characterization drives the same mesh, and the network-level metrics
 are compared with the original run's.  Rate and message-length fidelity
 must be tight; latency must agree within the documented tolerance
-(independent open-loop sources cannot reproduce cross-source barrier
+(independent closed-loop sources cannot reproduce cross-source barrier
 correlation, so synthetic contention is an underestimate).
 """
 

@@ -19,9 +19,9 @@ Standalone (not a pytest benchmark) so CI can gate on the result:
 ``--min-speedup`` times the heap path, or if any equivalence check
 fails.
 
-``--scheduler parallel`` switches the benchmark to the conservative
-parallel mesh scheduler instead: a large row-local workload is replayed
-once on the serial calendar simulator and once sharded over
+``--scheduler parallel`` switches the benchmark to the parallel
+region-replay mesh scheduler instead: a large row-local workload is
+replayed once on the serial calendar simulator and once sharded over
 ``--regions`` worker processes, the merged netlog is required to be
 bit-identical to the serial one, and ``--check`` gates the wall-clock
 speedup (CI uses ``--min-speedup 2.5`` on 4 cores).  Hosts with fewer
@@ -141,7 +141,7 @@ def run_mesh_log(scheduler, messages_per_source):
 
 
 def run_parallel_bench(args):
-    """Serial calendar vs conservative parallel on a row-local mesh
+    """Serial calendar vs parallel region replay on a row-local mesh
     workload; returns an exit code (0 = pass/skip, 1 = fail)."""
     from repro.simkernel.engine_parallel import (
         ScheduleTraffic,
@@ -168,7 +168,6 @@ def run_parallel_bench(args):
           f"{args.regions} regions ...")
     serial_best = parallel_best = float("inf")
     serial_log = None
-    rounds = 0
     for _ in range(args.iterations):
         started = time.perf_counter()
         serial = run_serial_schedule(config, traffic, scheduler="calendar")
@@ -178,7 +177,6 @@ def run_parallel_bench(args):
         started = time.perf_counter()
         parallel = run_parallel_mesh(config, traffic, regions=args.regions)
         parallel_best = min(parallel_best, time.perf_counter() - started)
-        rounds = parallel.rounds
 
     merged = parallel.merged_log()
     if not logs_bit_identical(serial_log, merged):
@@ -191,8 +189,7 @@ def run_parallel_bench(args):
     speedup = serial_best / parallel_best
     print(f"{'scheduler':>10} {'time':>9}")
     print(f"{'serial':>10} {serial_best:>8.3f}s")
-    print(f"{'parallel':>10} {parallel_best:>8.3f}s  "
-          f"({args.regions} regions, {rounds} round(s))")
+    print(f"{'parallel':>10} {parallel_best:>8.3f}s  ({args.regions} regions)")
     print(f"parallel wall-clock speedup: {speedup:.2f}x "
           f"(best of {args.iterations})")
     if args.check and speedup < args.min_speedup:
@@ -282,7 +279,7 @@ def main(argv=None):
                         default="kernel",
                         help="kernel: calendar vs heap event throughput "
                              "(the default); parallel: serial calendar vs "
-                             "the conservative multi-process mesh scheduler; "
+                             "the multi-process region-replay mesh scheduler; "
                              "topology: N-D routing overhead vs the 2-D mesh")
     parser.add_argument("--regions", type=int, default=4,
                         help="region workers for --scheduler parallel")

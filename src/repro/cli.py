@@ -23,7 +23,7 @@ Usage (via ``python -m repro``):
     $ python -m repro characterize 1d-fft --param n=256 --log-npz log.npz
     $ python -m repro doctor log.npz
     $ python -m repro drive --mesh 16x16 --pattern local --messages 200 \
-          --scheduler parallel --regions 4 --sync barrier --log-spill /tmp/run
+          --scheduler parallel --regions 4 --log-spill /tmp/run
 
 ``characterize`` runs the right strategy for the application (dynamic
 for shared memory, static for message passing), prints the
@@ -45,11 +45,13 @@ flags enter every cell's :class:`~repro.core.options.RunOptions` and
 therefore its cache key.
 
 ``drive`` replays a pre-drawn pattern workload on the mesh:
-``--scheduler parallel`` shards it across conservative region worker
-processes (``--regions``, ``--sync {barrier,null}``) and writes one
-merged ``netlog-spill`` manifest every existing consumer (``doctor``,
-the characterize readers) understands; serial schedulers replay the
-identical schedule for equivalence comparisons.
+``--scheduler parallel`` shards a region-local schedule (``--pattern
+local``) across ``--regions`` worker processes and writes one merged
+``netlog-spill`` manifest every existing consumer (``doctor``, the
+characterize readers) understands; a schedule with any message
+crossing a region boundary is rejected (exit 2) in favour of the
+serial schedulers, which replay the identical schedule for
+equivalence comparisons.
 
 ``sweep`` runs declarative experiment grids (app x mesh x protocol x
 rate-scale x seed) on a worker pool with per-cell timeouts, bounded
@@ -82,7 +84,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.apps import MESSAGE_PASSING_APPS, SHARED_MEMORY_APPS, create_app
 from repro.core import (
-    PARALLEL_SYNC_MODES,
     RUN_SCHEDULERS,
     RunOptions,
     SyntheticTrafficGenerator,
@@ -140,8 +141,6 @@ def _kernel_options_from_args(
     heartbeat = getattr(args, "heartbeat", None)
     log_spill = getattr(args, "log_spill", None)
     log_spill_window = getattr(args, "log_spill_window", None)
-    regions = getattr(args, "regions", None)
-    sync = getattr(args, "sync", None)
     if not (
         metrics
         or timeline
@@ -152,7 +151,6 @@ def _kernel_options_from_args(
         or log_spill
     ):
         return None
-    parallel = scheduler == "parallel"
     return RunOptions(
         metrics=metrics,
         timeline=timeline,
@@ -162,8 +160,6 @@ def _kernel_options_from_args(
         heartbeat=heartbeat,
         log_spill=log_spill,
         log_spill_window=log_spill_window if log_spill else None,
-        parallel_regions=regions if parallel else None,
-        parallel_sync=sync if parallel else None,
     )
 
 
@@ -687,7 +683,6 @@ def cmd_drive(args: argparse.Namespace) -> int:
         log_spill=args.log_spill,
         log_spill_window=args.log_spill_window if args.log_spill else None,
         parallel_regions=args.regions if args.scheduler == "parallel" else None,
-        parallel_sync=args.sync if args.scheduler == "parallel" else None,
     )
     result = run_pattern(
         mesh_config=mesh,
@@ -701,9 +696,7 @@ def cmd_drive(args: argparse.Namespace) -> int:
     print(f"mesh {mesh.spec.canonical()}, pattern {args.pattern}, "
           f"scheduler {args.scheduler or 'calendar'}")
     if isinstance(result, ParallelRunResult):
-        print(f"  regions {result.regions} (active {len(result.active_regions)}), "
-              f"sync {result.sync}, lookahead {result.lookahead:g}, "
-              f"rounds {result.rounds}")
+        print(f"  regions {result.regions} (active {len(result.active_regions)})")
         print(f"  messages {result.records}, clock {result.clock:.3f}, "
               f"events {result.events_fired}")
         print(f"  manifest {result.manifest_path}")
@@ -857,17 +850,12 @@ def build_parser() -> argparse.ArgumentParser:
     drive.add_argument(
         "--scheduler", choices=RUN_SCHEDULERS, default=None,
         help="calendar/heap run one serial simulator; parallel shards "
-             "the mesh into conservative region worker processes",
+             "a region-local schedule (--pattern local) into region "
+             "worker processes",
     )
     drive.add_argument(
         "--regions", type=int, default=None, metavar="R",
         help="region worker processes for --scheduler parallel (default 2)",
-    )
-    drive.add_argument(
-        "--sync", choices=PARALLEL_SYNC_MODES, default=None,
-        help="conservative advancement mode for --scheduler parallel: "
-             "barrier (global horizon) or null (per-region null-message "
-             "horizons; default barrier)",
     )
     drive.add_argument(
         "--log-spill", default=None, metavar="DIR",

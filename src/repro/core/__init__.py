@@ -32,7 +32,7 @@ from repro.core.loadsweep import (
     measure_load_point,
     sweep_load,
 )
-from repro.core.options import PARALLEL_SYNC_MODES, RUN_SCHEDULERS, RunOptions
+from repro.core.options import RUN_SCHEDULERS, RunOptions
 from repro.core.phases import PhaseSegment, phase_table, segment_phases
 from repro.core.methodology import (
     CharacterizationRun,
@@ -57,7 +57,6 @@ __all__ = [
     "LoadMeasurement",
     "LoadPoint",
     "LoadSweep",
-    "PARALLEL_SYNC_MODES",
     "PhaseCoupledTrafficGenerator",
     "PhaseSegment",
     "RUN_SCHEDULERS",

@@ -1,6 +1,6 @@
 """Burst-structure estimation for phase-coupled traffic generation.
 
-Independent open-loop sources reproduce each processor's *marginal*
+Independent closed-loop sources reproduce each processor's *marginal*
 inter-arrival distribution but not the cross-source correlation that
 barrier-synchronized applications exhibit (all processors fire at
 once after a phase boundary).  The validation experiment E8 quantifies

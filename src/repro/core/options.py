@@ -19,14 +19,13 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
 from repro.simkernel import SCHEDULERS, Simulator
 
-#: The conservative parallel scheduler accepted on top of the serial
+#: The parallel region-replay scheduler accepted on top of the serial
 #: kernel schedulers (:data:`repro.simkernel.SCHEDULERS`).  Kept as a
 #: literal here so validating an options bundle does not import the
-#: mesh stack; :mod:`repro.simkernel.engine_parallel` asserts the names
-#: agree.
+#: mesh stack; the test suite asserts it matches
+#: :data:`repro.simkernel.engine_parallel.PARALLEL_SCHEDULER`.
 PARALLEL_SCHEDULER = "parallel"
 RUN_SCHEDULERS = SCHEDULERS + (PARALLEL_SCHEDULER,)
-PARALLEL_SYNC_MODES = ("barrier", "null")
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class RunOptions:
         Event-list implementation, ``"calendar"`` (fast path) or
         ``"heap"`` (legacy oracle); None defers to the
         ``REPRO_SCHEDULER`` environment variable, then ``"calendar"``.
-        ``"parallel"`` selects the conservative multi-process mesh
+        ``"parallel"`` selects the multi-process region-replay mesh
         scheduler (:mod:`repro.simkernel.engine_parallel`); pattern
         runners dispatch on it, while :meth:`make_simulator` maps it to
         the calendar kernel each region worker runs on.
@@ -65,10 +64,6 @@ class RunOptions:
         ``parallel`` scheduler; None defers to the runner's default.
         Omitted from :meth:`as_dict` when unset, like every late-added
         field, so pre-existing sweep cache keys stay stable.
-    parallel_sync:
-        Conservative advancement mode for the ``parallel`` scheduler,
-        ``"barrier"`` (global horizon) or ``"null"`` (per-region
-        null-message horizons); None defers to the runner's default.
     sample_interval:
         Live-telemetry sampling interval in simulated time units: the
         run carries a :class:`~repro.obs.live.LiveSampler` producing
@@ -110,7 +105,6 @@ class RunOptions:
     log_spill: Optional[str] = None
     log_spill_window: Optional[int] = None
     parallel_regions: Optional[int] = None
-    parallel_sync: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.scheduler is not None and self.scheduler not in RUN_SCHEDULERS:
@@ -121,14 +115,6 @@ class RunOptions:
         if self.parallel_regions is not None and self.parallel_regions < 1:
             raise ValueError(
                 f"parallel_regions must be >= 1 or None, got {self.parallel_regions}"
-            )
-        if (
-            self.parallel_sync is not None
-            and self.parallel_sync not in PARALLEL_SYNC_MODES
-        ):
-            raise ValueError(
-                f"parallel_sync must be one of {', '.join(PARALLEL_SYNC_MODES)} "
-                f"or None, got {self.parallel_sync!r}"
             )
         if self.max_no_progress_events is not None and self.max_no_progress_events < 1:
             raise ValueError(
@@ -230,7 +216,6 @@ class RunOptions:
         "log_spill",
         "log_spill_window",
         "parallel_regions",
-        "parallel_sync",
     )
 
     def as_dict(self) -> Dict[str, object]:

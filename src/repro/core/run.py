@@ -143,9 +143,11 @@ def run_pattern(
     The one entry point that dispatches on ``options.scheduler ==
     "parallel"``: the same compiled schedule
     (:class:`~repro.simkernel.engine_parallel.ScheduleTraffic`) runs
-    either on one serial simulator or sharded across conservative
-    region workers (``parallel_regions``/``parallel_sync``), so the two
-    paths are directly comparable.  Returns a
+    either on one serial simulator or sharded across
+    ``parallel_regions`` region workers, so the two paths are directly
+    comparable.  The parallel path accepts only region-local schedules
+    and raises ``ValueError`` for any other before a worker starts.
+    Returns a
     :class:`~repro.simkernel.engine_parallel.SerialRunResult` or
     :class:`~repro.simkernel.engine_parallel.ParallelRunResult`; with
     ``log_spill`` set, both write a ``netlog-spill`` manifest there.
@@ -174,7 +176,6 @@ def run_pattern(
             config,
             traffic,
             regions=options.parallel_regions or 2,
-            sync=options.parallel_sync or "barrier",
             directory=options.log_spill,
             stem=stem,
             window=(

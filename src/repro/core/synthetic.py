@@ -2,10 +2,12 @@
 
 This is what the methodology is *for*: "these distributions can be used
 in the analysis of ICNs for developing realistic performance models."
-A :class:`SyntheticTrafficGenerator` drives a mesh with open-loop
+A :class:`SyntheticTrafficGenerator` drives a mesh with closed-loop
 per-source processes whose inter-arrival gaps, destinations and message
 lengths are drawn from the characterization's fitted models -- no
-application execution needed.
+application execution needed.  Each source waits for its message's
+delivery before drawing the next gap, so network latency also
+throttles the offered load.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.stats.spatial_models import SpatialPattern, UniformPattern, choice_sa
 
 
 class SyntheticTrafficGenerator:
-    """Open-loop traffic generator parameterized by a characterization.
+    """Closed-loop traffic generator parameterized by a characterization.
 
     Parameters
     ----------
@@ -156,7 +158,8 @@ class SyntheticTrafficGenerator:
         # a completed run; a truncated run is unwound so held channels
         # are released before the log is handed back.  (Unlike the
         # pipeline harnesses, a truncated synthetic drive still stall-
-        # checks: open-loop sources never legitimately block forever.)
+        # checks: each source waits only on its own transfer, which
+        # always completes, so none legitimately blocks forever.)
         live = start_live_telemetry(options, simulator, network=network, label="drive")
         try:
             simulator.run(

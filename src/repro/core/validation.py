@@ -57,11 +57,13 @@ class ValidationReport:
         """Whether latency, rate and length errors are all within
         ``tolerance`` (the methodology's fidelity criterion).
 
-        The default tolerance is generous because open-loop synthetic
-        sources are *independent*: they reproduce each source's
-        marginal behaviour but not cross-source correlation (barrier
-        bursts), so synthetic contention underestimates the original --
-        an inherent limit of distribution-level characterization.
+        The default tolerance is generous because the closed-loop
+        synthetic sources are *independent*: they reproduce each
+        source's marginal behaviour but not cross-source correlation
+        (barrier bursts), so synthetic contention underestimates the
+        original -- an inherent limit of distribution-level
+        characterization.  Each source also waits for its own delivery,
+        so latency throttles its offered rate.
         """
         return (
             self.latency_error <= tolerance

@@ -1,25 +1,19 @@
-"""Spatial partitioning of N-D meshes for parallel simulation.
+"""Spatial partitioning of N-D meshes for parallel replay.
 
-The conservative parallel scheduler (:mod:`repro.simkernel.engine_parallel`)
-shards one mesh simulation across worker processes, one *region* per
-worker.  A region is a contiguous band of *layers* along the highest
-dimension of the spec (rows of the 2-D mesh, Z-planes of a 3-D one):
-with dimension-order routing a message corrects every in-plane
-dimension first and only then walks the sliced axis, so every route
-crosses a region boundary at most once per band edge and always at its
-final in-plane offset -- the property that makes boundary handoffs
-between regions well defined.
+The parallel scheduler (:mod:`repro.simkernel.engine_parallel`) shards
+one mesh replay across worker processes, one *region* per worker.  A
+region is a contiguous band of *layers* along the highest dimension of
+the spec (rows of the 2-D mesh, Z-planes of a 3-D one).  A message
+whose endpoints lie in one band routes entirely inside it under
+dimension-order routing (every coordinate on the route lies between
+the endpoints'), so the band's sub-mesh replays it exactly as the full
+mesh does.
 
 :class:`MeshPartition` is the picklable description of one such
 sharding: per-region layer bounds over a
 :class:`~repro.mesh.config.MeshConfig`, plus the id algebra (global
-node <-> region-local node), the per-region sub-mesh configs the
-workers instantiate, the route *legs* a message takes through
-successive regions, and the conservative protocol's *lookahead* -- the
-minimum latency any message needs to cross from one region into the
-next (head-flit routing plus one boundary-channel traversal, including
-that axis' link scale), which bounds how far a region may safely
-advance past its neighbours.
+node <-> region-local node) and the per-region sub-mesh configs the
+workers instantiate.
 
 :func:`slice_partition` builds one by cutting the highest axis into
 bands as evenly as possible (empty bands when ``regions > depth`` are
@@ -102,10 +96,6 @@ class MeshPartition:
     def num_regions(self) -> int:
         return len(self.bounds)
 
-    def rows(self, region: int) -> Tuple[int, int]:
-        """The half-open global layer range of ``region``."""
-        return self.bounds[region]
-
     def is_empty(self, region: int) -> bool:
         start, stop = self.bounds[region]
         return start == stop
@@ -170,68 +160,6 @@ class MeshPartition:
             injection_time=cfg.injection_time,
             ejection_time=cfg.ejection_time,
         )
-
-    # ------------------------------------------------------------------
-    # conservative protocol inputs
-    # ------------------------------------------------------------------
-    def lookahead(self) -> float:
-        """Minimum latency for a message to cross between regions.
-
-        The head flit must route through and traverse the boundary
-        channel (``routing_time + channel_time`` scaled by the sliced
-        axis' link factor), so no region can affect a neighbour sooner
-        than this -- the conservative protocol's safe advancement
-        window.  Raises when the mesh timing makes it zero (zero
-        lookahead admits no conservative parallelism at all).
-        """
-        value = (
-            self.config.routing_time
-            + self.config.channel_time * self.config.spec.link_scale[-1]
-        )
-        if not value > 0.0:
-            raise ValueError(
-                f"conservative lookahead is {value:g} "
-                "(routing_time + channel_time); parallel simulation needs "
-                "a positive inter-region channel latency"
-            )
-        return value
-
-    def route_legs(self, src: int, dst: int) -> List[Tuple[int, int, int]]:
-        """The per-region legs of the route from ``src`` to ``dst``.
-
-        Returns ``(region, leg_src, leg_dst)`` triples in traversal
-        order (global ids).  A message whose endpoints share a region
-        is a single leg.  Cross-region messages exit each band at the
-        destination's in-plane offset (dimension order: every in-plane
-        correction happens inside the source layer) and re-enter the
-        next band on the adjacent layer at the same offset; the
-        boundary channel between two legs is not part of either leg --
-        the scheduler charges it as the lookahead on the handoff.
-        """
-        self._check_node(src)
-        self._check_node(dst)
-        plane = self.plane
-        sy, dy = src // plane, dst // plane
-        dx = dst % plane
-        first = self.region_of_row(sy)
-        if sy == dy:
-            return [(first, src, dst)]
-        step = 1 if dy > sy else -1
-        legs: List[Tuple[int, int, int]] = []
-        current, leg_src, y = first, src, sy
-        while y != dy:
-            ny = y + step
-            nr = self.region_of_row(ny)
-            if nr != current:
-                legs.append((current, leg_src, y * plane + dx))
-                current, leg_src = nr, ny * plane + dx
-            y = ny
-        legs.append((current, leg_src, dst))
-        return legs
-
-    def region_chain(self, src: int, dst: int) -> Tuple[int, ...]:
-        """The sequence of regions :meth:`route_legs` visits."""
-        return tuple(leg[0] for leg in self.route_legs(src, dst))
 
     def _check_node(self, node: int) -> None:
         if not (0 <= node < self.config.num_nodes):

@@ -32,7 +32,7 @@ from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetworkLog
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
-from repro.simkernel import Simulator, hold
+from repro.simkernel import check_leaks, hold
 
 
 class TrafficPattern(ABC):
@@ -369,12 +369,18 @@ def drive_pattern(
     mean_gap: float = 10.0,
     length_bytes: int = 64,
     seed: int = 0,
+    options=None,
 ) -> NetworkLog:
-    """Open-loop Poisson sources driving ``pattern`` through a network.
+    """Closed-loop Poisson sources driving ``pattern`` through a network.
 
     The standard ICN-evaluation harness: per-source exponential
     inter-injection gaps, destinations from the pattern; returns the
-    activity log for latency/throughput analysis.
+    activity log for latency/throughput analysis.  Each source waits
+    for its message's delivery before drawing the next gap, so a
+    congested network also throttles the offered load.  ``options``
+    (a :class:`~repro.core.options.RunOptions`, default options when
+    omitted) selects the kernel scheduler, the stall checks and the
+    leak audit, as for the synthetic generator.
     """
     if messages_per_source < 1:
         raise ValueError(f"messages_per_source must be >= 1, got {messages_per_source}")
@@ -384,7 +390,11 @@ def drive_pattern(
         raise ValueError(
             f"pattern is for {pattern.num_nodes} nodes, network has {config.num_nodes}"
         )
-    simulator = Simulator()
+    if options is None:
+        from repro.core.options import RunOptions
+
+        options = RunOptions()
+    simulator = options.make_simulator()
     network = MeshNetwork(simulator, config)
 
     for src in range(config.num_nodes):
@@ -403,5 +413,7 @@ def drive_pattern(
                 )
 
         simulator.process(source(), name=f"{pattern.name}[{src}]")
-    simulator.run()
+    simulator.run(**options.run_kwargs())
+    if options.check_leaks:
+        check_leaks(simulator)
     return network.log

@@ -66,14 +66,13 @@ from repro.simkernel.facility import Facility, Release, Request, request, releas
 from repro.simkernel.mailbox import Mailbox, Receive, Send, receive, send
 from repro.simkernel.random_streams import RandomStreams
 
-#: Conservative parallel-scheduler symbols served lazily (PEP 562):
+#: Parallel-scheduler symbols served lazily (PEP 562):
 #: :mod:`repro.simkernel.engine_parallel` imports :mod:`repro.mesh`,
 #: which imports this package, so an eager import here would be
 #: circular -- and the serial kernel should not pay the mesh stack's
 #: import cost anyway.
 _PARALLEL_EXPORTS = (
     "PARALLEL_SCHEDULER",
-    "SYNC_MODES",
     "ParallelRunResult",
     "ParallelSimulationError",
     "ScheduleTraffic",
@@ -114,7 +113,6 @@ __all__ = [
     "Request",
     "SCHEDULERS",
     "SCHEDULER_ENV",
-    "SYNC_MODES",
     "ScheduleTraffic",
     "Send",
     "SerialRunResult",

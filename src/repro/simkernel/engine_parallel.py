@@ -1,56 +1,22 @@
-"""Conservative parallel mesh simulation over region worker processes.
+"""Region-separable parallel mesh replay over worker processes.
 
-The ``parallel`` scheduler partitions the mesh into contiguous row
-bands (:mod:`repro.mesh.partition`), runs each band's event queue in
-its own worker process on the calendar engine, and synchronizes the
-workers with a conservative protocol whose lookahead is the minimum
-inter-region channel latency (``routing_time + channel_time``): no
-region can affect a neighbour sooner than one boundary-channel
-traversal, so each region may safely simulate up to its *horizon*
-without ever receiving an event in its simulated past.
+The ``parallel`` scheduler partitions the mesh into contiguous bands
+of the highest axis (:mod:`repro.mesh.partition`; rows of a 2-D mesh)
+and replays each band's share of a pre-drawn schedule in its own
+worker process on the calendar engine.
 
-Two advancement modes are selectable (:data:`SYNC_MODES`):
-
-``barrier``
-    Every round, all regions advance to a single global horizon
-    ``GVT + L`` where ``GVT`` is the minimum next-event time across
-    regions and ``L`` the lookahead.  Any boundary handoff produced in
-    the round departs at a time ``>= GVT`` and therefore arrives at
-    ``>= GVT + L`` -- never inside any region's new past.
-
-``null``
-    Per-region horizons in the spirit of Chandy-Misra-Bryant null
-    messages: the coordinator relaxes earliest-possible-event times
-    ``E_r`` over the region channel graph (``E_r <- min(E_r, E_s + L)``
-    for each crossing channel ``s -> r``) and grants region ``r`` the
-    horizon ``min over senders s of E_s + L``.  Regions with no
-    inbound channels run to completion immediately; others still
-    out-run a global barrier whenever their senders are ahead of the
-    global minimum.  Positive lookahead guarantees progress: the
-    region holding the global minimum always clears its own horizon.
-
-The region channel graph is *precomputed from the traffic schedule*
-(traffic here is pre-drawn replay traffic, so every source/destination
-pair is known up front).  When no scheduled message crosses a region
-boundary, every horizon is infinite and each worker runs its whole
-event queue in a single round -- the embarrassingly-parallel regime the
-benchmark gate exercises.
-
-Boundary crossings are simulated store-and-forward: each region
-simulates the full wormhole transfer of its *leg* of the route, and
-the handoff to the next region is delivered exactly one lookahead
-after the leg's tail flit arrives at the boundary row.  Compared to
-the serial simulator this charges an extra NI injection/ejection pair
-per crossing and re-serializes the body per leg; message *routes*,
-counts, payload bytes and hop counts are exact (each crossing
-contributes the one boundary channel the legs omit), which is what the
-cross-region conservation tests pin down.  Traffic whose messages
-never cross a boundary (e.g. row-local patterns under the row-sliced
-partitioner) shares no facilities between regions, so each region's
-event sequence is *identical* to the serial simulation restricted to
-that region and the merged log is bit-identical to the serial
-calendar scheduler's under the canonical cross-region ordering rule:
-records sorted by ``(deliver_time, inject_time, msg_id)``.
+It accepts only *region-local* schedules: every scheduled message must
+start and end in one region.  :func:`run_parallel_mesh` checks this up
+front and raises ``ValueError`` before any worker starts otherwise;
+such schedules belong to the serial scheduler
+(:func:`run_serial_schedule`), which replays them exactly.  Region-local
+messages share no facility, channel or message across regions, so each
+worker's event sequence is *identical* to the serial simulation
+restricted to its region and the workers need no synchronization: each
+replays its sub-mesh to completion, spills its shard and reports once.
+The merged log is bit-identical to the serial calendar scheduler's
+under the canonical cross-region ordering rule: records sorted by
+``(deliver_time, inject_time, msg_id)``.
 
 Each region logs into its own :class:`~repro.mesh.netlog_stream.StreamingNetworkLog`
 shard; the coordinator merges the per-region partials with the
@@ -58,17 +24,19 @@ canonical fold (region-index order) and writes one combined
 ``netlog-spill`` manifest whose segments reference every region's
 spill files, readable by every existing manifest consumer
 (``repro doctor``, ``summary_from_manifest``, ``materialize_manifest``).
+A worker that dies or fails surfaces as :class:`ParallelSimulationError`
+naming its region, and no merged manifest is written.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import multiprocessing
 import os
 import tempfile
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -94,7 +62,6 @@ from repro.simkernel.engine import Simulator, hold
 __all__ = [
     "PARALLEL_SCHEDULER",
     "PATTERNS",
-    "SYNC_MODES",
     "TRAFFIC_KIND",
     "ParallelRunResult",
     "ParallelSimulationError",
@@ -110,9 +77,6 @@ __all__ = [
 #: The :class:`~repro.core.options.RunOptions` scheduler name this
 #: engine answers to ("calendar"/"heap" select the serial kernels).
 PARALLEL_SCHEDULER = "parallel"
-
-#: Conservative advancement modes (see the module docstring).
-SYNC_MODES = ("barrier", "null")
 
 #: Built-in schedule patterns :meth:`ScheduleTraffic.compile_pattern`
 #: draws inline; any pattern registered in :mod:`repro.mesh.patterns`
@@ -131,7 +95,7 @@ TRAFFIC_KIND = "pattern"
 
 
 class ParallelSimulationError(RuntimeError):
-    """A region worker died or broke the conservative protocol."""
+    """A region worker died or failed."""
 
 
 # ----------------------------------------------------------------------
@@ -255,25 +219,17 @@ class ScheduleTraffic:
                 per_source[src] = entries
         return cls(n, per_source)
 
-    def crossing_pairs(self, partition: MeshPartition) -> Set[Tuple[int, int]]:
-        """Every directed region pair some scheduled message crosses.
-
-        Region chains depend only on the endpoint regions (bands are
-        ordered), so the scan memoizes per region pair rather than per
-        message.
-        """
-        pairs: Set[Tuple[int, int]] = set()
-        chain_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        for src, entries in self.per_source.items():
-            src_region = partition.region_of(src)
-            for _, dst, _, _ in entries:
-                key = (src_region, partition.region_of(dst))
-                chain = chain_cache.get(key)
-                if chain is None:
-                    chain = partition.region_chain(src, dst)
-                    chain_cache[key] = chain
-                pairs.update(zip(chain, chain[1:]))
-        return pairs
+    def crossings(self, partition: MeshPartition) -> List[Tuple[int, int]]:
+        """Every scheduled ``(src, dst)`` whose endpoints lie in
+        different regions of ``partition``, in source then schedule
+        order (empty for a region-local schedule)."""
+        region = [partition.region_of(node) for node in range(self.num_nodes)]
+        return [
+            (src, dst)
+            for src, entries in self.per_source.items()
+            for _, dst, _, _ in entries
+            if region[src] != region[dst]
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -390,222 +346,68 @@ def run_serial_schedule(
 # ----------------------------------------------------------------------
 # region worker (child process)
 # ----------------------------------------------------------------------
-class _CouplerLog:
-    """The region network's log seam: routes pure-local records into
-    the region's spill shard (ids translated back to global) and folds
-    boundary-leg records into their message's cross-region state."""
+class _GlobalIdLog:
+    """The region network's log seam: appends each delivery to the
+    region's spill shard with its endpoints translated back to global
+    node ids."""
 
-    def __init__(self, worker: "_RegionWorker") -> None:
-        self._worker = worker
+    def __init__(self, shard: StreamingNetworkLog, offset: int) -> None:
+        self._shard = shard
+        self._offset = offset
 
     def add(self, record) -> None:
-        self._worker.couple(record)
-
-    def seal(self) -> None:  # run-harness hook parity with NetworkLog
-        self._worker.shard.seal()
-
-
-class _RegionWorker:
-    """One region's simulator, network, spill shard and handoff state."""
-
-    def __init__(
-        self,
-        partition: MeshPartition,
-        region: int,
-        per_source: Dict[int, Sequence[Tuple[float, int, int, int]]],
-        directory: str,
-        stem: str,
-        window: int,
-    ) -> None:
-        self.partition = partition
-        self.region = region
-        self.lookahead = partition.lookahead()
-        self.sim = Simulator(scheduler="calendar")
-        self.shard = StreamingNetworkLog(
-            directory, stem=f"{stem}.r{region:02d}", window=window
+        self._shard.append(
+            record.msg_id,
+            record.src + self._offset,
+            record.dst + self._offset,
+            record.length_bytes,
+            record.kind,
+            record.inject_time,
+            record.start_time,
+            record.deliver_time,
+            record.contention,
+            record.hops,
         )
-        self.net = MeshNetwork(
-            self.sim, partition.region_config(region), log=_CouplerLog(self)
-        )
-        #: In-flight cross-region message state, keyed by msg_id; an
-        #: entry exists exactly while one of the message's legs runs in
-        #: this region's sub-mesh.
-        self.pending: Dict[int, Dict[str, object]] = {}
-        #: Handoffs produced since the last status report.
-        self.outgoing: List[Dict[str, object]] = []
-        for src in sorted(per_source):
-            self.sim.process(
-                self._source(src, per_source[src]), name=f"source-{src}"
-            )
 
-    def _local(self, node: int) -> int:
-        return self.partition.to_local(self.region, node)
 
-    def _source(self, src: int, entries):
-        net = self.net
+def _replay_region(
+    partition: MeshPartition,
+    region: int,
+    per_source: Dict[int, Sequence[Tuple[float, int, int, int]]],
+    directory: str,
+    stem: str,
+    window: int,
+) -> Dict[str, object]:
+    """Replay one region's sources on its sub-mesh to completion and
+    spill its shard; returns the shard manifest and kernel counters."""
+    offset = partition.to_global(region, 0)
+    sim = Simulator(scheduler="calendar")
+    shard = StreamingNetworkLog(directory, stem=f"{stem}.r{region:02d}", window=window)
+    net = MeshNetwork(
+        sim, partition.region_config(region), log=_GlobalIdLog(shard, offset)
+    )
+
+    def source(src: int, entries):
         for gap, dst, length_bytes, msg_id in entries:
             yield hold(gap)
-            legs = self.partition.route_legs(src, dst)
-            if len(legs) == 1:
-                message = NetworkMessage(
-                    src=self._local(src),
-                    dst=self._local(dst),
+            yield from net.transfer(
+                NetworkMessage(
+                    src=src - offset,
+                    dst=dst - offset,
                     length_bytes=length_bytes,
                     kind=TRAFFIC_KIND,
                     msg_id=msg_id,
                 )
-                yield from net.transfer(message)
-                continue
-            # Cross-region: run the first leg here, then hand off.  The
-            # closed loop waits on the *leg* delivery (the source cannot
-            # observe the remote tail without coupling the regions).
-            self.pending[msg_id] = {
-                "msg_id": msg_id,
-                "src": src,
-                "dst": dst,
-                "length_bytes": length_bytes,
-                "kind": TRAFFIC_KIND,
-                "inject_time": None,
-                "start_time": None,
-                "contention": 0.0,
-                "hops": 0,
-                "leg": 0,
-                "legs": legs,
-            }
-            _, leg_src, leg_dst = legs[0]
-            message = NetworkMessage(
-                src=self._local(leg_src),
-                dst=self._local(leg_dst),
-                length_bytes=length_bytes,
-                kind=TRAFFIC_KIND,
-                msg_id=msg_id,
             )
-            yield from net.transfer(message)
 
-    def couple(self, record) -> None:
-        """Fold one delivered leg record into shard or handoff state."""
-        meta = self.pending.pop(record.msg_id, None)
-        if meta is None:
-            # Pure-local message: log it verbatim with global ids.
-            offset = self.partition.to_global(self.region, 0)
-            self.shard.append(
-                record.msg_id,
-                record.src + offset,
-                record.dst + offset,
-                record.length_bytes,
-                record.kind,
-                record.inject_time,
-                record.start_time,
-                record.deliver_time,
-                record.contention,
-                record.hops,
-            )
-            return
-        if meta["inject_time"] is None:
-            # First leg: the record's injection/start times are the
-            # message's true origin times.
-            meta["inject_time"] = record.inject_time
-            meta["start_time"] = record.start_time
-        meta["contention"] = float(meta["contention"]) + record.contention
-        meta["hops"] = int(meta["hops"]) + record.hops
-        legs = meta["legs"]
-        leg = int(meta["leg"])
-        if leg == len(legs) - 1:
-            self.shard.append(
-                int(meta["msg_id"]),
-                int(meta["src"]),
-                int(meta["dst"]),
-                int(meta["length_bytes"]),
-                str(meta["kind"]),
-                float(meta["inject_time"]),
-                float(meta["start_time"]),
-                record.deliver_time,
-                float(meta["contention"]),
-                int(meta["hops"]),
-            )
-            return
-        # The boundary channel between this leg and the next is not
-        # simulated by either region: count its hop here and charge its
-        # latency as the lookahead on the arrival time.
-        self.outgoing.append(
-            {
-                "msg_id": int(meta["msg_id"]),
-                "src": int(meta["src"]),
-                "dst": int(meta["dst"]),
-                "length_bytes": int(meta["length_bytes"]),
-                "kind": str(meta["kind"]),
-                "inject_time": float(meta["inject_time"]),
-                "start_time": float(meta["start_time"]),
-                "contention": float(meta["contention"]),
-                "hops": int(meta["hops"]) + 1,
-                "leg": leg + 1,
-                "region": legs[leg + 1][0],
-                "arrival": record.deliver_time + self.lookahead,
-            }
-        )
-
-    def _admit(self, handoff: Dict[str, object]) -> None:
-        """Start a handed-off message's next leg in this region."""
-        legs = self.partition.route_legs(int(handoff["src"]), int(handoff["dst"]))
-        leg = int(handoff["leg"])
-        meta = dict(handoff)
-        meta.pop("arrival", None)
-        meta.pop("region", None)
-        meta["legs"] = legs
-        self.pending[int(handoff["msg_id"])] = meta
-        _, leg_src, leg_dst = legs[leg]
-        self.net.inject(
-            NetworkMessage(
-                src=self._local(leg_src),
-                dst=self._local(leg_dst),
-                length_bytes=int(handoff["length_bytes"]),
-                kind=str(handoff["kind"]),
-                msg_id=int(handoff["msg_id"]),
-            )
-        )
-
-    def _status(self) -> Dict[str, object]:
-        outgoing, self.outgoing = self.outgoing, []
-        return {
-            "clock": self.sim.now,
-            "next": self.sim._sched.peek_time(),
-            "outgoing": outgoing,
-        }
-
-    def serve(self, conn) -> None:
-        """The worker protocol loop (see :func:`run_parallel_mesh`)."""
-        conn.send(("status", self._status()))
-        while True:
-            kind, payload = conn.recv()
-            if kind == "advance":
-                horizon, handoffs = payload
-                for handoff in sorted(
-                    handoffs, key=lambda h: (h["arrival"], h["msg_id"])
-                ):
-                    delay = float(handoff["arrival"]) - self.sim.now
-                    self.sim.schedule(
-                        max(delay, 0.0),
-                        (lambda h=handoff: self._admit(h)),
-                    )
-                self.sim.run(until=horizon)
-                conn.send(("status", self._status()))
-            elif kind == "finish":
-                manifest = self.shard.finalize()
-                conn.send(
-                    (
-                        "result",
-                        {
-                            "region": self.region,
-                            "manifest": manifest,
-                            "records": len(self.shard),
-                            "clock": self.sim.now,
-                            "events_fired": self.sim.events_fired,
-                        },
-                    )
-                )
-                return
-            else:  # pragma: no cover - coordinator never sends others
-                raise ParallelSimulationError(f"unknown command {kind!r}")
+    for src in sorted(per_source):
+        sim.process(source(src, per_source[src]), name=f"source-{src}")
+    sim.run(check_stall=True)
+    return {
+        "manifest": shard.finalize(),
+        "clock": sim.now,
+        "events_fired": sim.events_fired,
+    }
 
 
 def _region_worker_main(
@@ -617,14 +419,15 @@ def _region_worker_main(
     stem: str,
     window: int,
 ) -> None:
-    """Child-process entry point (module-level for spawn picklability)."""
+    """Child-process entry point (module-level for spawn picklability):
+    replays the region and sends one ``result`` or ``error`` reply."""
     try:
-        worker = _RegionWorker(partition, region, per_source, directory, stem, window)
-        worker.serve(conn)
-    except BaseException:
+        result = _replay_region(partition, region, per_source, directory, stem, window)
+        conn.send(("result", result))
+    except Exception:
         try:
             conn.send(("error", traceback.format_exc()))
-        except Exception:  # pragma: no cover - parent already gone
+        except OSError:  # pragma: no cover - parent already gone
             pass
     finally:
         conn.close()
@@ -635,7 +438,7 @@ def _region_worker_main(
 # ----------------------------------------------------------------------
 @dataclass
 class ParallelRunResult:
-    """One parallel run: the merged manifest plus protocol counters."""
+    """One parallel run: the merged manifest plus kernel counters."""
 
     manifest_path: str
     directory: str
@@ -643,11 +446,8 @@ class ParallelRunResult:
     records: int
     clock: float
     events_fired: int
-    rounds: int
     regions: int
     active_regions: Tuple[int, ...]
-    sync: str
-    lookahead: float
     region_manifests: Tuple[str, ...]
 
     def merged_log(self) -> NetworkLog:
@@ -655,72 +455,42 @@ class ParallelRunResult:
         return canonical_order(materialize_manifest(self.manifest_path))
 
 
-def _horizons(
-    sync: str,
-    active: Sequence[int],
-    eff_next: Dict[int, Optional[float]],
-    senders_of: Dict[int, Set[int]],
-    lookahead: float,
-) -> Dict[int, float]:
-    """Per-region safe horizons for one round (inf = run to drain)."""
-    inf = math.inf
-    if sync == "barrier":
-        finite = [t for t in eff_next.values() if t is not None]
-        gvt = min(finite)
-        return {r: (gvt + lookahead if senders_of[r] else inf) for r in active}
-    # null: relax earliest-possible-event times over the channel graph
-    # (Bellman-Ford; positive lookahead means |V|-1 sweeps suffice).
-    earliest = {
-        r: (eff_next[r] if eff_next[r] is not None else inf) for r in active
-    }
-    edges = [(s, r) for r in active for s in senders_of[r]]
-    for _ in range(max(len(active) - 1, 1)):
-        changed = False
-        for s, r in edges:
-            candidate = earliest[s] + lookahead
-            if candidate < earliest[r]:
-                earliest[r] = candidate
-                changed = True
-        if not changed:
-            break
-    return {
-        r: (
-            min(earliest[s] for s in senders_of[r]) + lookahead
-            if senders_of[r]
-            else inf
-        )
-        for r in active
-    }
-
-
 def run_parallel_mesh(
     config: MeshConfig,
     traffic: ScheduleTraffic,
     regions: int = 2,
-    sync: str = "barrier",
     directory: Optional[str] = None,
     stem: str = "netlog",
     window: int = DEFAULT_WINDOW,
-    max_rounds: Optional[int] = None,
 ) -> ParallelRunResult:
-    """Replay ``traffic`` on ``regions`` conservative worker processes.
+    """Replay a region-local ``traffic`` on ``regions`` worker processes.
 
     Returns a :class:`ParallelRunResult` whose ``manifest_path`` names
     a merged ``netlog-spill`` manifest covering every region's spill
     segments (written into ``directory``, a fresh temporary directory
-    when omitted).  Raises :class:`ParallelSimulationError` if a worker
-    dies, and ``ValueError`` for an unknown sync mode, a partition the
-    mesh does not admit, or zero lookahead.
+    when omitted).  Raises ``ValueError`` before any worker starts for
+    a schedule with a message that crosses a region boundary, a
+    partition the mesh does not admit, or traffic drawn for another
+    mesh size; raises :class:`ParallelSimulationError` if a worker
+    dies or fails.
     """
-    if sync not in SYNC_MODES:
-        raise ValueError(f"unknown sync mode {sync!r}; expected one of {SYNC_MODES}")
     if traffic.num_nodes != config.num_nodes:
         raise ValueError(
             f"traffic drawn for {traffic.num_nodes} nodes, mesh has "
             f"{config.num_nodes}"
         )
     partition = slice_partition(config, regions)
-    lookahead = partition.lookahead()
+    crossings = traffic.crossings(partition)
+    if crossings:
+        src, dst = crossings[0]
+        raise ValueError(
+            f"{len(crossings)} of {traffic.message_count} scheduled messages "
+            f"cross a region boundary (first: node {src} in region "
+            f"{partition.region_of(src)} -> node {dst} in region "
+            f"{partition.region_of(dst)}); the parallel scheduler replays only "
+            f"region-local schedules, replay this one on the serial calendar "
+            f"scheduler instead"
+        )
     if directory is None:
         directory = tempfile.mkdtemp(prefix="repro-parallel-")
     active = tuple(
@@ -731,18 +501,15 @@ def run_parallel_mesh(
     }
     for src, entries in traffic.per_source.items():
         per_region[partition.region_of(src)][src] = entries
-    senders_of: Dict[int, Set[int]] = {r: set() for r in active}
-    for s, r in traffic.crossing_pairs(partition):
-        senders_of[r].add(s)
 
     mp_methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in mp_methods else "spawn")
     conns: Dict[int, object] = {}
     procs: Dict[int, object] = {}
-    rounds = 0
+    results: Dict[int, Dict[str, object]] = {}
     try:
         for r in active:
-            parent_conn, child_conn = ctx.Pipe()
+            parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_region_worker_main,
                 args=(child_conn, partition, r, per_region[r], directory, stem, window),
@@ -754,80 +521,32 @@ def run_parallel_mesh(
             conns[r] = parent_conn
             procs[r] = proc
 
-        def recv(r: int):
-            try:
-                kind, payload = conns[r].recv()
-            except EOFError:
-                raise ParallelSimulationError(
-                    f"region {r} worker exited without a reply"
-                ) from None
-            if kind == "error":
-                raise ParallelSimulationError(
-                    f"region {r} worker failed:\n{payload}"
-                )
-            return kind, payload
-
-        statuses = {r: recv(r)[1] for r in active}
-        buffered: Dict[int, List[Dict[str, object]]] = {r: [] for r in active}
-        while True:
-            for r in active:
-                for handoff in statuses[r]["outgoing"]:
-                    target = int(handoff["region"])
-                    if float(handoff["arrival"]) < statuses[target]["clock"]:
-                        raise ParallelSimulationError(
-                            f"conservative invariant violated: handoff "
-                            f"msg_id={handoff['msg_id']} arrives at "
-                            f"{handoff['arrival']} inside region {target}'s "
-                            f"past (clock {statuses[target]['clock']})"
-                        )
-                    buffered[target].append(handoff)
-            eff_next: Dict[int, Optional[float]] = {}
-            for r in active:
-                times = [
-                    t
-                    for t in [statuses[r]["next"]]
-                    + [float(h["arrival"]) for h in buffered[r]]
-                    if t is not None
-                ]
-                eff_next[r] = min(times) if times else None
-            if all(t is None for t in eff_next.values()):
-                break
-            rounds += 1
-            if max_rounds is not None and rounds > max_rounds:
-                raise ParallelSimulationError(
-                    f"parallel run exceeded {max_rounds} synchronization rounds"
-                )
-            horizons = _horizons(sync, active, eff_next, senders_of, lookahead)
-            for r in active:
-                horizon = horizons[r]
-                conns[r].send(
-                    (
-                        "advance",
-                        (
-                            None if math.isinf(horizon) else horizon,
-                            buffered[r],
-                        ),
+        # Take replies in completion order, so a dead worker is named
+        # as soon as its pipe closes rather than after its neighbours.
+        waiting = {conns[r]: r for r in active}
+        while waiting:
+            for conn in wait(list(waiting)):
+                r = waiting.pop(conn)
+                try:
+                    kind, payload = conn.recv()
+                except EOFError:
+                    procs[r].join(timeout=5.0)
+                    raise ParallelSimulationError(
+                        f"region {r} worker exited without a reply "
+                        f"(exit code {procs[r].exitcode})"
+                    ) from None
+                if kind == "error":
+                    raise ParallelSimulationError(
+                        f"region {r} worker failed:\n{payload}"
                     )
-                )
-                buffered[r] = []
-            for r in active:
-                statuses[r] = recv(r)[1]
-
-        results: Dict[int, Dict[str, object]] = {}
-        for r in active:
-            conns[r].send(("finish", None))
-        for r in active:
-            results[r] = recv(r)[1]
+                results[r] = payload
         for r in active:
             procs[r].join()
     finally:
         for conn in conns.values():
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            conn.close()
         for proc in procs.values():
-            if proc.is_alive():  # pragma: no cover - only on error paths
+            if proc.is_alive():  # only on error paths
                 proc.terminate()
                 proc.join()
 
@@ -857,10 +576,7 @@ def run_parallel_mesh(
         "parallel": {
             "regions": partition.num_regions,
             "active_regions": list(active),
-            "sync": sync,
             "partitioner": "slice",
-            "lookahead": lookahead,
-            "rounds": rounds,
             "region_manifests": [os.path.basename(p) for p in region_manifests],
         },
     }
@@ -872,10 +588,7 @@ def run_parallel_mesh(
         records=records,
         clock=max((float(results[r]["clock"]) for r in active), default=0.0),
         events_fired=sum(int(results[r]["events_fired"]) for r in active),
-        rounds=rounds,
         regions=partition.num_regions,
         active_regions=active,
-        sync=sync,
-        lookahead=lookahead,
         region_manifests=tuple(region_manifests),
     )

@@ -216,11 +216,12 @@ def _execute_pattern_cell(
     """Execute a synthetic-pattern cell; returns a run-report dict.
 
     Builds the cell's pattern against its mesh (dims-aware for
-    mesh/torus specs) and drives it open-loop with per-source Poisson
-    sources; ``rate_scale`` scales the offered load by shrinking the
-    mean inter-injection gap.  The report uses the pattern name as both
-    ``app`` and ``strategy`` axis values, so topology x pattern x load
-    comparison tables line up with application rows.
+    mesh/torus specs) and drives it with closed-loop per-source Poisson
+    sources under the cell's run options; ``rate_scale`` scales the
+    offered load by shrinking the mean inter-injection gap.  The report
+    uses the pattern name as both ``app`` and ``strategy`` axis values,
+    so topology x pattern x load comparison tables line up with
+    application rows.
     """
     from repro.mesh.patterns import drive_pattern, pattern_for_config
 
@@ -237,6 +238,7 @@ def _execute_pattern_cell(
         messages_per_source=spec.messages_per_source,
         mean_gap=mean_gap,
         seed=cell_seed,
+        options=spec.options,
     )
     stats = log.summary()
     report = report_from_summary(

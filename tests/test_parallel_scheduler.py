@@ -1,28 +1,28 @@
-"""Tests for the conservative parallel mesh scheduler.
+"""Tests for the parallel region-replay mesh scheduler.
 
 Extends the cross-scheduler equivalence suite (calendar vs heap in
 ``test_scheduler_equivalence.py``) to the ``parallel`` scheduler: the
 merged per-region netlog must be bit-identical to the serial calendar
-run for boundary-free traffic, and exactly conservative (counts,
-bytes, routes) for traffic that crosses regions.  Also covers the
-partition geometry, the options/CLI seam, and the merged-manifest
-contract every existing spill consumer relies on.
+run for region-local traffic (within one row, or between the rows of
+one band), and a schedule with any message crossing a region boundary
+must be rejected before a worker starts.  Also covers the partition
+geometry, a region worker's death, the options/CLI seam, and the
+merged-manifest contract every existing spill consumer relies on.
 """
 
 from __future__ import annotations
 
-import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RunOptions, run_pattern
-from repro.core.options import (
-    PARALLEL_SCHEDULER,
-    PARALLEL_SYNC_MODES,
-    RUN_SCHEDULERS,
-)
+from repro.core.options import PARALLEL_SCHEDULER, RUN_SCHEDULERS
 from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetworkLog
 from repro.mesh.netlog_stream import (
@@ -33,12 +33,12 @@ from repro.mesh.netlog_stream import (
 )
 from repro.mesh.partition import MeshPartition, slice_partition
 from repro.simkernel import SCHEDULERS
+from repro.simkernel import engine_parallel
 from repro.simkernel.engine_parallel import (
-    SYNC_MODES,
     ParallelRunResult,
+    ParallelSimulationError,
     ScheduleTraffic,
     SerialRunResult,
-    canonical_order,
     logs_bit_identical,
     run_parallel_mesh,
     run_serial_schedule,
@@ -58,6 +58,29 @@ def uniform_traffic(config, messages=8, seed=7):
     return ScheduleTraffic.compile_pattern(
         config, pattern="uniform", messages_per_source=messages, seed=seed
     )
+
+
+def band_traffic(config, messages=10, seed=7):
+    """Every message goes to the other row of its source's two-row
+    band (rows 0 <-> 1, 2 <-> 3, ...): it crosses a row but never a
+    2-region band boundary of a 4-row mesh."""
+    width = config.spec.dims[0]
+    rng = np.random.default_rng(seed)
+    per_source = {}
+    for src in range(config.num_nodes):
+        y = src // width
+        other_row = y + 1 if y % 2 == 0 else y - 1
+        per_source[src] = [
+            (float(rng.exponential(10.0)),
+             other_row * width + int(rng.integers(width)),
+             64,
+             src * 1_000_000 + i)
+            for i in range(messages)
+        ]
+    return ScheduleTraffic(config.num_nodes, per_source)
+
+
+SCHEDULES = {"rows": local_traffic, "band": band_traffic}
 
 
 # ----------------------------------------------------------------------
@@ -128,44 +151,6 @@ class TestIdAlgebra:
         assert sub.channel_time == 2.5
 
 
-class TestRouteLegs:
-    def test_same_region_is_one_leg(self):
-        part = slice_partition(MeshConfig("4x4"), 2)
-        assert part.route_legs(0, 5) == [(0, 0, 5)]
-
-    def test_crossing_exits_on_the_destination_column(self):
-        part = slice_partition(MeshConfig("4x4"), 2)
-        # 1 (row 0) -> 14 (row 3, column 2): XY corrects X in row 0,
-        # so region 0's leg ends at row 1 column 2 (node 6).
-        assert part.route_legs(1, 14) == [(0, 1, 6), (1, 10, 14)]
-
-    def test_upward_route_reverses_the_chain(self):
-        part = slice_partition(MeshConfig("4x4"), 2)
-        assert part.route_legs(14, 1) == [(1, 14, 9), (0, 5, 1)]
-
-    def test_three_region_chain(self):
-        part = slice_partition(MeshConfig("2x6"), 3)
-        legs = part.route_legs(0, 11)  # row 0 -> row 5, column 1
-        assert [leg[0] for leg in legs] == [0, 1, 2]
-        assert part.region_chain(0, 11) == (0, 1, 2)
-        # Legs chain across adjacent rows of the destination column,
-        # and the omitted boundary channels make up the hop difference.
-        leg_hops = sum(
-            abs(a % 2 - b % 2) + abs(a // 2 - b // 2) for _, a, b in legs
-        )
-        manhattan = 1 + 5
-        assert leg_hops + (len(legs) - 1) == manhattan
-
-    def test_lookahead_is_the_boundary_channel_latency(self):
-        config = MeshConfig("4x4", routing_time=1.5, channel_time=0.5)
-        assert slice_partition(config, 2).lookahead() == 2.0
-
-    def test_zero_lookahead_is_rejected(self):
-        config = MeshConfig("4x4", routing_time=0.0, channel_time=0.0)
-        with pytest.raises(ValueError, match="positive inter-region"):
-            slice_partition(config, 2).lookahead()
-
-
 # ----------------------------------------------------------------------
 # pre-drawn traffic
 # ----------------------------------------------------------------------
@@ -180,12 +165,15 @@ class TestScheduleTraffic:
     def test_local_pattern_never_crosses_a_row_sliced_boundary(self):
         config = MeshConfig("4x4")
         part = slice_partition(config, 4)
-        assert local_traffic(config).crossing_pairs(part) == set()
+        assert local_traffic(config).crossings(part) == []
 
     def test_uniform_pattern_crosses_boundaries(self):
         config = MeshConfig("4x4")
         part = slice_partition(config, 2)
-        assert uniform_traffic(config).crossing_pairs(part)
+        crossings = uniform_traffic(config).crossings(part)
+        assert crossings
+        for src, dst in crossings:
+            assert part.region_of(src) != part.region_of(dst)
 
     def test_compile_is_deterministic_per_seed(self):
         config = MeshConfig("4x4")
@@ -213,24 +201,21 @@ class TestScheduleTraffic:
 # serial vs parallel equivalence
 # ----------------------------------------------------------------------
 class TestParallelBitIdentity:
-    @pytest.mark.parametrize("regions", [2, 4])
-    @pytest.mark.parametrize("sync", SYNC_MODES)
-    def test_row_local_traffic_is_bit_identical(self, tmp_path, regions, sync):
+    @pytest.mark.parametrize(
+        "schedule, regions", [("rows", 2), ("rows", 4), ("band", 2)]
+    )
+    def test_local_traffic_is_bit_identical(self, tmp_path, schedule, regions):
         config = MeshConfig("4x4")
-        traffic = local_traffic(config)
+        traffic = SCHEDULES[schedule](config)
         serial = run_serial_schedule(config, traffic, scheduler="calendar")
         parallel = run_parallel_mesh(
             config,
             traffic,
             regions=regions,
-            sync=sync,
-            directory=str(tmp_path / f"{sync}{regions}"),
+            directory=str(tmp_path / f"{schedule}{regions}"),
         )
         assert parallel.records == len(serial.log)
         assert logs_bit_identical(serial.log, parallel.merged_log())
-        # No scheduled message crosses a region boundary, so every
-        # worker drains its whole queue in the first round.
-        assert parallel.rounds == 1
 
     def test_empty_regions_idle_without_breaking_identity(self, tmp_path):
         config = MeshConfig("4x2")
@@ -254,7 +239,7 @@ class TestParallelBitIdentity:
 
     def test_matches_the_heap_oracle_too(self, tmp_path):
         # Transitivity check on the whole equivalence suite: parallel
-        # == calendar == heap on boundary-free traffic.
+        # == calendar == heap on region-local traffic.
         config = MeshConfig("4x4")
         traffic = local_traffic(config)
         heap = run_serial_schedule(config, traffic, scheduler="heap")
@@ -262,65 +247,50 @@ class TestParallelBitIdentity:
         assert logs_bit_identical(heap.log, parallel.merged_log())
 
 
-class TestCrossRegionConservation:
-    @pytest.mark.parametrize("sync", SYNC_MODES)
-    def test_uniform_traffic_is_exactly_conserved(self, tmp_path, sync):
+class TestCrossingSchedulesRejected:
+    def test_uniform_traffic_is_rejected_before_forking(
+        self, tmp_path, monkeypatch
+    ):
         config = MeshConfig("4x4")
         traffic = uniform_traffic(config)
-        serial = run_serial_schedule(config, traffic, scheduler="calendar")
-        parallel = run_parallel_mesh(
-            config, traffic, regions=2, sync=sync, directory=str(tmp_path)
-        )
-        merged = parallel.merged_log()
-        assert len(merged) == len(serial.log) == traffic.message_count
+        crossings = traffic.crossings(slice_partition(config, 2))
 
-        scols, _ = canonical_order(serial.log).columns()
-        pcols, _ = merged.columns()
-        serial_by_id = dict(zip(scols["msg_id"], zip(scols["src"], scols["dst"],
-                                                     scols["length_bytes"],
-                                                     scols["hops"])))
-        parallel_by_id = dict(zip(pcols["msg_id"], zip(pcols["src"], pcols["dst"],
-                                                       pcols["length_bytes"],
-                                                       pcols["hops"])))
-        # Same messages, same endpoints, same payloads, same route
-        # lengths (each omitted boundary channel is charged one hop).
-        assert serial_by_id == parallel_by_id
-        assert np.all(pcols["deliver_time"] >= pcols["inject_time"])
-        assert np.all(pcols["start_time"] >= pcols["inject_time"])
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a region worker was started")
 
-        serial_summary = StreamingSummary.from_log(serial.log)
-        assert np.array_equal(parallel.summary.count_matrix,
-                              serial_summary.count_matrix)
-        assert np.array_equal(parallel.summary.volume_matrix,
-                              serial_summary.volume_matrix)
-        assert parallel.summary.total_bytes == serial_summary.total_bytes
+        monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+        spill = tmp_path / "never"
+        src, dst = crossings[0]
+        with pytest.raises(ValueError) as caught:
+            run_parallel_mesh(config, traffic, regions=2, directory=str(spill))
+        message = str(caught.value)
+        assert (
+            f"{len(crossings)} of {traffic.message_count} scheduled messages "
+            f"cross a region boundary (first: node {src} in region 0 -> "
+            f"node {dst} in region 1)"
+        ) in message
+        assert "serial calendar scheduler" in message
+        assert not spill.exists()
 
-    def test_null_mode_outpaces_the_barrier(self, tmp_path):
-        # Per-region null-message horizons must never need *more*
-        # rounds than the single global barrier horizon.
-        config = MeshConfig("4x4")
-        traffic = uniform_traffic(config)
-        barrier = run_parallel_mesh(
-            config, traffic, regions=2, sync="barrier",
-            directory=str(tmp_path / "b"),
+    def test_drive_exits_2_on_a_crossing_pattern(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spill = tmp_path / "pmesh"
+        rc = main(
+            [
+                "drive", "--mesh", "4x4", "--pattern", "uniform",
+                "--messages", "4", "--scheduler", "parallel",
+                "--regions", "2", "--log-spill", str(spill),
+            ]
         )
-        null = run_parallel_mesh(
-            config, traffic, regions=2, sync="null",
-            directory=str(tmp_path / "n"),
-        )
-        assert null.rounds <= barrier.rounds
-        assert logs_bit_identical(barrier.merged_log(), null.merged_log())
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cross a region boundary" in err
+        assert "serial calendar scheduler" in err
+        assert not spill.exists()
 
 
 class TestParallelValidation:
-    def test_unknown_sync_mode(self, tmp_path):
-        config = MeshConfig("4x2")
-        with pytest.raises(ValueError, match="unknown sync mode"):
-            run_parallel_mesh(
-                config, local_traffic(config), sync="optimistic",
-                directory=str(tmp_path),
-            )
-
     def test_traffic_mesh_size_mismatch(self, tmp_path):
         traffic = local_traffic(MeshConfig("4x4"))
         with pytest.raises(ValueError, match="traffic drawn for 16 nodes"):
@@ -328,12 +298,33 @@ class TestParallelValidation:
                 MeshConfig("4x2"), traffic, directory=str(tmp_path)
             )
 
-    def test_zero_lookahead_is_rejected_up_front(self, tmp_path):
-        config = MeshConfig("4x2", routing_time=0.0, channel_time=0.0)
-        with pytest.raises(ValueError, match="positive inter-region"):
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched replay reaches the worker only through fork",
+)
+class TestRegionWorkerDeath:
+    def test_killed_worker_is_named_promptly(self, tmp_path, monkeypatch):
+        replay = engine_parallel._replay_region
+
+        def replay_or_die(partition, region, *args):
+            if region == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return replay(partition, region, *args)
+
+        monkeypatch.setattr(engine_parallel, "_replay_region", replay_or_die)
+        config = MeshConfig("4x4")
+        started = time.monotonic()
+        with pytest.raises(
+            ParallelSimulationError,
+            match=r"region 1 worker exited without a reply \(exit code -9\)",
+        ):
             run_parallel_mesh(
-                config, local_traffic(config), directory=str(tmp_path)
+                config, local_traffic(config), regions=2, directory=str(tmp_path)
             )
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "netlog.manifest.json").exists()
 
 
 # ----------------------------------------------------------------------
@@ -342,15 +333,20 @@ class TestParallelValidation:
 class TestMergedManifest:
     def test_manifest_readable_by_every_spill_consumer(self, tmp_path):
         config = MeshConfig("4x4")
-        traffic = uniform_traffic(config)
+        traffic = local_traffic(config)
         parallel = run_parallel_mesh(
             config, traffic, regions=2, directory=str(tmp_path)
         )
         doc = read_manifest(parallel.manifest_path)
         assert doc["records"] == traffic.message_count
-        assert doc["parallel"]["active_regions"] == [0, 1]
-        assert doc["parallel"]["lookahead"] == parallel.lookahead
-        assert doc["parallel"]["rounds"] == parallel.rounds
+        assert doc["parallel"] == {
+            "regions": 2,
+            "active_regions": [0, 1],
+            "partitioner": "slice",
+            "region_manifests": [
+                os.path.basename(p) for p in parallel.region_manifests
+            ],
+        }
         assert len(doc["parallel"]["region_manifests"]) == 2
 
         assert len(materialize_manifest(parallel.manifest_path)) == doc["records"]
@@ -362,7 +358,7 @@ class TestMergedManifest:
 
         config = MeshConfig("4x2")
         parallel = run_parallel_mesh(
-            config, uniform_traffic(config), directory=str(tmp_path)
+            config, local_traffic(config), directory=str(tmp_path)
         )
         assert main(["doctor", parallel.manifest_path]) == 0
         assert "healthy" in capsys.readouterr().out
@@ -374,24 +370,20 @@ class TestMergedManifest:
 class TestParallelOptions:
     def test_constants_agree_across_layers(self):
         assert PARALLEL_SCHEDULER == ENGINE_PARALLEL_SCHEDULER
-        assert PARALLEL_SYNC_MODES == SYNC_MODES
         assert RUN_SCHEDULERS == SCHEDULERS + (PARALLEL_SCHEDULER,)
 
     def test_parallel_scheduler_is_accepted(self):
-        options = RunOptions(scheduler="parallel", parallel_regions=4,
-                             parallel_sync="null")
+        options = RunOptions(scheduler="parallel", parallel_regions=4)
         assert options.kernel_scheduler == "calendar"
         assert RunOptions(scheduler="heap").kernel_scheduler == "heap"
 
     def test_parallel_knobs_are_validated(self):
         with pytest.raises(ValueError, match="parallel_regions"):
             RunOptions(scheduler="parallel", parallel_regions=0)
-        with pytest.raises(ValueError, match="parallel_sync"):
-            RunOptions(scheduler="parallel", parallel_sync="optimistic")
 
     def test_unset_parallel_fields_keep_cache_keys_stable(self):
         doc = RunOptions().as_dict()
-        assert "parallel_regions" not in doc and "parallel_sync" not in doc
+        assert "parallel_regions" not in doc
         doc = RunOptions(scheduler="parallel", parallel_regions=2).as_dict()
         assert doc["parallel_regions"] == 2
 

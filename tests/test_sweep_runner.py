@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.core.options import RunOptions
 from repro.sweep import (
     ResultCache,
     SweepResult,
@@ -184,6 +185,18 @@ class TestFailureIsolation:
         result = run_sweep(grid, jobs=1, retries=2, backoff=0.01,
                            cell_fn=_raise_on_is)
         assert all(row["attempts"] == 3 for row in result.failures)
+
+    def test_pattern_cells_apply_their_run_options(self):
+        # A one-event no-progress watchdog stalls every simulating cell
+        # at t=0, whether an application or a pattern drives the mesh.
+        grid = tiny_grid(
+            rate_scales=(1.0,),
+            patterns=("uniform",),
+            options=RunOptions(max_no_progress_events=1),
+        )
+        result = run_sweep(grid, jobs=1, retries=0)
+        statuses = {row["cell"]["app"]: row["status"] for row in result.rows}
+        assert statuses == {"1d-fft": "stall", "uniform": "stall"}
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
