@@ -221,8 +221,8 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         run.log.write_csv(args.log_csv)
         print(f"\nactivity log written to {args.log_csv}")
     if args.log_npz:
-        run.log.write_npz(args.log_npz)
-        print(f"\nactivity log written to {args.log_npz} (columnar npz)")
+        written = run.log.write_npz(args.log_npz)
+        print(f"\nactivity log written to {written} (columnar npz)")
     if args.metrics:
         run.registry.write_json(
             args.metrics,
@@ -758,7 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     characterize.add_argument(
         "--log-npz", default=None,
-        help="write the activity log here as columnar .npz (fast binary)",
+        help="write the activity log here as columnar .npz (fast binary; "
+        ".npz is appended when missing)",
     )
     characterize.add_argument(
         "--log-spill", default=None, metavar="DIR",

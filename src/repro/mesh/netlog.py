@@ -39,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import gzip
+import os
 import zipfile
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -112,6 +113,46 @@ class NetLogRecord:
         return self.deliver_time - self.start_time
 
 
+_new_object = object.__new__
+
+
+def make_record(
+    msg_id: int,
+    src: int,
+    dst: int,
+    length_bytes: int,
+    kind: str,
+    inject_time: float,
+    start_time: float,
+    deliver_time: float,
+    contention: float,
+    hops: int,
+) -> NetLogRecord:
+    """Build a :class:`NetLogRecord` without running its frozen-dataclass
+    ``__init__``, which pays one ``object.__setattr__`` call per field.
+
+    Fills the instance ``__dict__`` in field order, which is all that
+    ``__init__`` leaves behind, so the record is indistinguishable from
+    a constructed one: ``==``, ``hash``, ``repr``, pickled bytes,
+    ``vars()`` order and :class:`dataclasses.FrozenInstanceError` on
+    assignment are the same.  Values are stored as given.  Every record
+    the network and the log views build comes from here.
+    """
+    record = _new_object(NetLogRecord)
+    fields_ = record.__dict__
+    fields_["msg_id"] = msg_id
+    fields_["src"] = src
+    fields_["dst"] = dst
+    fields_["length_bytes"] = length_bytes
+    fields_["kind"] = kind
+    fields_["inject_time"] = inject_time
+    fields_["start_time"] = start_time
+    fields_["deliver_time"] = deliver_time
+    fields_["contention"] = contention
+    fields_["hops"] = hops
+    return record
+
+
 @dataclass(frozen=True)
 class LogSummary:
     """Every scalar summary metric of a log, computed in one pass.
@@ -151,6 +192,12 @@ _CSV_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(NetLogRecord))
 
 #: Index of the ``kind`` column within :data:`_SCHEMA` row tuples.
 _KIND_POS = [name for name, _ in _SCHEMA].index("kind")
+
+#: Deflate level of :meth:`NetworkLog.write_npz` members.  Level 1
+#: writes a 4,096-record spill segment in a bit over half the time of
+#: :func:`numpy.savez_compressed`'s level 6, for about 2% more bytes;
+#: storing uncompressed is faster still but 2.5x larger (DESIGN §5n).
+NPZ_COMPRESSLEVEL = 1
 
 
 class _LogViews:
@@ -208,10 +255,8 @@ class _LogViews:
         if recs is None:
             columns = [self.cols[name].tolist() for name, _ in _SCHEMA]
             vocab = self.kind_vocab
-            recs = tuple(
-                NetLogRecord(m, s, d, length, vocab[code], it, st, dt, cont, hops)
-                for m, s, d, length, code, it, st, dt, cont, hops in zip(*columns)
-            )
+            columns[_KIND_POS] = [vocab[code] for code in columns[_KIND_POS]]
+            recs = tuple(map(make_record, *columns))
             self._records = recs
         return recs
 
@@ -220,17 +265,17 @@ class _LogViews:
         if self._records is not None:
             return self._records[row]
         c = self.cols
-        return NetLogRecord(
-            msg_id=int(c["msg_id"][row]),
-            src=int(c["src"][row]),
-            dst=int(c["dst"][row]),
-            length_bytes=int(c["length_bytes"][row]),
-            kind=self.kind_vocab[int(c["kind"][row])],
-            inject_time=float(c["inject_time"][row]),
-            start_time=float(c["start_time"][row]),
-            deliver_time=float(c["deliver_time"][row]),
-            contention=float(c["contention"][row]),
-            hops=int(c["hops"][row]),
+        return make_record(
+            int(c["msg_id"][row]),
+            int(c["src"][row]),
+            int(c["dst"][row]),
+            int(c["length_bytes"][row]),
+            self.kind_vocab[int(c["kind"][row])],
+            float(c["inject_time"][row]),
+            float(c["start_time"][row]),
+            float(c["deliver_time"][row]),
+            float(c["contention"][row]),
+            int(c["hops"][row]),
         )
 
     def by_source(self, src: int) -> Tuple[NetLogRecord, ...]:
@@ -838,28 +883,44 @@ class NetworkLog:
                     log = cls()
         yield log
 
-    def write_npz(self, path: str) -> None:
-        """Write the sealed columns as a compressed ``.npz``.
+    def write_npz(self, path) -> str:
+        """Write the sealed columns as a compressed ``.npz``; returns the
+        path written.
 
         Binary, exact (floats round-trip bit-identically without a
         decimal detour), and loaded back column-at-a-time by
-        :meth:`read_npz` -- the persistence fast path for sweep-scale
-        logs.  Note :func:`numpy.savez_compressed` appends ``.npz`` to
-        string paths lacking the suffix.
+        :meth:`read_npz` or plain :func:`numpy.load` -- the persistence
+        fast path for sweep-scale logs and the spill segment format.
+        The archive holds the members :func:`numpy.savez_compressed`
+        would write, deflated at :data:`NPZ_COMPRESSLEVEL`.  As with
+        NumPy, a ``str`` or path-like ``path`` lacking the ``.npz``
+        suffix gains it.
         """
         view = self._view()
         vocab = view.kind_vocab
-        arrays = {name: view.cols[name] for name, _ in _SCHEMA}
-        np.savez_compressed(
-            path,
-            schema=np.array([self.NPZ_SCHEMA_VERSION], dtype=np.int64),
-            kind_vocab=(
+        members = {
+            "schema": np.array([self.NPZ_SCHEMA_VERSION], dtype=np.int64),
+            "kind_vocab": (
                 np.asarray(vocab, dtype=np.str_)
                 if vocab
                 else np.empty(0, dtype="U1")
             ),
-            **arrays,
-        )
+        }
+        members.update((name, view.cols[name]) for name, _ in _SCHEMA)
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+        with zipfile.ZipFile(
+            path,
+            "w",
+            compression=zipfile.ZIP_DEFLATED,
+            compresslevel=NPZ_COMPRESSLEVEL,
+            allowZip64=True,
+        ) as archive:
+            for name, array in members.items():
+                with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, array, allow_pickle=False)
+        return path
 
     @classmethod
     def read_npz(cls, path: str) -> "NetworkLog":

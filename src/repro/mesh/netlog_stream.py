@@ -441,6 +441,9 @@ class StreamingNetworkLog:
         self.window = int(window)
         os.makedirs(self.directory, exist_ok=True)
         self._window_log = NetworkLog()
+        # Records in the live window, counted here so an append needs
+        # no ``len()`` of the window log.
+        self._window_fill = 0
         self._partials: List[StreamingSummary] = []
         self._segments: List[Dict[str, object]] = []
         self._spilled_records = 0
@@ -456,7 +459,7 @@ class StreamingNetworkLog:
         return len(self._segments)
 
     def __len__(self) -> int:
-        return self._spilled_records + len(self._window_log)
+        return self._spilled_records + self._window_fill
 
     # ------------------------------------------------------------------
     # collection
@@ -488,12 +491,14 @@ class StreamingNetworkLog:
             hops,
         )
         self._merged_cache = None
-        if len(self._window_log) >= self.window:
+        self._window_fill += 1
+        if self._window_fill >= self.window:
             self._spill()
 
     def add(self, record: NetLogRecord) -> None:
-        """Append one delivered-message record."""
-        self.append(
+        """Append one delivered-message record (the delivery path: one
+        call into the window log, as :meth:`append` makes)."""
+        self._window_log.append(
             record.msg_id,
             record.src,
             record.dst,
@@ -505,6 +510,10 @@ class StreamingNetworkLog:
             record.contention,
             record.hops,
         )
+        self._merged_cache = None
+        self._window_fill += 1
+        if self._window_fill >= self.window:
+            self._spill()
 
     def extend(self, records) -> None:
         """Append many records."""
@@ -522,20 +531,22 @@ class StreamingNetworkLog:
         kind_tags = None if isinstance(kind, str) else np.asarray(kind)
         start = 0
         while start < n:
-            take = min(n - start, self.window - len(self._window_log))
+            take = min(n - start, self.window - self._window_fill)
             stop = start + take
             self._window_log.extend_columns(
                 kind=kind if kind_tags is None else kind_tags[start:stop],
                 **{name: array[start:stop] for name, array in arrays.items()},
             )
             self._merged_cache = None
-            if len(self._window_log) >= self.window:
+            self._window_fill += take
+            if self._window_fill >= self.window:
                 self._spill()
             start = stop
 
     def _spill(self) -> None:
         window_log = self._window_log
-        if len(window_log) == 0:
+        records = self._window_fill
+        if records == 0:
             return
         index = len(self._segments)
         name = f"{self.stem}.part-{index:03d}.npz"
@@ -545,12 +556,13 @@ class StreamingNetworkLog:
         self._segments.append(
             {
                 "path": name,
-                "records": len(window_log),
+                "records": records,
                 "summary": partial.as_dict(),
             }
         )
-        self._spilled_records += len(window_log)
+        self._spilled_records += records
         self._window_log = NetworkLog()
+        self._window_fill = 0
         self._merged_cache = None
 
     def finalize(self) -> str:
@@ -582,7 +594,7 @@ class StreamingNetworkLog:
         merged = self._merged_cache
         if merged is None:
             parts = list(self._partials)
-            if len(self._window_log):
+            if self._window_fill:
                 parts.append(StreamingSummary.from_log(self._window_log))
             merged = StreamingSummary.merged(parts)
             self._merged_cache = merged
@@ -699,7 +711,7 @@ class StreamingNetworkLog:
             yield NetworkLog.read_npz(
                 os.path.join(self.directory, str(entry["path"]))
             )
-        if len(self._window_log):
+        if self._window_fill:
             yield self._window_log
 
     def injection_times(self, src: Optional[int] = None) -> np.ndarray:
@@ -751,10 +763,11 @@ class StreamingNetworkLog:
         an escape hatch with in-memory cost, not the O(window) path)."""
         self.materialize().write_csv(path)
 
-    def write_npz(self, path: str) -> None:
+    def write_npz(self, path) -> str:
         """Export everything as one monolithic npz (via
-        :meth:`materialize`; the segments themselves already are npz)."""
-        self.materialize().write_npz(path)
+        :meth:`materialize`; the segments themselves already are npz).
+        Returns the path written (see :meth:`NetworkLog.write_npz`)."""
+        return self.materialize().write_npz(path)
 
     def materialize(self) -> NetworkLog:
         """Read everything back into one in-memory :class:`NetworkLog`

@@ -14,7 +14,9 @@ Routing is deterministic, so everything a transfer yields except its
 body-flit hold is a function of ``(src, dst, lane)``.  The network
 compiles that sequence once per key into a *transfer plan* (see
 :meth:`MeshNetwork._compile_plan`) over the topology's route table, and
-every later transfer with the same key walks the plan.
+every later transfer with the same key walks the plan.  The body-flit
+hold depends only on the payload length and is compiled once per
+length.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.mesh.config import MeshConfig
-from repro.mesh.netlog import NetLogRecord, NetworkLog
+from repro.mesh.netlog import NetLogRecord, NetworkLog, make_record
 from repro.mesh.packet import NetworkMessage
 from repro.mesh.topology import ROUTE_TABLE_CAP, Hop
 from repro.obs.registry import MetricsRegistry
@@ -112,6 +114,9 @@ class MeshNetwork:
         self._injection_hold = Hold(float(config.injection_time))
         self._ejection_hold = Hold(float(config.ejection_time))
         self._hop_holds: Dict[float, Hold] = {}
+        # Body-flit hold per payload length (None: a single-flit
+        # message has no body); stops growing at the route table's cap.
+        self._body_holds: Dict[int, Optional[Hold]] = {}
         self._lanes = config.virtual_channels
         self._adaptive = config.routing == "adaptive"
         # Compiled transfer plans keyed by (src, dst, free lane); under
@@ -217,7 +222,6 @@ class MeshNetwork:
         if plan is None:
             plan = self._plan_for(message)
         inj_request, steps, ej_request, releases, route = plan
-        cfg = self.config
         simulator = self.simulator
         observed = self._observed
         timeline_on = self.timeline.enabled
@@ -227,7 +231,7 @@ class MeshNetwork:
         if observed:
             self._m_injected.inc()
             self._m_in_flight.set(self._in_flight)
-        inject_time = simulator.now
+        inject_time = simulator._now
         contention = 0.0
         # Facilities granted so far / released so far, both counted in
         # ``releases`` order (source NI, route channels, destination NI).
@@ -240,55 +244,57 @@ class MeshNetwork:
 
         try:
             # Source NI: serializes messages leaving the same node.
-            t0 = simulator.now
             yield inj_request
-            contention += simulator.now - t0
+            start_time = simulator._now
+            contention += start_time - inject_time
             acquired = 1
-            start_time = simulator.now
             yield self._injection_hold
 
             # Head flit walks the compiled route, seizing each channel
             # lane in order and holding its routing + (scaled) channel
             # time.
             for request_cmd, hold_cmd in steps:
-                t0 = simulator.now
+                t0 = simulator._now
                 yield request_cmd
-                hop_wait = simulator.now - t0
+                hop_wait = simulator._now - t0
                 contention += hop_wait
                 if observed:
                     self._m_hop_wait.observe(hop_wait)
                 if timeline_on:
-                    acquire_times.append(simulator.now)
+                    acquire_times.append(simulator._now)
                 acquired += 1
                 yield hold_cmd
 
             # Destination NI.
-            t0 = simulator.now
+            t0 = simulator._now
             yield ej_request
-            contention += simulator.now - t0
+            contention += simulator._now - t0
             acquired += 1
             yield self._ejection_hold
 
             # Body flits stream over the held path (pipelined circuit).
-            flits = cfg.flits_for(message.length_bytes)
-            if flits > 1:
-                yield Hold(float((flits - 1) * cfg.channel_time))
+            try:
+                body_hold = self._body_holds[message.length_bytes]
+            except KeyError:
+                body_hold = self._body_hold(message.length_bytes)
+            if body_hold is not None:
+                yield body_hold
 
             for release_cmd in releases:
                 yield release_cmd
                 released += 1
 
-            record = NetLogRecord(
-                msg_id=message.msg_id,
-                src=message.src,
-                dst=message.dst,
-                length_bytes=message.length_bytes,
-                kind=message.kind,
-                inject_time=inject_time,
-                start_time=start_time,
-                deliver_time=simulator.now,
-                contention=contention,
-                hops=len(route),
+            record = make_record(
+                message.msg_id,
+                message.src,
+                message.dst,
+                message.length_bytes,
+                message.kind,
+                inject_time,
+                start_time,
+                simulator._now,
+                contention,
+                len(route),
             )
             self.log.add(record)
             self._in_flight -= 1
@@ -477,6 +483,18 @@ class MeshNetwork:
             releases.append(release_cmd)
         releases.append(ej_release)
         return (inj_request, tuple(steps), ej_request, tuple(releases), route)
+
+    def _body_hold(self, length_bytes: int) -> Optional[Hold]:
+        """The body-flit hold of a ``length_bytes`` message, or None for
+        a single-flit one: ``(flits - 1) * channel_time``, the same float
+        expression as building it per message.  Stored until the dict
+        reaches the route table's cap."""
+        cfg = self.config
+        flits = cfg.flits_for(length_bytes)
+        body_hold = Hold(float((flits - 1) * cfg.channel_time)) if flits > 1 else None
+        if len(self._body_holds) < ROUTE_TABLE_CAP:
+            self._body_holds[length_bytes] = body_hold
+        return body_hold
 
     # ------------------------------------------------------------------
     # delivery + stats

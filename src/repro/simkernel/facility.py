@@ -116,7 +116,9 @@ class Facility:
     # statistics
     # ------------------------------------------------------------------
     def _integrate(self) -> None:
-        now = self.simulator.now
+        # The clock attribute, not the ``now`` property, here and in
+        # the request/release hooks: they run on every grant.
+        now = self.simulator._now
         span = now - self._last_change
         if span > 0:
             self._busy_integral += span * self._busy
@@ -168,7 +170,7 @@ class Facility:
             self.simulator._schedule_step(proc, None, delay=0.0)
         else:
             self.total_queued += 1
-            self._enqueue_times[id(proc)] = self.simulator.now
+            self._enqueue_times[id(proc)] = self.simulator._now
             self._queue.append(proc)
             proc.waiting_on = self
 
@@ -187,7 +189,7 @@ class Facility:
             nxt = self._queue.popleft()
             queued_at = self._enqueue_times.pop(id(nxt))
             self._grants += 1
-            self._wait_total += self.simulator.now - queued_at
+            self._wait_total += self.simulator._now - queued_at
             self._grant(nxt)
             self.simulator._schedule_step(nxt, None, delay=0.0)
         else:

@@ -43,13 +43,6 @@ class SecantResult:
     converged: bool
 
 
-def _sse(residuals: np.ndarray) -> float:
-    # Overflow to inf is expected on wild points; callers reject
-    # non-finite SSE values rather than warn about them.
-    with np.errstate(over="ignore"):
-        return float(np.dot(residuals, residuals))
-
-
 def secant_least_squares(
     residual_fn: ResidualFunction,
     x0: np.ndarray,
@@ -74,24 +67,39 @@ def secant_least_squares(
         full (undamped) step.
     secant_step:
         Relative offset of the secant evaluation points.
+
+    The whole solve runs under one ``np.errstate(all="ignore")``: wild
+    points overflow by design, and the solver rejects non-finite
+    residuals and sums of squares instead of warning about them.
     """
+    with np.errstate(all="ignore"):
+        return _solve(residual_fn, x0, max_iter, tol, secant_step)
+
+
+def _solve(
+    residual_fn: ResidualFunction,
+    x0: np.ndarray,
+    max_iter: int,
+    tol: float,
+    secant_step: float,
+) -> SecantResult:
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
+    eye = np.eye(n)
 
     def safe_residual(point: np.ndarray) -> Optional[np.ndarray]:
-        with np.errstate(all="ignore"):
-            try:
-                r = np.asarray(residual_fn(point), dtype=float)
-            except (FloatingPointError, OverflowError, ValueError, ZeroDivisionError):
-                return None
-        if not np.all(np.isfinite(r)):
+        try:
+            r = np.asarray(residual_fn(point), dtype=float)
+        except (FloatingPointError, OverflowError, ValueError, ZeroDivisionError):
+            return None
+        if not np.isfinite(r).all():
             return None
         return r
 
     r = safe_residual(x)
     if r is None:
         raise ValueError("residual function is not finite at the starting point")
-    sse = _sse(r)
+    sse = float(np.dot(r, r))
     if not np.isfinite(sse):
         # Residuals can be individually finite while their dot product
         # overflows; an infinite starting SSE would make every line
@@ -129,9 +137,7 @@ def secant_least_squares(
         stepped = False
         for _ in range(30):  # damping escalation
             try:
-                step = np.linalg.solve(
-                    jac.T @ jac + damping * np.eye(n), -grad
-                )
+                step = np.linalg.solve(jac.T @ jac + damping * eye, -grad)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
@@ -141,7 +147,7 @@ def secant_least_squares(
                 candidate = x + scale * step
                 cand_r = safe_residual(candidate)
                 if cand_r is not None:
-                    cand_sse = _sse(cand_r)
+                    cand_sse = float(np.dot(cand_r, cand_r))
                     # A wild step can overflow the SSE even with finite
                     # residuals; treat it as a rejected step rather than
                     # letting NaN/inf poison the comparison below.

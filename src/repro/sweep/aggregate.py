@@ -110,8 +110,8 @@ class SweepResult:
     """Everything one sweep invocation produced.
 
     ``rows`` holds one structured row per cell, in grid-expansion
-    order: ``{"status": "ok"|"error"|"timeout"|"deadlock"|"leak"|"stall",
-    "cached": bool, "attempts": int, "cell": {...}, "key": ...,
+    order: ``{"status": "ok"|"error"|"timeout"|"crashed"|"deadlock"|"leak"|
+    "stall", "cached": bool, "attempts": int, "cell": {...}, "key": ...,
     "report": {...}}`` (failure rows carry ``"error"`` instead of
     ``"report"``; diagnosed failures also carry ``"failure_log"`` —
     the wait-for cycle or leak audit, one line per entry).

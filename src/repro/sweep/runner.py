@@ -3,17 +3,17 @@
 :func:`run_sweep` takes an expanded grid and executes every cell that
 is not already in the result cache, on a
 :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1`` or
-inline when ``jobs == 1``.  Cells are isolated: a cell that raises or
-hangs becomes a structured failure row — after its bounded retries are
-exhausted — and the sweep continues.
+inline when ``jobs == 1``.  Cells are isolated: a cell that raises,
+hangs or kills its worker process becomes a structured failure row —
+after its bounded retries are exhausted — and the sweep continues.
 
 Timeouts are enforced *inside* the worker with an interval timer
 (``SIGALRM``), so a hung cell raises :class:`CellTimeoutError` through
 the normal future path and the worker slot is reclaimed immediately.
 A supervisor-side deadline (twice the timeout plus a grace period)
 backstops cells the alarm cannot interrupt (e.g. stuck in C code); a
-worker abandoned that way poisons the pool, which is then torn down
-without waiting once the sweep drains.
+worker abandoned that way poisons the pool, whose workers are killed
+once the sweep drains.
 
 Per-cell seeding is deterministic: each cell derives an independent
 root from :meth:`~repro.sweep.grid.CellSpec.seed_sequence`
@@ -29,6 +29,7 @@ import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps import SHARED_MEMORY_APPS, create_app
@@ -329,7 +330,8 @@ def run_sweep(
     timeout:
         Per-attempt wall-clock budget in seconds (None = unlimited).
     retries:
-        Extra attempts after a failed/timed-out one (bounded).
+        Extra attempts after a failed, timed-out or crashed one
+        (bounded).
     backoff:
         Base delay before retry ``k`` (grows as ``backoff * 2**(k-1)``).
     cell_fn:
@@ -478,66 +480,147 @@ def _heartbeat_paths(
     return paths
 
 
+def _describe_exit(code: int) -> str:
+    if code < 0:
+        try:
+            return f"killed by {signal.Signals(-code).name}"
+        except ValueError:
+            return f"killed by signal {-code}"
+    return f"exited with code {code}"
+
+
+def _shut_down_broken(executor: ProcessPoolExecutor) -> str:
+    """Shut down a pool a dead worker broke; says how its workers died.
+
+    Once shut down, every future the pool held has settled: with its
+    result if it finished before the crash, else with
+    :class:`BrokenProcessPool`.  The pool SIGTERMs its surviving workers
+    when one dies, so those exits are left out of the description
+    unless nothing else explains the crash.
+    """
+    processes = list((getattr(executor, "_processes", None) or {}).values())
+    executor.shutdown(wait=True)
+    codes = [p.exitcode for p in processes if p.exitcode]
+    named = [code for code in codes if code != -signal.SIGTERM] or codes
+    if not named:
+        return "a worker process died"
+    return "worker process " + ", ".join(_describe_exit(code) for code in named)
+
+
 def _run_pool(
     pending, fn, jobs, timeout, retries, backoff, record_success, record_failure,
     heartbeat_for=lambda index: None, cancelled=lambda: False,
 ) -> None:
-    """Pool execution with supervisor-side retry queue and deadlines."""
+    """Pool execution with supervisor-side retry queue and deadlines.
+
+    At most ``jobs`` cells are in flight, so a cell's deadline starts
+    when a worker is free to take it.  A worker that dies (SIGKILL from
+    the OOM killer, a segfault) breaks the whole pool: the pool is
+    rebuilt, every cell that was in flight is charged a ``crashed``
+    attempt, and each of their retries runs alone, so a crash that
+    repeats is charged to the cell that causes it.  Cells settled
+    before the crash keep their rows and cache entries.
+    """
     deadline_budget = (2.0 * timeout + _DEADLINE_GRACE) if timeout else None
     executor = ProcessPoolExecutor(max_workers=jobs)
-    futures: Dict[Future, Tuple[int, CellSpec, Optional[str], int, Optional[float]]] = {}
-    retry_queue: List[Tuple[float, int, CellSpec, Optional[str], int]] = []
+    # future -> (index, spec, key, attempt, deadline, alone)
+    futures: Dict[Future, Tuple[int, CellSpec, Optional[str], int, Optional[float], bool]] = {}
+    # (ready_at, index, spec, key, attempt, alone), in submission order.
+    queue: List[Tuple[float, int, CellSpec, Optional[str], int, bool]] = [
+        (0.0, index, spec, key, 1, False) for index, spec, key in pending
+    ]
     abandoned = False
 
-    def submit(index, spec, key, attempt):
+    def next_due(now: float) -> Optional[int]:
+        """Position in ``queue`` of the next cell to start, or None: no
+        free worker, nothing due, or a lone retry waiting for the pool
+        to drain (nothing starts past it, so it cannot starve)."""
+        if len(futures) >= jobs or any(meta[5] for meta in futures.values()):
+            return None
+        for position, entry in enumerate(queue):
+            if entry[0] <= now:
+                return None if entry[5] and futures else position
+        return None
+
+    def submit(index, spec, key, attempt, alone):
         future = executor.submit(
             _invoke, fn, spec.as_dict(), timeout, heartbeat_for(index)
         )
         deadline = (
             time.monotonic() + deadline_budget if deadline_budget is not None else None
         )
-        futures[future] = (index, spec, key, attempt, deadline)
+        futures[future] = (index, spec, key, attempt, deadline, alone)
 
     try:
-        for index, spec, key in pending:
-            submit(index, spec, key, attempt=1)
-        while futures or retry_queue:
+        while futures or queue:
             if cancelled():
                 # Graceful stop: drop unstarted work on the floor (the
                 # caller's cache-backed resume re-runs it for free) and
-                # let the pool tear down without waiting.
+                # kill the pool rather than wait for cells in flight.
                 for future in list(futures):
                     future.cancel()
                 abandoned = True
                 break
             now = time.monotonic()
-            for entry in list(retry_queue):
-                ready_at, index, spec, key, attempt = entry
-                if ready_at <= now:
-                    retry_queue.remove(entry)
-                    submit(index, spec, key, attempt)
-            if not futures:
+            # A worker can also die between cells; the pool then refuses
+            # the next submission.
+            broken = False
+            position = next_due(now)
+            while position is not None:
+                try:
+                    submit(*queue[position][1:])
+                except BrokenProcessPool:
+                    broken = True
+                    break
+                del queue[position]
+                position = next_due(now)
+            if not (futures or broken):
                 time.sleep(min(0.05, backoff))
                 continue
-            done, _ = wait(
-                set(futures), timeout=0.1, return_when=FIRST_COMPLETED
-            )
+            done = set()
+            if not broken:
+                done, _ = wait(
+                    set(futures), timeout=0.1, return_when=FIRST_COMPLETED
+                )
+                broken = any(
+                    not future.cancelled()
+                    and isinstance(future.exception(), BrokenProcessPool)
+                    for future in done
+                )
+            crash = None
+            if broken:
+                crash = _shut_down_broken(executor)
+                executor = ProcessPoolExecutor(max_workers=jobs)
+                done = set(futures)
             now = time.monotonic()
             for future in done:
-                index, spec, key, attempt, _ = futures.pop(future)
+                index, spec, key, attempt, _, _ = futures.pop(future)
+                alone = False
                 try:
                     report = future.result()
+                except BrokenProcessPool:
+                    status = "crashed"
+                    message = f"{crash} while the cell was in flight"
+                    failure_log: List[str] = []
+                    alone = True
                 except CellTimeoutError:
                     status, message = "timeout", f"cell exceeded {timeout:g}s"
-                    failure_log: List[str] = []
+                    failure_log = []
                 except BaseException as error:
                     status, message, failure_log = _classify_failure(error)
                 else:
                     record_success(index, spec, key, report, attempt)
                     continue
                 if attempt <= retries:
-                    retry_queue.append(
-                        (now + backoff * 2 ** (attempt - 1), index, spec, key, attempt + 1)
+                    queue.append(
+                        (
+                            now + backoff * 2 ** (attempt - 1),
+                            index,
+                            spec,
+                            key,
+                            attempt + 1,
+                            alone,
+                        )
                     )
                 else:
                     record_failure(
@@ -547,7 +630,7 @@ def _run_pool(
             # slot is lost (the pool shrinks), so no retry; the sweep
             # keeps draining and the pool is killed at the end.
             for future, meta in list(futures.items()):
-                index, spec, key, attempt, deadline = meta
+                index, spec, key, attempt, deadline, _ = meta
                 if deadline is not None and now > deadline:
                     del futures[future]
                     abandoned = True
@@ -561,11 +644,11 @@ def _run_pool(
                     )
     finally:
         if abandoned:
-            executor.shutdown(wait=False, cancel_futures=True)
-            for process in list(getattr(executor, "_processes", {}).values()):
+            # A worker may be stuck where no alarm reaches it: kill the
+            # workers first, so waiting for the pool cannot block.
+            for process in list((getattr(executor, "_processes", None) or {}).values()):
                 try:
                     process.terminate()
                 except Exception:  # pragma: no cover - defensive
                     pass
-        else:
-            executor.shutdown(wait=True)
+        executor.shutdown(wait=True, cancel_futures=True)

@@ -60,8 +60,10 @@ class TestCommands:
 
     def test_characterize_shared_memory(self, capsys, tmp_path):
         log_path = str(tmp_path / "log.csv")
+        npz_stem = str(tmp_path / "log")
         code = main(
-            ["characterize", "1d-fft", "--param", "n=64", "--log-csv", log_path]
+            ["characterize", "1d-fft", "--param", "n=64", "--log-csv", log_path,
+             "--log-npz", npz_stem]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -69,6 +71,9 @@ class TestCommands:
         assert "spatial:" in out
         with open(log_path) as handle:
             assert "msg_id" in handle.readline()
+        # The npz path printed is the one written (NumPy's suffix rule).
+        assert f"activity log written to {npz_stem}.npz (columnar npz)" in out
+        assert main(["doctor", npz_stem + ".npz"]) == 0
 
     def test_characterize_message_passing(self, capsys):
         assert main(["characterize", "3d-fft", "--param", "n=8"]) == 0

@@ -6,7 +6,10 @@ Each run's activity log is hashed column by column (SHA-256 with
 here.  Anything that changes what the simulator computes -- a route, a
 lane, a wait, a float duration -- changes a digest; a pure speed-up of
 the routing or transfer path must not.  Every case runs on both kernel
-schedulers, and the event count is pinned alongside the digest.
+schedulers, and the event count is pinned alongside the digest.  One
+case also replays with its log spilled to 64-record segments and reads
+the digest back from the manifest, so the segment writer and reader are
+held to the same pin.
 
 The pinned values were recorded before route tables and compiled
 transfer plans replaced per-message route construction; the 2-D torus
@@ -22,7 +25,7 @@ import pytest
 from repro.apps import create_app
 from repro.core.options import RunOptions
 from repro.core.run import run_dynamic
-from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
+from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage, materialize_manifest
 from repro.simkernel import Simulator, hold
 from repro.simkernel.engine_parallel import ScheduleTraffic
 
@@ -102,11 +105,11 @@ def log_digest(log) -> str:
     return digest.hexdigest()
 
 
-def replay(config, traffic, scheduler):
+def replay(config, traffic, scheduler, log=None):
     """Closed-loop replay of a pre-drawn schedule; returns the network
     (so adaptive cases can show the YX order was taken) and simulator."""
     sim = Simulator(scheduler=scheduler)
-    net = MeshNetwork(sim, config)
+    net = MeshNetwork(sim, config, log=log)
 
     def source(src, entries):
         for gap, dst, length_bytes, msg_id in entries:
@@ -123,13 +126,18 @@ def replay(config, traffic, scheduler):
     return net, sim
 
 
-def run_schedule_case(name, scheduler):
+def schedule(name):
+    """A case's config and its pre-drawn schedule."""
     make_config, pattern, messages, gap = SCHEDULE_CASES[name]
     config = make_config()
     traffic = ScheduleTraffic.compile_pattern(
         config, pattern=pattern, messages_per_source=messages, seed=11, mean_gap=gap
     )
-    net, sim = replay(config, traffic, scheduler)
+    return config, traffic
+
+
+def run_schedule_case(name, scheduler):
+    net, sim = replay(*schedule(name), scheduler)
     return net, log_digest(net.log), sim.events_fired
 
 
@@ -150,6 +158,20 @@ def test_schedule_digest(name, scheduler):
     assert net.total_injected == net.total_delivered == len(net.log)
     if net.config.routing == "adaptive":
         assert net.adaptive_yx_taken > 0
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_spilled_schedule_digest(scheduler, tmp_path):
+    # The same replay collected through RunOptions' out-of-core log and
+    # read back from the manifest's segments.
+    name = "torus-4x4x2-uniform"
+    options = RunOptions(log_spill=str(tmp_path), log_spill_window=64)
+    net, sim = replay(*schedule(name), scheduler, log=options.make_netlog())
+    spilled = materialize_manifest(net.log.finalize())
+    assert (log_digest(spilled), sim.events_fired) == GOLDEN[name]
+    # 960 records (30 from each of 32 sources) in 15 segments of 64.
+    assert net.log.segment_count == 15
+    assert net.total_delivered == len(spilled) == 960
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)

@@ -5,14 +5,21 @@ implementation (kept as the oracle in :mod:`repro.mesh.netlog_rows`)
 on every derived view -- the hypothesis property below drives both
 with randomized logs, and explicit cases cover empty, single-record,
 and single-source logs.  Persistence tests assert CSV <-> npz round
-trips reproduce the exact records and views; validation tests cover
-the endpoint checks and the CSV/npz format diagnostics.
+trips reproduce the exact records and views, and that the npz writer
+produces what ``np.savez_compressed`` would; validation tests cover the
+endpoint checks and the CSV/npz format diagnostics.  The record
+factory must build records indistinguishable from constructed ones.
 """
+
+import dataclasses
+import pathlib
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mesh import netlog
 from repro.mesh.netlog import (
     LogSummary,
     NetLogFormatError,
@@ -264,6 +271,115 @@ class TestPersistence:
         path.write_bytes(b"this is not a zip archive")
         with pytest.raises(NetLogFormatError, match="junk"):
             NetworkLog.read_npz(str(path))
+
+
+def _columns_as_written(log):
+    """The members ``np.savez_compressed`` writes for a log: the
+    reference for the npz writer's member names, dtypes and values."""
+    cols, vocab = log.columns()
+    members = {
+        "schema": np.array([NetworkLog.NPZ_SCHEMA_VERSION], dtype=np.int64),
+        "kind_vocab": (
+            np.asarray(vocab, dtype=np.str_) if vocab else np.empty(0, dtype="U1")
+        ),
+    }
+    members.update(cols)
+    return members
+
+
+class TestNpzWriter:
+    def empty_with_vocabulary(self):
+        log = NetworkLog()
+        log.extend_columns(
+            msg_id=[], src=[], dst=[], length_bytes=[], kind="p2p",
+            inject_time=[], start_time=[], deliver_time=[], contention=[], hops=[],
+        )
+        return log
+
+    def many_kinds(self):
+        rows = [
+            (i % NUM_NODES, (3 * i) % NUM_NODES, 8 << (i % 4), KINDS[i % 3],
+             0.25 * i, 1.0 + i % 7, 0.125 * (i % 5))
+            for i in range(300)
+        ]
+        return build_logs(rows)[0]
+
+    @pytest.mark.parametrize("case", ["empty", "empty-with-vocabulary", "many-kinds"])
+    def test_round_trip_is_bit_identical(self, case, tmp_path):
+        log = {
+            "empty": NetworkLog,
+            "empty-with-vocabulary": self.empty_with_vocabulary,
+            "many-kinds": self.many_kinds,
+        }[case]()
+        path = log.write_npz(str(tmp_path / "log.npz"))
+        back = NetworkLog.read_npz(path)
+        cols, vocab = log.columns()
+        back_cols, back_vocab = back.columns()
+        assert back_vocab == vocab
+        for name, column in cols.items():
+            assert back_cols[name].dtype == column.dtype
+            assert back_cols[name].tobytes() == column.tobytes()
+        assert back.records == log.records
+
+        # Plain np.load sees the members, dtypes and values that
+        # np.savez_compressed would have written.
+        expected = _columns_as_written(log)
+        with np.load(path, allow_pickle=False) as data:
+            assert data.files == list(expected)
+            for name, array in expected.items():
+                assert data[name].dtype == array.dtype, name
+                assert data[name].shape == array.shape, name
+                assert data[name].tobytes() == array.tobytes(), name
+
+    @pytest.mark.parametrize("as_path", [str, pathlib.Path])
+    def test_returns_the_path_written(self, as_path, tmp_path):
+        log = self.many_kinds()
+        bare = log.write_npz(as_path(tmp_path / "bare"))
+        assert bare == str(tmp_path / "bare.npz")
+        assert NetworkLog.read_npz(bare).records == log.records
+        suffixed = log.write_npz(as_path(tmp_path / "kept.npz"))
+        assert suffixed == str(tmp_path / "kept.npz")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.npz", "kept.npz"]
+
+
+record_fields = st.tuples(
+    st.integers(),                                       # msg_id
+    st.integers(-1, 4096),                               # src
+    st.integers(-1, 4096),                               # dst
+    st.integers(0, 1 << 20),                             # length_bytes
+    st.text(max_size=12),                                # kind
+    st.floats(allow_nan=False),                          # inject_time
+    st.floats(allow_nan=False),                          # start_time
+    st.floats(allow_nan=False),                          # deliver_time
+    st.floats(allow_nan=False),                          # contention
+    st.integers(0, 64),                                  # hops
+)
+
+
+class TestRecordFactory:
+    @settings(max_examples=200, deadline=None)
+    @given(values=record_fields)
+    def test_indistinguishable_from_constructed(self, values):
+        made = netlog.make_record(*values)
+        built = NetLogRecord(*values)
+        assert type(made) is NetLogRecord
+        assert made == built and built == made
+        assert hash(made) == hash(built)
+        assert repr(made) == repr(built)
+        assert list(vars(made).items()) == list(vars(built).items())
+        assert dataclasses.astuple(made) == dataclasses.astuple(built)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(made, protocol) == pickle.dumps(built, protocol)
+        assert pickle.loads(pickle.dumps(made)) == built
+        assert dataclasses.replace(made, hops=7) == dataclasses.replace(built, hops=7)
+        assert dataclasses.fields(made) == dataclasses.fields(built)
+
+    def test_frozen(self):
+        made = netlog.make_record(1, 0, 1, 8, "p2p", 0.0, 1.0, 5.0, 0.5, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.hops = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del made.kind
 
 
 class TestCsvFormatErrors:

@@ -1,8 +1,12 @@
 """Tests for the sweep runner: pool execution, cache resume, failure
-isolation (raise + timeout), retries, and the sweep CLI."""
+isolation (raise, timeout, killed worker), retries, cancellation, and
+the sweep CLI."""
 
 import json
+import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -57,6 +61,22 @@ def _fails_once(doc):
 def _sleep_cell(doc):
     time.sleep(0.4)
     return _mini_report(doc)
+
+
+def _kill_on_heavy(doc):
+    # What the OOM killer does to a worker: no exception, no cleanup.
+    if doc["rate_scale"] == 2.0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _mini_report(doc)
+
+
+def _idle_worker_dies(doc):
+    # The light cell settles, then its worker is killed while idle; the
+    # heavy cell always raises, so its retries need a working pool.
+    if doc["rate_scale"] == 1.0:
+        threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGKILL)).start()
+        return _mini_report(doc)
+    raise RuntimeError("boom")
 
 
 def tiny_grid(**overrides):
@@ -197,6 +217,55 @@ class TestFailureIsolation:
         result = run_sweep(grid, jobs=1, retries=0)
         statuses = {row["cell"]["app"]: row["status"] for row in result.rows}
         assert statuses == {"1d-fft": "stall", "uniform": "stall"}
+
+    def test_killed_worker_becomes_a_crashed_row(self, tmp_path, capsys):
+        # The middle cell's worker dies by SIGKILL on every attempt,
+        # which breaks the whole pool each time.
+        grid = tiny_grid(rate_scales=(1.0, 2.0, 3.0))
+        cache_dir = str(tmp_path / "cache")
+        started = time.perf_counter()
+        result = run_sweep(grid, jobs=2, cache=ResultCache(cache_dir), retries=1,
+                           backoff=0.01, cell_fn=_kill_on_heavy)
+        assert time.perf_counter() - started < 10.0
+        assert multiprocessing.active_children() == []
+        statuses = {row["cell"]["rate_scale"]: row["status"] for row in result.rows}
+        assert statuses == {1.0: "ok", 2.0: "crashed", 3.0: "ok"}
+        (crashed,) = result.failures
+        assert crashed["attempts"] == 2
+        assert "killed by SIGKILL" in crashed["error"]
+
+        # The cells that settled ok were cached; only the crash reruns.
+        rerun = run_sweep(grid, jobs=1, cache=ResultCache(cache_dir),
+                          cell_fn=_ok_cell)
+        assert rerun.executed == 1 and rerun.cache_hits == 2
+
+        path = str(tmp_path / "sweep.json")
+        result.write_json(path)
+        capsys.readouterr()
+        assert main(["doctor", path]) == 1
+        out = capsys.readouterr().out
+        assert "1 crashed" in out
+        assert "crashed: worker process killed by SIGKILL" in out
+
+    def test_worker_killed_between_cells_is_replaced(self):
+        result = run_sweep(tiny_grid(), jobs=2, retries=2, backoff=0.5,
+                           cell_fn=_idle_worker_dies)
+        statuses = {row["cell"]["rate_scale"]: row["status"] for row in result.rows}
+        assert statuses == {1.0: "ok", 2.0: "error"}
+        assert "RuntimeError: boom" in result.failures[0]["error"]
+        assert multiprocessing.active_children() == []
+
+    def test_cancelled_pool_sweep_returns_settled_rows(self):
+        # Cancelled once the first cell settles: the pool is killed, the
+        # last two cells never start, and only the settled rows (the
+        # first pair may settle together) come back.
+        grid = tiny_grid(rate_scales=(1.0, 2.0, 3.0, 4.0))
+        cancel = threading.Event()
+        result = run_sweep(grid, jobs=2, cell_fn=_sleep_cell, cancel_event=cancel,
+                           on_progress=lambda row, done, total: cancel.set())
+        assert len(result.rows) in (1, 2)
+        assert all(row["status"] == "ok" for row in result.rows)
+        assert multiprocessing.active_children() == []
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
