@@ -18,8 +18,9 @@ between provably identical simulations:
 * both runs finish at the identical clock with the identical event
   count (the sampler's own tick events are excluded from the count the
   windows report);
-* the sampled window series is identical across the calendar and heap
-  schedulers, record for record.
+* the sampled window series is identical with the stall watchdog
+  armed and unarmed -- the generic and the inlined clock loop, which
+  keep ``events_fired`` differently -- record for record.
 
 Standalone (not a pytest benchmark) so CI can gate on the result:
 
@@ -52,13 +53,14 @@ _rng = np.random.default_rng(1234)
 GAPS = tuple(float(g) for g in np.round(_rng.exponential(1.0, 1024) * 4.0) / 4.0)
 
 
-def run_mesh(scheduler, messages_per_source, sample_interval=None):
+def run_mesh(messages_per_source, sample_interval=None, watchdog=None):
     """One 4x4 mesh run; returns (elapsed_s, log, events, clock, series).
 
     ``series`` is None when ``sample_interval`` is None (telemetry off);
     otherwise the sampler's :class:`~repro.obs.live.LiveSeries`.
+    ``watchdog`` is ``run()``'s ``max_no_progress_events``.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     net = MeshNetwork(sim, MeshConfig("4x4"))
     nodes = 16
 
@@ -94,7 +96,7 @@ def run_mesh(scheduler, messages_per_source, sample_interval=None):
     gc.disable()
     try:
         started = time.process_time()
-        final = sim.run(check_stall=True)
+        final = sim.run(check_stall=True, max_no_progress_events=watchdog)
         elapsed = time.process_time() - started
     finally:
         gc.enable()
@@ -114,9 +116,6 @@ def main(argv=None):
     parser.add_argument("--iterations", type=int, default=5,
                         help="off/on measurement pairs; the median "
                              "per-pair overhead is reported")
-    parser.add_argument("--scheduler", default="calendar",
-                        choices=("calendar", "heap"),
-                        help="scheduler to time (identity checks use both)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on overhead above --max-overhead or "
                              "any equivalence failure")
@@ -125,7 +124,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     print(f"telemetry overhead: 4x4 mesh, {args.messages} messages/source, "
-          f"window={args.sample_interval:g}, scheduler={args.scheduler} ...")
+          f"window={args.sample_interval:g} ...")
     best_off = float("inf")
     best_on = float("inf")
     ratios = []
@@ -139,15 +138,12 @@ def main(argv=None):
         timings = {}
         for side in order:
             if side == "off":
-                elapsed, log, events, clock, _ = run_mesh(
-                    args.scheduler, args.messages
-                )
+                elapsed, log, events, clock, _ = run_mesh(args.messages)
                 off_log = log
                 off_state = (events, clock)
             else:
                 elapsed, log, events, clock, series = run_mesh(
-                    args.scheduler, args.messages,
-                    sample_interval=args.sample_interval,
+                    args.messages, sample_interval=args.sample_interval
                 )
                 on_log = log
                 # The sampler's own tick callbacks fire as events;
@@ -200,21 +196,23 @@ def main(argv=None):
         print(f"netlog identity: {len(off_log.records)} records bit-identical "
               f"with telemetry on and off")
 
-    print("window identity: calendar vs heap with sampling on ...")
+    print("window identity: watchdog unarmed vs armed with sampling on ...")
     identity_messages = min(args.messages, 500)
-    series_by_scheduler = {}
-    for scheduler in ("calendar", "heap"):
+    payloads = []
+    for watchdog in (None, 10**9):
         _, _, _, _, series = run_mesh(
-            scheduler, identity_messages, sample_interval=args.sample_interval
+            identity_messages,
+            sample_interval=args.sample_interval,
+            watchdog=watchdog,
         )
         payload = series.as_dict()
         payload.pop("wall", None)  # wall clock differs run to run
-        series_by_scheduler[scheduler] = payload
-    if series_by_scheduler["calendar"] != series_by_scheduler["heap"]:
-        failures.append("sampled window series differ between schedulers")
+        payloads.append(payload)
+    if payloads[0] != payloads[1]:
+        failures.append("sampled window series differ between the clock loops")
     else:
-        n = len(series_by_scheduler["calendar"]["t_end"])
-        print(f"window identity: {n} windows identical on both schedulers")
+        n = len(payloads[0]["t_end"])
+        print(f"window identity: {n} windows identical on both clock loops")
 
     for failure in failures:
         print(f"FAIL: {failure}")

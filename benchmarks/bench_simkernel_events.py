@@ -1,23 +1,28 @@
-"""Microbenchmark: calendar-queue fast kernel vs the legacy heap oracle.
+"""Microbenchmark: event throughput of the simulation kernel.
 
-Runs the same synthetic 100k-message kernel workload -- paired
+Runs a synthetic 100k-message kernel workload -- paired
 sender/consumer processes exercising the hot commands (hold with
 tie-prone quantized gaps, facility request/release under contention,
-mailbox send/receive handoffs) -- on ``Simulator(scheduler="calendar")``
-and ``Simulator(scheduler="heap")``, and reports event throughput for
-each.  Both runs must fire the identical event count and finish at the
-identical clock; a 4x4 wormhole-mesh run is then repeated under both
-schedulers and its ``NetworkLog`` records compared bit-for-bit, so the
-speedup is only ever measured between provably equivalent kernels.
+mailbox send/receive handoffs) -- and reports its event throughput,
+after :data:`WARMUP_RUNS` untimed runs, in events per *reference
+second*: each timed iteration is bracketed by the fixed calibration
+kernel of ``perfbench/calibration.py``, and host seconds are divided
+by the speed factor those timings give, so a loaded host slows the
+yardstick along with the kernel.  Every
+iteration must fire the same events and finish at the same clock (the
+default workload's event count is pinned); a 4x4 wormhole-mesh run is
+then repeated with the stall watchdog armed -- the generic
+``_step``/``_dispatch`` loop -- and its ``NetworkLog`` records must
+equal the default ``steady_clock`` run's bit for bit.
 
 Standalone (not a pytest benchmark) so CI can gate on the result:
 
     PYTHONPATH=src python benchmarks/bench_simkernel_events.py \
-        --messages 100000 --check --min-speedup 2.0
+        --messages 100000 --iterations 3 --check
 
-``--check`` exits non-zero if the calendar path is below
-``--min-speedup`` times the heap path, or if any equivalence check
-fails.
+``--check`` exits non-zero if the best iteration is below
+:data:`KERNEL_FLOOR` events per reference second, or if any
+determinism or identity check fails.
 
 ``--scheduler parallel`` switches the benchmark to the parallel
 region-replay mesh scheduler instead: a large row-local workload is
@@ -40,6 +45,11 @@ import sys
 import time
 
 import numpy as np
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+)
+from calibration import kernel_seconds, speed_factor  # noqa: E402
 
 from repro.mesh.config import MeshConfig
 from repro.mesh.network import MeshNetwork
@@ -74,10 +84,39 @@ HOLD_SERVICE = tuple(hold(g) for g in SERVICE)
 #: pure hold + mailbox handoff, the kernel's hottest event mix.
 CONTENTION_EVERY = 16
 
+#: ``--check`` floor on the kernel workload's best iteration, in events
+#: per reference second: twice the throughput of the binary-heap event
+#: list the calendar queue replaced, on the slowest interpreter CI runs.
+#: Measured as this gate measures (fresh process, warm-up runs, best of
+#: 3 bracketed iterations), 12 processes per interpreter on a 2-vCPU
+#: x86-64 host, median [range] in events per reference second:
+#:
+#:   CPython 3.9   heap 294k [272k-330k]   calendar 853k [744k-1.18M]
+#:   CPython 3.11  heap 382k [318k-457k]   calendar 1.60M [1.55M-2.00M]
+#:   CPython 3.12  heap 437k [406k-491k]   calendar 1.74M [1.64M-2.43M]
+#:
+#: The floor is twice 3.9's heap median.  It fails a run whose kernel
+#: has lost about 30% of its median throughput on 3.9, and about 65% on
+#: 3.11 or 3.12; smaller regressions pass.
+KERNEL_FLOOR = 588_000
 
-def run_kernel_workload(scheduler, messages, pairs):
+#: Untimed runs before the timed ones.  CPython 3.11 specializes a
+#: function's bytecode only from its 8th call, and ``steady_clock`` is
+#: called once per run, so a process's first seven runs dispatch
+#: unspecialized -- about 2.3x slower on this workload.  CPython 3.9
+#: has no specializing interpreter and 3.12 measured the same with and
+#: without the warm-up.  The gate measures the kernel, not the
+#: interpreter's warm-up.
+WARMUP_RUNS = 8
+
+#: Events the default workload (100k messages over 32 pairs) fires; a
+#: different count means the workload changed, not the kernel's speed.
+KERNEL_EVENTS = {(100_000, 32): 418_880}
+
+
+def run_kernel_workload(messages, pairs):
     """One synthetic run; returns (elapsed_s, events_fired, final_clock)."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     channels = [Facility(sim, name=f"ch{i}") for i in range(max(pairs // 2, 1))]
     boxes = [Mailbox(sim, name=f"mb{i}") for i in range(pairs)]
     per_pair = messages // pairs
@@ -115,9 +154,12 @@ def run_kernel_workload(scheduler, messages, pairs):
     return elapsed, sim.events_fired, final
 
 
-def run_mesh_log(scheduler, messages_per_source):
-    """A clean 4x4 mesh run; returns its sealed NetworkLog."""
-    sim = Simulator(scheduler=scheduler)
+def run_mesh_log(messages_per_source, watchdog=None):
+    """A clean 4x4 mesh run; returns its sealed NetworkLog.
+
+    ``watchdog`` is ``run()``'s ``max_no_progress_events``: None takes
+    ``steady_clock``, a number the generic watchdog loop."""
+    sim = Simulator()
     net = MeshNetwork(sim, MeshConfig(spec="4x4"))
     nodes = 16
 
@@ -135,7 +177,7 @@ def run_mesh_log(scheduler, messages_per_source):
 
     for src in range(nodes):
         sim.process(source(src), name=f"src{src}")
-    sim.run(check_stall=True)
+    sim.run(check_stall=True, max_no_progress_events=watchdog)
     net.log.seal()
     return net.log
 
@@ -170,7 +212,7 @@ def run_parallel_bench(args):
     serial_log = None
     for _ in range(args.iterations):
         started = time.perf_counter()
-        serial = run_serial_schedule(config, traffic, scheduler="calendar")
+        serial = run_serial_schedule(config, traffic)
         serial_best = min(serial_best, time.perf_counter() - started)
         serial_log = serial.log
 
@@ -246,7 +288,7 @@ def run_topology_bench(args):
     for _ in range(args.iterations):
         for k, (config, traffic) in enumerate(workloads):
             started = time.perf_counter()
-            result = run_serial_schedule(config, traffic, scheduler="calendar")
+            result = run_serial_schedule(config, traffic)
             rate = result.events_fired / (time.perf_counter() - started)
             best[k] = max(best[k], rate)
     base_rate = best[0]
@@ -273,11 +315,15 @@ def main(argv=None):
     parser.add_argument("--identity-messages", type=int, default=40,
                         help="messages per source in the netlog identity run")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless calendar beats heap by --min-speedup")
-    parser.add_argument("--min-speedup", type=float, default=2.0)
+                        help="exit 1 if a gate fails: kernel throughput below "
+                             "KERNEL_FLOOR, parallel speedup below "
+                             "--min-speedup, topology ratio below --min-ratio")
+    parser.add_argument("--min-speedup", type=float, default=2.0,
+                        help="minimum parallel/serial wall-clock speedup for "
+                             "--scheduler parallel --check (default 2.0)")
     parser.add_argument("--scheduler", choices=("kernel", "parallel", "topology"),
                         default="kernel",
-                        help="kernel: calendar vs heap event throughput "
+                        help="kernel: event throughput against the floor "
                              "(the default); parallel: serial calendar vs "
                              "the multi-process region-replay mesh scheduler; "
                              "topology: N-D routing overhead vs the 2-D mesh")
@@ -307,49 +353,45 @@ def main(argv=None):
 
     print(f"kernel workload: {args.messages} messages over {args.pairs} "
           f"sender/consumer pairs ...")
-    best = {"heap": float("inf"), "calendar": float("inf")}
-    fired = {}
-    clocks = {}
+    for _ in range(WARMUP_RUNS):
+        run_kernel_workload(2 * args.pairs, args.pairs)
+    best = 0.0
+    fired = clock = None
+    before = kernel_seconds()
     for _ in range(args.iterations):
-        for scheduler in ("heap", "calendar"):
-            elapsed, events, final = run_kernel_workload(
-                scheduler, args.messages, args.pairs
-            )
-            best[scheduler] = min(best[scheduler], elapsed)
-            fired.setdefault(scheduler, events)
-            clocks.setdefault(scheduler, final)
-            if fired[scheduler] != events or clocks[scheduler] != final:
-                print(f"FAIL: {scheduler} run is not deterministic")
-                return 1
-
-    if fired["heap"] != fired["calendar"] or clocks["heap"] != clocks["calendar"]:
-        print(f"FAIL: schedulers diverge: heap fired {fired['heap']} events "
-              f"(t={clocks['heap']!r}), calendar fired {fired['calendar']} "
-              f"(t={clocks['calendar']!r})")
+        elapsed, events, final = run_kernel_workload(args.messages, args.pairs)
+        after = kernel_seconds()
+        reference = elapsed / speed_factor((before + after) / 2)
+        before = after
+        best = max(best, events / reference)
+        if fired is None:
+            fired, clock = events, final
+        elif (events, final) != (fired, clock):
+            print("FAIL: kernel run is not deterministic")
+            return 1
+    expected = KERNEL_EVENTS.get((args.messages, args.pairs))
+    if expected is not None and fired != expected:
+        print(f"FAIL: workload fired {fired} events, pinned {expected}")
         return 1
-
-    rates = {s: fired[s] / best[s] for s in best}
-    speedup = rates["calendar"] / rates["heap"]
-    print(f"{'scheduler':>10} {'time':>9} {'events':>9} {'events/sec':>12}")
-    for scheduler in ("heap", "calendar"):
-        print(f"{scheduler:>10} {best[scheduler]:>8.3f}s {fired[scheduler]:>9} "
-              f"{rates[scheduler]:>12,.0f}")
-    print(f"event throughput speedup: {speedup:.2f}x "
-          f"(best of {args.iterations}, identical clocks at "
-          f"t={clocks['calendar']:g})")
+    print(f"{'events':>9} {'events/ref-s':>13} {'floor':>9}")
+    print(f"{fired:>9} {best:>13,.0f} {KERNEL_FLOOR:>9,}")
+    print(f"best of {args.iterations} at t={clock:g}: "
+          f"{best / KERNEL_FLOOR:.2f}x the floor")
 
     print(f"netlog identity: 4x4 mesh, {args.identity_messages} messages/source ...")
-    heap_log = run_mesh_log("heap", args.identity_messages)
-    cal_log = run_mesh_log("calendar", args.identity_messages)
-    if heap_log.records != cal_log.records:
-        print(f"FAIL: NetworkLog records differ between schedulers "
-              f"({len(heap_log.records)} heap vs {len(cal_log.records)} calendar)")
+    steady_log = run_mesh_log(args.identity_messages)
+    generic_log = run_mesh_log(args.identity_messages, watchdog=10**9)
+    if steady_log.records != generic_log.records:
+        print(f"FAIL: NetworkLog records differ between the clock loops "
+              f"({len(steady_log.records)} steady vs "
+              f"{len(generic_log.records)} watchdog)")
         return 1
-    print(f"netlog identity: {len(cal_log.records)} records bit-identical "
-          f"on both schedulers")
+    print(f"netlog identity: {len(steady_log.records)} records bit-identical "
+          f"on both clock loops")
 
-    if args.check and speedup < args.min_speedup:
-        print(f"FAIL: speedup {speedup:.2f}x below required {args.min_speedup}x")
+    if args.check and best < KERNEL_FLOOR:
+        print(f"FAIL: {best:,.0f} events per reference second, below the "
+              f"floor of {KERNEL_FLOOR:,}")
         return 1
     return 0
 

@@ -71,8 +71,8 @@ class SharedMemoryApplication(ABC):
         ``obs``/``timeline`` are forwarded to
         :class:`ExecutionDrivenSimulation` (observability off when
         omitted); ``options`` (a
-        :class:`~repro.core.options.RunOptions`) selects the scheduler
-        and run-safety knobs.
+        :class:`~repro.core.options.RunOptions`) selects the run-safety
+        knobs.
         """
         sim = ExecutionDrivenSimulation(
             mesh_config=mesh_config,

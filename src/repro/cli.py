@@ -9,7 +9,7 @@ Usage (via ``python -m repro``):
     $ python -m repro characterize mg --param n=32 --param cycles=2
     $ python -m repro characterize 1d-fft --param n=256 \
           --metrics m.json --timeline t.json --report r.json
-    $ python -m repro characterize 1d-fft --scheduler heap --max-no-progress 100000
+    $ python -m repro characterize 1d-fft --max-no-progress 100000
     $ python -m repro metrics m.json
     $ python -m repro validate 1d-fft --messages 200
     $ python -m repro sp2-model 1024
@@ -37,12 +37,12 @@ the machine-readable run report the benchmark suite also emits.
 ``metrics`` summarizes a previously written metrics JSON.
 
 ``characterize``, ``validate`` and the ``sweep`` grid commands share
-one simulation-kernel flag group: ``--scheduler {calendar,heap}``
-selects the event-list implementation (calendar is the fast path, heap
-the legacy oracle; both produce bit-identical logs) and
-``--max-no-progress N`` arms the no-progress watchdog.  For sweeps the
-flags enter every cell's :class:`~repro.core.options.RunOptions` and
-therefore its cache key.
+one simulation-kernel flag group: ``--max-no-progress N`` arms the
+no-progress watchdog and ``--sample-interval T`` turns on live
+telemetry.  For sweeps the flags enter every cell's
+:class:`~repro.core.options.RunOptions` and therefore its cache key;
+with ``--grid FILE`` they override only the fields they set in the
+file's bundle.
 
 ``drive`` replays a pre-drawn pattern workload on the mesh:
 ``--scheduler parallel`` shards a region-local schedule (``--pattern
@@ -50,7 +50,7 @@ local``) across ``--regions`` worker processes and writes one merged
 ``netlog-spill`` manifest every existing consumer (``doctor``, the
 characterize readers) understands; a schedule with any message
 crossing a region boundary is rejected (exit 2) in favour of the
-serial schedulers, which replay the identical schedule for
+serial calendar kernel, which replays the identical schedule for
 equivalence comparisons.
 
 ``sweep`` runs declarative experiment grids (app x mesh x protocol x
@@ -95,7 +95,6 @@ from repro.core.report import spatial_table, temporal_table, volume_table
 from repro.mesh import MeshConfig
 from repro.mp.sp2 import SP2Config
 from repro.obs import load_metrics, report_from_run, summarize_metrics
-from repro.simkernel import SCHEDULERS
 
 
 def _parse_params(entries: Sequence[str]) -> Dict[str, object]:
@@ -133,9 +132,10 @@ def _kernel_options_from_args(
 
     Returns None when every knob is at its default, so call sites that
     content-address on the bundle (sweep cache keys) stay stable for
-    flag-free invocations.
+    flag-free invocations.  A flag given without its partner (say
+    ``--log-spill-window`` without ``--log-spill``) still builds the
+    bundle, whose validation rejects it.
     """
-    scheduler = getattr(args, "scheduler", None)
     max_no_progress = getattr(args, "max_no_progress", None)
     sample_interval = getattr(args, "sample_interval", None)
     heartbeat = getattr(args, "heartbeat", None)
@@ -144,22 +144,21 @@ def _kernel_options_from_args(
     if not (
         metrics
         or timeline
-        or scheduler
         or max_no_progress
         or sample_interval
         or heartbeat
         or log_spill
+        or log_spill_window is not None
     ):
         return None
     return RunOptions(
         metrics=metrics,
         timeline=timeline,
-        scheduler=scheduler,
         max_no_progress_events=max_no_progress,
         sample_interval=sample_interval,
         heartbeat=heartbeat,
         log_spill=log_spill,
-        log_spill_window=log_spill_window if log_spill else None,
+        log_spill_window=log_spill_window,
     )
 
 
@@ -283,14 +282,14 @@ def _grid_from_args(args: argparse.Namespace):
     if args.grid:
         grid = GridSpec.from_json_file(args.grid)
         if cli_options is not None:
-            # Instrumentation flags override the grid file's bundle.
+            # Kernel flags override only the fields they set in the
+            # grid file's bundle.
             from dataclasses import replace
 
             base = grid.options or RunOptions()
-            overrides: Dict[str, object] = {
-                "scheduler": cli_options.scheduler,
-                "max_no_progress_events": cli_options.max_no_progress_events,
-            }
+            overrides: Dict[str, object] = {}
+            if cli_options.max_no_progress_events is not None:
+                overrides["max_no_progress_events"] = cli_options.max_no_progress_events
             if cli_options.sample_interval is not None:
                 overrides["sample_interval"] = cli_options.sample_interval
             grid = replace(grid, options=base.with_(**overrides))
@@ -681,8 +680,8 @@ def cmd_drive(args: argparse.Namespace) -> int:
     options = RunOptions(
         scheduler=args.scheduler,
         log_spill=args.log_spill,
-        log_spill_window=args.log_spill_window if args.log_spill else None,
-        parallel_regions=args.regions if args.scheduler == "parallel" else None,
+        log_spill_window=args.log_spill_window,
+        parallel_regions=args.regions,
     )
     result = run_pattern(
         mesh_config=mesh,
@@ -723,12 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_instrumentation_arguments(p: argparse.ArgumentParser) -> None:
         """The kernel flag group shared by every simulating subcommand."""
         group = p.add_argument_group("simulation kernel")
-        group.add_argument(
-            "--scheduler", choices=SCHEDULERS, default=None,
-            help="event-list implementation: calendar (fast path) or heap "
-                 "(legacy oracle); default follows $REPRO_SCHEDULER, "
-                 "then calendar",
-        )
         group.add_argument(
             "--max-no-progress", type=int, default=None, metavar="N",
             help="abort with a stall diagnosis after N events fire without "
@@ -850,13 +843,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="payload bytes per message (default 64)")
     drive.add_argument(
         "--scheduler", choices=RUN_SCHEDULERS, default=None,
-        help="calendar/heap run one serial simulator; parallel shards "
-             "a region-local schedule (--pattern local) into region "
-             "worker processes",
+        help="calendar (the default) runs one serial simulator; "
+             "parallel shards a region-local schedule (--pattern local) "
+             "into region worker processes",
     )
     drive.add_argument(
         "--regions", type=int, default=None, metavar="R",
-        help="region worker processes for --scheduler parallel (default 2)",
+        help="region worker processes (default 2; needs --scheduler "
+             "parallel)",
     )
     drive.add_argument(
         "--log-spill", default=None, metavar="DIR",

@@ -123,8 +123,8 @@ def measure_load_point(
 
     The single-point building block of :func:`sweep_load`, exposed so
     grid sweeps can execute points independently (and in parallel).
-    ``options`` configures the synthetic drive's kernel (scheduler,
-    stall/leak checks).
+    ``options`` configures the synthetic drive's kernel (stall/leak
+    checks, no-progress watchdog).
     """
     generator = SyntheticTrafficGenerator(
         characterization,

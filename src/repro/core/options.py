@@ -17,15 +17,16 @@ from typing import Dict, Mapping, Optional
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
-from repro.simkernel import SCHEDULERS, Simulator
+from repro.simkernel import Simulator
 
-#: The parallel region-replay scheduler accepted on top of the serial
-#: kernel schedulers (:data:`repro.simkernel.SCHEDULERS`).  Kept as a
-#: literal here so validating an options bundle does not import the
-#: mesh stack; the test suite asserts it matches
+#: The parallel region-replay scheduler.  Kept as a literal here so
+#: validating an options bundle does not import the mesh stack; the
+#: test suite asserts it matches
 #: :data:`repro.simkernel.engine_parallel.PARALLEL_SCHEDULER`.
 PARALLEL_SCHEDULER = "parallel"
-RUN_SCHEDULERS = SCHEDULERS + (PARALLEL_SCHEDULER,)
+#: ``RunOptions.scheduler`` values: the serial calendar kernel or the
+#: parallel region replay.
+RUN_SCHEDULERS = ("calendar", PARALLEL_SCHEDULER)
 
 
 @dataclass(frozen=True)
@@ -52,18 +53,18 @@ class RunOptions:
         this many events without the clock advancing (None = off;
         the fast clock path is only taken when off).
     scheduler:
-        Event-list implementation, ``"calendar"`` (fast path) or
-        ``"heap"`` (legacy oracle); None defers to the
-        ``REPRO_SCHEDULER`` environment variable, then ``"calendar"``.
-        ``"parallel"`` selects the multi-process region-replay mesh
-        scheduler (:mod:`repro.simkernel.engine_parallel`); pattern
-        runners dispatch on it, while :meth:`make_simulator` maps it to
-        the calendar kernel each region worker runs on.
+        Serial or parallel dispatch: None or ``"calendar"`` runs one
+        serial simulator; ``"parallel"`` selects the multi-process
+        region-replay mesh scheduler
+        (:mod:`repro.simkernel.engine_parallel`).  Pattern runners
+        dispatch on it; pipelines that cannot shard their workload run
+        on the serial kernel either way.
     parallel_regions:
         Number of spatial regions (worker processes) for the
-        ``parallel`` scheduler; None defers to the runner's default.
-        Omitted from :meth:`as_dict` when unset, like every late-added
-        field, so pre-existing sweep cache keys stay stable.
+        ``parallel`` scheduler, which it requires; None defers to the
+        runner's default.  Omitted from :meth:`as_dict` when unset,
+        like every late-added field, so pre-existing sweep cache keys
+        stay stable.
     sample_interval:
         Live-telemetry sampling interval in simulated time units: the
         run carries a :class:`~repro.obs.live.LiveSampler` producing
@@ -85,8 +86,8 @@ class RunOptions:
         cache keys stay stable.
     log_spill_window:
         In-memory window size (records) before a spill; None defers to
-        :data:`~repro.mesh.netlog_stream.DEFAULT_WINDOW`.  Only
-        meaningful with ``log_spill``.
+        :data:`~repro.mesh.netlog_stream.DEFAULT_WINDOW`.  Requires
+        ``log_spill``.
 
     Booleans rather than live registry/recorder objects keep the value
     hashable and JSON-round-trippable, which sweep cell specs need for
@@ -129,6 +130,13 @@ class RunOptions:
             raise ValueError(
                 f"log_spill_window must be >= 1 or None, got {self.log_spill_window}"
             )
+        if self.log_spill_window is not None and self.log_spill is None:
+            raise ValueError("log_spill_window needs log_spill (a spill directory)")
+        if self.parallel_regions is not None and self.scheduler != PARALLEL_SCHEDULER:
+            raise ValueError(
+                f"parallel_regions needs scheduler={PARALLEL_SCHEDULER!r}, "
+                f"got scheduler={self.scheduler!r}"
+            )
 
     @property
     def live_enabled(self) -> bool:
@@ -146,21 +154,9 @@ class RunOptions:
         """A fresh timeline recorder when ``timeline`` is on, else None."""
         return TimelineRecorder() if self.timeline else None
 
-    @property
-    def kernel_scheduler(self) -> Optional[str]:
-        """The serial event-list implementation this bundle resolves to.
-
-        The ``parallel`` scheduler is a dispatch layer, not an event
-        list: each region worker (and any pipeline that cannot shard
-        its workload) runs on the calendar kernel.
-        """
-        if self.scheduler == PARALLEL_SCHEDULER:
-            return "calendar"
-        return self.scheduler
-
     def make_simulator(self, obs: Optional[MetricsRegistry] = None) -> Simulator:
-        """A kernel configured with this bundle's scheduler choice."""
-        return Simulator(obs=obs, scheduler=self.kernel_scheduler)
+        """The serial kernel for one run under this bundle."""
+        return Simulator(obs=obs)
 
     def make_netlog(self, stem: str = "netlog"):
         """The activity-log collector for one run under this bundle.

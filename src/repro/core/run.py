@@ -12,9 +12,9 @@ of the per-function instrumentation kwargs the lower-level
     from repro.core import RunOptions, run_dynamic, run_synthetic
 
     run = run_dynamic("1d-fft", params={"n": 128},
-                      options=RunOptions(metrics=True, scheduler="heap"))
+                      options=RunOptions(metrics=True))
     log = run_synthetic(run.characterization,
-                        options=RunOptions(scheduler="heap"))
+                        options=RunOptions(max_no_progress_events=100_000))
 """
 
 from __future__ import annotations
@@ -184,9 +184,4 @@ def run_pattern(
                 else DEFAULT_WINDOW
             ),
         )
-    return run_serial_schedule(
-        config,
-        traffic,
-        scheduler=options.kernel_scheduler,
-        log=options.make_netlog(stem),
-    )
+    return run_serial_schedule(config, traffic, log=options.make_netlog(stem))

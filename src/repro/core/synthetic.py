@@ -46,7 +46,7 @@ class SyntheticTrafficGenerator:
         load), for load sweeps.
     options:
         Optional :class:`~repro.core.options.RunOptions` selecting the
-        kernel scheduler and run-safety knobs for each ``generate``.
+        kernel's run-safety knobs for each ``generate``.
     """
 
     def __init__(

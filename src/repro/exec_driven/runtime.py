@@ -44,8 +44,8 @@ class ExecutionDrivenSimulation:
         Chrome trace-event export of the run.
     options:
         Optional :class:`~repro.core.options.RunOptions` selecting the
-        event-list scheduler and run-safety knobs (stall detection,
-        leak audit, no-progress watchdog).  Defaults preserve the
+        run-safety knobs (stall detection, leak audit, no-progress
+        watchdog) and the activity-log collector.  Defaults preserve the
         historical behaviour: stall checking and leak audits on for
         run-to-drain executions.
 
@@ -76,9 +76,7 @@ class ExecutionDrivenSimulation:
         # ``options`` is duck-typed (a RunOptions) rather than imported:
         # repro.core imports this module through the app base class.
         self.options = options
-        self.simulator = Simulator(
-            obs=obs, scheduler=options.scheduler if options is not None else None
-        )
+        self.simulator = Simulator(obs=obs)
         self.network = MeshNetwork(
             self.simulator,
             self.mesh_config,

@@ -379,7 +379,7 @@ def drive_pattern(
     for its message's delivery before drawing the next gap, so a
     congested network also throttles the offered load.  ``options``
     (a :class:`~repro.core.options.RunOptions`, default options when
-    omitted) selects the kernel scheduler, the stall checks and the
+    omitted) selects the stall checks, the no-progress watchdog and the
     leak audit, as for the synthetic generator.
     """
     if messages_per_source < 1:

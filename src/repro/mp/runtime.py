@@ -44,9 +44,7 @@ class MessagePassingRuntime:
         # ``options`` is duck-typed (a RunOptions) rather than imported:
         # repro.core imports this module through the app base class.
         self.options = options
-        self.simulator = Simulator(
-            obs=obs, scheduler=options.scheduler if options is not None else None
-        )
+        self.simulator = Simulator(obs=obs)
         self.obs = self.simulator.obs
         self.trace = TraceLog()
         self.contexts = [MPIContext(self, rank) for rank in range(num_ranks)]

@@ -34,8 +34,6 @@ Example
 """
 
 from repro.simkernel.engine import (
-    SCHEDULER_ENV,
-    SCHEDULERS,
     Hold,
     InvalidDelayError,
     Passivate,
@@ -44,14 +42,12 @@ from repro.simkernel.engine import (
     SimulationError,
     Simulator,
     Wait,
-    default_scheduler,
     hold,
     passivate,
     steady_clock,
     wait,
 )
 from repro.simkernel.engine_calendar import CalendarScheduler
-from repro.simkernel.engine_heap import HeapScheduler
 from repro.simkernel.diagnosis import (
     DeadlockError,
     FacilityLeakError,
@@ -97,7 +93,6 @@ __all__ = [
     "DeadlockError",
     "Facility",
     "FacilityLeakError",
-    "HeapScheduler",
     "Hold",
     "InvalidDelayError",
     "Mailbox",
@@ -111,8 +106,6 @@ __all__ = [
     "Receive",
     "Release",
     "Request",
-    "SCHEDULERS",
-    "SCHEDULER_ENV",
     "ScheduleTraffic",
     "Send",
     "SerialRunResult",
@@ -124,7 +117,6 @@ __all__ = [
     "Wait",
     "canonical_order",
     "check_leaks",
-    "default_scheduler",
     "describe_leaks",
     "diagnose_stall",
     "hold",

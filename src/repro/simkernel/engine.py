@@ -11,30 +11,23 @@ Only the commands defined in this package are understood by the engine;
 yielding anything else raises :class:`SimulationError` immediately,
 which keeps model bugs loud instead of silently stalling.
 
-Two interchangeable event lists sit under the executive, selected by
-``Simulator(scheduler=...)`` (or the ``REPRO_SCHEDULER`` environment
-variable when unset):
-
-* ``"calendar"`` (default) -- the fast path: a calendar-queue
-  (bucketed timing-wheel) of slab-pooled event records
-  (:mod:`repro.simkernel.engine_calendar`), with process stepping and
-  command dispatch inlined into :func:`steady_clock` and wakeup waves
-  batched into single queue touches;
-* ``"heap"`` -- the original global ``heapq`` of ``(time, seq,
-  closure)`` tuples (:mod:`repro.simkernel.engine_heap`), preserved
-  verbatim as the property-test oracle.
-
-Both produce the identical ``(time, seq)`` total event order, so clean
-runs are bit-for-bit reproducible across schedulers.
+The event list is a calendar queue (bucketed timing-wheel) of
+slab-pooled event records (:mod:`repro.simkernel.engine_calendar`).
+Events fire in the total order ``(time, seq)``: simultaneous events in
+the order they were scheduled.  Two clock loops drain it.
+:func:`steady_clock`, the default, inlines process stepping, command
+dispatch and the queue's push/pop, and batches wakeup waves into single
+queue touches.  With the no-progress watchdog armed,
+:meth:`Simulator.run` steps every event through the generic
+``_step``/``_dispatch`` path instead.  Both loops fire the same events
+in the same order, so a run's results do not depend on which one ran.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-import os
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappush
 from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -43,13 +36,6 @@ from repro.simkernel.engine_calendar import (
     CalendarScheduler,
     EventRecord,
 )
-from repro.simkernel.engine_heap import HeapScheduler
-
-#: Event-list implementations accepted by :class:`Simulator`.
-SCHEDULERS = ("calendar", "heap")
-
-#: Environment variable consulted when ``Simulator(scheduler=None)``.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
 
 
 class SimulationError(RuntimeError):
@@ -64,18 +50,6 @@ class InvalidDelayError(SimulationError, ValueError):
     handling keeps working) and :class:`ValueError` (it is an invalid
     argument value); the message names the offending delay.
     """
-
-
-def default_scheduler() -> str:
-    """The event-list choice when ``Simulator(scheduler=None)``: the
-    ``REPRO_SCHEDULER`` environment variable, else ``"calendar"``."""
-    choice = os.environ.get(SCHEDULER_ENV, "").strip() or "calendar"
-    if choice not in SCHEDULERS:
-        raise SimulationError(
-            f"{SCHEDULER_ENV}={choice!r} is not a valid scheduler; "
-            f"choose one of {', '.join(SCHEDULERS)}"
-        )
-    return choice
 
 
 class ProcessState(enum.Enum):
@@ -225,19 +199,13 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
     """Drain the event list with no stall-watchdog bookkeeping.
 
     This is the fast path of :meth:`Simulator.run`, used whenever
-    ``max_no_progress_events`` is unarmed: on the calendar scheduler it
-    pops slab records straight off the now-FIFO, resumes the process
-    generator inline (no per-event closure, no ``_step``/``_dispatch``
-    frames for the hot commands), and reschedules holds with a single
-    calendar push.  On the heap scheduler it falls back to the legacy
-    loop so the oracle's behaviour stays byte-for-byte the original.
+    ``max_no_progress_events`` is unarmed: it pops slab records straight
+    off the now-FIFO, resumes the process generator inline (no
+    ``_step``/``_dispatch`` frames for the hot commands), and
+    reschedules holds with a single calendar push.
 
     Returns the final clock value.
     """
-    if not simulator._fast:
-        simulator._clock_heap(until, None)
-        return simulator._now
-
     # Deferred imports: facility/mailbox import this module at load
     # time, and the hot loop below special-cases their command types.
     from repro.simkernel.facility import Release, Request
@@ -469,7 +437,7 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                                 handler = getattr(command, "_execute", None)
                                 if handler is None:
                                     # Subclassed commands and unknown yields
-                                    # take the generic (legacy) dispatcher.
+                                    # take the generic dispatcher.
                                     simulator._dispatch(proc, command)
                                 else:
                                     proc.state = WAITING
@@ -494,11 +462,8 @@ class Simulator:
 
     The event list keeps the total order ``(time, sequence)`` so that
     simultaneous events fire in deterministic FIFO order -- a property
-    the network simulator's contention accounting relies on.  Two
-    implementations are available (identical observable order):
-    ``scheduler="calendar"`` (default; see module docstring) and
-    ``scheduler="heap"`` (the legacy oracle).  ``scheduler=None``
-    consults the ``REPRO_SCHEDULER`` environment variable.
+    the network simulator's contention accounting relies on (see the
+    module docstring).
 
     Pass a :class:`~repro.obs.registry.MetricsRegistry` as ``obs`` to
     record kernel metrics (events fired, processes created, hold/wait
@@ -509,25 +474,8 @@ class Simulator:
     #: Sample the event-queue depth every this many fired events.
     QUEUE_SAMPLE_INTERVAL = 64
 
-    def __init__(
-        self,
-        obs: Optional[MetricsRegistry] = None,
-        scheduler: Optional[str] = None,
-    ) -> None:
-        if scheduler is None:
-            scheduler = default_scheduler()
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose one of "
-                + ", ".join(SCHEDULERS)
-            )
-        self.scheduler = scheduler
-        self._fast = scheduler == "calendar"
-        self._sched = CalendarScheduler() if self._fast else HeapScheduler()
-        # Bound-method fast path for the hottest wakeup call sites
-        # (``None`` selects the legacy closure push).
-        self._push_step = self._sched.push_step if self._fast else None
-        self._seq = itertools.count()  # heap-path (time, seq) tie-break
+    def __init__(self, obs: Optional[MetricsRegistry] = None) -> None:
+        self._sched = CalendarScheduler()
         self._now = 0.0
         self._processes: List[Process] = []
         self.current_process: Optional[Process] = None
@@ -581,10 +529,7 @@ class Simulator:
         """
         if delay < 0:
             raise InvalidDelayError(f"cannot schedule into the past (delay={delay})")
-        if self._fast:
-            self._sched.push_callback(self._now + delay, callback)
-        else:
-            self._sched.push(self._now + delay, next(self._seq), callback)
+        self._sched.push_callback(self._now + delay, callback)
 
     def process(self, body: ProcessBody, name: str = "process") -> Process:
         """Create a process from generator ``body`` and schedule its start."""
@@ -662,51 +607,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # clock loops (steady_clock above is the no-watchdog fast path)
     # ------------------------------------------------------------------
-    def _clock_heap(
-        self, until: Optional[float], max_no_progress_events: Optional[int]
-    ) -> None:
-        """The original event loop, verbatim, over the heap oracle."""
-        queue = self._sched._queue
-        observed = self._observed
-        no_progress = 0
-        while queue and not self._stopped:
-            when, _, callback = queue[0]
-            if until is not None and when > until:
-                self._now = max(self._now, until)
-                break
-            heappop(queue)
-            if max_no_progress_events is not None:
-                no_progress = 0 if when > self._now else no_progress + 1
-            self._now = when
-            # Counted per event (not batched in a local) so that
-            # in-kernel callbacks -- the live sampler's tick -- read
-            # an accurate ``events_fired``, matching what the
-            # calendar fast path's flush-before-callback exposes.
-            callback()
-            self.events_fired += 1
-            if observed:
-                self._m_events.inc()
-                self._events_since_sample += 1
-                if self._events_since_sample >= self.QUEUE_SAMPLE_INTERVAL:
-                    self._events_since_sample = 0
-                    self._m_queue_depth.sample(self._now, len(queue))
-                    self._m_active.sample(self._now, self.active_process_count)
-            if (
-                max_no_progress_events is not None
-                and no_progress >= max_no_progress_events
-            ):
-                from repro.simkernel.diagnosis import StallError, diagnose_stall
-
-                raise StallError(
-                    f"no simulated-time progress after {no_progress} events "
-                    f"at t={self._now:g}\n{diagnose_stall(self).describe()}"
-                )
-
     def _watchdog_clock(self, until: Optional[float], limit: int) -> None:
-        """Event loop with the livelock watchdog armed (either scheduler)."""
-        if not self._fast:
-            self._clock_heap(until, limit)
-            return
+        """Event loop with the livelock watchdog armed: every event goes
+        through the generic ``_step``/``_dispatch`` path."""
         sched = self._sched
         observed = self._observed
         no_progress = 0
@@ -724,8 +627,8 @@ class Simulator:
             value = rec.value
             callback = rec.callback
             sched.recycle(rec)
-            # As in the heap loop: count per event so in-kernel
-            # callbacks (the live sampler) see an accurate tally.
+            # Count per event so in-kernel callbacks (the live
+            # sampler's tick) see an accurate ``events_fired``.
             if proc is None:
                 callback()
             else:
@@ -843,45 +746,30 @@ class Simulator:
             raise InvalidDelayError(f"cannot schedule into the past (delay={delay})")
         proc.state = ProcessState.RUNNABLE
         proc.waiting_on = None
-        push = self._push_step
-        if push is not None:
-            push(self._now + delay, proc, value)
-        else:
-            self._sched.push(
-                self._now + delay, next(self._seq), lambda: self._step(proc, value)
-            )
+        self._sched.push_step(self._now + delay, proc, value)
 
     def _schedule_step_batch(self, procs: Sequence[Process], value: Any) -> None:
         """Wake a wave of processes at ``now`` with one queue touch.
 
         Used for grant/broadcast waves (event ``set``/``pulse``, join
-        wakeups, mailbox broadcasts): on the calendar scheduler the
-        whole wave lands on the now-FIFO in a single extend instead of
-        one heap push per waiter.  Relative wake order is the iteration
-        order of ``procs``, exactly as the per-waiter loop produced.
+        wakeups, mailbox broadcasts): the whole wave lands on the
+        now-FIFO in a single extend instead of one push per waiter.
+        Relative wake order is the iteration order of ``procs``.
         """
-        if self._fast:
-            RUNNABLE = ProcessState.RUNNABLE
-            for proc in procs:
-                proc.state = RUNNABLE
-                proc.waiting_on = None
-            self._sched.push_step_wave(self._now, procs, value)
-        else:
-            for proc in procs:
-                self._schedule_step(proc, value)
+        RUNNABLE = ProcessState.RUNNABLE
+        for proc in procs:
+            proc.state = RUNNABLE
+            proc.waiting_on = None
+        self._sched.push_step_wave(self._now, procs, value)
 
     def _schedule_step_pairs(self, pairs: Sequence[Tuple[Process, Any]]) -> None:
         """Wake ``(process, value)`` pairs at ``now`` with one queue touch
         (mailbox broadcast waves, where each waiter gets its own message)."""
-        if self._fast:
-            RUNNABLE = ProcessState.RUNNABLE
-            for proc, _ in pairs:
-                proc.state = RUNNABLE
-                proc.waiting_on = None
-            self._sched.push_step_pairs(self._now, pairs)
-        else:
-            for proc, value in pairs:
-                self._schedule_step(proc, value)
+        RUNNABLE = ProcessState.RUNNABLE
+        for proc, _ in pairs:
+            proc.state = RUNNABLE
+            proc.waiting_on = None
+        self._sched.push_step_pairs(self._now, pairs)
 
     def _step(self, proc: Process, value: Any) -> None:
         if proc.finished:

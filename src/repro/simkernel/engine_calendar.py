@@ -1,8 +1,8 @@
-"""Bucketed event list (exact-timestamp calendar) for the fast kernel.
+"""Bucketed event list (exact-timestamp calendar) for the kernel.
 
-This is the default event list behind :class:`repro.simkernel.engine.
-Simulator`.  It replaces the single global binary heap of
-``(time, seq, closure)`` tuples with three cooperating structures:
+This is the event list behind :class:`repro.simkernel.engine.
+Simulator`.  Instead of one global binary heap of ``(time, seq,
+closure)`` tuples it keeps three cooperating structures:
 
 * a **now-FIFO** -- a plain list (drained by index, not ``pop(0)``) of
   events scheduled at exactly the scheduler *floor*, the time of the
@@ -27,8 +27,7 @@ the per-wave heap cost amortizes toward zero.
 
 Event records are slab-pooled :class:`EventRecord` instances with
 ``__slots__``: the engine recycles each record after firing it, so a
-steady-state run allocates no per-event objects at all (the legacy heap
-path allocates one closure plus one tuple per event).
+steady-state run allocates no per-event objects at all.
 
 Ordering contract
 -----------------
@@ -47,6 +46,9 @@ counter is stored:
   at the floor (delays are non-negative and the engine clock never
   trails the floor), so routing exact-floor pushes to the now-FIFO
   never bypasses an earlier event still parked in a wave.
+
+The property tests hold every push/pop/peek to a plain ``heapq`` of
+``(time, seq)`` entries, the model of this contract.
 
 The engine's ``steady_clock`` inlines the hot paths, so the layout of
 ``_fifo``/``_waves``/``_times`` is load-bearing: they are cleared in

@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 #: The :class:`~repro.core.options.RunOptions` scheduler name this
-#: engine answers to ("calendar"/"heap" select the serial kernels).
+#: engine answers to ("calendar" selects the serial kernel).
 PARALLEL_SCHEDULER = "parallel"
 
 #: Built-in schedule patterns :meth:`ScheduleTraffic.compile_pattern`
@@ -305,13 +305,19 @@ def run_serial_schedule(
     """Replay ``traffic`` on one serial simulator (the reference the
     parallel scheduler is checked against).  ``log`` defaults to an
     in-memory :class:`NetworkLog`; pass a
-    :class:`~repro.mesh.netlog_stream.StreamingNetworkLog` to spill."""
+    :class:`~repro.mesh.netlog_stream.StreamingNetworkLog` to spill.
+    ``scheduler`` must be ``"calendar"``, the one serial kernel."""
+    if scheduler != "calendar":
+        raise ValueError(
+            f"run_serial_schedule replays on the calendar kernel only, "
+            f"got scheduler={scheduler!r}"
+        )
     if traffic.num_nodes != config.num_nodes:
         raise ValueError(
             f"traffic drawn for {traffic.num_nodes} nodes, mesh has "
             f"{config.num_nodes}"
         )
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     the_log = log if log is not None else NetworkLog()
     net = MeshNetwork(sim, config, log=the_log)
 
@@ -381,7 +387,7 @@ def _replay_region(
     """Replay one region's sources on its sub-mesh to completion and
     spill its shard; returns the shard manifest and kernel counters."""
     offset = partition.to_global(region, 0)
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     shard = StreamingNetworkLog(directory, stem=f"{stem}.r{region:02d}", window=window)
     net = MeshNetwork(
         sim, partition.region_config(region), log=_GlobalIdLog(shard, offset)

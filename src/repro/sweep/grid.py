@@ -76,7 +76,7 @@ class CellSpec:
     :class:`~repro.core.options.RunOptions`) configures the kernel for
     both runs.  It is part of the cell's identity: a non-default
     bundle enters ``canonical_json`` and therefore the cache key (so a
-    heap-scheduler replication never aliases a calendar one), while
+    watchdog-armed replication never aliases an unarmed one), while
     the default ``None`` is omitted, keeping every pre-existing cache
     key stable.
     """
@@ -193,7 +193,7 @@ class GridSpec:
     messages_per_source:
         Messages each source injects in the synthetic drive.
     options:
-        Kernel/run knobs applied to every cell (scheduler choice,
+        Kernel/run knobs applied to every cell (no-progress watchdog,
         stall/leak checks); None leaves the cells on the defaults and
         their cache keys unchanged.
     patterns:

@@ -6,7 +6,7 @@ Each run's activity log is hashed column by column (SHA-256 with
 here.  Anything that changes what the simulator computes -- a route, a
 lane, a wait, a float duration -- changes a digest; a pure speed-up of
 the routing or transfer path must not.  Every case runs on both kernel
-schedulers, and the event count is pinned alongside the digest.  One
+clock loops, and the event count is pinned alongside the digest.  One
 case also replays with its log spilled to 64-record segments and reads
 the digest back from the manifest, so the segment writer and reader are
 held to the same pin.
@@ -34,7 +34,12 @@ DIGEST_COLUMNS = (
     "deliver_time", "contention", "hops",
 )
 
-SCHEDULERS = ("calendar", "heap")
+#: The kernel's two clock loops, as ``run(max_no_progress_events=...)``:
+#: ``calendar`` is the unarmed ``steady_clock``, which inlines the
+#: calendar queue and the command dispatch; ``watchdog`` arms the
+#: stall watchdog (never tripped here), which steps every event
+#: through the generic ``_step``/``_dispatch`` path.
+CLOCKS = {"calendar": None, "watchdog": 10**9}
 
 #: name -> (config, pattern, messages per source, mean gap)
 SCHEDULE_CASES = {
@@ -105,10 +110,10 @@ def log_digest(log) -> str:
     return digest.hexdigest()
 
 
-def replay(config, traffic, scheduler, log=None):
+def replay(config, traffic, clock, log=None):
     """Closed-loop replay of a pre-drawn schedule; returns the network
     (so adaptive cases can show the YX order was taken) and simulator."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     net = MeshNetwork(sim, config, log=log)
 
     def source(src, entries):
@@ -121,7 +126,7 @@ def replay(config, traffic, scheduler, log=None):
 
     for src in sorted(traffic.per_source):
         sim.process(source(src, traffic.per_source[src]), name=f"source-{src}")
-    sim.run(check_stall=True)
+    sim.run(check_stall=True, max_no_progress_events=CLOCKS[clock])
     net.log.seal()
     return net, sim
 
@@ -136,37 +141,37 @@ def schedule(name):
     return config, traffic
 
 
-def run_schedule_case(name, scheduler):
-    net, sim = replay(*schedule(name), scheduler)
+def run_schedule_case(name, clock):
+    net, sim = replay(*schedule(name), clock)
     return net, log_digest(net.log), sim.events_fired
 
 
-def run_app_case(scheduler):
+def run_app_case(clock):
     run = run_dynamic(
         create_app("1d-fft", n=64, seed=1),
         mesh_config=MeshConfig.parse("4x2"),
-        options=RunOptions(scheduler=scheduler),
+        options=RunOptions(max_no_progress_events=CLOCKS[clock]),
     )
     return log_digest(run.log), len(run.log)
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
 @pytest.mark.parametrize("name", sorted(SCHEDULE_CASES))
-def test_schedule_digest(name, scheduler):
-    net, digest, events = run_schedule_case(name, scheduler)
+def test_schedule_digest(name, clock):
+    net, digest, events = run_schedule_case(name, clock)
     assert (digest, events) == GOLDEN[name]
     assert net.total_injected == net.total_delivered == len(net.log)
     if net.config.routing == "adaptive":
         assert net.adaptive_yx_taken > 0
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_spilled_schedule_digest(scheduler, tmp_path):
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+def test_spilled_schedule_digest(clock, tmp_path):
     # The same replay collected through RunOptions' out-of-core log and
     # read back from the manifest's segments.
     name = "torus-4x4x2-uniform"
     options = RunOptions(log_spill=str(tmp_path), log_spill_window=64)
-    net, sim = replay(*schedule(name), scheduler, log=options.make_netlog())
+    net, sim = replay(*schedule(name), clock, log=options.make_netlog())
     spilled = materialize_manifest(net.log.finalize())
     assert (log_digest(spilled), sim.events_fired) == GOLDEN[name]
     # 960 records (30 from each of 32 sources) in 15 segments of 64.
@@ -174,6 +179,6 @@ def test_spilled_schedule_digest(scheduler, tmp_path):
     assert net.total_delivered == len(spilled) == 960
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_app_digest(scheduler):
-    assert run_app_case(scheduler) == GOLDEN["app-1d-fft-4x2"]
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+def test_app_digest(clock):
+    assert run_app_case(clock) == GOLDEN["app-1d-fft-4x2"]

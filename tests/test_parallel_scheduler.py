@@ -1,9 +1,9 @@
 """Tests for the parallel region-replay mesh scheduler.
 
-Extends the cross-scheduler equivalence suite (calendar vs heap in
-``test_scheduler_equivalence.py``) to the ``parallel`` scheduler: the
-merged per-region netlog must be bit-identical to the serial calendar
-run for region-local traffic (within one row, or between the rows of
+Checks the ``parallel`` scheduler against the serial calendar kernel
+(whose own order ``test_scheduler_equivalence.py`` pins): the merged
+per-region netlog must be bit-identical to the serial run for
+region-local traffic (within one row, or between the rows of
 one band), and a schedule with any message crossing a region boundary
 must be rejected before a worker starts.  Also covers the partition
 geometry, a region worker's death, the options/CLI seam, and the
@@ -32,7 +32,6 @@ from repro.mesh.netlog_stream import (
     summary_from_manifest,
 )
 from repro.mesh.partition import MeshPartition, slice_partition
-from repro.simkernel import SCHEDULERS
 from repro.simkernel import engine_parallel
 from repro.simkernel.engine_parallel import (
     ParallelRunResult,
@@ -207,7 +206,7 @@ class TestParallelBitIdentity:
     def test_local_traffic_is_bit_identical(self, tmp_path, schedule, regions):
         config = MeshConfig("4x4")
         traffic = SCHEDULES[schedule](config)
-        serial = run_serial_schedule(config, traffic, scheduler="calendar")
+        serial = run_serial_schedule(config, traffic)
         parallel = run_parallel_mesh(
             config,
             traffic,
@@ -220,7 +219,7 @@ class TestParallelBitIdentity:
     def test_empty_regions_idle_without_breaking_identity(self, tmp_path):
         config = MeshConfig("4x2")
         traffic = local_traffic(config)
-        serial = run_serial_schedule(config, traffic, scheduler="calendar")
+        serial = run_serial_schedule(config, traffic)
         parallel = run_parallel_mesh(
             config, traffic, regions=4, directory=str(tmp_path)
         )
@@ -231,20 +230,11 @@ class TestParallelBitIdentity:
     def test_single_region_degenerates_to_serial(self, tmp_path):
         config = MeshConfig("4x2")
         traffic = uniform_traffic(config)
-        serial = run_serial_schedule(config, traffic, scheduler="calendar")
+        serial = run_serial_schedule(config, traffic)
         parallel = run_parallel_mesh(
             config, traffic, regions=1, directory=str(tmp_path)
         )
         assert logs_bit_identical(serial.log, parallel.merged_log())
-
-    def test_matches_the_heap_oracle_too(self, tmp_path):
-        # Transitivity check on the whole equivalence suite: parallel
-        # == calendar == heap on region-local traffic.
-        config = MeshConfig("4x4")
-        traffic = local_traffic(config)
-        heap = run_serial_schedule(config, traffic, scheduler="heap")
-        parallel = run_parallel_mesh(config, traffic, directory=str(tmp_path))
-        assert logs_bit_identical(heap.log, parallel.merged_log())
 
 
 class TestCrossingSchedulesRejected:
@@ -297,6 +287,13 @@ class TestParallelValidation:
             run_parallel_mesh(
                 MeshConfig("4x2"), traffic, directory=str(tmp_path)
             )
+
+    def test_serial_replay_accepts_only_the_calendar_kernel(self):
+        config = MeshConfig("4x2")
+        traffic = local_traffic(config)
+        for scheduler in ("heap", "parallel"):
+            with pytest.raises(ValueError, match=f"scheduler={scheduler!r}"):
+                run_serial_schedule(config, traffic, scheduler=scheduler)
 
 
 @pytest.mark.skipif(
@@ -370,12 +367,12 @@ class TestMergedManifest:
 class TestParallelOptions:
     def test_constants_agree_across_layers(self):
         assert PARALLEL_SCHEDULER == ENGINE_PARALLEL_SCHEDULER
-        assert RUN_SCHEDULERS == SCHEDULERS + (PARALLEL_SCHEDULER,)
+        assert RUN_SCHEDULERS == ("calendar", PARALLEL_SCHEDULER)
 
     def test_parallel_scheduler_is_accepted(self):
         options = RunOptions(scheduler="parallel", parallel_regions=4)
-        assert options.kernel_scheduler == "calendar"
-        assert RunOptions(scheduler="heap").kernel_scheduler == "heap"
+        assert options.scheduler == "parallel"
+        assert options.parallel_regions == 4
 
     def test_parallel_knobs_are_validated(self):
         with pytest.raises(ValueError, match="parallel_regions"):

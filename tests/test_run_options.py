@@ -15,9 +15,8 @@ from repro.core import (
     run_synthetic,
 )
 from repro.obs import MetricsRegistry, TimelineRecorder
-from repro.simkernel import SCHEDULER_ENV
+from repro.simkernel import StallError
 from repro.simkernel.engine_calendar import CalendarScheduler
-from repro.simkernel.engine_heap import HeapScheduler
 
 
 def _normalized(log):
@@ -41,30 +40,39 @@ def test_defaults_and_validation():
         RunOptions(max_no_progress_events=0)
     with pytest.raises(ValueError, match="scheduler"):
         RunOptions().with_(scheduler="bogus")
+    # A stored bundle naming an event list the kernel does not have is
+    # rejected by name, not silently run on another kernel.
+    with pytest.raises(ValueError, match="scheduler must be one of .* got 'heap'"):
+        RunOptions.from_dict({"scheduler": "heap"})
+
+
+def test_paired_fields_need_their_partner(tmp_path):
+    with pytest.raises(ValueError, match="log_spill_window needs log_spill"):
+        RunOptions(log_spill_window=10)
+    for scheduler in (None, "calendar"):
+        with pytest.raises(ValueError, match="parallel_regions needs scheduler"):
+            RunOptions(scheduler=scheduler, parallel_regions=3)
+    RunOptions(log_spill=str(tmp_path), log_spill_window=10)
+    RunOptions(scheduler="parallel", parallel_regions=3)
 
 
 def test_round_trip_and_unknown_fields():
-    options = RunOptions(metrics=True, scheduler="heap", max_no_progress_events=5)
+    options = RunOptions(metrics=True, scheduler="calendar", max_no_progress_events=5)
     assert RunOptions.from_dict(options.as_dict()) == options
     with pytest.raises(ValueError, match="unknown RunOptions field"):
         RunOptions.from_dict({"metrics": True, "turbo": 11})
 
 
-def test_factories(monkeypatch):
-    monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+def test_factories():
     quiet = RunOptions()
     assert quiet.make_registry() is None
     assert quiet.make_timeline() is None
     assert isinstance(quiet.make_simulator()._sched, CalendarScheduler)
-    monkeypatch.setenv(SCHEDULER_ENV, "heap")
-    assert isinstance(quiet.make_simulator()._sched, HeapScheduler)
-    assert isinstance(
-        RunOptions(scheduler="calendar").make_simulator()._sched, CalendarScheduler
-    )
-    loud = RunOptions(metrics=True, timeline=True, scheduler="heap")
-    assert isinstance(loud.make_registry(), MetricsRegistry)
+    loud = RunOptions(metrics=True, timeline=True, max_no_progress_events=5)
+    registry = loud.make_registry()
+    assert isinstance(registry, MetricsRegistry)
     assert isinstance(loud.make_timeline(), TimelineRecorder)
-    assert isinstance(loud.make_simulator()._sched, HeapScheduler)
+    assert loud.make_simulator(obs=registry).obs is registry
 
 
 def test_run_kwargs_gates_stall_check_on_truncation():
@@ -82,10 +90,14 @@ def test_run_kwargs_gates_stall_check_on_truncation():
 # the unified entry points
 # ----------------------------------------------------------------------
 def test_run_dynamic_by_name_and_scheduler_equivalence():
-    cal = run_dynamic("1d-fft", params={"n": 16})
-    heap = run_dynamic("1d-fft", params={"n": 16}, options=RunOptions(scheduler="heap"))
-    assert _normalized(cal.log) == _normalized(heap.log)
-    assert cal.characterization.strategy == "dynamic"
+    # App pipelines cannot shard: under the parallel scheduler they run
+    # on the serial kernel and produce the default run's log.
+    serial = run_dynamic("1d-fft", params={"n": 16})
+    parallel = run_dynamic(
+        "1d-fft", params={"n": 16}, options=RunOptions(scheduler="parallel")
+    )
+    assert _normalized(serial.log) == _normalized(parallel.log)
+    assert serial.characterization.strategy == "dynamic"
 
 
 def test_run_static_by_name():
@@ -93,6 +105,10 @@ def test_run_static_by_name():
     assert run.characterization.strategy == "static"
     assert run.trace is not None
     assert run.timeline is not None
+    parallel = run_static(
+        "3d-fft", params={"n": 8}, options=RunOptions(scheduler="parallel")
+    )
+    assert _normalized(run.log) == _normalized(parallel.log)
 
 
 def test_run_rejects_wrong_category():
@@ -102,26 +118,32 @@ def test_run_rejects_wrong_category():
         run_dynamic(create_app("1d-fft", n=16), params={"n": 32})
 
 
-def test_run_synthetic_and_measure_load_point_honor_scheduler():
+def test_run_synthetic_and_measure_load_point_honor_options():
     run = run_dynamic("1d-fft", params={"n": 16})
-    logs = {
-        scheduler: run_synthetic(
-            run.characterization,
-            messages_per_source=10,
-            options=RunOptions(scheduler=scheduler),
-        )
-        for scheduler in ("calendar", "heap")
-    }
-    assert _normalized(logs["calendar"]) == _normalized(logs["heap"])
-    points = {
-        scheduler: measure_load_point(
-            run.characterization,
-            messages_per_source=10,
-            options=RunOptions(scheduler=scheduler),
+    # A watchdog that never trips takes the generic clock loop and
+    # must reproduce the default run exactly ...
+    armed = RunOptions(max_no_progress_events=10**9)
+    logs = [
+        run_synthetic(run.characterization, messages_per_source=10, options=options)
+        for options in (None, armed)
+    ]
+    assert _normalized(logs[0]) == _normalized(logs[1])
+    points = [
+        measure_load_point(
+            run.characterization, messages_per_source=10, options=options
         ).point
-        for scheduler in ("calendar", "heap")
-    }
-    assert points["calendar"] == points["heap"]
+        for options in (None, armed)
+    ]
+    assert points[0] == points[1]
+    # ... and a one-event watchdog must reach the kernel and trip on
+    # the sources' simultaneous t=0 starts.
+    tripwire = RunOptions(max_no_progress_events=1)
+    with pytest.raises(StallError, match="no simulated-time progress"):
+        run_synthetic(run.characterization, messages_per_source=10, options=tripwire)
+    with pytest.raises(StallError, match="no simulated-time progress"):
+        measure_load_point(
+            run.characterization, messages_per_source=10, options=tripwire
+        )
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +158,29 @@ def test_cell_spec_carries_options_without_breaking_flagless_keys():
     assert CellSpec.from_dict(flagless.as_dict()) == flagless
 
     pinned = make_grid(
-        apps=["1d-fft"], options=RunOptions(scheduler="heap")
+        apps=["1d-fft"], options=RunOptions(max_no_progress_events=5)
     ).expand()[0]
-    assert pinned.options == RunOptions(scheduler="heap")
+    assert pinned.options == RunOptions(max_no_progress_events=5)
     assert '"options"' in pinned.canonical_json()
     assert CellSpec.from_dict(pinned.as_dict()) == pinned
     # Different kernel knobs must never alias in the result cache.
     assert pinned.canonical_json() != flagless.canonical_json()
+    # Cache keys hash these documents: pinned byte for byte as sweep
+    # caches already hold them.
+    assert flagless.canonical_json() == (
+        '{"app":"1d-fft","mesh":"4x2","messages_per_source":120,'
+        '"params":{"n":64},"protocol":"invalidate","rate_scale":1.0,"seed":0}'
+    )
+    calendar = make_grid(
+        apps=["1d-fft"], options=RunOptions(scheduler="calendar")
+    ).expand()[0]
+    assert calendar.canonical_json() == (
+        '{"app":"1d-fft","mesh":"4x2","messages_per_source":120,'
+        '"options":{"check_leaks":true,"check_stall":true,'
+        '"max_no_progress_events":null,"metrics":false,'
+        '"scheduler":"calendar","timeline":false},'
+        '"params":{"n":64},"protocol":"invalidate","rate_scale":1.0,"seed":0}'
+    )
 
 
 def test_cli_instrumentation_flags_shared_across_subcommands():
@@ -150,18 +188,16 @@ def test_cli_instrumentation_flags_shared_across_subcommands():
 
     parser = build_parser()
     for argv in (
-        ["characterize", "1d-fft", "--scheduler", "heap", "--max-no-progress", "9"],
-        ["validate", "1d-fft", "--scheduler", "heap", "--max-no-progress", "9"],
-        ["sweep", "run", "--app", "1d-fft", "--scheduler", "heap",
-         "--max-no-progress", "9"],
-        ["sweep", "status", "--app", "1d-fft", "--scheduler", "heap",
-         "--max-no-progress", "9"],
+        ["characterize", "1d-fft", "--max-no-progress", "9"],
+        ["validate", "1d-fft", "--max-no-progress", "9"],
+        ["sweep", "run", "--app", "1d-fft", "--max-no-progress", "9"],
+        ["sweep", "status", "--app", "1d-fft", "--max-no-progress", "9"],
     ):
         args = parser.parse_args(argv)
-        assert args.scheduler == "heap"
         assert args.max_no_progress == 9
-    with pytest.raises(SystemExit):
-        parser.parse_args(["characterize", "1d-fft", "--scheduler", "fifo"])
+        # The kernel has one event list, so there is nothing to select.
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--scheduler", "calendar"])
 
 
 def test_cli_flags_reach_the_grid_cells():
@@ -169,7 +205,55 @@ def test_cli_flags_reach_the_grid_cells():
 
     parser = build_parser()
     args = parser.parse_args(
-        ["sweep", "status", "--app", "1d-fft", "--scheduler", "heap"]
+        ["sweep", "status", "--app", "1d-fft", "--max-no-progress", "9"]
     )
     cell = _grid_from_args(args).expand()[0]
-    assert cell.options is not None and cell.options.scheduler == "heap"
+    assert cell.options == RunOptions(max_no_progress_events=9)
+
+
+def test_cli_flags_override_only_what_they_set_in_a_grid_file(tmp_path):
+    import json
+
+    from repro.cli import _grid_from_args, build_parser
+    from repro.sweep.grid import make_grid
+
+    stored = RunOptions(max_no_progress_events=1000, scheduler="calendar")
+    grid = make_grid(apps=["1d-fft"], options=stored)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(grid.as_dict()))
+    parser = build_parser()
+
+    def cell(*flags):
+        args = parser.parse_args(["sweep", "status", "--grid", str(path), *flags])
+        return _grid_from_args(args).expand()[0]
+
+    assert cell().options == stored
+    assert cell("--sample-interval", "5").options == stored.with_(sample_interval=5.0)
+    assert cell("--max-no-progress", "7").options == stored.with_(
+        max_no_progress_events=7
+    )
+    # Restating the file's own value keeps every cell's cache key.
+    assert cell("--max-no-progress", "1000").canonical_json() == (
+        cell().canonical_json()
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["characterize", "1d-fft", "--param", "n=64", "--log-spill-window", "10"],
+            "log_spill_window needs log_spill",
+        ),
+        (
+            ["drive", "--mesh", "4x4", "--pattern", "uniform", "--regions", "3"],
+            "parallel_regions needs scheduler='parallel'",
+        ),
+    ],
+    ids=["log-spill-window", "regions"],
+)
+def test_cli_rejects_a_flag_without_its_partner(argv, message, capsys):
+    from repro.cli import main
+
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err

@@ -1,16 +1,25 @@
-"""Property tests: the calendar fast path equals the heap oracle.
+"""Property tests: the event list and both clock loops keep one order.
 
-The fast kernel (``scheduler="calendar"`` plus the inlined
-``steady_clock`` dispatch) must reproduce the legacy heap scheduler's
-observable behaviour exactly: the same events fire in the same order
-at the same times, processes end in the same states, and a mesh run
-produces a bit-identical activity log.  Hypothesis drives randomized
-process programs -- tie-prone quantized holds, contended facilities,
-paired mailbox handoffs, events -- through both schedulers and compares
-the full execution trails.
+The kernel's observable order is the total order ``(time, seq)``:
+simultaneous events fire in the order they were scheduled.  Two checks
+hold it in place.
+
+* ``CalendarScheduler`` is driven with random interleavings of every
+  push, pop and peek and compared, operation by operation, with a
+  plain ``heapq`` of ``(time, seq)`` entries -- the model of the
+  ordering contract.
+* The inlined dispatch of ``steady_clock`` (an unarmed ``run()``) is
+  compared with the generic ``_step``/``_dispatch`` path the watchdog
+  loop runs (``run(max_no_progress_events=...)``): randomized process
+  programs -- tie-prone quantized holds, contended facilities, paired
+  mailbox handoffs, events -- must leave the same execution trail, and
+  a mesh run a bit-identical activity log.
 """
 
 from __future__ import annotations
+
+import itertools
+from heapq import heappop, heappush
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +27,7 @@ from repro.mesh.config import MeshConfig
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
 from repro.simkernel import (
+    CalendarScheduler,
     Facility,
     Mailbox,
     SimEvent,
@@ -31,14 +41,99 @@ from repro.simkernel import (
 )
 
 #: Quantized delays (multiples of 0.25, including 0) make simultaneous
-#: events the common case, which is exactly where a scheduler's
+#: events the common case, which is exactly where an event list's
 #: tie-break order can silently diverge.
 gaps = st.integers(min_value=0, max_value=8).map(lambda k: k * 0.25)
 
+#: Arms the watchdog loop without ever tripping it.
+NEVER_STALLS = 10**9
 
-def _run_program(scheduler, num_pairs, extra_holds, sender_plans, walker_plans):
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("step"), gaps),
+        st.tuples(st.just("callback"), gaps),
+        st.tuples(st.just("wave"), gaps, st.integers(min_value=0, max_value=4)),
+        st.tuples(st.just("pairs"), gaps, st.integers(min_value=0, max_value=4)),
+        st.just(("pop",)),
+        st.just(("peek",)),
+        st.just(("len",)),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=operations)
+def test_calendar_matches_the_heapq_model(ops):
+    """Every operation agrees with a ``heapq`` of ``(time, seq)``.
+
+    Pushes land at or after the last popped time, as the kernel
+    guarantees (delays are non-negative and the clock is the time of
+    the last fired event).  The test drains both lists at the end.
+    """
+    sched = CalendarScheduler()
+    model = []
+    seq = itertools.count()
+    now = 0.0
+
+    def pop_and_compare():
+        nonlocal now
+        rec = sched.pop()
+        if not model:
+            assert rec is None
+            return
+        when, _, proc, value, callback = heappop(model)
+        assert (rec.time, rec.proc, rec.value, rec.callback) == (
+            when, proc, value, callback,
+        )
+        now = when
+        sched.recycle(rec)
+
+    for n, op in enumerate(ops):
+        kind = op[0]
+        if kind == "step":
+            when = now + op[1]
+            sched.push_step(when, ("step", n), ("value", n))
+            heappush(model, (when, next(seq), ("step", n), ("value", n), None))
+        elif kind == "callback":
+            when = now + op[1]
+
+            def callback():
+                return None
+
+            sched.push_callback(when, callback)
+            heappush(model, (when, next(seq), None, None, callback))
+        elif kind == "wave":
+            when = now + op[1]
+            procs = [("wave", n, i) for i in range(op[2])]
+            sched.push_step_wave(when, procs, ("shared", n))
+            for proc in procs:
+                heappush(model, (when, next(seq), proc, ("shared", n), None))
+        elif kind == "pairs":
+            when = now + op[1]
+            pairs = [(("pair", n, i), ("own", n, i)) for i in range(op[2])]
+            sched.push_step_pairs(when, pairs)
+            for proc, value in pairs:
+                heappush(model, (when, next(seq), proc, value, None))
+        elif kind == "pop":
+            pop_and_compare()
+        elif kind == "peek":
+            assert sched.peek_time() == (model[0][0] if model else None)
+        else:
+            assert len(sched) == len(model)
+            assert bool(sched) == bool(model)
+    while model:
+        pop_and_compare()
+    assert sched.pop() is None
+    assert sched.peek_time() is None
+    assert len(sched) == 0
+
+
+def _run_program(watchdog, num_pairs, extra_holds, sender_plans, walker_plans):
     """Execute one randomized program; returns its observable trail.
 
+    ``watchdog`` is passed to ``run()`` as ``max_no_progress_events``:
+    None takes ``steady_clock``, a number the generic watchdog loop.
     ``sender_plans`` is one list of (gap, use_facility, service) per
     sender; each sender ships its plan through a mailbox its receiver
     drains (so every receive matches a send and the program always
@@ -46,7 +141,7 @@ def _run_program(scheduler, num_pairs, extra_holds, sender_plans, walker_plans):
     facility churn and holds.  The trail records every resume point:
     (clock, process name, step tag).
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     trail = []
     boxes = [Mailbox(sim, name=f"box{i}") for i in range(num_pairs)]
     channel = Facility(sim, name="channel")
@@ -96,7 +191,7 @@ def _run_program(scheduler, num_pairs, extra_holds, sender_plans, walker_plans):
 
         sim.process(lone(), name=f"lone{n}")
 
-    final = sim.run()
+    final = sim.run(max_no_progress_events=watchdog)
     states = sorted((p.name, p.state.name) for p in sim.processes)
     return trail, final, sim.events_fired, states
 
@@ -115,31 +210,26 @@ def _run_program(scheduler, num_pairs, extra_holds, sender_plans, walker_plans):
     ),
     extra_holds=st.lists(gaps, min_size=0, max_size=4),
 )
-def test_random_programs_identical_across_schedulers(
+def test_random_programs_identical_on_both_clock_loops(
     sender_plans, walker_plans, extra_holds
 ):
-    runs = {
-        scheduler: _run_program(
-            scheduler, len(sender_plans), extra_holds, sender_plans, walker_plans
+    steady, generic = (
+        _run_program(
+            watchdog, len(sender_plans), extra_holds, sender_plans, walker_plans
         )
-        for scheduler in ("calendar", "heap")
-    }
-    cal_trail, cal_final, cal_fired, cal_states = runs["calendar"]
-    heap_trail, heap_final, heap_fired, heap_states = runs["heap"]
-    assert cal_trail == heap_trail
-    assert cal_final == heap_final
-    assert cal_fired == heap_fired
-    assert cal_states == heap_states
+        for watchdog in (None, NEVER_STALLS)
+    )
+    assert steady == generic
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-def test_mesh_netlog_bit_identical_across_schedulers(seed):
+def test_mesh_netlog_bit_identical_on_both_clock_loops(seed):
     """Same seed, same mesh traffic: the activity logs must match
     record for record (fixed msg_ids keep the runs comparable)."""
 
-    def run(scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def run(watchdog):
+        sim = Simulator()
         net = MeshNetwork(sim, MeshConfig("3x3"))
         nodes = 9
 
@@ -158,23 +248,8 @@ def test_mesh_netlog_bit_identical_across_schedulers(seed):
 
         for src in range(nodes):
             sim.process(source(src), name=f"src{src}")
-        sim.run(check_stall=True)
+        sim.run(check_stall=True, max_no_progress_events=watchdog)
         net.log.seal()
-        return net.log.records, sim.now
+        return net.log.records, sim.now, sim.events_fired
 
-    cal_records, cal_now = run("calendar")
-    heap_records, heap_now = run("heap")
-    assert cal_records == heap_records
-    assert cal_now == heap_now
-
-
-def test_env_var_selects_scheduler(monkeypatch):
-    from repro.simkernel.engine_calendar import CalendarScheduler
-    from repro.simkernel.engine_heap import HeapScheduler
-
-    monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-    assert isinstance(Simulator()._sched, HeapScheduler)
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    assert isinstance(Simulator()._sched, CalendarScheduler)
-    monkeypatch.delenv("REPRO_SCHEDULER")
-    assert isinstance(Simulator()._sched, CalendarScheduler)
+    assert run(None) == run(NEVER_STALLS)

@@ -151,6 +151,20 @@ class TestValidation:
         assert status == 400
         assert "no-such-app" in doc["error"]
 
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"log_spill_window": 5}, "log_spill_window"),
+            ({"parallel_regions": 2}, "parallel_regions"),
+        ],
+        ids=["log-spill-window", "regions"],
+    )
+    def test_unpaired_run_options_400(self, service, options, field):
+        bad = dict(GRID, options=options)
+        status, doc, _ = Client(service).post("/v1/jobs", {"grid": bad})
+        assert status == 400
+        assert f"{field} needs" in doc["error"]
+
     def test_cell_cap_400(self, service):
         service.manager.max_cells = 1
         status, doc, _ = Client(service).post("/v1/jobs", {"grid": GRID})
@@ -426,6 +440,39 @@ class TestRestartResume:
                 break
             time.sleep(0.02)
         assert doc["state"] == "done"
+        manager2.shutdown(wait=True)
+
+    def test_stored_heap_bundle_fails_only_its_job(self, tmp_path):
+        # A job stored with a scheduler the kernel does not have fails
+        # by name on resume; the service runs the next job.
+        state = str(tmp_path / "state")
+        cache_dir = str(tmp_path / "cache")
+        manager = JobManager(state, ResultCache(cache_dir), cell_fn=quick_cell)
+        doc, _ = manager.submit_grid(GRID)
+        job_id = doc["id"]
+        manager.shutdown(wait=True)
+        stored = manager.index.load(job_id)
+        stored["spec"]["grid"]["options"] = {"scheduler": "heap"}
+        stored["state"] = "queued"
+        stored.pop("result", None)
+        manager.index.save(stored)
+        manager2 = JobManager(state, ResultCache(cache_dir), cell_fn=quick_cell)
+        assert manager2.resume() == 1
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            doc = manager2.index.load(job_id)
+            if doc["state"] in ("done", "failed"):
+                break
+            time.sleep(0.02)
+        assert doc["state"] == "failed"
+        assert "ValueError" in doc["error"] and "'heap'" in doc["error"]
+        fresh, _ = manager2.submit_grid(dict(GRID, seeds=[1]))
+        while time.monotonic() < deadline:
+            fresh = manager2.index.load(fresh["id"])
+            if fresh["state"] in ("done", "failed"):
+                break
+            time.sleep(0.02)
+        assert fresh["state"] == "done"
         manager2.shutdown(wait=True)
 
 

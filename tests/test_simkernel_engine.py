@@ -18,6 +18,12 @@ from repro.simkernel import (
 )
 from repro.simkernel.engine import ProcessState
 
+#: The kernel's two clock loops, as ``run(max_no_progress_events=...)``:
+#: ``calendar`` is the unarmed ``steady_clock`` with its inlined
+#: dispatch; ``watchdog`` steps every event through the generic
+#: ``_step``/``_dispatch`` path (and never trips here).
+CLOCKS = {"calendar": None, "watchdog": 10**9}
+
 
 def test_hold_advances_clock():
     sim = Simulator()
@@ -52,11 +58,11 @@ def test_negative_schedule_delay_raises_valueerror_naming_delay():
     assert issubclass(InvalidDelayError, ValueError)
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_negative_step_delay_rejected_inside_run(scheduler):
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+def test_negative_step_delay_rejected_inside_run(clock):
     from repro.simkernel import InvalidDelayError
 
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
 
     def proc():
         sim._schedule_step(sim.current_process, None, delay=-2.0)
@@ -64,7 +70,7 @@ def test_negative_step_delay_rejected_inside_run(scheduler):
 
     sim.process(proc(), name="p")
     with pytest.raises(InvalidDelayError, match=r"delay=-2\.0"):
-        sim.run()
+        sim.run(max_no_progress_events=CLOCKS[clock])
 
 
 def test_simultaneous_events_fifo_order():
@@ -350,10 +356,11 @@ class TestFacility:
         # a waits 0, b waits 10.
         assert fac.mean_wait_time() == pytest.approx(5.0)
 
-    @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-    def test_wait_stats_keep_no_per_request_storage(self, scheduler):
-        """10^5 grants leave O(1) wait state and the same mean wait."""
-        sim = Simulator(scheduler=scheduler)
+    @pytest.mark.parametrize("clock", sorted(CLOCKS))
+    def test_wait_stats_keep_no_per_request_storage(self, clock):
+        """10^5 grants leave O(1) wait state and the same mean wait,
+        through the inlined and the generic facility paths alike."""
+        sim = Simulator()
         fac = Facility(sim, name="f")
         waits = []
 
@@ -368,7 +375,7 @@ class TestFacility:
 
         sim.process(user(0.0), name="a")
         sim.process(user(0.25), name="b")
-        sim.run()
+        sim.run(max_no_progress_events=CLOCKS[clock])
         assert fac.total_requests == len(waits) == 100_000
         assert fac.mean_wait_time() > 0
         assert fac.mean_wait_time() == pytest.approx(sum(waits) / len(waits))
