@@ -442,14 +442,13 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
     path = args.path
     if path.endswith(".csv") or path.endswith(".csv.gz"):
-        lines, problems = netlog_health(NetworkLog.read_csv(path))
+        lines, problems = netlog_health(NetworkLog.read_csv(path).summary())
         kind = "activity log"
     elif path.endswith(".manifest.json"):
         from repro.mesh.netlog_stream import read_manifest, summary_from_manifest
 
         doc = read_manifest(path)
-        # netlog_health only needs .summary(); the merged streaming
-        # summary provides it without touching a single segment.
+        # The manifest's merged summary: no segment is read.
         lines, problems = netlog_health(summary_from_manifest(path))
         lines.insert(
             0,
@@ -458,7 +457,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         )
         kind = "spilled activity log"
     elif path.endswith(".npz"):
-        lines, problems = netlog_health(NetworkLog.read_npz(path))
+        lines, problems = netlog_health(NetworkLog.read_npz(path).summary())
         kind = "activity log"
     elif path.endswith(".jsonl"):
         lines, problems = heartbeat_health(read_heartbeats(path))

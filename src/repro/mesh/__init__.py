@@ -34,7 +34,6 @@ from repro.mesh.netlog import LogSummary, NetLogFormatError, NetLogRecord, Netwo
 from repro.mesh.netlog_stream import (
     DEFAULT_WINDOW,
     StreamingNetworkLog,
-    StreamingSummary,
     iter_segments,
     materialize_manifest,
     read_manifest,
@@ -101,7 +100,6 @@ __all__ = [
     "PATTERNS",
     "ShuffleTraffic",
     "StreamingNetworkLog",
-    "StreamingSummary",
     "TOPOLOGIES",
     "Topology",
     "TopologySpec",

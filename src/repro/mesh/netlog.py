@@ -8,6 +8,15 @@ fields; the :class:`NetworkLog` offers the derived views (inter-arrival
 series, destination histograms, length histograms) that the statistics
 package consumes.
 
+Every aggregate view -- sources, traffic matrices and their rows,
+length and kind tallies, the scalar metrics -- is answered from one
+:class:`LogSummary`, a mergeable one-pass fold over chunks of the
+columns.  The views are written once, on :class:`AggregateViews`, which
+both this in-memory log and the spilled
+:class:`~repro.mesh.netlog_stream.StreamingNetworkLog` inherit: the
+in-memory log's summary is the fold over one chunk, the spilled log's
+the fold of its per-segment partials.
+
 Storage is struct-of-arrays, not row objects:
 
 * **Collection** stays cheap: :meth:`NetworkLog.add` stages the
@@ -19,8 +28,8 @@ Storage is struct-of-arrays, not row objects:
   once (:meth:`NetworkLog.seal`).
 * **Analysis** is vectorized: every derived view is an
   argsort/bincount/ufunc reduction over the sealed columns, and the
-  memoized per-source index, row materializations, and group views are
-  discarded wholesale whenever the log mutates.
+  memoized per-source index, row materializations, summary fold and
+  group views are discarded wholesale whenever the log mutates.
 
 Row-shaped accessors (:attr:`NetworkLog.records`, ``__iter__``,
 :meth:`NetworkLog.by_source`) still return :class:`NetLogRecord`
@@ -39,12 +48,15 @@ from __future__ import annotations
 import contextlib
 import csv
 import gzip
+import math
 import os
 import zipfile
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.stats.streaming import QuantileDigest, StreamingMoments
 
 
 def _open_csv(path: str, mode: str):
@@ -153,23 +165,494 @@ def make_record(
     return record
 
 
-@dataclass(frozen=True)
-class LogSummary:
-    """Every scalar summary metric of a log, computed in one pass.
+#: Cells of the largest (src, dst) table :func:`_tally_pairs` fills with
+#: one dense ``bincount``; a larger table is still used while it has at
+#: most four cells per item tallied, and past both the pairs are sorted
+#: instead.  Either way the fold's memory follows the records, never the
+#: square of the largest endpoint id: a log naming node 10**9 costs what
+#: one naming node 9 does.
+_DENSE_PAIR_CELLS = 1 << 16
 
-    Built by :meth:`NetworkLog.summary`; run-report builders and the
-    load sweep read this instead of calling the per-metric accessors
-    one by one (each of which scans the columns).
+
+def _tally_pairs(
+    src: np.ndarray, dst: np.ndarray, messages: np.ndarray, volume: np.ndarray
+) -> np.ndarray:
+    """Sum ``messages`` and ``volume`` per distinct (src, dst) pair.
+
+    Returns a (4, pairs) int64 array -- rows src, dst, messages and
+    bytes -- with the pairs in (src, dst) order.  Endpoints are >= 0.
+    """
+    if src.size == 0:
+        return np.zeros((4, 0), dtype=np.int64)
+    m = int(max(src.max(), dst.max())) + 1
+    if m * m <= max(_DENSE_PAIR_CELLS, 4 * src.size):
+        flat = src * m + dst
+        # bincount weights are float64; tallies stay < 2**53, so the
+        # casts back to int64 are exact.
+        counts = np.bincount(flat, weights=messages, minlength=m * m)
+        volumes = np.bincount(flat, weights=volume, minlength=m * m)
+        keys = np.flatnonzero(counts)
+        return np.stack(
+            (
+                keys // m,
+                keys % m,
+                counts[keys].astype(np.int64),
+                volumes[keys].astype(np.int64),
+            )
+        )
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    changed = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    first = np.flatnonzero(np.r_[True, changed])
+    return np.stack(
+        (
+            src[first],
+            dst[first],
+            np.add.reduceat(messages[order], first),
+            np.add.reduceat(volume[order], first),
+        )
+    )
+
+
+class LogSummary:
+    """Every aggregate of an activity log, as one mergeable one-pass fold.
+
+    The state is the message and byte totals, the first/last injection
+    and last delivery times, running latency and contention sums, exact
+    int64 message and byte tallies per distinct (src, dst) pair, length
+    and kind tallies, and a bounded latency quantile sketch.  The eight
+    scalar metrics are read-only properties derived from it.
+
+    :meth:`NetworkLog.summary` is the fold over one chunk, the whole
+    log; a spilled log's summary is :meth:`merged` over its per-segment
+    partials in segment order.  No public method changes a summary once
+    built, so a log can hand every caller its cached one.  Integer
+    state is exact under any chunking and merge order.  Float sums are
+    exact for the order merged: a one-chunk fold reports the floats
+    numpy gives over the whole column, a multi-chunk fold differs from
+    them by round-off, and merging the same partials in the same order
+    is bit-for-bit reproducible.  Two summaries are equal when their
+    :meth:`as_dict` documents are.
     """
 
-    messages: int
-    total_bytes: int
-    span: float
-    injection_span: float
-    mean_latency: float
-    mean_contention: float
-    offered_rate: float
-    throughput: float
+    SCHEMA_VERSION = 1
+
+    __slots__ = (
+        "_messages",
+        "_total_bytes",
+        "first_inject",
+        "last_inject",
+        "last_deliver",
+        "latency",
+        "contention",
+        "pairs",
+        "length_counts",
+        "kind_counts",
+        "latency_digest",
+    )
+
+    def __init__(self, *zeros: float) -> None:
+        # The empty summary.  The empty log's eight scalars, positionally,
+        # spell it too, so code comparing a log's summary with
+        # ``LogSummary(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)`` keeps working.
+        if zeros and (len(zeros) != 8 or any(zeros)):
+            raise TypeError(
+                "LogSummary() takes no arguments but the eight zero scalars "
+                "of the empty log"
+            )
+        self._messages = 0
+        self._total_bytes = 0
+        self.first_inject = math.inf
+        self.last_inject = -math.inf
+        self.last_deliver = -math.inf
+        self.latency = StreamingMoments()
+        self.contention = StreamingMoments()
+        #: Rows src, dst, messages, bytes; one column per distinct pair.
+        self.pairs = np.zeros((4, 0), dtype=np.int64)
+        self.length_counts: Dict[int, int] = {}
+        self.kind_counts: Dict[str, int] = {}
+        self.latency_digest = QuantileDigest()
+
+    # ------------------------------------------------------------------
+    # folding and merging
+    # ------------------------------------------------------------------
+    @classmethod
+    def _of_chunk(
+        cls, cols: Mapping[str, np.ndarray], kind_vocab: Sequence[str]
+    ) -> "LogSummary":
+        """The fold of one chunk of sealed columns (as
+        :meth:`NetworkLog.columns` returns them).
+
+        Raises :class:`ValueError` naming the first record with a
+        negative endpoint; the upper bound is checked when a matrix is
+        cut to a concrete network size (:meth:`matrix`).
+        """
+        out = cls()
+        src = np.asarray(cols["src"])
+        dst = np.asarray(cols["dst"])
+        n = int(src.size)
+        if n == 0:
+            return out
+        negative = (src < 0) | (dst < 0)
+        if negative.any():
+            i = int(np.flatnonzero(negative)[0])
+            raise ValueError(
+                f"record msg_id={int(cols['msg_id'][i])} has negative endpoint "
+                f"(src={int(src[i])}, dst={int(dst[i])})"
+            )
+        lengths = np.asarray(cols["length_bytes"])
+        inject = np.asarray(cols["inject_time"])
+        deliver = np.asarray(cols["deliver_time"])
+
+        out._messages = n
+        out._total_bytes = int(lengths.sum())
+        out.first_inject = min(out.first_inject, float(inject.min()))
+        out.last_inject = max(out.last_inject, float(inject.max()))
+        out.last_deliver = max(out.last_deliver, float(deliver.max()))
+
+        latency = deliver - inject
+        out.latency.observe(latency)
+        out.contention.observe(cols["contention"])
+        out.latency_digest.observe_sorted(np.sort(latency))
+
+        out.pairs = _tally_pairs(src, dst, np.ones(n, dtype=np.int64), lengths)
+
+        values, counts = np.unique(lengths, return_counts=True)
+        out.length_counts = {
+            int(value): int(count) for value, count in zip(values, counts)
+        }
+        if len(kind_vocab):
+            codes = np.bincount(np.asarray(cols["kind"]), minlength=len(kind_vocab))
+            out.kind_counts = {
+                kind: int(codes[i]) for i, kind in enumerate(kind_vocab) if codes[i]
+            }
+        return out
+
+    @classmethod
+    def merged(cls, parts: Iterable["LogSummary"]) -> "LogSummary":
+        """Fold ``parts`` left to right into a fresh summary (zero parts
+        give the empty one); an iterator is consumed one part at a
+        time, and the parts are left unchanged."""
+        out = cls()
+        for part in parts:
+            out._messages += part._messages
+            out._total_bytes += part._total_bytes
+            out.first_inject = min(out.first_inject, part.first_inject)
+            out.last_inject = max(out.last_inject, part.last_inject)
+            out.last_deliver = max(out.last_deliver, part.last_deliver)
+            out.latency.merge(part.latency)
+            out.contention.merge(part.contention)
+            if part.pairs.size:
+                out.pairs = _tally_pairs(
+                    *np.concatenate((out.pairs, part.pairs), axis=1)
+                )
+            for key, count in part.length_counts.items():
+                out.length_counts[key] = out.length_counts.get(key, 0) + count
+            for kind, count in part.kind_counts.items():
+                out.kind_counts[kind] = out.kind_counts.get(kind, 0) + count
+            out.latency_digest.merge(part.latency_digest)
+        return out
+
+    # ------------------------------------------------------------------
+    # derived metrics
+    # ------------------------------------------------------------------
+    @property
+    def messages(self) -> int:
+        """Messages delivered."""
+        return self._messages
+
+    @property
+    def total_bytes(self) -> int:
+        """Total payload bytes delivered."""
+        return self._total_bytes
+
+    @property
+    def span(self) -> float:
+        """Time from first injection to last delivery."""
+        return self.last_deliver - self.first_inject if self._messages else 0.0
+
+    @property
+    def injection_span(self) -> float:
+        """Time from first to last injection (the offered-load window)."""
+        return self.last_inject - self.first_inject if self._messages else 0.0
+
+    @property
+    def mean_latency(self) -> float:
+        """Mean end-to-end message latency (source queueing included)."""
+        return self.latency.mean
+
+    @property
+    def mean_contention(self) -> float:
+        """Mean per-message channel-wait time."""
+        return self.contention.mean
+
+    @property
+    def offered_rate(self) -> float:
+        """Messages injected per unit time over the injection window.
+
+        The denominator is :attr:`injection_span`, not :attr:`span`:
+        near saturation the post-injection drain time dominates the
+        full span and would under-report the offered load.  Delivery
+        capacity over the full span is :attr:`throughput`.
+        """
+        duration = self.injection_span
+        return self._messages / duration if duration > 0 else 0.0
+
+    @property
+    def throughput(self) -> float:
+        """Messages delivered per unit time, first injection to last
+        delivery (the network's sustained delivery capacity)."""
+        duration = self.span
+        return self._messages / duration if duration > 0 else 0.0
+
+    def latency_percentile(self, q: float) -> float:
+        """Estimated latency quantile (documented sketch tolerance)."""
+        return self.latency_digest.quantile(q)
+
+    @property
+    def node_bound(self) -> int:
+        """One past the largest endpoint id (0 for the empty log): the
+        smallest network the log fits in."""
+        return int(self.pairs[:2].max()) + 1 if self.pairs.size else 0
+
+    def _dense(self, num_nodes: int, row: int, dtype=float) -> np.ndarray:
+        """Pair row ``row`` (2 messages, 3 bytes) spread into a
+        ``num_nodes`` x ``num_nodes`` matrix."""
+        out = np.zeros((num_nodes, num_nodes), dtype=dtype)
+        out[self.pairs[0], self.pairs[1]] = self.pairs[row]
+        return out
+
+    def _check_within(self, num_nodes: int) -> None:
+        bound = self.node_bound
+        if bound > num_nodes:
+            raise ValueError(
+                f"log contains endpoints up to {bound - 1} outside the "
+                f"{num_nodes}-node network"
+            )
+
+    def matrix(self, num_nodes: int, volume: bool = False) -> np.ndarray:
+        """The (src, dst) message-count or byte-volume matrix of a
+        ``num_nodes``-node network; raises :class:`ValueError` when the
+        log holds an endpoint outside ``[0, num_nodes)``."""
+        self._check_within(num_nodes)
+        return self._dense(num_nodes, 3 if volume else 2)
+
+    def row(self, src: int, num_nodes: int, volume: bool = False) -> np.ndarray:
+        """Row ``src`` of :meth:`matrix`, built from ``src``'s pairs
+        alone (zeros for a source outside the network); validates the
+        whole log like :meth:`matrix`."""
+        self._check_within(num_nodes)
+        picked = self.pairs[0] == src
+        out = np.zeros(num_nodes)
+        out[self.pairs[1, picked]] = self.pairs[3 if volume else 2, picked]
+        return out
+
+    # ------------------------------------------------------------------
+    # serialization
+    # ------------------------------------------------------------------
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-safe state; :meth:`from_dict` round-trips bit-exactly
+        (floats serialize via ``repr``).  The pair tallies are stored as
+        dense count and volume matrices over :attr:`node_bound` nodes."""
+        empty = self._messages == 0
+        nodes = self.node_bound
+        return {
+            "schema": self.SCHEMA_VERSION,
+            "messages": self._messages,
+            "total_bytes": self._total_bytes,
+            "first_inject": None if empty else self.first_inject,
+            "last_inject": None if empty else self.last_inject,
+            "last_deliver": None if empty else self.last_deliver,
+            "latency": self.latency.as_dict(),
+            "contention": self.contention.as_dict(),
+            "count_matrix": self._dense(nodes, 2, np.int64).tolist(),
+            "volume_matrix": self._dense(nodes, 3, np.int64).tolist(),
+            "length_counts": {
+                str(size): count for size, count in sorted(self.length_counts.items())
+            },
+            "kind_counts": dict(sorted(self.kind_counts.items())),
+            "latency_digest": self.latency_digest.as_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, object]) -> "LogSummary":
+        """Rebuild a summary from :meth:`as_dict` output; keys it does
+        not read (such as the sketches older manifests carry) are
+        ignored."""
+        try:
+            version = int(doc["schema"])  # type: ignore[arg-type]
+            if version != cls.SCHEMA_VERSION:
+                raise ValueError(
+                    f"log summary schema {version} is not supported "
+                    f"(this build reads {cls.SCHEMA_VERSION})"
+                )
+            out = cls()
+            out._messages = int(doc["messages"])  # type: ignore[arg-type]
+            out._total_bytes = int(doc["total_bytes"])  # type: ignore[arg-type]
+            if doc["first_inject"] is not None:
+                out.first_inject = float(doc["first_inject"])  # type: ignore[arg-type]
+                out.last_inject = float(doc["last_inject"])  # type: ignore[arg-type]
+                out.last_deliver = float(doc["last_deliver"])  # type: ignore[arg-type]
+            out.latency = StreamingMoments.from_dict(doc["latency"])  # type: ignore[arg-type]
+            out.contention = StreamingMoments.from_dict(doc["contention"])  # type: ignore[arg-type]
+            count = np.asarray(doc["count_matrix"], dtype=np.int64)
+            volume = np.asarray(doc["volume_matrix"], dtype=np.int64)
+            if count.size == 0:
+                count = np.zeros((0, 0), dtype=np.int64)
+            if volume.size == 0:
+                volume = np.zeros((0, 0), dtype=np.int64)
+            if (
+                count.ndim != 2
+                or count.shape[0] != count.shape[1]
+                or count.shape != volume.shape
+            ):
+                raise ValueError(
+                    f"traffic matrices must be square and equal-shaped, got "
+                    f"{count.shape} and {volume.shape}"
+                )
+            src, dst = np.nonzero(count)
+            out.pairs = np.stack((src, dst, count[src, dst], volume[src, dst]))
+            out.length_counts = {
+                int(size): int(count)
+                for size, count in doc["length_counts"].items()  # type: ignore[union-attr]
+            }
+            out.kind_counts = {
+                str(kind): int(count)
+                for kind, count in doc["kind_counts"].items()  # type: ignore[union-attr]
+            }
+            out.latency_digest = QuantileDigest.from_dict(doc["latency_digest"])  # type: ignore[arg-type]
+        except (KeyError, TypeError, AttributeError) as error:
+            raise ValueError(f"not a log summary document: {error!r}") from error
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogSummary):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+
+def _normalized(values: np.ndarray) -> np.ndarray:
+    """``values`` divided by their sum along the last axis (each row of
+    a matrix); a row with no traffic stays zero."""
+    totals = values.sum(axis=-1, keepdims=True)
+    return np.divide(values, totals, out=np.zeros_like(values), where=totals > 0)
+
+
+class AggregateViews:
+    """The aggregate views of an activity log, each answered from the
+    log's :class:`LogSummary` (``self.summary()``).
+
+    :class:`NetworkLog` and
+    :class:`~repro.mesh.netlog_stream.StreamingNetworkLog` inherit
+    them, so an in-memory and a spilled log answer every aggregate
+    question with the same code.  A log holding a negative endpoint
+    fails every view with the fold's :class:`ValueError` naming the
+    record.
+    """
+
+    def summary(self) -> LogSummary:
+        """The log's summary fold; each log class builds its own."""
+        raise NotImplementedError
+
+    def _check_endpoints(self, num_nodes: int) -> None:
+        """Hook run when the log holds an endpoint at or past
+        ``num_nodes``.  A log that keeps its columns overrides it to name
+        the first such record; the fold alone can only say one exists."""
+
+    def _summary_within(self, num_nodes: int) -> LogSummary:
+        """The summary, once :meth:`_check_endpoints` has had its say
+        about a log that does not fit ``num_nodes`` nodes (a log that
+        fits skips the column scan)."""
+        summary = self.summary()
+        if summary.node_bound > num_nodes:
+            self._check_endpoints(num_nodes)
+        return summary
+
+    def sources(self) -> List[int]:
+        """Sorted distinct source node ids present in the log."""
+        return np.unique(self.summary().pairs[0]).tolist()
+
+    def destination_count_matrix(self, num_nodes: int) -> np.ndarray:
+        """Message-count matrix, row per source, column per destination.
+
+        Raises :class:`ValueError` if the log holds an endpoint outside
+        ``[0, num_nodes)``; every per-source and matrix view below
+        validates the same way.
+        """
+        return self._summary_within(num_nodes).matrix(num_nodes)
+
+    def destination_fraction_matrix(self, num_nodes: int) -> np.ndarray:
+        """Row-normalized :meth:`destination_count_matrix` (rows with no
+        messages stay zero) -- the spatial attribute's input matrix."""
+        return _normalized(self.destination_count_matrix(num_nodes))
+
+    def volume_matrix(self, num_nodes: int) -> np.ndarray:
+        """Byte-volume matrix, row per source, column per destination."""
+        return self._summary_within(num_nodes).matrix(num_nodes, volume=True)
+
+    def volume_fraction_matrix(self, num_nodes: int) -> np.ndarray:
+        """Row-normalized :meth:`volume_matrix` -- the volume
+        attribute's input matrix."""
+        return _normalized(self.volume_matrix(num_nodes))
+
+    def destination_counts(self, src: int, num_nodes: int) -> np.ndarray:
+        """Messages sent by ``src`` to each node (length ``num_nodes``;
+        zeros for a source outside the network)."""
+        return self._summary_within(num_nodes).row(src, num_nodes)
+
+    def destination_fractions(self, src: int, num_nodes: int) -> np.ndarray:
+        """Fraction of ``src``'s messages sent to each node.
+
+        This is the paper's spatial-distribution plot: "the fraction of
+        messages sent by a processor to others in the system".
+        """
+        return _normalized(self.destination_counts(src, num_nodes))
+
+    def volume_by_destination(self, src: int, num_nodes: int) -> np.ndarray:
+        """Bytes sent by ``src`` to each node (the *volume* distribution)."""
+        return self._summary_within(num_nodes).row(src, num_nodes, volume=True)
+
+    def volume_fractions(self, src: int, num_nodes: int) -> np.ndarray:
+        """Fraction of ``src``'s byte volume sent to each node."""
+        return _normalized(self.volume_by_destination(src, num_nodes))
+
+    def length_counts(self) -> Dict[int, int]:
+        """Message count per distinct payload length, ascending sizes."""
+        return dict(sorted(self.summary().length_counts.items()))
+
+    def kinds(self) -> Dict[str, int]:
+        """Message count per kind tag, in the order the fold met them."""
+        return dict(self.summary().kind_counts)
+
+    def total_bytes(self) -> int:
+        """Total payload bytes delivered."""
+        return self.summary().total_bytes
+
+    def span(self) -> float:
+        """Time from first injection to last delivery."""
+        return self.summary().span
+
+    def injection_span(self) -> float:
+        """Time from first to last injection (the offered-load window)."""
+        return self.summary().injection_span
+
+    def offered_rate(self) -> float:
+        """Messages injected per unit time over the injection window
+        (see :attr:`LogSummary.offered_rate`)."""
+        return self.summary().offered_rate
+
+    def throughput(self) -> float:
+        """Messages delivered per unit time, first injection to last
+        delivery."""
+        return self.summary().throughput
+
+    def mean_latency(self) -> float:
+        """Mean end-to-end message latency."""
+        return self.summary().mean_latency
+
+    def mean_contention(self) -> float:
+        """Mean per-message channel-wait time."""
+        return self.summary().mean_contention
 
 
 #: Columnar schema, in :class:`NetLogRecord` field order.  ``kind`` is
@@ -202,14 +685,22 @@ NPZ_COMPRESSLEVEL = 1
 
 class _LogViews:
     """Immutable snapshot of the sealed columns plus memoized derived
-    structures (per-source index, materialized rows).
+    structures (per-source index, materialized rows, summary fold).
 
     One instance exists per log *state*: :meth:`NetworkLog.add`
     discards it, so every cache here is trivially consistent -- there
     is no per-cache invalidation protocol to get wrong.
     """
 
-    __slots__ = ("n", "cols", "kind_vocab", "_source_rows", "_by_source", "_records")
+    __slots__ = (
+        "n",
+        "cols",
+        "kind_vocab",
+        "_source_rows",
+        "_by_source",
+        "_records",
+        "_summary",
+    )
 
     def __init__(
         self, buf: Dict[str, np.ndarray], n: int, kind_vocab: Tuple[str, ...]
@@ -225,6 +716,14 @@ class _LogViews:
         self._source_rows: Optional[Dict[int, np.ndarray]] = None
         self._by_source: Dict[int, Tuple[NetLogRecord, ...]] = {}
         self._records: Optional[Tuple[NetLogRecord, ...]] = None
+        self._summary: Optional[LogSummary] = None
+
+    def summary(self) -> LogSummary:
+        """The fold over the columns as one chunk (cached)."""
+        summary = self._summary
+        if summary is None:
+            summary = self._summary = LogSummary._of_chunk(self.cols, self.kind_vocab)
+        return summary
 
     def source_rows(self) -> Dict[int, np.ndarray]:
         """Row indices per source id, in delivery (append) order.
@@ -292,7 +791,7 @@ class _LogViews:
         return cached
 
 
-class NetworkLog:
+class NetworkLog(AggregateViews):
     """Accumulates delivered-message records in columnar buffers and
     derives vectorized analysis views (see the module docstring for
     the append/seal/view lifecycle)."""
@@ -456,10 +955,21 @@ class NetworkLog:
         self._n = need
         self._views = None
 
+    def extend_log(self, other: "NetworkLog", rows) -> None:
+        """Append the records of ``other`` that ``rows`` picks -- a
+        slice (``slice(None)`` for all of them) or an index array, which
+        also orders them -- with kind tags decoded through ``other``'s
+        vocabulary.  How segments are read back into one log, and a log
+        is cut into chunks or reordered."""
+        cols, vocab = other.columns()
+        picked = {name: column[rows] for name, column in cols.items()}
+        picked["kind"] = np.asarray(vocab, dtype=np.str_)[picked["kind"]]
+        self.extend_columns(**picked)
+
     def columns(self) -> Tuple[Dict[str, np.ndarray], Tuple[str, ...]]:
         """The sealed column arrays (read-only views) plus the kind
-        vocabulary -- the zero-copy handoff used by streaming
-        summaries and chunked writers."""
+        vocabulary -- the zero-copy handoff used by digests, reorderings
+        and chunked writers."""
         view = self._view()
         return dict(view.cols), view.kind_vocab
 
@@ -501,11 +1011,13 @@ class NetworkLog:
         return self._view().records()
 
     # ------------------------------------------------------------------
-    # derived views for the statistics package
+    # row and per-source column views for the statistics package (the
+    # aggregate views come from AggregateViews, over summary())
     # ------------------------------------------------------------------
-    def sources(self) -> List[int]:
-        """Sorted distinct source node ids present in the log."""
-        return sorted(self._view().source_rows())
+    def summary(self) -> LogSummary:
+        """The log's :class:`LogSummary`: the fold over its columns as
+        one chunk, built once per log state."""
+        return self._view().summary()
 
     def by_source(self, src: int) -> Tuple[NetLogRecord, ...]:
         """Records generated by node ``src``, in injection order.
@@ -560,214 +1072,24 @@ class NetworkLog:
                 out[src] = np.diff(np.sort(inject[rows]))
         return out
 
-    def _check_endpoints(
-        self, values: np.ndarray, rows: np.ndarray, num_nodes: int, role: str
-    ) -> None:
-        """Raise a :class:`ValueError` naming the first record whose
-        ``role`` endpoint falls outside ``[0, num_nodes)``."""
-        bad = (values < 0) | (values >= num_nodes)
-        if not bad.any():
-            return
-        i = int(np.flatnonzero(bad)[0])
-        record = self._view().record_at(int(rows[i]))
-        raise ValueError(
-            f"record msg_id={record.msg_id} (src={record.src}, dst={record.dst}) "
-            f"has {role}={int(values[i])} outside the {num_nodes}-node network"
-        )
-
-    def destination_counts(self, src: int, num_nodes: int) -> np.ndarray:
-        """Messages sent by ``src`` to each node (length ``num_nodes``).
-
-        Raises :class:`ValueError` (naming the offending record) if any
-        of ``src``'s messages has a destination outside
-        ``[0, num_nodes)`` -- previously a negative ``dst`` silently
-        wrapped via numpy indexing and a too-large one raised a bare
-        ``IndexError``.
-        """
-        view = self._view()
-        rows = view.source_rows().get(src)
-        if rows is None:
-            return np.zeros(num_nodes, dtype=float)
-        dst = view.cols["dst"][rows]
-        self._check_endpoints(dst, rows, num_nodes, role="dst")
-        return np.bincount(dst, minlength=num_nodes).astype(float)
-
-    def destination_fractions(self, src: int, num_nodes: int) -> np.ndarray:
-        """Fraction of ``src``'s messages sent to each node.
-
-        This is the paper's spatial-distribution plot: "the fraction of
-        messages sent by a processor to others in the system".
-        """
-        counts = self.destination_counts(src, num_nodes)
-        total = counts.sum()
-        return counts / total if total > 0 else counts
-
-    def volume_by_destination(self, src: int, num_nodes: int) -> np.ndarray:
-        """Bytes sent by ``src`` to each node (the *volume* distribution).
-
-        Validates destinations like :meth:`destination_counts`.
-        """
-        view = self._view()
-        rows = view.source_rows().get(src)
-        if rows is None:
-            return np.zeros(num_nodes, dtype=float)
-        dst = view.cols["dst"][rows]
-        self._check_endpoints(dst, rows, num_nodes, role="dst")
-        lengths = view.cols["length_bytes"][rows].astype(float)
-        return np.bincount(dst, weights=lengths, minlength=num_nodes)
-
-    def volume_fractions(self, src: int, num_nodes: int) -> np.ndarray:
-        """Fraction of ``src``'s byte volume sent to each node."""
-        volume = self.volume_by_destination(src, num_nodes)
-        total = volume.sum()
-        return volume / total if total > 0 else volume
-
-    def _endpoint_matrix(
-        self, num_nodes: int, weights: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """``num_nodes x num_nodes`` (src, dst) accumulation in one
-        bincount over the flattened pair index."""
-        view = self._view()
-        src = view.cols["src"]
-        dst = view.cols["dst"]
-        all_rows = np.arange(view.n)
-        self._check_endpoints(src, all_rows, num_nodes, role="src")
-        self._check_endpoints(dst, all_rows, num_nodes, role="dst")
-        flat = np.bincount(
-            src * num_nodes + dst, weights=weights, minlength=num_nodes * num_nodes
-        )
-        return flat.reshape(num_nodes, num_nodes).astype(float)
-
-    def destination_count_matrix(self, num_nodes: int) -> np.ndarray:
-        """Message-count matrix, row per source, column per destination.
-
-        Equals stacking :meth:`destination_counts` for every source
-        (absent sources contribute zero rows), computed in one pass.
-        """
-        return self._endpoint_matrix(num_nodes, weights=None)
-
-    def destination_fraction_matrix(self, num_nodes: int) -> np.ndarray:
-        """Row-normalized :meth:`destination_count_matrix` (rows with no
-        messages stay zero) -- the spatial attribute's input matrix."""
-        counts = self.destination_count_matrix(num_nodes)
-        totals = counts.sum(axis=1, keepdims=True)
-        return np.divide(
-            counts, totals, out=np.zeros_like(counts), where=totals > 0
-        )
-
-    def volume_matrix(self, num_nodes: int) -> np.ndarray:
-        """Byte-volume matrix, row per source, column per destination."""
-        lengths = self._view().cols["length_bytes"].astype(float)
-        return self._endpoint_matrix(num_nodes, weights=lengths)
-
-    def volume_fraction_matrix(self, num_nodes: int) -> np.ndarray:
-        """Row-normalized :meth:`volume_matrix` -- the volume
-        attribute's input matrix."""
-        volume = self.volume_matrix(num_nodes)
-        totals = volume.sum(axis=1, keepdims=True)
-        return np.divide(
-            volume, totals, out=np.zeros_like(volume), where=totals > 0
-        )
-
     def message_lengths(self, src: Optional[int] = None) -> np.ndarray:
         """Message payload lengths, optionally for one source."""
         return self._source_column("length_bytes", src).astype(float)
 
-    def length_counts(self) -> Dict[int, int]:
-        """Message count per distinct payload length, ascending sizes."""
-        lengths = self._view().cols["length_bytes"]
-        values, counts = np.unique(lengths, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
-    def kinds(self) -> Dict[str, int]:
-        """Message count per kind tag (first-appearance order)."""
+    def _check_endpoints(self, num_nodes: int) -> None:
+        """Raise a :class:`ValueError` naming the first record with an
+        endpoint at or past ``num_nodes`` (the fold has already
+        rejected negative ones)."""
         view = self._view()
-        if not view.kind_vocab:
-            return {}
-        codes = view.cols["kind"]
-        counts = np.bincount(codes, minlength=len(view.kind_vocab))
-        return {kind: int(counts[i]) for i, kind in enumerate(view.kind_vocab)}
-
-    # ------------------------------------------------------------------
-    # summary metrics
-    # ------------------------------------------------------------------
-    def summary(self) -> LogSummary:
-        """Every scalar summary metric, computed in one column pass."""
-        view = self._view()
-        n = view.n
-        if n == 0:
-            return LogSummary(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        inject = view.cols["inject_time"]
-        deliver = view.cols["deliver_time"]
-        first_inject = float(np.min(inject))
-        span = float(np.max(deliver)) - first_inject
-        injection_span = float(np.max(inject)) - first_inject
-        return LogSummary(
-            messages=n,
-            total_bytes=int(view.cols["length_bytes"].sum()),
-            span=span,
-            injection_span=injection_span,
-            mean_latency=float(np.mean(deliver - inject)),
-            mean_contention=float(np.mean(view.cols["contention"])),
-            offered_rate=n / injection_span if injection_span > 0 else 0.0,
-            throughput=n / span if span > 0 else 0.0,
-        )
-
-    def mean_latency(self) -> float:
-        """Mean end-to-end message latency."""
-        view = self._view()
-        if view.n == 0:
-            return 0.0
-        return float(np.mean(view.cols["deliver_time"] - view.cols["inject_time"]))
-
-    def mean_contention(self) -> float:
-        """Mean per-message channel-wait time."""
-        view = self._view()
-        if view.n == 0:
-            return 0.0
-        return float(np.mean(view.cols["contention"]))
-
-    def total_bytes(self) -> int:
-        """Total payload bytes delivered."""
-        return int(self._view().cols["length_bytes"].sum())
-
-    def span(self) -> float:
-        """Time from first injection to last delivery."""
-        view = self._view()
-        if view.n == 0:
-            return 0.0
-        return float(np.max(view.cols["deliver_time"])) - float(
-            np.min(view.cols["inject_time"])
-        )
-
-    def injection_span(self) -> float:
-        """Time from first to last injection (the offered-load window)."""
-        view = self._view()
-        if view.n == 0:
-            return 0.0
-        inject = view.cols["inject_time"]
-        return float(np.max(inject)) - float(np.min(inject))
-
-    def offered_rate(self) -> float:
-        """Messages injected per unit time over the injection window.
-
-        The denominator is :meth:`injection_span`, not :meth:`span`:
-        near saturation the post-injection drain time dominates the
-        full span and would under-report the offered load.  Delivery
-        capacity over the full span is :meth:`throughput`.
-        """
-        duration = self.injection_span()
-        if duration <= 0:
-            return 0.0
-        return len(self) / duration
-
-    def throughput(self) -> float:
-        """Messages delivered per unit time, first injection to last
-        delivery (the network's sustained delivery capacity)."""
-        duration = self.span()
-        if duration <= 0:
-            return 0.0
-        return len(self) / duration
+        for role in ("src", "dst"):
+            outside = view.cols[role] >= num_nodes
+            if outside.any():
+                record = view.record_at(int(outside.argmax()))
+                raise ValueError(
+                    f"record msg_id={record.msg_id} (src={record.src}, "
+                    f"dst={record.dst}) has {role}={getattr(record, role)} "
+                    f"outside the {num_nodes}-node network"
+                )
 
     # ------------------------------------------------------------------
     # persistence
@@ -926,9 +1248,10 @@ class NetworkLog:
     def read_npz(cls, path: str) -> "NetworkLog":
         """Read a log previously written by :meth:`write_npz`.
 
-        Raises :class:`NetLogFormatError` on missing arrays, mismatched
-        column lengths, an unknown schema version, or kind codes
-        pointing outside the stored vocabulary.
+        Raises :class:`NetLogFormatError` on missing arrays, a schema
+        member that is not one integer, an unknown schema version, a
+        kind vocabulary that is not a 1-D array of strings, mismatched
+        column lengths, or kind codes pointing outside the vocabulary.
         """
         with contextlib.ExitStack() as stack:
             # The file is ours to close: on a truncated npz (torn spill
@@ -946,13 +1269,25 @@ class NetworkLog:
                 raise NetLogFormatError(
                     f"{path}: not a netlog npz: missing array(s) {missing}"
                 )
-            version = int(np.asarray(data["schema"]).ravel()[0])
+            schema = np.asarray(data["schema"]).ravel()
+            if schema.size != 1 or schema.dtype.kind not in "iu":
+                raise NetLogFormatError(
+                    f"{path}: 'schema' must hold one integer version number, "
+                    f"got {schema.size} value(s) of dtype {schema.dtype}"
+                )
+            version = int(schema[0])
             if version != cls.NPZ_SCHEMA_VERSION:
                 raise NetLogFormatError(
                     f"{path}: npz schema version {version} is not supported "
                     f"(this build reads version {cls.NPZ_SCHEMA_VERSION})"
                 )
-            vocab = [str(kind) for kind in data["kind_vocab"]]
+            kind_vocab = np.asarray(data["kind_vocab"])
+            if kind_vocab.ndim != 1 or kind_vocab.dtype.kind != "U":
+                raise NetLogFormatError(
+                    f"{path}: 'kind_vocab' must be a 1-D array of strings, got "
+                    f"shape {kind_vocab.shape} of dtype {kind_vocab.dtype}"
+                )
+            vocab = [str(kind) for kind in kind_vocab]
             columns: Dict[str, np.ndarray] = {}
             n: Optional[int] = None
             for name, dtype in _SCHEMA:

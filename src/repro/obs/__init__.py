@@ -63,7 +63,6 @@ from repro.obs.registry import (
 from repro.obs.report import (
     RunReport,
     read_trajectory,
-    report_from_log,
     report_from_run,
     report_from_summary,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "read_heartbeats",
     "read_trajectory",
     "render_fleet",
-    "report_from_log",
     "report_from_run",
     "report_from_summary",
     "safe_label",

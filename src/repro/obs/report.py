@@ -83,50 +83,14 @@ def report_from_run(
     """Build a :class:`RunReport` from a
     :class:`~repro.core.methodology.CharacterizationRun`."""
     characterization = run.characterization
-    stats = run.log.summary()
-    return RunReport(
+    return report_from_summary(
+        run.log.summary(),
         app=characterization.app_name,
         strategy=characterization.strategy,
         mesh=f"{characterization.num_nodes} nodes",
-        params=dict(app_params or {}),
-        messages=stats.messages,
-        total_bytes=stats.total_bytes,
-        sim_span=stats.span,
-        mean_latency=stats.mean_latency,
-        mean_contention=stats.mean_contention,
+        params=app_params,
         wall_seconds=wall_seconds,
         metrics=metrics,
-    )
-
-
-def report_from_log(
-    log,
-    app: str,
-    strategy: str,
-    mesh: str,
-    params: Optional[Dict[str, object]] = None,
-    wall_seconds: float = 0.0,
-    metrics: Optional[Dict[str, Dict[str, object]]] = None,
-    extra: Optional[Dict[str, object]] = None,
-) -> RunReport:
-    """Build a :class:`RunReport` straight from a
-    :class:`~repro.mesh.netlog.NetworkLog`.
-
-    Used by runs that drive the network without a full
-    characterization pipeline (synthetic traffic, sweep cells); the
-    resulting report has the same versioned schema as
-    :func:`report_from_run`, so sweeps and characterizations land in
-    one comparable trajectory.
-    """
-    return report_from_summary(
-        log.summary(),
-        app=app,
-        strategy=strategy,
-        mesh=mesh,
-        params=params,
-        wall_seconds=wall_seconds,
-        metrics=metrics,
-        extra=extra,
     )
 
 
@@ -140,13 +104,15 @@ def report_from_summary(
     metrics: Optional[Dict[str, Dict[str, object]]] = None,
     extra: Optional[Dict[str, object]] = None,
 ) -> RunReport:
-    """Build a :class:`RunReport` from an already-computed
-    :class:`~repro.mesh.netlog.LogSummary`.
+    """Build a :class:`RunReport` from a log's
+    :class:`~repro.mesh.netlog.LogSummary` (``log.summary()``, or a
+    spilled log's manifest summary).
 
-    The streaming path: out-of-core runs carry a mergeable summary
-    instead of a materialized log, and callers that already paid for
-    ``log.summary()`` (the sweep runner) reuse it instead of scanning
-    the columns twice.
+    Runs that drive the network without a full characterization
+    pipeline (synthetic traffic, sweep cells, uploaded traces) report
+    through here, with the same versioned schema as
+    :func:`report_from_run`, so sweeps and characterizations land in
+    one comparable trajectory.
     """
     return RunReport(
         app=app,
@@ -184,8 +150,9 @@ def read_trajectory(path: str) -> List[Dict[str, object]]:
 DIAGNOSED_STATUSES = ("deadlock", "leak", "stall")
 
 
-def netlog_health(log) -> Tuple[List[str], int]:
-    """Health lines + problem count for a network activity log.
+def netlog_health(stats) -> Tuple[List[str], int]:
+    """Health lines + problem count for a network activity log, from
+    its :class:`~repro.mesh.netlog.LogSummary`.
 
     Flags an empty log and a drain-dominated span (last delivery far
     past last injection), the signature of a run that stalled while
@@ -194,7 +161,6 @@ def netlog_health(log) -> Tuple[List[str], int]:
     """
     lines: List[str] = []
     problems = 0
-    stats = log.summary()
     n = stats.messages
     if n == 0:
         return ["empty activity log: no messages were delivered"], 1

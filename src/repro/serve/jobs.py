@@ -45,7 +45,7 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.report import netlog_health, report_from_log, sweep_health
+from repro.obs.report import netlog_health, report_from_summary, sweep_health
 from repro.serve.api import HttpError
 from repro.serve.index import (
     DONE,
@@ -345,8 +345,9 @@ class JobManager:
         if cached is None:
             started = time.perf_counter()
             log = NetworkLog.read_csv(str(doc["spec"]["trace_path"]))  # type: ignore[index]
-            report = report_from_log(
-                log,
+            stats = log.summary()
+            report = report_from_summary(
+                stats,
                 app=str(doc["spec"].get("label", "trace")),  # type: ignore[union-attr]
                 strategy="uploaded-trace",
                 mesh="n/a",
@@ -355,7 +356,7 @@ class JobManager:
             )
             self.cache.put(digest, report.as_dict())
             self.executions += 1
-            lines, problems = netlog_health(log)
+            lines, problems = netlog_health(stats)
             doc["result"] = {"key": digest, "cached": False}
         else:
             lines, problems = (["report served from cache"], 0)

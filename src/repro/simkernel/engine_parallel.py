@@ -42,14 +42,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.mesh.config import MeshConfig
-from repro.mesh.netlog import NetworkLog
+from repro.mesh.netlog import LogSummary, NetworkLog
 from repro.mesh.netlog_stream import (
     MANIFEST_KIND,
     MANIFEST_SCHEMA_VERSION,
     MANIFEST_SUFFIX,
     DEFAULT_WINDOW,
     StreamingNetworkLog,
-    StreamingSummary,
     materialize_manifest,
     read_manifest,
 )
@@ -244,24 +243,10 @@ def canonical_order(log: NetworkLog) -> NetworkLog:
     is the presentation order under which the parallel scheduler's
     merged log is compared bit-for-bit against the serial one.
     """
-    cols, vocab = log.columns()
+    cols, _ = log.columns()
     out = NetworkLog()
-    n = cols["msg_id"].size
-    if n == 0:
-        return out
-    order = np.lexsort((cols["msg_id"], cols["inject_time"], cols["deliver_time"]))
-    tags = np.asarray(vocab, dtype=np.str_)[cols["kind"][order]]
-    out.extend_columns(
-        msg_id=cols["msg_id"][order],
-        src=cols["src"][order],
-        dst=cols["dst"][order],
-        length_bytes=cols["length_bytes"][order],
-        kind=tags,
-        inject_time=cols["inject_time"][order],
-        start_time=cols["start_time"][order],
-        deliver_time=cols["deliver_time"][order],
-        contention=cols["contention"][order],
-        hops=cols["hops"][order],
+    out.extend_log(
+        log, np.lexsort((cols["msg_id"], cols["inject_time"], cols["deliver_time"]))
     )
     return out
 
@@ -448,7 +433,7 @@ class ParallelRunResult:
 
     manifest_path: str
     directory: str
-    summary: StreamingSummary
+    summary: LogSummary
     records: int
     clock: float
     events_fired: int
@@ -560,16 +545,16 @@ def run_parallel_mesh(
     # order (all shards share ``directory``, so relative paths stay
     # valid) and summaries folded canonically (region-index order).
     segments: List[Dict[str, object]] = []
-    partials: List[StreamingSummary] = []
+    partials: List[LogSummary] = []
     region_manifests: List[str] = []
     records = 0
     for r in active:
         doc = read_manifest(str(results[r]["manifest"]))
         segments.extend(doc["segments"])  # type: ignore[arg-type]
-        partials.append(StreamingSummary.from_dict(doc["summary"]))  # type: ignore[arg-type]
+        partials.append(LogSummary.from_dict(doc["summary"]))  # type: ignore[arg-type]
         records += int(doc["records"])  # type: ignore[arg-type]
         region_manifests.append(str(results[r]["manifest"]))
-    summary = StreamingSummary.merged(partials)
+    summary = LogSummary.merged(partials)
     manifest_path = os.path.join(directory, stem + MANIFEST_SUFFIX)
     doc = {
         "schema": MANIFEST_SCHEMA_VERSION,

@@ -21,8 +21,7 @@ study."  This package provides the equivalent machinery:
 * :mod:`repro.stats.spatial_models` -- discrete destination-distribution
   models (uniform, bimodal uniform / favorite processor, locality decay).
 * :mod:`repro.stats.streaming` -- one-pass mergeable estimators
-  (moments, fixed-bin histograms, P^2 quantiles, quantile digests) for
-  out-of-core characterization.
+  (moments, quantile digests) for the activity log's summary fold.
 """
 
 from repro.stats.distributions import (
@@ -48,13 +47,7 @@ from repro.stats.goodness import chi_square_statistic, ks_statistic, r_squared
 from repro.stats.histogram import Histogram, build_histogram
 from repro.stats.regression import NonlinearRegression, RegressionResult
 from repro.stats.secant import SecantResult, secant_least_squares
-from repro.stats.streaming import (
-    P2Quantile,
-    QuantileDigest,
-    StreamingHistogram,
-    StreamingMoments,
-    geometric_edges,
-)
+from repro.stats.streaming import QuantileDigest, StreamingMoments
 from repro.stats.spatial_models import (
     BimodalUniformPattern,
     ButterflyPattern,
@@ -82,7 +75,6 @@ __all__ = [
     "Lognormal",
     "MLEResult",
     "NonlinearRegression",
-    "P2Quantile",
     "Pareto",
     "Normal",
     "QuantileDigest",
@@ -91,13 +83,11 @@ __all__ = [
     "ShiftedExponential",
     "SpatialFit",
     "SpatialPattern",
-    "StreamingHistogram",
     "StreamingMoments",
     "Uniform",
     "UniformPattern",
     "Weibull",
     "build_histogram",
-    "geometric_edges",
     "autocorrelation",
     "chi_square_statistic",
     "classify_spatial",

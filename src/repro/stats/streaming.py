@@ -1,10 +1,10 @@
 """One-pass, mergeable streaming statistics.
 
-Out-of-core characterization (:mod:`repro.mesh.netlog_stream`) never
-sees the whole record stream at once: it observes bounded chunks and
-must later combine per-chunk partial results -- per-segment today,
-per-region when the mesh is sharded across cores.  Every estimator here
-therefore satisfies the same contract:
+The activity log's summary fold (:class:`repro.mesh.netlog.LogSummary`)
+observes bounded chunks and combines per-chunk partial results -- one
+per spilled segment (:mod:`repro.mesh.netlog_stream`), one per region
+when the mesh is sharded across cores.  Every estimator here therefore
+satisfies the same contract:
 
 * **one-pass** -- ``observe``/``observe_sorted`` consume a chunk in a
   single vectorized sweep and retain O(1) or O(K) state, never the
@@ -23,31 +23,22 @@ Estimators:
 
 * :class:`StreamingMoments` -- count/sum/min/max (and mean) of a
   series.
-* :class:`StreamingHistogram` -- fixed-bin counts with underflow and
-  overflow tallies; merge requires identical edges.
-* :class:`P2Quantile` -- the classic Jain & Chlamtac P^2 marker
-  estimator: O(1) state, sequential ``observe(x)``, *not* mergeable
-  (marker positions cannot be combined with proper weighting).  Used
-  when a single stream wants one cheap quantile.
 * :class:`QuantileDigest` -- a bounded weighted order-statistic sketch
-  that *is* mergeable: each chunk contributes evenly spaced order
+  that is mergeable: each chunk contributes evenly spaced order
   statistics weighted to the chunk size, and the sketch compresses
-  back to a fixed budget.  This is what the spill manifests store.
+  back to a fixed budget.  The spill manifests store one for latency.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 __all__ = [
-    "P2Quantile",
     "QuantileDigest",
-    "StreamingHistogram",
     "StreamingMoments",
-    "geometric_edges",
 ]
 
 
@@ -113,203 +104,6 @@ class StreamingMoments:
         out.min_value = math.inf if doc["min"] is None else float(doc["min"])  # type: ignore[arg-type]
         out.max_value = -math.inf if doc["max"] is None else float(doc["max"])  # type: ignore[arg-type]
         return out
-
-
-def geometric_edges(lo: float, hi: float, bins: int) -> np.ndarray:
-    """``bins + 1`` geometrically spaced edges covering ``[lo, hi]``.
-
-    The standard edge set for latency-shaped (heavy-right-tail,
-    positive) series; values outside land in the histogram's
-    underflow/overflow tallies rather than being lost.
-    """
-    if not (0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    return np.geomspace(lo, hi, bins + 1)
-
-
-class StreamingHistogram:
-    """Fixed-bin counting histogram with underflow/overflow tallies.
-
-    Bin ``i`` covers ``[edges[i], edges[i+1])``; values below
-    ``edges[0]`` count as underflow, values at or above ``edges[-1]``
-    as overflow.  All state is integer, so observation chunking and
-    merge order never change the result: two histograms over the same
-    multiset of values are bit-identical.  ``merge`` requires identical
-    edges -- partials must be built from one shared edge constant.
-    """
-
-    __slots__ = ("edges", "counts", "underflow", "overflow")
-
-    def __init__(self, edges: Sequence[float]) -> None:
-        edges = np.asarray(edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("edges must be a 1-D array of at least 2 values")
-        if not np.all(np.diff(edges) > 0):
-            raise ValueError("edges must be strictly increasing")
-        self.edges = edges
-        self.counts = np.zeros(edges.size - 1, dtype=np.int64)
-        self.underflow = 0
-        self.overflow = 0
-
-    def observe(self, values: np.ndarray) -> None:
-        """Tally one chunk of values."""
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            return
-        idx = np.searchsorted(self.edges, values, side="right") - 1
-        under = idx < 0
-        over = idx >= self.counts.size
-        self.underflow += int(under.sum())
-        self.overflow += int(over.sum())
-        in_range = idx[~(under | over)]
-        if in_range.size:
-            self.counts += np.bincount(in_range, minlength=self.counts.size).astype(
-                np.int64
-            )
-
-    def merge(self, other: "StreamingHistogram") -> None:
-        """Add another partial's tallies (edges must match exactly)."""
-        if not np.array_equal(self.edges, other.edges):
-            raise ValueError("cannot merge streaming histograms with different edges")
-        self.counts += other.counts
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-
-    @property
-    def total(self) -> int:
-        """Everything observed, including out-of-range values."""
-        return int(self.counts.sum()) + self.underflow + self.overflow
-
-    def fractions(self) -> np.ndarray:
-        """Per-bin fraction of all observed values (zeros when empty)."""
-        total = self.total
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / float(total)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "edges": [float(e) for e in self.edges],
-            "counts": [int(c) for c in self.counts],
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, object]) -> "StreamingHistogram":
-        out = cls(doc["edges"])  # type: ignore[arg-type]
-        counts = np.asarray(doc["counts"], dtype=np.int64)
-        if counts.shape != out.counts.shape:
-            raise ValueError(
-                f"histogram counts length {counts.size} does not match "
-                f"{out.counts.size} bins"
-            )
-        out.counts = counts
-        out.underflow = int(doc["underflow"])  # type: ignore[arg-type]
-        out.overflow = int(doc["overflow"])  # type: ignore[arg-type]
-        return out
-
-
-class P2Quantile:
-    """Jain & Chlamtac's P^2 algorithm: one quantile, five markers, O(1).
-
-    Sequential by construction -- each ``observe(x)`` adjusts marker
-    heights via piecewise-parabolic interpolation -- which is also why
-    it cannot ``merge``: two marker sets cannot be combined with proper
-    weighting.  Use :class:`QuantileDigest` for anything that must
-    cross a segment or region boundary; this class serves single-stream
-    consumers that want one cheap percentile without keeping the data.
-    """
-
-    __slots__ = ("q", "_initial", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"q must be in (0, 1), got {q}")
-        self.q = float(q)
-        self._initial: List[float] = []
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._rates: List[float] = []
-
-    @property
-    def count(self) -> int:
-        """Number of observations so far."""
-        if self._heights:
-            return int(self._positions[4])
-        return len(self._initial)
-
-    def observe(self, x: float) -> None:
-        """Fold one observation into the marker state."""
-        x = float(x)
-        if not self._heights:
-            self._initial.append(x)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                q = self.q
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-                self._rates = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-            return
-        h, n, d = self._heights, self._positions, self._desired
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            d[i] += self._rates[i]
-        for i in (1, 2, 3):
-            delta = d[i] - n[i]
-            if (delta >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                delta <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current quantile estimate (NaN before any observation).
-
-        Exact while the sample is small: until a sixth observation has
-        actually adjusted the markers (count <= 5), the estimate is the
-        exact quantile of the retained observations — freshly seeded
-        markers would otherwise report the median height for every
-        ``q``.
-        """
-        if self._heights and self.count > 5:
-            return self._heights[2]
-        if not self._initial:
-            return math.nan
-        ordered = sorted(self._initial)
-        return float(np.quantile(np.asarray(ordered), self.q))
 
 
 class QuantileDigest:
@@ -408,16 +202,6 @@ class QuantileDigest:
         centers = cum - 0.5 * self._weights
         target = q * cum[-1]
         return float(np.interp(target, centers, self._values))
-
-    def quantiles(self, qs: Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`quantile` (NaNs when empty)."""
-        qs = np.asarray(qs, dtype=float)
-        if self.count == 0:
-            return np.full(qs.shape, math.nan)
-        cum = np.cumsum(self._weights)
-        centers = cum - 0.5 * self._weights
-        targets = np.clip(qs, 0.0, 1.0) * cum[-1]
-        return np.interp(targets, centers, self._values)
 
     def as_dict(self) -> Dict[str, object]:
         return {

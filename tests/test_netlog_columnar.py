@@ -11,9 +11,11 @@ endpoint checks and the CSV/npz format diagnostics.  The record
 factory must build records indistinguishable from constructed ones.
 """
 
+import collections
 import dataclasses
 import pathlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +219,108 @@ class TestEndpointValidation:
         assert counts[NUM_NODES - 1] == 1
 
 
+class TestNegativeEndpoint:
+    """Every aggregate view reads the summary fold, which rejects a
+    negative endpoint naming the record -- the scalar views included."""
+
+    def negative_log(self):
+        log = NetworkLog()
+        log.add(make_record(0, src=0, dst=1))
+        log.add(make_record(4, src=-1, dst=2))
+        return log
+
+    def test_mean_latency_names_the_record(self):
+        with pytest.raises(
+            ValueError, match=r"msg_id=4 has negative endpoint \(src=-1, dst=2\)"
+        ):
+            self.negative_log().mean_latency()
+
+    def test_doctor_exits_2_on_such_a_csv(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "negative.csv")
+        self.negative_log().write_csv(path)
+        assert main(["doctor", path]) == 2
+        assert "msg_id=4 has negative endpoint" in capsys.readouterr().err
+
+
+class TestSparsePairTallies:
+    """The fold keeps one message and byte tally per distinct (src, dst)
+    pair, so its size follows the records, not the square of the
+    largest endpoint id: a trace naming node 10**5 costs what one
+    naming node 5 does."""
+
+    HUGE = 10**5
+
+    endpoint = st.one_of(st.integers(0, 7), st.integers(0, 10**12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(endpoint, endpoint, st.sampled_from((0, 8, 64))),
+            max_size=40,
+        ),
+        cut=st.integers(1, 40),
+    )
+    def test_tallies_match_a_counter_at_any_chunking(self, rows, cut):
+        whole = NetworkLog()
+        chunks = [NetworkLog() for _ in range(0, len(rows), cut)]
+        messages, volumes = collections.Counter(), collections.Counter()
+        for i, (src, dst, nbytes) in enumerate(rows):
+            record = make_record(i, src, dst, nbytes=nbytes)
+            whole.add(record)
+            chunks[i // cut].add(record)
+            messages[src, dst] += 1
+            volumes[src, dst] += nbytes
+        keys = sorted(messages)
+        expected = np.array(
+            [
+                [src for src, _ in keys],
+                [dst for _, dst in keys],
+                [messages[key] for key in keys],
+                [volumes[key] for key in keys],
+            ],
+            dtype=np.int64,
+        ).reshape(4, len(keys))
+        folded = LogSummary.merged(chunk.summary() for chunk in chunks)
+        assert np.array_equal(whole.summary().pairs, expected)
+        assert np.array_equal(folded.pairs, expected)
+        assert whole.sources() == sorted({src for src, _ in keys})
+
+    def test_views_of_a_log_naming_a_huge_node(self):
+        log = NetworkLog()
+        log.add(make_record(0, src=0, dst=self.HUGE, nbytes=8))
+        log.add(make_record(1, src=self.HUGE, dst=3, nbytes=16))
+        log.add(make_record(2, src=0, dst=self.HUGE, nbytes=64))
+        assert log.sources() == [0, self.HUGE]
+        assert log.summary().node_bound == self.HUGE + 1
+        row = log.volume_by_destination(0, self.HUGE + 1)
+        assert row[self.HUGE] == 72 and row.sum() == 72
+        with pytest.raises(
+            ValueError, match=rf"msg_id=1 .*has src={self.HUGE} outside the 8-node"
+        ):
+            log.destination_counts(0, NUM_NODES)
+
+    def test_doctor_on_a_one_row_trace_stays_small(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "far.csv")
+        log = NetworkLog()
+        log.add(make_record(0, src=0, dst=self.HUGE))
+        log.write_csv(path)
+        assert main(["doctor", path]) == 0  # imports everything doctor needs
+        tracemalloc.start()
+        try:
+            code = main(["doctor", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "1 messages over span" in capsys.readouterr().out
+        # A dense (src, dst) table would need 8 * (10**5 + 1)**2 bytes.
+        assert peak < 8 * 2**20
+
+
 class TestPersistence:
     @settings(max_examples=15, deadline=None)
     @given(rows=st.lists(record_tuples, min_size=0, max_size=30))
@@ -271,6 +375,28 @@ class TestPersistence:
         path.write_bytes(b"this is not a zip archive")
         with pytest.raises(NetLogFormatError, match="junk"):
             NetworkLog.read_npz(str(path))
+
+    @pytest.mark.parametrize(
+        "member, value, message",
+        [
+            ("schema", np.empty(0, dtype=np.int64), "'schema' must hold one integer"),
+            ("kind_vocab", np.array([["p2p"]]), "'kind_vocab' must be a 1-D array"),
+        ],
+        ids=["empty-schema", "2-D-kind-vocab"],
+    )
+    def test_npz_malformed_member_rejected(self, member, value, message, tmp_path, capsys):
+        from repro.cli import main
+
+        columnar, _ = build_logs([(0, 1, 8, "p2p", 0.0, 1.0, 0.0)])
+        path = columnar.write_npz(str(tmp_path / "bad.npz"))
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays[member] = value
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(NetLogFormatError, match=rf"bad\.npz: {message}"):
+            NetworkLog.read_npz(path)
+        assert main(["doctor", path]) == 2
+        assert "bad.npz" in capsys.readouterr().err
 
 
 def _columns_as_written(log):

@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.options import RunOptions
 from repro.mesh.netlog import (
+    LogSummary,
     NetLogFormatError,
     NetLogRecord,
     NetworkLog,
@@ -38,7 +39,6 @@ from repro.mesh.netlog import (
 from repro.mesh.netlog_stream import (
     DEFAULT_WINDOW,
     StreamingNetworkLog,
-    StreamingSummary,
     iter_segments,
     materialize_manifest,
     merge_manifest_partials,
@@ -47,13 +47,7 @@ from repro.mesh.netlog_stream import (
     summarize_npz,
     summary_from_manifest,
 )
-from repro.stats.streaming import (
-    P2Quantile,
-    QuantileDigest,
-    StreamingHistogram,
-    StreamingMoments,
-    geometric_edges,
-)
+from repro.stats.streaming import QuantileDigest, StreamingMoments
 
 NUM_NODES = 8
 KINDS = ("p2p", "coherence", "reply")
@@ -138,6 +132,19 @@ def assert_matches_oracle(streaming, oracle):
         oracle.destination_fraction_matrix(NUM_NODES),
         rtol=1e-12,
     )
+    # Per-source rows, including sources outside the network (zeros).
+    for src in streaming.sources() + [-1, NUM_NODES + 3]:
+        for view in (
+            "destination_counts",
+            "destination_fractions",
+            "volume_by_destination",
+            "volume_fractions",
+        ):
+            np.testing.assert_array_equal(
+                getattr(streaming, view)(src, NUM_NODES),
+                getattr(oracle, view)(src, NUM_NODES),
+                err_msg=f"{view}({src})",
+            )
     s, o = streaming.summary(), oracle.summary()
     assert s.messages == o.messages
     assert s.total_bytes == o.total_bytes
@@ -229,7 +236,7 @@ class TestDeterminism:
         oracle.write_csv(csv_path)
         oracle.write_npz(npz_path)
 
-        live = streaming.streaming_summary().as_dict()
+        live = streaming.summary().as_dict()
         stored = summary_from_manifest(manifest).as_dict()
         refolded = merge_manifest_partials(manifest).as_dict()
         from_csv = summarize_csv(csv_path, window=window).as_dict()
@@ -237,29 +244,30 @@ class TestDeterminism:
         assert live == stored == refolded == from_csv == from_npz
 
     def test_merge_is_deterministic(self, tmp_path):
-        logs = []
-        for seed in (1, 2, 3):
-            log = NetworkLog()
-            fill(log, 20, seed=seed)
-            logs.append(log)
-        parts_a = [StreamingSummary.from_log(log) for log in logs]
-        parts_b = [StreamingSummary.from_log(log) for log in logs]
-        merged_a = StreamingSummary.merged(parts_a)
-        merged_b = StreamingSummary.merged(parts_b)
+        def partials():
+            parts = []
+            for seed in (1, 2, 3):
+                log = NetworkLog()
+                fill(log, 20, seed=seed)
+                parts.append(log.summary())
+            return parts
+
+        merged_a = LogSummary.merged(partials())
+        merged_b = LogSummary.merged(partials())
         assert merged_a.as_dict() == merged_b.as_dict()
 
     def test_dict_round_trip_bit_exact(self, tmp_path):
         log = NetworkLog()
         fill(log, 40)
-        summary = StreamingSummary.from_log(log)
+        summary = log.summary()
         doc = json.loads(json.dumps(summary.as_dict()))
-        restored = StreamingSummary.from_dict(doc)
+        restored = LogSummary.from_dict(doc)
         assert restored.as_dict() == summary.as_dict()
-        assert restored.summary() == summary.summary()
+        assert restored == summary
 
     def test_from_dict_rejects_malformed(self):
         with pytest.raises(ValueError):
-            StreamingSummary.from_dict({"messages": 3})
+            LogSummary.from_dict({"messages": 3})
 
 
 class TestEdgeCases:
@@ -271,15 +279,15 @@ class TestEdgeCases:
         assert doc["segments"] == []
         assert doc["records"] == 0
         summary = summary_from_manifest(manifest)
-        assert summary.summary().messages == 0
-        assert summary.summary() == NetworkLog().summary()
+        assert summary.messages == 0
+        assert summary == NetworkLog().summary()
         assert list(iter_segments(manifest)) == []
         assert len(materialize_manifest(manifest)) == 0
 
     def test_merge_of_zero_partials(self):
-        merged = StreamingSummary.merged([])
+        merged = LogSummary.merged([])
         assert merged.messages == 0
-        assert merged.summary() == NetworkLog().summary()
+        assert merged == NetworkLog().summary()
 
     def test_window_boundary_exactly_at_record_count(self, tmp_path):
         # records == k * window: the live window is empty at finalize;
@@ -369,6 +377,65 @@ class TestEdgeCases:
         with pytest.raises(NetLogFormatError, match="999"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("field, value", [("window", None), ("records", "6")])
+    def test_record_and_window_counts_must_be_integers(
+        self, field, value, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        streaming = StreamingNetworkLog(str(tmp_path), window=4)
+        fill(streaming, 6)
+        manifest = streaming.finalize()
+        doc = read_manifest(manifest)
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with open(manifest, "w") as handle:
+            json.dump(doc, handle)
+        message = rf"netlog\.manifest\.json: manifest '{field}' is not an integer"
+        with pytest.raises(NetLogFormatError, match=message):
+            read_manifest(manifest)
+        assert main(["doctor", manifest]) == 2
+        assert f"manifest '{field}' is not an integer" in capsys.readouterr().err
+
+    def test_manifest_with_the_dropped_sketches_still_loads(self, tmp_path, capsys):
+        # Summaries written before the fold lost its latency histogram,
+        # inter-arrival digest and chunk count carry those keys; every
+        # reader ignores them, so doctor prints the same lines.
+        from repro.cli import main
+
+        streaming = StreamingNetworkLog(str(tmp_path), window=13)
+        fill(streaming, 40)
+        manifest = streaming.finalize()
+        assert main(["doctor", manifest]) == 0
+        expected = capsys.readouterr().out
+
+        doc = read_manifest(manifest)
+        edges = np.geomspace(1e-3, 1e6, 181)
+        for summary, chunks in [(e["summary"], 1) for e in doc["segments"]] + [
+            (doc["summary"], len(doc["segments"]))
+        ]:
+            assert "latency_hist" not in summary
+            gaps = QuantileDigest()
+            gaps.observe(np.random.default_rng(chunks).exponential(1.0, 12))
+            summary["chunks"] = chunks
+            summary["latency_hist"] = {
+                "edges": [float(edge) for edge in edges],
+                "counts": [0] * 180,
+                "underflow": 0,
+                "overflow": summary["messages"],
+            }
+            summary["interarrival_digest"] = gaps.as_dict()
+        with open(manifest, "w") as handle:
+            json.dump(doc, handle, sort_keys=True)
+
+        assert read_manifest(manifest) == doc
+        assert summary_from_manifest(manifest) == streaming.summary()
+        assert merge_manifest_partials(manifest) == streaming.summary()
+        assert main(["doctor", manifest]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_csv_npz_segment_round_trip(self, tmp_path):
         # streaming -> CSV -> oracle -> npz -> oracle: the records
         # survive every export unchanged.
@@ -383,7 +450,7 @@ class TestEdgeCases:
         assert from_npz.records == streaming.materialize().records
         # And the O(window) summarizers over those exports agree with
         # the live fold bit-for-bit (same window).
-        live = streaming.streaming_summary().as_dict()
+        live = streaming.summary().as_dict()
         assert summarize_csv(csv_path, window=7).as_dict() == live
         assert summarize_npz(npz_path, window=7).as_dict() == live
 
@@ -460,79 +527,6 @@ class TestStreamingMoments:
         assert StreamingMoments.from_dict(doc).as_dict() == moments.as_dict()
 
 
-class TestStreamingHistogram:
-    def test_counts_match_numpy(self):
-        edges = geometric_edges(0.1, 100.0, 20)
-        rng = np.random.default_rng(5)
-        values = rng.uniform(0.05, 150.0, 5000)
-        hist = StreamingHistogram(edges)
-        hist.observe(values)
-        expected, _ = np.histogram(
-            values[(values >= edges[0]) & (values < edges[-1])], bins=edges
-        )
-        # np.histogram closes the last bin; exclude exact-right-edge
-        # hits, which the streaming histogram counts as overflow.
-        np.testing.assert_array_equal(hist.counts, expected)
-        assert hist.underflow == int((values < edges[0]).sum())
-        assert hist.overflow == int((values >= edges[-1]).sum())
-        assert hist.total == 5000
-
-    def test_merge_requires_identical_edges(self):
-        a = StreamingHistogram(geometric_edges(1, 10, 4))
-        b = StreamingHistogram(geometric_edges(1, 20, 4))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_adds_counts(self):
-        edges = geometric_edges(1, 100, 8)
-        a, b = StreamingHistogram(edges), StreamingHistogram(edges)
-        a.observe(np.array([2.0, 3.0, 500.0]))
-        b.observe(np.array([0.5, 4.0]))
-        a.merge(b)
-        assert a.total == 5
-        assert a.underflow == 1 and a.overflow == 1
-
-
-class TestP2Quantile:
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
-    def test_tracks_numpy_quantile(self, q):
-        rng = np.random.default_rng(11)
-        values = rng.exponential(2.0, 20000)
-        est = P2Quantile(q)
-        for x in values:
-            est.observe(float(x))
-        true = float(np.quantile(values, q))
-        assert est.value() == pytest.approx(true, rel=0.05)
-
-    def test_small_samples_exact(self):
-        est = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            est.observe(x)
-        assert est.value() == 3.0  # exact while buffering < 5 samples
-
-    @pytest.mark.parametrize("q", [0.5, 0.9])
-    @pytest.mark.parametrize("n", range(7))
-    def test_every_small_sample_size_n0_to_n6(self, q, n):
-        # Regression: value() used to interpolate the P2 markers even
-        # while the estimator was still buffering its first samples,
-        # returning garbage for n <= 5.  Exact up to the marker
-        # threshold; once the markers take over (n > 5) the estimate
-        # must at least stay inside the observed range.
-        values = [float(v) for v in (7, 2, 9, 4, 1, 6)[:n]]
-        est = P2Quantile(q)
-        for x in values:
-            est.observe(x)
-        if n == 0:
-            assert np.isnan(est.value())
-        elif n <= 5:
-            assert est.value() == float(np.quantile(values, q))
-        else:
-            assert min(values) <= est.value() <= max(values)
-
-    def test_empty_is_nan(self):
-        assert np.isnan(P2Quantile(0.5).value())
-
-
 class TestQuantileDigest:
     def test_merged_digest_tracks_quantiles(self):
         rng = np.random.default_rng(17)
@@ -571,7 +565,7 @@ class TestQuantileDigest:
             np.asarray(oracle.columns()[0]["deliver_time"])
             - np.asarray(oracle.columns()[0]["inject_time"])
         )
-        summary = streaming.streaming_summary()
+        summary = streaming.summary()
         for q in (0.5, 0.9):
             true = float(np.quantile(latencies, q))
             assert summary.latency_percentile(q) == pytest.approx(true, rel=0.1)

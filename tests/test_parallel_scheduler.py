@@ -24,9 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import RunOptions, run_pattern
 from repro.core.options import PARALLEL_SCHEDULER, RUN_SCHEDULERS
 from repro.mesh.config import MeshConfig
-from repro.mesh.netlog import NetworkLog
+from repro.mesh.netlog import LogSummary, NetworkLog
 from repro.mesh.netlog_stream import (
-    StreamingSummary,
     materialize_manifest,
     read_manifest,
     summary_from_manifest,
@@ -452,7 +451,7 @@ def test_region_partial_summaries_fold_to_the_single_stream_summary(
     integer tallies exactly, float moments to accumulation round-off."""
     whole_log = NetworkLog()
     _fill_log(whole_log, rows)
-    whole = StreamingSummary.from_log(whole_log)
+    whole = whole_log.summary()
 
     shards = [NetworkLog() for _ in range(regions)]
     for i, (src, dst, length, latency) in enumerate(rows):
@@ -461,16 +460,13 @@ def test_region_partial_summaries_fold_to_the_single_stream_summary(
             i, src, dst, length, "p2p", inject, inject + 0.5,
             inject + 0.5 + latency, 0.25, abs(src - dst) + 1,
         )
-    folded = StreamingSummary.merged(
-        [StreamingSummary.from_log(shard) for shard in shards]
-    )
+    folded = LogSummary.merged([shard.summary() for shard in shards])
 
     assert folded.messages == whole.messages
     assert folded.total_bytes == whole.total_bytes
     assert folded.length_counts == whole.length_counts
     assert folded.kind_counts == whole.kind_counts
-    assert np.array_equal(folded.count_matrix, whole.count_matrix)
-    assert np.array_equal(folded.volume_matrix, whole.volume_matrix)
+    assert np.array_equal(folded.pairs, whole.pairs)
     assert folded.first_inject == whole.first_inject
     assert folded.last_deliver == whole.last_deliver
     assert folded.latency.count == whole.latency.count

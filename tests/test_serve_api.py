@@ -14,6 +14,7 @@ import os
 import re
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -260,6 +261,27 @@ class TestJobLifecycle:
         doc2 = client.poll_job(again["id"])
         assert doc2["result"]["cached"] is True
         assert doc2["result"]["key"] == doc["result"]["key"]
+
+    def test_trace_naming_a_huge_node_is_cheap(self, service):
+        # The summary tallies (src, dst) pairs, not a table indexed by
+        # node id: a dense one would need 8 * (10**5 + 1)**2 bytes here.
+        text = (
+            "msg_id,src,dst,length_bytes,kind,inject_time,start_time,"
+            "deliver_time,contention,hops\n0,0,100000,8,p2p,0.0,1.0,5.0,0.5,2\n"
+        )
+        client = Client(service)
+        tracemalloc.start()
+        try:
+            status, job, _ = client.post("/v1/jobs", {"trace": text})
+            doc = client.poll_job(job["id"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 201
+        assert doc["state"] == "done", doc.get("error")
+        _, artifact, _ = client.get(f"/v1/results/{doc['result']['key']}")
+        assert artifact["messages"] == 1
+        assert peak < 32 * 2**20
 
 
 class TestSingleFlight:
