@@ -16,8 +16,8 @@ Run:  python examples/icn_design_study.py
 """
 
 from repro import SyntheticTrafficGenerator, characterize_shared_memory, create_app
-from repro.core import WormholeLatencyModel
-from repro.mesh import MeshConfig, drive_pattern, make_pattern
+from repro.core import WormholeLatencyModel, run_pattern
+from repro.mesh import MeshConfig
 
 #: name -> spec; ``MeshConfig.parse`` grants the torus its 2 VCs.
 TOPOLOGIES = (
@@ -57,8 +57,9 @@ def main() -> None:
     config = MeshConfig("4x4")
     print(f"{'workload':<16} {'latency':>9} {'contention':>11} {'mean hops':>10}")
     for pattern_name in PATTERNS:
-        pattern = make_pattern(pattern_name, 16)
-        log = drive_pattern(pattern, config, messages_per_source=80, mean_gap=8.0, seed=2)
+        log = run_pattern(
+            config, pattern=pattern_name, messages_per_source=80, mean_gap=8.0, seed=2
+        ).log
         hops = sum(r.hops for r in log) / len(log)
         print(
             f"{pattern_name:<16} {log.mean_latency():>9.2f} "

@@ -32,9 +32,9 @@ from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetworkLog
 from repro.mesh.network import MeshNetwork
 from repro.mp.sp2 import SP2Config
-from repro.obs.live import start_live_telemetry
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
+from repro.simkernel import Simulator
 from repro.trace.log import TraceLog
 from repro.trace.replay import replay_trace
 
@@ -134,7 +134,7 @@ def characterize_shared_memory(
         metrics=registry.as_dict() if registry is not None and registry.enabled else None,
         registry=registry,
         timeline=recorder,
-        live=getattr(sim, "live_series", None),
+        live=sim.network.live_series,
     )
 
 
@@ -161,25 +161,14 @@ def characterize_message_passing(
     runtime = app.run(
         num_ranks=mesh_config.num_nodes, sp2=sp2, obs=registry, options=options
     )
-    simulator = options.make_simulator(obs=registry)
     network = MeshNetwork(
-        simulator, mesh_config, timeline=recorder, log=options.make_netlog()
+        Simulator(obs=registry), mesh_config, timeline=recorder, log=options.make_netlog()
     )
     # Telemetry covers the mesh replay (the phase producing the activity
     # log the methodology analyzes), not the SP2 front half.
-    live = start_live_telemetry(
-        options, simulator, network=network, registry=registry, label="replay"
+    log = replay_trace(
+        runtime.trace, network, mode=replay_mode, time_scale=time_scale, options=options
     )
-    try:
-        log = replay_trace(
-            runtime.trace, network, mode=replay_mode, time_scale=time_scale
-        )
-    except BaseException as exc:
-        if live is not None:
-            live.finish("failed", error=exc)
-        raise
-    if live is not None:
-        live.finish("done")
     characterization = characterize_log(
         log,
         mesh_config,
@@ -194,5 +183,5 @@ def characterize_message_passing(
         metrics=registry.as_dict() if registry is not None and registry.enabled else None,
         registry=registry,
         timeline=recorder,
-        live=live.series if live is not None else None,
+        live=network.live_series,
     )

@@ -17,7 +17,6 @@ from typing import Dict, Mapping, Optional
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
-from repro.simkernel import Simulator
 
 #: The parallel region-replay scheduler.  Kept as a literal here so
 #: validating an options bundle does not import the mesh stack; the
@@ -46,8 +45,9 @@ class RunOptions:
         pipeline did before).
     check_stall:
         Treat a drained event list with waiting processes as a
-        :class:`~repro.simkernel.DeadlockError` (ignored for truncated
-        ``until=`` runs, which legitimately stop mid-wait).
+        :class:`~repro.simkernel.DeadlockError`.  One policy for every
+        run, truncated or not: a run stopped at ``until`` with events
+        still pending is not checked.
     max_no_progress_events:
         Arm the kernel watchdog: abort with a stall diagnosis after
         this many events without the clock advancing (None = off;
@@ -144,7 +144,7 @@ class RunOptions:
         return self.sample_interval is not None or self.heartbeat is not None
 
     # ------------------------------------------------------------------
-    # instrument / kernel factories
+    # instrument / log factories
     # ------------------------------------------------------------------
     def make_registry(self) -> Optional[MetricsRegistry]:
         """A fresh metrics registry when ``metrics`` is on, else None."""
@@ -153,10 +153,6 @@ class RunOptions:
     def make_timeline(self) -> Optional[TimelineRecorder]:
         """A fresh timeline recorder when ``timeline`` is on, else None."""
         return TimelineRecorder() if self.timeline else None
-
-    def make_simulator(self, obs: Optional[MetricsRegistry] = None) -> Simulator:
-        """The serial kernel for one run under this bundle."""
-        return Simulator(obs=obs)
 
     def make_netlog(self, stem: str = "netlog"):
         """The activity-log collector for one run under this bundle.
@@ -182,19 +178,6 @@ class RunOptions:
                 else DEFAULT_WINDOW
             ),
         )
-
-    def run_kwargs(self, until: Optional[float] = None) -> Dict[str, object]:
-        """Keyword arguments for :meth:`Simulator.run` under this bundle.
-
-        Stall detection only applies to run-to-drain executions: a
-        truncated ``until=`` run stops with processes legitimately
-        mid-wait.
-        """
-        return {
-            "until": until,
-            "check_stall": self.check_stall and until is None,
-            "max_no_progress_events": self.max_no_progress_events,
-        }
 
     def with_(self, **changes: object) -> "RunOptions":
         """A copy with ``changes`` applied (validated like __init__)."""

@@ -147,7 +147,9 @@ def run_pattern(
     ``parallel_regions`` region workers, so the two paths are directly
     comparable.  The parallel path accepts only region-local schedules
     and raises ``ValueError`` for any other before a worker starts.
-    Returns a
+    The serial replay runs under the whole bundle (stall check,
+    watchdog, leak audit, telemetry); region workers run with the
+    default checks.  Returns a
     :class:`~repro.simkernel.engine_parallel.SerialRunResult` or
     :class:`~repro.simkernel.engine_parallel.ParallelRunResult`; with
     ``log_spill`` set, both write a ``netlog-spill`` manifest there.
@@ -184,4 +186,6 @@ def run_pattern(
                 else DEFAULT_WINDOW
             ),
         )
-    return run_serial_schedule(config, traffic, log=options.make_netlog(stem))
+    return run_serial_schedule(
+        config, traffic, log=options.make_netlog(stem), options=options
+    )

@@ -23,8 +23,7 @@ from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetworkLog
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
-from repro.obs.live import start_live_telemetry
-from repro.simkernel import check_leaks, hold
+from repro.simkernel import Simulator, hold
 from repro.stats.spatial_models import SpatialPattern, UniformPattern, choice_sampler
 
 
@@ -119,9 +118,9 @@ class SyntheticTrafficGenerator:
             raise ValueError(
                 f"messages_per_source must be >= 1, got {messages_per_source}"
             )
-        options = self.options
-        simulator = options.make_simulator()
-        network = MeshNetwork(simulator, self.mesh_config, log=options.make_netlog())
+        network = MeshNetwork(
+            Simulator(), self.mesh_config, log=self.options.make_netlog("synthetic")
+        )
         num_nodes = self.mesh_config.num_nodes
         sources = sorted(self.characterization.spatial.per_source)
         n_sources = max(len(sources), 1)
@@ -132,54 +131,25 @@ class SyntheticTrafficGenerator:
         streams = np.random.SeedSequence(self.seed).spawn(num_nodes)
         draw_length = choice_sampler(self._length_values, self._length_probs)
 
+        def entries(draw_dst, sampler, rng, scale):
+            # Drawn lazily, gap then destination then length.
+            for _ in range(messages_per_source):
+                gap = sampler(rng) * scale / self.rate_scale
+                yield gap, int(draw_dst(rng)), int(draw_length(rng)), None
+
+        per_source = {}
         for src in sources:
-            draw_dst = self._pattern_for(src).destination_sampler(src, num_nodes)
-            sampler = self._interarrival_sampler(src)
-            rng = np.random.default_rng(streams[src])
             use_aggregate = src not in self.characterization.temporal.per_source_fits
-            scale = n_sources if use_aggregate else 1.0
-
-            def source_process(
-                src=src, draw_dst=draw_dst, sampler=sampler, rng=rng, scale=scale
-            ):
-                for _ in range(messages_per_source):
-                    gap = sampler(rng) * scale / self.rate_scale
-                    yield hold(gap)
-                    dst = int(draw_dst(rng))
-                    length = int(draw_length(rng))
-                    message = NetworkMessage(
-                        src=src, dst=dst, length_bytes=length, kind="synthetic"
-                    )
-                    yield from network.transfer(message)
-
-            simulator.process(source_process(), name=f"synth[{src}]")
-
-        # A drained queue with sources still blocked is a deadlock, not
-        # a completed run; a truncated run is unwound so held channels
-        # are released before the log is handed back.  (Unlike the
-        # pipeline harnesses, a truncated synthetic drive still stall-
-        # checks: each source waits only on its own transfer, which
-        # always completes, so none legitimately blocks forever.)
-        live = start_live_telemetry(options, simulator, network=network, label="drive")
-        try:
-            simulator.run(
-                until=until,
-                check_stall=options.check_stall,
-                max_no_progress_events=options.max_no_progress_events,
+            per_source[src] = entries(
+                self._pattern_for(src).destination_sampler(src, num_nodes),
+                self._interarrival_sampler(src),
+                np.random.default_rng(streams[src]),
+                n_sources if use_aggregate else 1.0,
             )
-        except BaseException as exc:
-            if live is not None:
-                live.finish("failed", error=exc)
-            raise
-        if live is not None:
-            live.finish("done")
-        if until is not None:
-            simulator.shutdown()
-        if options.check_leaks:
-            check_leaks(simulator)
-        network.log.seal()
-        self.live_series = live.series if live is not None else None
-        return network.log
+        network.start_sources(per_source, "synthetic")
+        log = network.run(self.options, until=until, label="drive")
+        self.live_series = network.live_series
+        return log
 
 
 class PhaseCoupledTrafficGenerator:
@@ -258,9 +228,9 @@ class PhaseCoupledTrafficGenerator:
         messages; returns the activity log."""
         if total_messages < 1:
             raise ValueError(f"total_messages must be >= 1, got {total_messages}")
-        options = self.options
-        simulator = options.make_simulator()
-        network = MeshNetwork(simulator, self.mesh_config, log=options.make_netlog())
+        network = MeshNetwork(
+            Simulator(), self.mesh_config, log=self.options.make_netlog("synthetic")
+        )
         rng = np.random.default_rng(self.seed)
         model = self.burst_model
         num_nodes = self.mesh_config.num_nodes
@@ -291,21 +261,7 @@ class PhaseCoupledTrafficGenerator:
                 lull = rng.exponential(model.mean_between_gap)
                 yield hold(lull / self.rate_scale)
 
-        simulator.process(driver(), name="burst-driver")
-        live = start_live_telemetry(options, simulator, network=network, label="drive")
-        try:
-            simulator.run(
-                check_stall=options.check_stall,
-                max_no_progress_events=options.max_no_progress_events,
-            )
-        except BaseException as exc:
-            if live is not None:
-                live.finish("failed", error=exc)
-            raise
-        if live is not None:
-            live.finish("done")
-        if options.check_leaks:
-            check_leaks(simulator)
-        network.log.seal()
-        self.live_series = live.series if live is not None else None
-        return network.log
+        network.simulator.process(driver(), name="burst-driver")
+        log = network.run(self.options, label="drive")
+        self.live_series = network.live_series
+        return log

@@ -17,10 +17,9 @@ from repro.exec_driven.thread_api import SharedArray, ThreadContext
 from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetworkLog
 from repro.mesh.network import MeshNetwork
-from repro.obs.live import start_live_telemetry
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
-from repro.simkernel import DeadlockError, Simulator, check_leaks
+from repro.simkernel import DeadlockError, Simulator
 
 ThreadBody = Callable[[ThreadContext], Generator]
 
@@ -44,10 +43,10 @@ class ExecutionDrivenSimulation:
         Chrome trace-event export of the run.
     options:
         Optional :class:`~repro.core.options.RunOptions` selecting the
-        run-safety knobs (stall detection, leak audit, no-progress
-        watchdog) and the activity-log collector.  Defaults preserve the
-        historical behaviour: stall checking and leak audits on for
-        run-to-drain executions.
+        activity-log collector and the run tail's knobs (stall
+        detection, leak audit, no-progress watchdog, live telemetry;
+        see :meth:`MeshNetwork.run`).  Defaults: stall checking and
+        leak audits on.
 
     Typical use::
 
@@ -90,20 +89,6 @@ class ExecutionDrivenSimulation:
         ]
         self._arrays: Dict[str, SharedArray] = {}
         self.finished = False
-        # Live telemetry wires up front (probes must see the run from
-        # t=0); None unless the options request sampling/heartbeats.
-        self.live = start_live_telemetry(
-            options,
-            self.simulator,
-            network=self.network,
-            registry=obs,
-            label="characterize",
-        )
-
-    @property
-    def live_series(self):
-        """Windowed live-telemetry series (None when telemetry is off)."""
-        return self.live.series if self.live is not None else None
 
     @property
     def num_processors(self) -> int:
@@ -168,41 +153,21 @@ class ExecutionDrivenSimulation:
             self.simulator.process(thread_body(ctx), name=f"thread[{ctx.pid}]")
             for ctx in self.contexts
         ]
-        options = self.options
+        self.finished = True
         try:
-            end_time = self.simulator.run(
-                until=until,
-                check_stall=until is None
-                and (options is None or options.check_stall),
-                max_no_progress_events=(
-                    options.max_no_progress_events if options is not None else None
-                ),
-            )
+            self.network.run(self.options, until=until, label="characterize")
         except DeadlockError as error:
-            self.finished = True
-            if self.live is not None:
-                self.live.finish("failed", error=error)
             stuck = [t.name for t in threads if not t.finished]
             raise RuntimeError(
                 f"threads never finished (deadlock or lost wakeup): {stuck}\n{error}"
             ) from error
-        except BaseException as error:
-            if self.live is not None:
-                self.live.finish("failed", error=error)
-            raise
-        self.finished = True
-        if self.live is not None:
-            self.live.finish("done")
-        self.network.finalize_metrics()
         self.machine.finalize_metrics()
         stuck = [t.name for t in threads if not t.finished]
         if stuck and until is None:
             raise RuntimeError(
                 f"threads never finished (deadlock or lost wakeup): {stuck}"
             )
-        if until is None and (options is None or options.check_leaks):
-            check_leaks(self.simulator)
-        return end_time
+        return self.simulator.now
 
     def machine_stats(self) -> Dict[str, float]:
         """Coherence-machine counters for the run."""

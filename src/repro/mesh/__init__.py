@@ -21,7 +21,9 @@ Public surface:
   classes) -- node/coordinate algebra and routing, with a lazily
   filled per-instance :class:`~repro.mesh.topology.RouteTable`.
 * :class:`~repro.mesh.packet.NetworkMessage` -- a message in flight.
-* :class:`~repro.mesh.network.MeshNetwork` -- the simulator proper.
+* :class:`~repro.mesh.network.MeshNetwork` -- the simulator proper,
+  with the drive harness every driver shares (closed-loop sources,
+  one run tail).
 * :class:`~repro.mesh.netlog.NetworkLog` -- the activity log analyzed by
   the statistics package.
 * :func:`~repro.mesh.patterns.make_pattern` and
@@ -55,7 +57,6 @@ from repro.mesh.patterns import (
     TrafficPattern,
     TransposeTraffic,
     UniformTraffic,
-    drive_pattern,
     make_pattern,
     pattern_for_config,
     register_pattern,
@@ -109,7 +110,6 @@ __all__ = [
     "TransposeTraffic",
     "UniformTraffic",
     "build_topology",
-    "drive_pattern",
     "iter_segments",
     "make_pattern",
     "materialize_manifest",

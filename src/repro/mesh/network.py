@@ -21,17 +21,22 @@ length.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetLogRecord, NetworkLog, make_record
 from repro.mesh.packet import NetworkMessage
 from repro.mesh.topology import ROUTE_TABLE_CAP, Hop
+from repro.obs.live import start_live_telemetry
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import CHANNELS_PID, NULL_TIMELINE, TimelineRecorder
 from repro.simkernel import Facility, Hold, Mailbox, Release, Request, SimEvent, Simulator
+from repro.simkernel.diagnosis import check_leaks
 
 DeliveryHandler = Callable[[NetworkMessage, NetLogRecord], None]
+
+#: A source-loop entry (see :meth:`MeshNetwork.start_sources`).
+SourceEntry = Tuple[float, int, int, Optional[int]]
 
 #: A compiled transfer: source-NI request, per-hop ``(request, hold)``
 #: steps, destination-NI request, every release in acquisition order,
@@ -63,8 +68,10 @@ class MeshNetwork:
         :class:`~repro.mesh.netlog_stream.StreamingNetworkLog` here.
 
     Messages enter through :meth:`inject` (fire-and-forget, returns a
-    completion :class:`SimEvent`) or :meth:`transfer` (a sub-generator
-    for blocking sends: ``record = yield from net.transfer(msg)``).
+    completion :class:`SimEvent`), :meth:`transfer` (a sub-generator
+    for blocking sends: ``record = yield from net.transfer(msg)``) or
+    :meth:`start_sources` (closed-loop per-source processes); drivers
+    then finish with :meth:`run`.
     Deliveries append to :attr:`log`, fire any handler registered for
     the destination node, and are deposited in the destination's
     delivery mailbox if one has been requested.
@@ -133,6 +140,9 @@ class MeshNetwork:
         self.total_injected = 0
         self.total_delivered = 0
         self.adaptive_yx_taken = 0
+        #: Windowed live-telemetry series of the last :meth:`run` (None
+        #: unless its options requested sampling or a heartbeat).
+        self.live_series = None
         self.obs = obs if obs is not None else simulator.obs
         self.timeline = timeline if timeline is not None else NULL_TIMELINE
         self._observed = self.obs.enabled
@@ -415,6 +425,76 @@ class MeshNetwork:
         sampler.watch_window(window)
 
     # ------------------------------------------------------------------
+    # drive harness
+    # ------------------------------------------------------------------
+    def start_sources(
+        self, per_source: Mapping[int, Iterable[SourceEntry]], kind: str
+    ) -> None:
+        """Start one closed-loop process per source, in source order.
+
+        Each process takes its ``(gap, dst, length_bytes, msg_id)``
+        entries in turn: it holds for ``gap`` ("time since the last
+        network activity at the source"), sends a ``kind`` message and
+        waits for its delivery.  A None ``msg_id`` is assigned after
+        the hold, so ids follow event order.  Entries are taken lazily,
+        so a generator drawing them costs O(1) memory per source.
+        """
+        for src in sorted(per_source):
+            self.simulator.process(
+                self._source(src, per_source[src], kind), name=f"{kind}[{src}]"
+            )
+
+    def _source(self, src: int, entries: Iterable[SourceEntry], kind: str):
+        for gap, dst, length_bytes, msg_id in entries:
+            yield Hold(float(gap))
+            if msg_id is None:
+                message = NetworkMessage(src, dst, length_bytes, kind)
+            else:
+                message = NetworkMessage(src, dst, length_bytes, kind, msg_id=msg_id)
+            yield from self.transfer(message)
+
+    def run(self, options=None, until: Optional[float] = None, label: str = "run"):
+        """The run tail every driver shares; returns the sealed log.
+
+        Under ``options`` (a :class:`~repro.core.options.RunOptions`,
+        default options when omitted), in order: starts live telemetry
+        mirrored into this network's registry; runs the kernel with the
+        bundle's ``check_stall`` and ``max_no_progress_events``; unwinds
+        a run truncated at ``until`` so held channels are released;
+        records the final metrics sample; audits leaks when
+        ``check_leaks`` is set; seals the log.  The windowed series
+        lands on :attr:`live_series`.
+        """
+        if options is None:
+            from repro.core.options import RunOptions
+
+            options = RunOptions()
+        simulator = self.simulator
+        live = start_live_telemetry(
+            options, simulator, network=self, registry=self.obs, label=label
+        )
+        try:
+            simulator.run(
+                until=until,
+                check_stall=options.check_stall,
+                max_no_progress_events=options.max_no_progress_events,
+            )
+        except BaseException as exc:
+            if live is not None:
+                live.finish("failed", error=exc)
+            raise
+        if live is not None:
+            live.finish("done")
+            self.live_series = live.series
+        if until is not None:
+            simulator.shutdown()
+        self.finalize_metrics()
+        if options.check_leaks:
+            check_leaks(simulator)
+        self.log.seal()
+        return self.log
+
+    # ------------------------------------------------------------------
     # transfer plans
     # ------------------------------------------------------------------
     def _plan_for(self, message: NetworkMessage) -> Plan:
@@ -509,7 +589,7 @@ class MeshNetwork:
     def finalize_metrics(self) -> None:
         """Record one final sample of every channel series.
 
-        Called by the run harnesses at end of simulation so short runs
+        Called by :meth:`run` at end of simulation so short runs
         (fewer deliveries than the sampling interval) still export a
         per-channel utilization point.  Also records the end-of-run
         facility-leak audit so a leaky run is visible in its metrics.

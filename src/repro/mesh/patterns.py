@@ -29,10 +29,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.mesh.config import MeshConfig
-from repro.mesh.netlog import NetworkLog
-from repro.mesh.network import MeshNetwork
-from repro.mesh.packet import NetworkMessage
-from repro.simkernel import check_leaks, hold
 
 
 class TrafficPattern(ABC):
@@ -361,59 +357,3 @@ register_pattern("tornado", TornadoTraffic)
 register_pattern("neighbor", NeighborTraffic)
 register_pattern("hotspot", HotspotTraffic)
 
-
-def drive_pattern(
-    pattern: TrafficPattern,
-    config: MeshConfig,
-    messages_per_source: int = 100,
-    mean_gap: float = 10.0,
-    length_bytes: int = 64,
-    seed: int = 0,
-    options=None,
-) -> NetworkLog:
-    """Closed-loop Poisson sources driving ``pattern`` through a network.
-
-    The standard ICN-evaluation harness: per-source exponential
-    inter-injection gaps, destinations from the pattern; returns the
-    activity log for latency/throughput analysis.  Each source waits
-    for its message's delivery before drawing the next gap, so a
-    congested network also throttles the offered load.  ``options``
-    (a :class:`~repro.core.options.RunOptions`, default options when
-    omitted) selects the stall checks, the no-progress watchdog and the
-    leak audit, as for the synthetic generator.
-    """
-    if messages_per_source < 1:
-        raise ValueError(f"messages_per_source must be >= 1, got {messages_per_source}")
-    if mean_gap <= 0:
-        raise ValueError(f"mean_gap must be > 0, got {mean_gap}")
-    if pattern.num_nodes != config.num_nodes:
-        raise ValueError(
-            f"pattern is for {pattern.num_nodes} nodes, network has {config.num_nodes}"
-        )
-    if options is None:
-        from repro.core.options import RunOptions
-
-        options = RunOptions()
-    simulator = options.make_simulator()
-    network = MeshNetwork(simulator, config)
-
-    for src in range(config.num_nodes):
-        rng = np.random.default_rng(seed + 7919 * src)
-
-        def source(src=src, rng=rng):
-            for _ in range(messages_per_source):
-                yield hold(float(rng.exponential(mean_gap)))
-                dst = pattern.destination(src, rng)
-                if dst == src:
-                    continue
-                yield from network.transfer(
-                    NetworkMessage(
-                        src=src, dst=dst, length_bytes=length_bytes, kind=pattern.name
-                    )
-                )
-
-        simulator.process(source(), name=f"{pattern.name}[{src}]")
-    simulator.run(**options.run_kwargs())
-    if options.check_leaks:
-        check_leaks(simulator)
-    return network.log

@@ -92,8 +92,7 @@ class MessagePassingRuntime:
         try:
             end_time = self.simulator.run(
                 until=until,
-                check_stall=until is None
-                and (options is None or options.check_stall),
+                check_stall=options is None or options.check_stall,
                 max_no_progress_events=(
                     options.max_no_progress_events if options is not None else None
                 ),

@@ -441,24 +441,21 @@ def start_live_telemetry(
     network=None,
     registry=None,
     label: str = "run",
-    heartbeat_path: Optional[str] = None,
     wall_clock: Optional[Callable[[], float]] = None,
 ) -> Optional[LiveTelemetry]:
     """Wire a sampler (and heartbeat) onto one run, per ``options``.
 
     Returns None -- and schedules nothing -- unless the options bundle
     requests live telemetry (``sample_interval`` and/or ``heartbeat``
-    set, or an explicit ``heartbeat_path`` override from the sweep
-    runner).  ``options`` is duck-typed so legacy callers passing plain
+    set).  ``options`` is duck-typed so legacy callers passing plain
     objects keep working.  The kernel probes come from ``simulator``,
     the windowed network counters from ``network`` (when given), and
     enabled-``registry`` runs get the windows mirrored into
-    ``live.<column>`` time series.
+    ``live.<column>`` time series.  Mesh drivers reach this through
+    :meth:`repro.mesh.network.MeshNetwork.run`.
     """
-    if options is None and heartbeat_path is None:
-        return None
     sample_interval = getattr(options, "sample_interval", None)
-    heartbeat_path = heartbeat_path or getattr(options, "heartbeat", None)
+    heartbeat_path = getattr(options, "heartbeat", None)
     if sample_interval is None and heartbeat_path is None:
         return None
     interval = sample_interval if sample_interval is not None else DEFAULT_SAMPLE_INTERVAL

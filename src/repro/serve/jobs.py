@@ -6,8 +6,9 @@ trace to analyze.  :class:`JobManager` owns the whole lifecycle:
 
 * **Validation** happens at submission time, before anything is
   persisted: the grid must parse, expand to at most ``max_cells``
-  cells, and trace uploads must be non-empty.  Bad input costs a 400,
-  not a worker.
+  cells and name no server path (``log_spill``, ``heartbeat``), and
+  trace uploads must be non-empty.  Bad input costs a 400, not a
+  worker.
 * **Single-flight coalescing**: a job's identity is the content
   address of its spec (the same keying scheme as the sweep cache, so
   the code fingerprint participates — a redeploy never serves stale
@@ -170,6 +171,12 @@ class JobManager:
             cells = grid.expand()
         except (ValueError, KeyError, TypeError) as error:
             raise HttpError(400, f"invalid grid spec: {error}")
+        # Paths on this host are the service's to choose (it already
+        # picks each job's heartbeat directory), never a client's.
+        for name in ("log_spill", "heartbeat"):
+            if getattr(grid.options, name, None) is not None:
+                message = f"grid options may not set {name}: the service chooses paths"
+                raise HttpError(400, message, field=name)
         if len(cells) > self.max_cells:
             raise HttpError(
                 400,

@@ -53,10 +53,9 @@ from repro.mesh.netlog_stream import (
     read_manifest,
 )
 from repro.mesh.network import MeshNetwork
-from repro.mesh.packet import NetworkMessage
 from repro.mesh.partition import MeshPartition, slice_partition
 from repro.obs.fsio import atomic_write_text
-from repro.simkernel.engine import Simulator, hold
+from repro.simkernel.engine import Simulator
 
 __all__ = [
     "PARALLEL_SCHEDULER",
@@ -179,9 +178,9 @@ class ScheduleTraffic:
                     f"{schedule_pattern_names()}"
                 )
             registry_pattern = pattern_for_config(pattern, config)
-        if messages_per_source < 0:
+        if messages_per_source < 1:
             raise ValueError(
-                f"messages_per_source must be >= 0, got {messages_per_source}"
+                f"messages_per_source must be >= 1, got {messages_per_source}"
             )
         if messages_per_source >= 1_000_000:
             raise ValueError(
@@ -286,10 +285,13 @@ def run_serial_schedule(
     traffic: ScheduleTraffic,
     scheduler: str = "calendar",
     log: Optional[object] = None,
+    options=None,
 ):
     """Replay ``traffic`` on one serial simulator (the reference the
-    parallel scheduler is checked against).  ``log`` defaults to an
-    in-memory :class:`NetworkLog`; pass a
+    parallel scheduler is checked against) under ``options``, a
+    :class:`~repro.core.options.RunOptions` (stall check, watchdog,
+    leak audit, telemetry; default options when omitted).  ``log``
+    defaults to an in-memory :class:`NetworkLog`; pass a
     :class:`~repro.mesh.netlog_stream.StreamingNetworkLog` to spill.
     ``scheduler`` must be ``"calendar"``, the one serial kernel."""
     if scheduler != "calendar":
@@ -302,35 +304,15 @@ def run_serial_schedule(
             f"traffic drawn for {traffic.num_nodes} nodes, mesh has "
             f"{config.num_nodes}"
         )
-    sim = Simulator()
-    the_log = log if log is not None else NetworkLog()
-    net = MeshNetwork(sim, config, log=the_log)
-
-    def source(src: int, entries):
-        for gap, dst, length_bytes, msg_id in entries:
-            yield hold(gap)
-            yield from net.transfer(
-                NetworkMessage(
-                    src=src,
-                    dst=dst,
-                    length_bytes=length_bytes,
-                    kind=TRAFFIC_KIND,
-                    msg_id=msg_id,
-                )
-            )
-
-    for src in sorted(traffic.per_source):
-        sim.process(source(src, traffic.per_source[src]), name=f"source-{src}")
-    sim.run(check_stall=True)
-    the_log.seal()
-    manifest = None
-    if isinstance(the_log, StreamingNetworkLog):
-        manifest = the_log.finalize()
+    net = MeshNetwork(Simulator(), config, log=log)
+    net.start_sources(traffic.per_source, TRAFFIC_KIND)
+    net.run(options, label="replay")
+    spilled = isinstance(net.log, StreamingNetworkLog)
     return SerialRunResult(
-        log=the_log,
-        clock=sim.now,
-        events_fired=sim.events_fired,
-        manifest_path=manifest,
+        log=net.log,
+        clock=net.simulator.now,
+        events_fired=net.simulator.events_fired,
+        manifest_path=net.log.finalize() if spilled else None,
     )
 
 
@@ -360,6 +342,9 @@ class _GlobalIdLog:
             record.hops,
         )
 
+    def seal(self) -> None:
+        self._shard.seal()
+
 
 def _replay_region(
     partition: MeshPartition,
@@ -369,35 +354,24 @@ def _replay_region(
     stem: str,
     window: int,
 ) -> Dict[str, object]:
-    """Replay one region's sources on its sub-mesh to completion and
-    spill its shard; returns the shard manifest and kernel counters."""
+    """Replay one region's sources on its sub-mesh to completion under
+    the default run options (stall check and leak audit) and spill its
+    shard; returns the shard manifest and kernel counters."""
     offset = partition.to_global(region, 0)
-    sim = Simulator()
     shard = StreamingNetworkLog(directory, stem=f"{stem}.r{region:02d}", window=window)
     net = MeshNetwork(
-        sim, partition.region_config(region), log=_GlobalIdLog(shard, offset)
+        Simulator(), partition.region_config(region), log=_GlobalIdLog(shard, offset)
     )
-
-    def source(src: int, entries):
-        for gap, dst, length_bytes, msg_id in entries:
-            yield hold(gap)
-            yield from net.transfer(
-                NetworkMessage(
-                    src=src - offset,
-                    dst=dst - offset,
-                    length_bytes=length_bytes,
-                    kind=TRAFFIC_KIND,
-                    msg_id=msg_id,
-                )
-            )
-
-    for src in sorted(per_source):
-        sim.process(source(src, per_source[src]), name=f"source-{src}")
-    sim.run(check_stall=True)
+    local = {
+        src - offset: [(gap, dst - offset, *rest) for gap, dst, *rest in entries]
+        for src, entries in per_source.items()
+    }
+    net.start_sources(local, TRAFFIC_KIND)
+    net.run()
     return {
         "manifest": shard.finalize(),
-        "clock": sim.now,
-        "events_fired": sim.events_fired,
+        "clock": net.simulator.now,
+        "events_fired": net.simulator.events_fired,
     }
 
 

@@ -144,26 +144,19 @@ def execute_cell(
     (:mod:`repro.obs.report`), with the load-point measurements in
     ``extra``.
 
-    ``heartbeat`` overlays a per-cell heartbeat stream path onto the
-    cell's options for this execution only — the supervisor's
-    ``--heartbeat-dir`` plumbing.  It deliberately stays out of the
-    report's recorded ``options`` (and out of the cache key): where a
-    sweep's progress was watched must not re-key its results.
+    ``heartbeat`` is the cell's heartbeat stream (see
+    :func:`_cell_options` for how it and ``log_spill`` are overlaid).
 
     Pattern cells (``spec.pattern`` set) skip characterization entirely
     and drive the mesh with the named synthetic pattern instead.
     """
     spec = CellSpec.from_dict(spec_doc)
+    run_options = _cell_options(spec, heartbeat)
     if spec.pattern is not None:
-        return _execute_pattern_cell(spec, heartbeat)
+        return _execute_pattern_cell(spec, run_options)
     started = time.perf_counter()
     mesh = spec.mesh_config()
     app = create_app(spec.app, **spec.params_dict)
-    options = spec.options
-    if heartbeat is not None:
-        run_options = (options or RunOptions()).with_(heartbeat=heartbeat)
-    else:
-        run_options = options
     if spec.app in SHARED_MEMORY_APPS:
         coherence = (
             CoherenceConfig(protocol=spec.protocol)
@@ -198,7 +191,7 @@ def execute_cell(
         extra={
             "source": "sweep",
             "protocol": spec.protocol,
-            "options": options.as_dict() if options is not None else None,
+            "options": spec.options.as_dict() if spec.options is not None else None,
             "rate_scale": spec.rate_scale,
             "seed": spec.seed,
             "cell_seed": cell_seed,
@@ -211,36 +204,53 @@ def execute_cell(
     return report.as_dict()
 
 
-def _execute_pattern_cell(
-    spec: CellSpec, heartbeat: Optional[str] = None
-) -> Dict[str, object]:
+def _cell_options(spec: CellSpec, heartbeat: Optional[str]) -> RunOptions:
+    """The cell's options for this execution only.
+
+    ``heartbeat`` (the supervisor's ``--heartbeat-dir`` stream for the
+    cell) is overlaid as the bundle's heartbeat, and a ``log_spill``
+    directory becomes a per-cell subdirectory named from the cell id,
+    so cells sharing one spill directory never overwrite each other's
+    segments.  Neither overlay enters the report's recorded
+    ``options`` or the cache key: where a sweep was watched or spilled
+    must not re-key its results.
+    """
+    options = spec.options or RunOptions()
+    if heartbeat is not None:
+        options = options.with_(heartbeat=heartbeat)
+    if options.log_spill is not None:
+        options = options.with_(
+            log_spill=os.path.join(options.log_spill, safe_label(spec.cell_id))
+        )
+    return options
+
+
+def _execute_pattern_cell(spec: CellSpec, options: RunOptions) -> Dict[str, object]:
     """Execute a synthetic-pattern cell; returns a run-report dict.
 
-    Builds the cell's pattern against its mesh (dims-aware for
-    mesh/torus specs) and drives it with closed-loop per-source Poisson
-    sources under the cell's run options; ``rate_scale`` scales the
-    offered load by shrinking the mean inter-injection gap.  The report
-    uses the pattern name as both ``app`` and ``strategy`` axis values,
-    so topology x pattern x load comparison tables line up with
-    application rows.
+    Compiles the cell's pattern against its mesh (dims-aware for
+    mesh/torus specs) into closed-loop per-source Poisson schedules and
+    replays them on the serial kernel under ``options``;
+    ``rate_scale`` scales the offered load by shrinking the mean
+    inter-injection gap.  The report uses the pattern name as both
+    ``app`` and ``strategy`` axis values, so topology x pattern x load
+    comparison tables line up with application rows.
     """
-    from repro.mesh.patterns import drive_pattern, pattern_for_config
+    from repro.simkernel.engine_parallel import ScheduleTraffic, run_serial_schedule
 
     started = time.perf_counter()
-    if heartbeat is not None:
-        write_status_record(heartbeat, spec.cell_id, "running")
     mesh = spec.mesh_config()
-    pattern = pattern_for_config(spec.pattern, mesh)
     cell_seed = int(spec.seed_sequence().generate_state(1)[0])
     mean_gap = 10.0 / spec.rate_scale
-    log = drive_pattern(
-        pattern,
+    traffic = ScheduleTraffic.compile_pattern(
         mesh,
+        pattern=spec.pattern,
         messages_per_source=spec.messages_per_source,
-        mean_gap=mean_gap,
         seed=cell_seed,
-        options=spec.options,
+        mean_gap=mean_gap,
     )
+    log = options.make_netlog()
+    run_serial_schedule(mesh, traffic, log=log, options=options)
     stats = log.summary()
     report = report_from_summary(
         stats,
@@ -261,8 +271,6 @@ def _execute_pattern_cell(
             "offered_rate": stats.offered_rate,
         },
     )
-    if heartbeat is not None:
-        write_status_record(heartbeat, spec.cell_id, "done", append=True)
     return report.as_dict()
 
 

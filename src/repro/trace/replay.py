@@ -19,7 +19,7 @@ from typing import List, Optional
 from repro.mesh.netlog import NetworkLog
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
-from repro.simkernel import check_leaks, hold
+from repro.simkernel import hold
 from repro.trace.log import TraceLog
 
 #: Replay modes accepted by :func:`replay_trace`.
@@ -31,6 +31,7 @@ def replay_trace(
     network: MeshNetwork,
     mode: str = "dependency",
     time_scale: float = 1.0,
+    options=None,
 ) -> NetworkLog:
     """Feed ``trace`` through ``network``; returns the network's log.
 
@@ -47,6 +48,10 @@ def replay_trace(
     time_scale:
         Multiplier applied to traced gaps/timestamps (unit conversion
         between trace time and mesh time).
+    options:
+        The :class:`~repro.core.options.RunOptions` the replay runs
+        under (see :meth:`MeshNetwork.run`); its live series lands on
+        ``network.live_series``.
     """
     if mode not in REPLAY_MODES:
         raise ValueError(f"unknown replay mode {mode!r}; choose from {REPLAY_MODES}")
@@ -115,10 +120,4 @@ def replay_trace(
                 ),
             )
 
-    simulator.run(check_stall=True)
-    network.finalize_metrics()
-    check_leaks(simulator)
-    # Flush staged records into the columnar buffers before handing the
-    # log to analysis, so the first derived view is pure numpy.
-    network.log.seal()
-    return network.log
+    return network.run(options, label="replay")

@@ -204,3 +204,9 @@ class TestContextValidation:
 
         with pytest.raises(RuntimeError, match="never finished"):
             sim.run(worker)
+        # A truncated run whose event list drains before ``until`` is
+        # the same deadlock: the stall check is not waived for it.
+        truncated = make_sim()
+        lock = truncated.lock()
+        with pytest.raises(RuntimeError, match="never finished"):
+            truncated.run(worker, until=1e6)

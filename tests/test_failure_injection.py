@@ -200,6 +200,10 @@ class TestMPFailures:
 
         with pytest.raises(RuntimeError, match="never finished"):
             runtime.run(body)
+        # Truncating the run at ``until`` does not waive the stall
+        # check once the event list drains first.
+        with pytest.raises(RuntimeError, match="never finished"):
+            MessagePassingRuntime(num_ranks=2).run(body, until=1e6)
 
 
 class TestTraceAndAnalysisBoundaries:

@@ -11,6 +11,11 @@ case also replays with its log spilled to 64-record segments and reads
 the digest back from the manifest, so the segment writer and reader are
 held to the same pin.
 
+The synthetic cases drive a mesh from a fitted 1d-fft model through
+both generators.  Their message ids are drawn from the process-global
+counter after each source's hold, so on two virtual channels the
+digest also pins which lane each message takes.
+
 The pinned values were recorded before route tables and compiled
 transfer plans replaced per-message route construction; the 2-D torus
 case was recorded while 2-D tori still had a topology class of their
@@ -24,7 +29,8 @@ import pytest
 
 from repro.apps import create_app
 from repro.core.options import RunOptions
-from repro.core.run import run_dynamic
+from repro.core.run import run_dynamic, run_synthetic
+from repro.core.synthetic import PhaseCoupledTrafficGenerator
 from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage, materialize_manifest
 from repro.simkernel import Simulator, hold
 from repro.simkernel.engine_parallel import ScheduleTraffic
@@ -58,8 +64,17 @@ SCHEDULE_CASES = {
     "hypercube-8": (lambda: MeshConfig.parse("4x2:hypercube"), "uniform", 40, 2.0),
 }
 
-#: name -> (sha256 of the log, kernel events fired); the app case pins
-#: its record count instead of events.
+#: name -> (node count of the 1d-fft fit, config, extra ``run_synthetic``
+#: arguments); every case draws 30 messages per source from seed 7.
+SYNTHETIC_CASES = {
+    "synthetic-4x2": (8, lambda: MeshConfig.parse("4x2"), {}),
+    "synthetic-4x4-2vc": (16, lambda: MeshConfig("4x4", virtual_channels=2), {}),
+    "synthetic-4x2-torus": (8, lambda: MeshConfig.parse("4x2:torus"), {}),
+    "synthetic-4x2-until": (8, lambda: MeshConfig.parse("4x2"), {"until": 400.0}),
+}
+
+#: name -> (sha256 of the log, kernel events fired); the app and
+#: synthetic cases pin their record count instead of events.
 GOLDEN = {
     "adaptive-4x4-2vc": (
         "1c73d6f38b5f874f07ddd427c6ee11e879c0c79e8cd3f303a91f964bd82be04f",
@@ -92,6 +107,26 @@ GOLDEN = {
     "torus-4x4x2-uniform": (
         "fa04c9360033c1e1ce35b023439bb81b4163d6041c61393910c494119a198981",
         14927,
+    ),
+    "synthetic-4x2": (
+        "0cf8393491180a4488da4b7c924f4c2eb5c0096067156495792cb3ba4dc8dbc8",
+        240,
+    ),
+    "synthetic-4x4-2vc": (
+        "d3438b44859256a1d643b59969f405988a2b6a8161c7750197bacba8ea4cb0da",
+        480,
+    ),
+    "synthetic-4x2-torus": (
+        "7771e4d765993ee77f28237e278a21d05217eeab74065fb5353925b82ef4043f",
+        240,
+    ),
+    "synthetic-4x2-until": (
+        "4450a91cc72293082646c6adf49220b9e4014f4de1d32af30a5d1213b3f435a8",
+        67,
+    ),
+    "burst-4x2": (
+        "f3fc18f76cb9f95176731a4538220807ae4e17daa92a56dd1de9f23b00092403",
+        300,
     ),
 }
 
@@ -182,3 +217,45 @@ def test_spilled_schedule_digest(clock, tmp_path):
 @pytest.mark.parametrize("clock", sorted(CLOCKS))
 def test_app_digest(clock):
     assert run_app_case(clock) == GOLDEN["app-1d-fft-4x2"]
+
+
+@pytest.fixture(scope="module")
+def fits():
+    """The 1d-fft (n=64) fits the synthetic cases draw from, by node count."""
+    return {
+        8: run_dynamic(
+            create_app("1d-fft", n=64, seed=1), mesh_config=MeshConfig.parse("4x2")
+        ),
+        16: run_dynamic(
+            create_app("1d-fft", n=64, seed=1),
+            mesh_config=MeshConfig("4x4", virtual_channels=2),
+        ),
+    }
+
+
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
+def test_synthetic_digest(name, clock, fits):
+    nodes, make_config, extra = SYNTHETIC_CASES[name]
+    log = run_synthetic(
+        fits[nodes].characterization,
+        mesh_config=make_config(),
+        seed=7,
+        messages_per_source=30,
+        options=RunOptions(max_no_progress_events=CLOCKS[clock]),
+        **extra,
+    )
+    assert (log_digest(log), len(log)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+def test_burst_digest(clock, fits):
+    generator = PhaseCoupledTrafficGenerator(
+        fits[8].characterization,
+        source_log=fits[8].log,
+        mesh_config=MeshConfig.parse("4x2"),
+        seed=7,
+        options=RunOptions(max_no_progress_events=CLOCKS[clock]),
+    )
+    log = generator.generate(300)
+    assert (log_digest(log), len(log)) == GOLDEN["burst-4x2"]

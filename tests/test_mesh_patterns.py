@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.run import run_pattern
 from repro.mesh import (
     BitComplementTraffic,
     BitReversalTraffic,
@@ -10,7 +11,6 @@ from repro.mesh import (
     MeshConfig,
     TransposeTraffic,
     UniformTraffic,
-    drive_pattern,
     make_pattern,
 )
 
@@ -95,17 +95,17 @@ class TestFactoryAndHarness:
         with pytest.raises(ValueError):
             make_pattern("zipf", 8)
 
-    def test_drive_pattern_produces_log(self):
-        pattern = make_pattern("uniform", 8)
-        log = drive_pattern(pattern, MeshConfig(), messages_per_source=20, seed=5)
+    def test_run_pattern_produces_log(self):
+        log = run_pattern(
+            MeshConfig(), pattern="uniform", messages_per_source=20, seed=5
+        ).log
         assert len(log) == 160
         assert log.mean_latency() > 0
 
     def test_transpose_skips_self_messages(self):
-        pattern = make_pattern("transpose", 16)
-        log = drive_pattern(
-            pattern, MeshConfig("4x4"), messages_per_source=10
-        )
+        log = run_pattern(
+            MeshConfig("4x4"), pattern="transpose", messages_per_source=10
+        ).log
         # Four diagonal nodes send nothing.
         assert len(log) == (16 - 4) * 10
         for record in log:
@@ -114,22 +114,22 @@ class TestFactoryAndHarness:
     def test_bit_complement_latency_exceeds_uniform(self):
         # Bit-complement maximizes distance on the mesh.
         config = MeshConfig("4x4")
-        uniform_log = drive_pattern(
-            make_pattern("uniform", 16), config, messages_per_source=30, seed=3
-        )
-        complement_log = drive_pattern(
-            make_pattern("bit-complement", 16), config, messages_per_source=30, seed=3
-        )
+        uniform_log = run_pattern(
+            config, pattern="uniform", messages_per_source=30, seed=3
+        ).log
+        complement_log = run_pattern(
+            config, pattern="bit-complement", messages_per_source=30, seed=3
+        ).log
         assert complement_log.mean_latency() > uniform_log.mean_latency()
 
     def test_harness_validation(self):
-        pattern = make_pattern("uniform", 8)
         with pytest.raises(ValueError):
-            drive_pattern(pattern, MeshConfig(), messages_per_source=0)
+            run_pattern(MeshConfig(), pattern="uniform", messages_per_source=0)
         with pytest.raises(ValueError):
-            drive_pattern(pattern, MeshConfig(), mean_gap=0)
+            run_pattern(MeshConfig(), pattern="uniform", mean_gap=0)
+        # A pattern that does not fit the network (transpose on 4x2).
         with pytest.raises(ValueError):
-            drive_pattern(pattern, MeshConfig("4x4"))
+            run_pattern(MeshConfig("4x2"), pattern="transpose")
 
     def test_pattern_needs_two_nodes(self):
         with pytest.raises(ValueError):

@@ -488,6 +488,21 @@ class TestRunOptionsSpill:
         with pytest.raises(ValueError, match="log_spill_window"):
             RunOptions(log_spill=str(tmp_path), log_spill_window=0)
 
+    def test_two_drives_in_one_spill_directory_keep_their_logs(self, tmp_path):
+        # The app run spills under the stem netlog, the synthetic drive
+        # under synthetic, so the second never overwrites the first.
+        from repro.core.run import run_dynamic, run_synthetic
+
+        options = RunOptions(log_spill=str(tmp_path), log_spill_window=16)
+        run = run_dynamic("1d-fft", params={"n": 64}, options=options)
+        synthetic = run_synthetic(
+            run.characterization, messages_per_source=10, options=options
+        )
+        app_kinds = run.log.materialize().kinds()
+        assert sum(app_kinds.values()) == 164
+        assert "synthetic" not in app_kinds
+        assert synthetic.materialize().kinds() == {"synthetic": 80}
+
     def test_cache_keys_stable_without_spill(self):
         # The new optional fields must not leak into default as_dict()
         # (sweep cache keys hash it).

@@ -11,12 +11,15 @@ from repro.core import (
     RunOptions,
     measure_load_point,
     run_dynamic,
+    run_pattern,
     run_static,
     run_synthetic,
 )
+from repro.core.synthetic import PhaseCoupledTrafficGenerator
+from repro.mesh import MeshConfig, MeshNetwork
 from repro.obs import MetricsRegistry, TimelineRecorder
-from repro.simkernel import StallError
-from repro.simkernel.engine_calendar import CalendarScheduler
+from repro.simkernel import Simulator, StallError
+from repro.trace import replay_trace
 
 
 def _normalized(log):
@@ -67,23 +70,9 @@ def test_factories():
     quiet = RunOptions()
     assert quiet.make_registry() is None
     assert quiet.make_timeline() is None
-    assert isinstance(quiet.make_simulator()._sched, CalendarScheduler)
     loud = RunOptions(metrics=True, timeline=True, max_no_progress_events=5)
-    registry = loud.make_registry()
-    assert isinstance(registry, MetricsRegistry)
+    assert isinstance(loud.make_registry(), MetricsRegistry)
     assert isinstance(loud.make_timeline(), TimelineRecorder)
-    assert loud.make_simulator(obs=registry).obs is registry
-
-
-def test_run_kwargs_gates_stall_check_on_truncation():
-    options = RunOptions(max_no_progress_events=100)
-    assert options.run_kwargs() == {
-        "until": None,
-        "check_stall": True,
-        "max_no_progress_events": 100,
-    }
-    assert options.run_kwargs(until=5.0)["check_stall"] is False
-    assert RunOptions(check_stall=False).run_kwargs()["check_stall"] is False
 
 
 # ----------------------------------------------------------------------
@@ -120,14 +109,30 @@ def test_run_rejects_wrong_category():
 
 def test_run_synthetic_and_measure_load_point_honor_options():
     run = run_dynamic("1d-fft", params={"n": 16})
+    trace = run_static("3d-fft", params={"n": 8}).trace
+    # Every mesh driver, each taking the bundle to the one run tail.
+    drives = {
+        "synthetic": lambda options: run_synthetic(
+            run.characterization, messages_per_source=10, options=options
+        ),
+        "load point": lambda options: measure_load_point(
+            run.characterization, messages_per_source=10, options=options
+        ).log,
+        "pattern": lambda options: run_pattern(
+            messages_per_source=10, options=options
+        ).log,
+        "burst": lambda options: PhaseCoupledTrafficGenerator(
+            run.characterization, source_log=run.log, options=options
+        ).generate(80),
+        "replay": lambda options: replay_trace(
+            trace, MeshNetwork(Simulator(), MeshConfig()), options=options
+        ),
+    }
     # A watchdog that never trips takes the generic clock loop and
     # must reproduce the default run exactly ...
     armed = RunOptions(max_no_progress_events=10**9)
-    logs = [
-        run_synthetic(run.characterization, messages_per_source=10, options=options)
-        for options in (None, armed)
-    ]
-    assert _normalized(logs[0]) == _normalized(logs[1])
+    for name, drive in drives.items():
+        assert _normalized(drive(None)) == _normalized(drive(armed)), name
     points = [
         measure_load_point(
             run.characterization, messages_per_source=10, options=options
@@ -138,12 +143,9 @@ def test_run_synthetic_and_measure_load_point_honor_options():
     # ... and a one-event watchdog must reach the kernel and trip on
     # the sources' simultaneous t=0 starts.
     tripwire = RunOptions(max_no_progress_events=1)
-    with pytest.raises(StallError, match="no simulated-time progress"):
-        run_synthetic(run.characterization, messages_per_source=10, options=tripwire)
-    with pytest.raises(StallError, match="no simulated-time progress"):
-        measure_load_point(
-            run.characterization, messages_per_source=10, options=tripwire
-        )
+    for name, drive in drives.items():
+        with pytest.raises(StallError, match="no simulated-time progress"):
+            drive(tripwire)
 
 
 # ----------------------------------------------------------------------

@@ -166,6 +166,25 @@ class TestValidation:
         assert status == 400
         assert f"{field} needs" in doc["error"]
 
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"log_spill": "spill", "log_spill_window": 1}, "log_spill"),
+            ({"heartbeat": "hb.jsonl"}, "heartbeat"),
+        ],
+        ids=["log-spill", "heartbeat"],
+    )
+    def test_server_path_options_400(self, service, tmp_path, options, field):
+        # A client may not choose where the service writes.
+        target = tmp_path / options[field]
+        bad = dict(GRID, options=dict(options, **{field: str(target)}))
+        client = Client(service)
+        status, doc, _ = client.post("/v1/jobs", {"grid": bad})
+        assert status == 400
+        assert doc["field"] == field and field in doc["error"]
+        assert client.get("/v1/jobs")[1]["jobs"] == []
+        assert not target.exists()
+
     def test_cell_cap_400(self, service):
         service.manager.max_cells = 1
         status, doc, _ = Client(service).post("/v1/jobs", {"grid": GRID})

@@ -8,12 +8,18 @@ import os
 import signal
 import threading
 import time
+from dataclasses import astuple
 
 import pytest
 
 from repro.cli import main
+from repro.coherence.config import CoherenceConfig
+from repro.core.loadsweep import LoadPoint, measure_load_point
 from repro.core.options import RunOptions
+from repro.core.run import run_dynamic
+from repro.obs.heartbeat import read_heartbeats
 from repro.sweep import (
+    CellSpec,
     ResultCache,
     SweepResult,
     make_grid,
@@ -206,7 +212,7 @@ class TestFailureIsolation:
                            cell_fn=_raise_on_is)
         assert all(row["attempts"] == 3 for row in result.failures)
 
-    def test_pattern_cells_apply_their_run_options(self):
+    def test_pattern_cells_apply_their_run_options(self, tmp_path):
         # A one-event no-progress watchdog stalls every simulating cell
         # at t=0, whether an application or a pattern drives the mesh.
         grid = tiny_grid(
@@ -217,6 +223,75 @@ class TestFailureIsolation:
         result = run_sweep(grid, jobs=1, retries=0)
         statuses = {row["cell"]["app"]: row["status"] for row in result.rows}
         assert statuses == {"1d-fft": "stall", "uniform": "stall"}
+
+        # Live telemetry: the cell's heartbeat stream carries sampled
+        # windows between its running and done records.
+        hb = tmp_path / "hb"
+        sampled = tiny_grid(
+            apps=(), app_params={}, rate_scales=(1.0,), patterns=("uniform",),
+            options=RunOptions(sample_interval=5.0),
+        )
+        assert not run_sweep(sampled, jobs=1, heartbeat_dir=str(hb)).failures
+        (stream,) = hb.iterdir()
+        records = read_heartbeats(str(stream))
+        assert records[0]["status"] == "running"
+        assert records[-1]["status"] == "done"
+        assert sum("window" in record for record in records) >= 2
+
+        # Out-of-core logging: the cell's log spills into its own
+        # subdirectory of the spill directory.
+        spill = tmp_path / "spill"
+        spilled = tiny_grid(
+            apps=(), app_params={}, rate_scales=(1.0,), patterns=("uniform",),
+            options=RunOptions(log_spill=str(spill), log_spill_window=8),
+        )
+        assert not run_sweep(spilled, jobs=1).failures
+        (cell_dir,) = spill.iterdir()
+        assert (cell_dir / "netlog.manifest.json").exists()
+        assert len(list(cell_dir.glob("netlog.part-*.npz"))) == 80 // 8
+
+    def test_cells_spill_into_their_own_subdirectories(self, tmp_path, monkeypatch):
+        # A relative spill directory keeps the cells' seeds fixed.
+        monkeypatch.chdir(tmp_path)
+        spill = tmp_path / "spill"
+        options = RunOptions(log_spill="spill", log_spill_window=4)
+        spilled = run_sweep(tiny_grid(options=options), jobs=2, retries=0)
+        assert not spilled.failures
+        # Each cell spills its app log and its synthetic log apart.
+        cell_dirs = sorted(spill.iterdir())
+        assert len(cell_dirs) == 2
+        for cell_dir in cell_dirs:
+            assert list(cell_dir.glob("netlog.part-*.npz"))
+            assert list(cell_dir.glob("synthetic.part-*.npz"))
+
+        # The spill directory enters the cell's seed, so the reference
+        # re-runs each cell in memory from the seed its report names;
+        # the spilled fold sums by chunk, so means agree to round-off.
+        for row in spilled.rows:
+            spec = CellSpec.from_dict(row["cell"])
+            run = run_dynamic(
+                spec.app,
+                params=spec.params_dict,
+                mesh_config=spec.mesh_config(),
+                coherence_config=CoherenceConfig(protocol=spec.protocol),
+            )
+            report = row["report"]
+            reference = measure_load_point(
+                run.characterization,
+                mesh_config=spec.mesh_config(),
+                rate_scale=spec.rate_scale,
+                messages_per_source=spec.messages_per_source,
+                seed=report["extra"]["cell_seed"],
+            )
+            measured = LoadPoint(
+                spec.rate_scale,
+                report["extra"]["requested_rate"],
+                report["extra"]["achieved_rate"],
+                report["mean_latency"],
+                report["mean_contention"],
+            )
+            assert astuple(measured) == pytest.approx(astuple(reference.point), rel=1e-12)
+            assert report["messages"] == len(reference.log)
 
     def test_killed_worker_becomes_a_crashed_row(self, tmp_path, capsys):
         # The middle cell's worker dies by SIGKILL on every attempt,
