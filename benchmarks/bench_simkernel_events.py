@@ -24,17 +24,13 @@ Standalone (not a pytest benchmark) so CI can gate on the result:
 :data:`KERNEL_FLOOR` events per reference second, or if any
 determinism or identity check fails.
 
-``--scheduler parallel`` switches the benchmark to the parallel
-region-replay mesh scheduler instead: a large row-local workload is
-replayed once on the serial calendar simulator and once sharded over
-``--regions`` worker processes, the merged netlog is required to be
-bit-identical to the serial one, and ``--check`` gates the wall-clock
-speedup (CI uses ``--min-speedup 2.5`` on 4 cores).  Hosts with fewer
-cores than regions skip the gate (exit 0) rather than fail on hardware
-they cannot demonstrate parallelism on:
+``--scheduler topology`` measures N-D routing instead: the same
+uniform schedule replayed on the 2-D ``--baseline-mesh`` and on each
+``--topology`` spec, and ``--check`` gates each at ``--min-ratio``
+times the baseline's events per second:
 
     PYTHONPATH=src python benchmarks/bench_simkernel_events.py \
-        --scheduler parallel --regions 4 --check --min-speedup 2.5
+        --scheduler topology --topology 4x4x4:mesh --check --min-ratio 0.9
 """
 
 from __future__ import annotations
@@ -182,64 +178,6 @@ def run_mesh_log(messages_per_source, watchdog=None):
     return net.log
 
 
-def run_parallel_bench(args):
-    """Serial calendar vs parallel region replay on a row-local mesh
-    workload; returns an exit code (0 = pass/skip, 1 = fail)."""
-    from repro.simkernel.engine_parallel import (
-        ScheduleTraffic,
-        logs_bit_identical,
-        run_parallel_mesh,
-        run_serial_schedule,
-    )
-
-    cores = os.cpu_count() or 1
-    if cores < args.regions:
-        print(f"SKIP: parallel bench needs >= {args.regions} cores, host has "
-              f"{cores}; no parallelism to demonstrate")
-        return 0
-
-    config = MeshConfig.parse(args.parallel_mesh)
-    traffic = ScheduleTraffic.compile_pattern(
-        config,
-        pattern="local",
-        messages_per_source=args.parallel_messages,
-        seed=1234,
-    )
-    print(f"parallel workload: {config.spec.canonical()} mesh, "
-          f"{traffic.message_count} row-local messages, "
-          f"{args.regions} regions ...")
-    serial_best = parallel_best = float("inf")
-    serial_log = None
-    for _ in range(args.iterations):
-        started = time.perf_counter()
-        serial = run_serial_schedule(config, traffic)
-        serial_best = min(serial_best, time.perf_counter() - started)
-        serial_log = serial.log
-
-        started = time.perf_counter()
-        parallel = run_parallel_mesh(config, traffic, regions=args.regions)
-        parallel_best = min(parallel_best, time.perf_counter() - started)
-
-    merged = parallel.merged_log()
-    if not logs_bit_identical(serial_log, merged):
-        print(f"FAIL: parallel merged netlog differs from the serial "
-              f"calendar log ({len(merged)} vs {len(serial_log)} records)")
-        return 1
-    print(f"netlog identity: {len(merged)} records bit-identical between "
-          f"serial and {args.regions}-region parallel (canonical order)")
-
-    speedup = serial_best / parallel_best
-    print(f"{'scheduler':>10} {'time':>9}")
-    print(f"{'serial':>10} {serial_best:>8.3f}s")
-    print(f"{'parallel':>10} {parallel_best:>8.3f}s  ({args.regions} regions)")
-    print(f"parallel wall-clock speedup: {speedup:.2f}x "
-          f"(best of {args.iterations})")
-    if args.check and speedup < args.min_speedup:
-        print(f"FAIL: speedup {speedup:.2f}x below required {args.min_speedup}x")
-        return 1
-    return 0
-
-
 def run_topology_bench(args):
     """N-D topology routing overhead vs the 2-D mesh baseline.
 
@@ -316,24 +254,14 @@ def main(argv=None):
                         help="messages per source in the netlog identity run")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if a gate fails: kernel throughput below "
-                             "KERNEL_FLOOR, parallel speedup below "
-                             "--min-speedup, topology ratio below --min-ratio")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="minimum parallel/serial wall-clock speedup for "
-                             "--scheduler parallel --check (default 2.0)")
-    parser.add_argument("--scheduler", choices=("kernel", "parallel", "topology"),
+                             "KERNEL_FLOOR, topology ratio below --min-ratio")
+    parser.add_argument("--scheduler", choices=("kernel", "topology"),
                         default="kernel",
                         help="kernel: event throughput against the floor "
-                             "(the default); parallel: serial calendar vs "
-                             "the multi-process region-replay mesh scheduler; "
-                             "topology: N-D routing overhead vs the 2-D mesh")
-    parser.add_argument("--regions", type=int, default=4,
-                        help="region workers for --scheduler parallel")
-    parser.add_argument("--parallel-mesh", default="16x16",
-                        help="mesh for --scheduler parallel (default 16x16)")
+                             "(the default); topology: N-D routing overhead "
+                             "vs the 2-D mesh")
     parser.add_argument("--parallel-messages", type=int, default=300,
-                        help="messages per source for --scheduler parallel "
-                             "and --scheduler topology")
+                        help="messages per source for --scheduler topology")
     parser.add_argument("--topology", action="append", default=[],
                         help="N-D topology spec(s) for --scheduler topology "
                              "(repeatable; default 4x4x4:mesh); node count "
@@ -346,8 +274,6 @@ def main(argv=None):
                              "--scheduler topology --check (default 0.9)")
     args = parser.parse_args(argv)
 
-    if args.scheduler == "parallel":
-        return run_parallel_bench(args)
     if args.scheduler == "topology":
         return run_topology_bench(args)
 

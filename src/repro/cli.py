@@ -22,8 +22,8 @@ Usage (via ``python -m repro``):
     $ python -m repro doctor run-log.csv.gz
     $ python -m repro characterize 1d-fft --param n=256 --log-npz log.npz
     $ python -m repro doctor log.npz
-    $ python -m repro drive --mesh 16x16 --pattern local --messages 200 \
-          --scheduler parallel --regions 4 --log-spill /tmp/run
+    $ python -m repro drive --mesh 4x4x2:torus --pattern tornado \
+          --messages 200 --log-spill /tmp/run
 
 ``characterize`` runs the right strategy for the application (dynamic
 for shared memory, static for message passing), prints the
@@ -44,14 +44,11 @@ telemetry.  For sweeps the flags enter every cell's
 with ``--grid FILE`` they override only the fields they set in the
 file's bundle.
 
-``drive`` replays a pre-drawn pattern workload on the mesh:
-``--scheduler parallel`` shards a region-local schedule (``--pattern
-local``) across ``--regions`` worker processes and writes one merged
-``netlog-spill`` manifest every existing consumer (``doctor``, the
-characterize readers) understands; a schedule with any message
-crossing a region boundary is rejected (exit 2) in favour of the
-serial calendar kernel, which replays the identical schedule for
-equivalence comparisons.
+``drive`` replays a pre-drawn pattern workload (any registered
+pattern: uniform, tornado, transpose, hotspot, ...) on the mesh and
+prints its message count, final clock and event count; with
+``--log-spill`` it writes a ``netlog-spill`` manifest that ``doctor``
+and the characterize readers understand.
 
 ``sweep`` runs declarative experiment grids (app x mesh x protocol x
 rate-scale x seed) on a worker pool with per-cell timeouts, bounded
@@ -84,7 +81,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.apps import MESSAGE_PASSING_APPS, SHARED_MEMORY_APPS, create_app
 from repro.core import (
-    RUN_SCHEDULERS,
     RunOptions,
     SyntheticTrafficGenerator,
     characterize_message_passing,
@@ -92,7 +88,7 @@ from repro.core import (
     compare_logs,
 )
 from repro.core.report import spatial_table, temporal_table, volume_table
-from repro.mesh import MeshConfig
+from repro.mesh import MeshConfig, registered_patterns
 from repro.mp.sp2 import SP2Config
 from repro.obs import load_metrics, report_from_run, summarize_metrics
 
@@ -671,16 +667,12 @@ def cmd_sp2_model(args: argparse.Namespace) -> int:
 
 
 def cmd_drive(args: argparse.Namespace) -> int:
-    """Replay a pre-drawn pattern workload, serial or parallel."""
+    """Replay a pre-drawn pattern workload on the mesh."""
     from repro.core.run import run_pattern
-    from repro.simkernel.engine_parallel import ParallelRunResult
 
     mesh = _parse_mesh(args.mesh)
     options = RunOptions(
-        scheduler=args.scheduler,
-        log_spill=args.log_spill,
-        log_spill_window=args.log_spill_window,
-        parallel_regions=args.regions,
+        log_spill=args.log_spill, log_spill_window=args.log_spill_window
     )
     result = run_pattern(
         mesh_config=mesh,
@@ -691,18 +683,11 @@ def cmd_drive(args: argparse.Namespace) -> int:
         length_bytes=args.length,
         options=options,
     )
-    print(f"mesh {mesh.spec.canonical()}, pattern {args.pattern}, "
-          f"scheduler {args.scheduler or 'calendar'}")
-    if isinstance(result, ParallelRunResult):
-        print(f"  regions {result.regions} (active {len(result.active_regions)})")
-        print(f"  messages {result.records}, clock {result.clock:.3f}, "
-              f"events {result.events_fired}")
+    print(f"mesh {mesh.spec.canonical()}, pattern {args.pattern}")
+    print(f"  messages {len(result.log)}, clock {result.clock:.3f}, "
+          f"events {result.events_fired}")
+    if result.manifest_path:
         print(f"  manifest {result.manifest_path}")
-    else:
-        print(f"  messages {len(result.log)}, clock {result.clock:.3f}, "
-              f"events {result.events_fired}")
-        if result.manifest_path:
-            print(f"  manifest {result.manifest_path}")
     return 0
 
 
@@ -816,21 +801,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp2.set_defaults(handler=cmd_sp2_model)
 
     drive = sub.add_parser(
-        "drive",
-        help="replay a pre-drawn pattern workload (serial or parallel mesh)",
+        "drive", help="replay a pre-drawn pattern workload on the mesh"
     )
     drive.add_argument(
         "--mesh", default="8x8",
         help="topology spec: WxH[xD...][:kind][:axis=scale,...] or "
              "chiplet(WxH,hubs=N) (default 8x8)",
     )
-    from repro.simkernel.engine_parallel import schedule_pattern_names
-
     drive.add_argument(
-        "--pattern", choices=schedule_pattern_names(), default="uniform",
-        help="traffic pattern: local stays within each source's "
-             "highest-dimension layer, uniform spreads over every other "
-             "node, the rest are the registered synthetic patterns "
+        "--pattern", choices=registered_patterns(), default="uniform",
+        help="traffic pattern: uniform spreads over every other node, "
+             "the rest are the registered synthetic patterns "
              "(tornado, transpose, hotspot, ...)",
     )
     drive.add_argument("--messages", type=int, default=100, metavar="N",
@@ -841,21 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
     drive.add_argument("--length", type=int, default=64, metavar="BYTES",
                        help="payload bytes per message (default 64)")
     drive.add_argument(
-        "--scheduler", choices=RUN_SCHEDULERS, default=None,
-        help="calendar (the default) runs one serial simulator; "
-             "parallel shards a region-local schedule (--pattern local) "
-             "into region worker processes",
-    )
-    drive.add_argument(
-        "--regions", type=int, default=None, metavar="R",
-        help="region worker processes (default 2; needs --scheduler "
-             "parallel)",
-    )
-    drive.add_argument(
         "--log-spill", default=None, metavar="DIR",
         help="spill the activity log under DIR and write a netlog-spill "
-             "manifest (the parallel scheduler always spills; without "
-             "this it uses a temporary directory)",
+             "manifest",
     )
     drive.add_argument(
         "--log-spill-window", type=int, default=None, metavar="N",

@@ -32,7 +32,7 @@ from repro.core.loadsweep import (
     measure_load_point,
     sweep_load,
 )
-from repro.core.options import RUN_SCHEDULERS, RunOptions
+from repro.core.options import RunOptions
 from repro.core.phases import PhaseSegment, phase_table, segment_phases
 from repro.core.methodology import (
     CharacterizationRun,
@@ -59,7 +59,6 @@ __all__ = [
     "LoadSweep",
     "PhaseCoupledTrafficGenerator",
     "PhaseSegment",
-    "RUN_SCHEDULERS",
     "RunOptions",
     "SpatialCharacterization",
     "SyntheticTrafficGenerator",

@@ -18,15 +18,6 @@ from typing import Dict, Mapping, Optional
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
 
-#: The parallel region-replay scheduler.  Kept as a literal here so
-#: validating an options bundle does not import the mesh stack; the
-#: test suite asserts it matches
-#: :data:`repro.simkernel.engine_parallel.PARALLEL_SCHEDULER`.
-PARALLEL_SCHEDULER = "parallel"
-#: ``RunOptions.scheduler`` values: the serial calendar kernel or the
-#: parallel region replay.
-RUN_SCHEDULERS = ("calendar", PARALLEL_SCHEDULER)
-
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -52,19 +43,6 @@ class RunOptions:
         Arm the kernel watchdog: abort with a stall diagnosis after
         this many events without the clock advancing (None = off;
         the fast clock path is only taken when off).
-    scheduler:
-        Serial or parallel dispatch: None or ``"calendar"`` runs one
-        serial simulator; ``"parallel"`` selects the multi-process
-        region-replay mesh scheduler
-        (:mod:`repro.simkernel.engine_parallel`).  Pattern runners
-        dispatch on it; pipelines that cannot shard their workload run
-        on the serial kernel either way.
-    parallel_regions:
-        Number of spatial regions (worker processes) for the
-        ``parallel`` scheduler, which it requires; None defers to the
-        runner's default.  Omitted from :meth:`as_dict` when unset,
-        like every late-added field, so pre-existing sweep cache keys
-        stay stable.
     sample_interval:
         Live-telemetry sampling interval in simulated time units: the
         run carries a :class:`~repro.obs.live.LiveSampler` producing
@@ -100,23 +78,12 @@ class RunOptions:
     check_leaks: bool = True
     check_stall: bool = True
     max_no_progress_events: Optional[int] = None
-    scheduler: Optional[str] = None
     sample_interval: Optional[float] = None
     heartbeat: Optional[str] = None
     log_spill: Optional[str] = None
     log_spill_window: Optional[int] = None
-    parallel_regions: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.scheduler is not None and self.scheduler not in RUN_SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {', '.join(RUN_SCHEDULERS)} or None, "
-                f"got {self.scheduler!r}"
-            )
-        if self.parallel_regions is not None and self.parallel_regions < 1:
-            raise ValueError(
-                f"parallel_regions must be >= 1 or None, got {self.parallel_regions}"
-            )
         if self.max_no_progress_events is not None and self.max_no_progress_events < 1:
             raise ValueError(
                 f"max_no_progress_events must be >= 1 or None, "
@@ -132,11 +99,6 @@ class RunOptions:
             )
         if self.log_spill_window is not None and self.log_spill is None:
             raise ValueError("log_spill_window needs log_spill (a spill directory)")
-        if self.parallel_regions is not None and self.scheduler != PARALLEL_SCHEDULER:
-            raise ValueError(
-                f"parallel_regions needs scheduler={PARALLEL_SCHEDULER!r}, "
-                f"got scheduler={self.scheduler!r}"
-            )
 
     @property
     def live_enabled(self) -> bool:
@@ -194,7 +156,6 @@ class RunOptions:
         "heartbeat",
         "log_spill",
         "log_spill_window",
-        "parallel_regions",
     )
 
     def as_dict(self) -> Dict[str, object]:
@@ -206,6 +167,16 @@ class RunOptions:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, object]) -> "RunOptions":
+        doc = dict(doc)
+        # Bundles stored while the kernel had a choice of event list
+        # carry a ``scheduler`` field.  None and "calendar" name the one
+        # kernel left; a bundle naming another must not run on it.
+        scheduler = doc.pop("scheduler", None)
+        if scheduler not in (None, "calendar"):
+            raise ValueError(
+                f"stored RunOptions scheduler {scheduler!r} no longer exists; "
+                f"the calendar kernel is the only one"
+            )
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -213,4 +184,4 @@ class RunOptions:
                 f"unknown RunOptions field(s) {sorted(unknown)}; "
                 f"expected a subset of {sorted(known)}"
             )
-        return cls(**dict(doc))  # type: ignore[arg-type]
+        return cls(**doc)  # type: ignore[arg-type]

@@ -136,30 +136,18 @@ def run_pattern(
     mean_gap: float = 10.0,
     length_bytes: int = 64,
     options: Optional[RunOptions] = None,
-    stem: str = "netlog",
 ):
-    """Replay a pre-drawn pattern workload under the bundle's scheduler.
+    """Replay a pre-drawn pattern workload on the mesh.
 
-    The one entry point that dispatches on ``options.scheduler ==
-    "parallel"``: the same compiled schedule
-    (:class:`~repro.simkernel.engine_parallel.ScheduleTraffic`) runs
-    either on one serial simulator or sharded across
-    ``parallel_regions`` region workers, so the two paths are directly
-    comparable.  The parallel path accepts only region-local schedules
-    and raises ``ValueError`` for any other before a worker starts.
-    The serial replay runs under the whole bundle (stall check,
-    watchdog, leak audit, telemetry); region workers run with the
-    default checks.  Returns a
-    :class:`~repro.simkernel.engine_parallel.SerialRunResult` or
-    :class:`~repro.simkernel.engine_parallel.ParallelRunResult`; with
-    ``log_spill`` set, both write a ``netlog-spill`` manifest there.
+    Compiles the schedule once
+    (:class:`~repro.simkernel.engine_parallel.ScheduleTraffic`) and
+    replays it under the whole bundle (stall check, watchdog, leak
+    audit, telemetry).  Returns a
+    :class:`~repro.simkernel.engine_parallel.SerialRunResult`; with
+    ``log_spill`` set, the log spills there and the result names its
+    ``netlog-spill`` manifest.
     """
-    from repro.core.options import PARALLEL_SCHEDULER
-    from repro.simkernel.engine_parallel import (
-        ScheduleTraffic,
-        run_parallel_mesh,
-        run_serial_schedule,
-    )
+    from repro.simkernel.engine_parallel import ScheduleTraffic, run_serial_schedule
 
     config = mesh_config if mesh_config is not None else MeshConfig()
     options = options if options is not None else RunOptions()
@@ -171,21 +159,6 @@ def run_pattern(
         mean_gap=mean_gap,
         length_bytes=length_bytes,
     )
-    if options.scheduler == PARALLEL_SCHEDULER:
-        from repro.mesh.netlog_stream import DEFAULT_WINDOW
-
-        return run_parallel_mesh(
-            config,
-            traffic,
-            regions=options.parallel_regions or 2,
-            directory=options.log_spill,
-            stem=stem,
-            window=(
-                options.log_spill_window
-                if options.log_spill_window is not None
-                else DEFAULT_WINDOW
-            ),
-        )
     return run_serial_schedule(
-        config, traffic, log=options.make_netlog(stem), options=options
+        config, traffic, log=options.make_netlog(), options=options
     )

@@ -45,7 +45,6 @@ from repro.mesh.netlog_stream import (
 )
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
-from repro.mesh.partition import MeshPartition, slice_partition
 from repro.mesh.patterns import (
     PATTERNS,
     BitComplementTraffic,
@@ -95,7 +94,6 @@ __all__ = [
     "NeighborTraffic",
     "NetLogFormatError",
     "NetLogRecord",
-    "MeshPartition",
     "NetworkLog",
     "NetworkMessage",
     "PATTERNS",
@@ -119,7 +117,6 @@ __all__ = [
     "register_topology",
     "registered_patterns",
     "registered_topologies",
-    "slice_partition",
     "summarize_csv",
     "summarize_npz",
     "summary_from_manifest",

@@ -20,7 +20,7 @@ This module adds the streaming mode that takes characterization to
   aggregate views of :class:`~repro.mesh.netlog.AggregateViews` read
   it, so they run in O(window) memory.
 
-Determinism contract (the one per-region merges inherit):
+Determinism contract:
 
 * Everything integer -- message/byte totals, traffic matrices, length
   and kind tallies -- is **exact**: independent of window size,

@@ -28,9 +28,9 @@ incompatible layout change so old watchers can refuse loudly instead of
 mis-rendering.
 
 Records are mergeable by design: every record is self-describing
-(label + seq + wall), so a future multi-instance run (ROADMAP #1's
-per-region simulators) can write one stream per instance and a reader
-can interleave them by ``wall`` without coordination.
+(label + seq + wall), so several runs (sweep cells, say) can each write
+their own stream and a reader can interleave them by ``wall`` without
+coordination.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ Design constraints, in order:
   a completed run ends at most one interval after its last model
   event.
 
-One sampler serves one simulator/registry pair; multi-instance runs
-(ROADMAP #1) create one sampler per region and merge the resulting
+One sampler serves one simulator/registry pair; a run over several
+simulators would create one sampler each and merge the resulting
 series/heartbeat streams downstream -- every window row is
 self-describing (``t_start``/``t_end``/``wall``), so merging is a sort.
 """

@@ -62,32 +62,6 @@ from repro.simkernel.facility import Facility, Release, Request, request, releas
 from repro.simkernel.mailbox import Mailbox, Receive, Send, receive, send
 from repro.simkernel.random_streams import RandomStreams
 
-#: Parallel-scheduler symbols served lazily (PEP 562):
-#: :mod:`repro.simkernel.engine_parallel` imports :mod:`repro.mesh`,
-#: which imports this package, so an eager import here would be
-#: circular -- and the serial kernel should not pay the mesh stack's
-#: import cost anyway.
-_PARALLEL_EXPORTS = (
-    "PARALLEL_SCHEDULER",
-    "ParallelRunResult",
-    "ParallelSimulationError",
-    "ScheduleTraffic",
-    "SerialRunResult",
-    "canonical_order",
-    "logs_bit_identical",
-    "run_parallel_mesh",
-    "run_serial_schedule",
-)
-
-
-def __getattr__(name: str):
-    if name in _PARALLEL_EXPORTS:
-        from repro.simkernel import engine_parallel
-
-        return getattr(engine_parallel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CalendarScheduler",
     "DeadlockError",
@@ -96,9 +70,6 @@ __all__ = [
     "Hold",
     "InvalidDelayError",
     "Mailbox",
-    "PARALLEL_SCHEDULER",
-    "ParallelRunResult",
-    "ParallelSimulationError",
     "Passivate",
     "Process",
     "ProcessState",
@@ -106,27 +77,21 @@ __all__ = [
     "Receive",
     "Release",
     "Request",
-    "ScheduleTraffic",
     "Send",
-    "SerialRunResult",
     "SimEvent",
     "SimulationError",
     "Simulator",
     "StallDiagnosis",
     "StallError",
     "Wait",
-    "canonical_order",
     "check_leaks",
     "describe_leaks",
     "diagnose_stall",
     "hold",
-    "logs_bit_identical",
     "passivate",
     "receive",
     "release",
     "request",
-    "run_parallel_mesh",
-    "run_serial_schedule",
     "send",
     "steady_clock",
     "wait",

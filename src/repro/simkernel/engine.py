@@ -44,7 +44,8 @@ class SimulationError(RuntimeError):
 
 
 class InvalidDelayError(SimulationError, ValueError):
-    """A negative scheduling delay: the event would fire in the past.
+    """A negative or NaN scheduling delay: the event would fire in the
+    past, or at no time at all.
 
     Subclasses both :class:`SimulationError` (so existing kernel error
     handling keeps working) and :class:`ValueError` (it is an invalid
@@ -69,7 +70,7 @@ class Hold:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
+        if not self.duration >= 0:  # written so that NaN fails too
             raise SimulationError(f"hold() duration must be >= 0, got {self.duration}")
 
 
@@ -523,12 +524,13 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` time units from now.
 
-        A negative ``delay`` raises :class:`InvalidDelayError` (a
+        A negative or NaN ``delay`` raises :class:`InvalidDelayError` (a
         :class:`ValueError`): the event would fire in the simulated
-        past and rewind the clock inside :meth:`run`.
+        past and rewind the clock inside :meth:`run`, or set the clock
+        to NaN.
         """
-        if delay < 0:
-            raise InvalidDelayError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:
+            raise InvalidDelayError(f"delay must be >= 0, got delay={delay}")
         self._sched.push_callback(self._now + delay, callback)
 
     def process(self, body: ProcessBody, name: str = "process") -> Process:
@@ -742,8 +744,8 @@ class Simulator:
     def _schedule_step(
         self, proc: Process, value: Any = None, delay: float = 0.0
     ) -> None:
-        if delay < 0:
-            raise InvalidDelayError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:  # written so that NaN fails too
+            raise InvalidDelayError(f"delay must be >= 0, got delay={delay}")
         proc.state = ProcessState.RUNNABLE
         proc.waiting_on = None
         self._sched.push_step(self._now + delay, proc, value)

@@ -1,10 +1,9 @@
 """One-pass, mergeable streaming statistics.
 
 The activity log's summary fold (:class:`repro.mesh.netlog.LogSummary`)
-observes bounded chunks and combines per-chunk partial results -- one
-per spilled segment (:mod:`repro.mesh.netlog_stream`), one per region
-when the mesh is sharded across cores.  Every estimator here therefore
-satisfies the same contract:
+observes bounded chunks and combines per-chunk partial results, one
+per spilled segment (:mod:`repro.mesh.netlog_stream`).  Every estimator
+here therefore satisfies the same contract:
 
 * **one-pass** -- ``observe``/``observe_sorted`` consume a chunk in a
   single vectorized sweep and retain O(1) or O(K) state, never the

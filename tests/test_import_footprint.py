@@ -1,10 +1,10 @@
 """The pipeline never imports ``scipy.stats``.
 
 Every process that imports :mod:`repro` (each CLI call, ``repro serve``,
-sweep workers, region workers) would otherwise carry SciPy's statistics
-package: about 430 more modules, 45 MiB and 0.8 s of start-up.  The check
-runs in a fresh interpreter, since this test process may already hold
-the modules for other reasons.
+sweep workers) would otherwise carry SciPy's statistics package: about
+430 more modules, 45 MiB and 0.8 s of start-up.  The check runs in a
+fresh interpreter, since this test process may already hold the modules
+for other reasons.
 """
 
 import json

@@ -436,6 +436,57 @@ class TestEdgeCases:
         assert main(["doctor", manifest]) == 0
         assert capsys.readouterr().out == expected
 
+        # A manifest merged from region shards, as the deleted
+        # region-parallel replay wrote one: segments under the stems
+        # netlog.r00 and netlog.r01, plus a "parallel" block.
+        merged_dir = tmp_path / "regions"
+        shards = [
+            StreamingNetworkLog(str(merged_dir), stem=f"netlog.r{r:02d}", window=13)
+            for r in range(2)
+        ]
+        for r, shard in enumerate(shards):
+            fill(shard, 30, seed=r)
+        shard_docs = [read_manifest(shard.finalize()) for shard in shards]
+        merged = {
+            "schema": shard_docs[0]["schema"],
+            "kind": shard_docs[0]["kind"],
+            "stem": "netlog",
+            "window": 13,
+            "records": sum(d["records"] for d in shard_docs),
+            "segments": [e for d in shard_docs for e in d["segments"]],
+            "summary": LogSummary.merged(
+                [shard.summary() for shard in shards]
+            ).as_dict(),
+            "parallel": {
+                "regions": 2,
+                "active_regions": [0, 1],
+                "partitioner": "slice",
+                "region_manifests": [
+                    "netlog.r00.manifest.json", "netlog.r01.manifest.json"
+                ],
+            },
+        }
+        manifest = str(merged_dir / "netlog.manifest.json")
+        with open(manifest, "w") as handle:
+            json.dump(merged, handle, sort_keys=True)
+        assert read_manifest(manifest) == merged
+        assert summary_from_manifest(manifest) == LogSummary.merged(
+            [shard.summary() for shard in shards]
+        )
+        oracle = NetworkLog()
+        fill(oracle, 30, seed=0)
+        fill(oracle, 30, seed=1)
+        assert materialize_manifest(manifest).records == oracle.records
+        assert main(["doctor", manifest]) == 0
+        with_block = capsys.readouterr().out
+        assert "6 segment(s), window 13, 60 records spilled" in with_block
+        # The block is ignored: doctor prints the same lines without it.
+        del merged["parallel"]
+        with open(manifest, "w") as handle:
+            json.dump(merged, handle, sort_keys=True)
+        assert main(["doctor", manifest]) == 0
+        assert capsys.readouterr().out == with_block
+
     def test_csv_npz_segment_round_trip(self, tmp_path):
         # streaming -> CSV -> oracle -> npz -> oracle: the records
         # survive every export unchanged.

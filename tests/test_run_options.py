@@ -36,31 +36,36 @@ def test_defaults_and_validation():
     assert not options.metrics and not options.timeline
     assert options.check_leaks and options.check_stall
     assert options.max_no_progress_events is None
-    assert options.scheduler is None
-    with pytest.raises(ValueError, match="scheduler"):
-        RunOptions(scheduler="fifo")
+    assert len(dataclasses.fields(RunOptions)) == 9
     with pytest.raises(ValueError, match="max_no_progress_events"):
         RunOptions(max_no_progress_events=0)
-    with pytest.raises(ValueError, match="scheduler"):
-        RunOptions().with_(scheduler="bogus")
+    # The kernel has one event list, so a bundle has no kernel to pick.
+    with pytest.raises(TypeError, match="scheduler"):
+        RunOptions(scheduler="calendar")
+    with pytest.raises(TypeError, match="scheduler"):
+        RunOptions().with_(scheduler="calendar")
     # A stored bundle naming an event list the kernel does not have is
-    # rejected by name, not silently run on another kernel.
-    with pytest.raises(ValueError, match="scheduler must be one of .* got 'heap'"):
-        RunOptions.from_dict({"scheduler": "heap"})
+    # rejected by name, not silently run on another kernel; one naming
+    # the calendar kernel, or none, loads as the default bundle.
+    for gone in ("heap", "parallel"):
+        with pytest.raises(ValueError, match=f"scheduler '{gone}' no longer exists"):
+            RunOptions.from_dict({"scheduler": gone})
+    for kept in (None, "calendar"):
+        assert RunOptions.from_dict({"scheduler": kept}) == RunOptions()
+    with pytest.raises(
+        ValueError, match=r"unknown RunOptions field\(s\) \['parallel_regions'\]"
+    ):
+        RunOptions.from_dict({"parallel_regions": 2})
 
 
 def test_paired_fields_need_their_partner(tmp_path):
     with pytest.raises(ValueError, match="log_spill_window needs log_spill"):
         RunOptions(log_spill_window=10)
-    for scheduler in (None, "calendar"):
-        with pytest.raises(ValueError, match="parallel_regions needs scheduler"):
-            RunOptions(scheduler=scheduler, parallel_regions=3)
     RunOptions(log_spill=str(tmp_path), log_spill_window=10)
-    RunOptions(scheduler="parallel", parallel_regions=3)
 
 
 def test_round_trip_and_unknown_fields():
-    options = RunOptions(metrics=True, scheduler="calendar", max_no_progress_events=5)
+    options = RunOptions(metrics=True, max_no_progress_events=5)
     assert RunOptions.from_dict(options.as_dict()) == options
     with pytest.raises(ValueError, match="unknown RunOptions field"):
         RunOptions.from_dict({"metrics": True, "turbo": 11})
@@ -78,15 +83,9 @@ def test_factories():
 # ----------------------------------------------------------------------
 # the unified entry points
 # ----------------------------------------------------------------------
-def test_run_dynamic_by_name_and_scheduler_equivalence():
-    # App pipelines cannot shard: under the parallel scheduler they run
-    # on the serial kernel and produce the default run's log.
-    serial = run_dynamic("1d-fft", params={"n": 16})
-    parallel = run_dynamic(
-        "1d-fft", params={"n": 16}, options=RunOptions(scheduler="parallel")
-    )
-    assert _normalized(serial.log) == _normalized(parallel.log)
-    assert serial.characterization.strategy == "dynamic"
+def test_run_dynamic_by_name():
+    run = run_dynamic("1d-fft", params={"n": 16})
+    assert run.characterization.strategy == "dynamic"
 
 
 def test_run_static_by_name():
@@ -94,10 +93,6 @@ def test_run_static_by_name():
     assert run.characterization.strategy == "static"
     assert run.trace is not None
     assert run.timeline is not None
-    parallel = run_static(
-        "3d-fft", params={"n": 8}, options=RunOptions(scheduler="parallel")
-    )
-    assert _normalized(run.log) == _normalized(parallel.log)
 
 
 def test_run_rejects_wrong_category():
@@ -173,14 +168,13 @@ def test_cell_spec_carries_options_without_breaking_flagless_keys():
         '{"app":"1d-fft","mesh":"4x2","messages_per_source":120,'
         '"params":{"n":64},"protocol":"invalidate","rate_scale":1.0,"seed":0}'
     )
-    calendar = make_grid(
-        apps=["1d-fft"], options=RunOptions(scheduler="calendar")
-    ).expand()[0]
-    assert calendar.canonical_json() == (
+    # A bundle's document lost its "scheduler" key with the kernel
+    # choice, so a cell with options was re-keyed once.
+    default = make_grid(apps=["1d-fft"], options=RunOptions()).expand()[0]
+    assert default.canonical_json() == (
         '{"app":"1d-fft","mesh":"4x2","messages_per_source":120,'
         '"options":{"check_leaks":true,"check_stall":true,'
-        '"max_no_progress_events":null,"metrics":false,'
-        '"scheduler":"calendar","timeline":false},'
+        '"max_no_progress_events":null,"metrics":false,"timeline":false},'
         '"params":{"n":64},"protocol":"invalidate","rate_scale":1.0,"seed":0}'
     )
 
@@ -219,10 +213,12 @@ def test_cli_flags_override_only_what_they_set_in_a_grid_file(tmp_path):
     from repro.cli import _grid_from_args, build_parser
     from repro.sweep.grid import make_grid
 
-    stored = RunOptions(max_no_progress_events=1000, scheduler="calendar")
-    grid = make_grid(apps=["1d-fft"], options=stored)
+    stored = RunOptions(max_no_progress_events=1000)
+    doc = make_grid(apps=["1d-fft"], options=stored).as_dict()
+    # A grid file saved while bundles named their kernel loads without it.
+    doc["options"]["scheduler"] = "calendar"
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(grid.as_dict()))
+    path.write_text(json.dumps(doc))
     parser = build_parser()
 
     def cell(*flags):
@@ -248,11 +244,11 @@ def test_cli_flags_override_only_what_they_set_in_a_grid_file(tmp_path):
             "log_spill_window needs log_spill",
         ),
         (
-            ["drive", "--mesh", "4x4", "--pattern", "uniform", "--regions", "3"],
-            "parallel_regions needs scheduler='parallel'",
+            ["drive", "--mesh", "4x4", "--log-spill-window", "10"],
+            "log_spill_window needs log_spill",
         ),
     ],
-    ids=["log-spill-window", "regions"],
+    ids=["log-spill-window", "drive-log-spill-window"],
 )
 def test_cli_rejects_a_flag_without_its_partner(argv, message, capsys):
     from repro.cli import main

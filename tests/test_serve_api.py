@@ -147,24 +147,35 @@ class TestValidation:
         assert "grid" in doc["error"] and "trace" in doc["error"]
 
     def test_invalid_grid_400(self, service):
+        client = Client(service)
         bad = dict(GRID, apps=["no-such-app"])
-        status, doc, _ = Client(service).post("/v1/jobs", {"grid": bad})
+        status, doc, _ = client.post("/v1/jobs", {"grid": bad})
         assert status == 400
         assert "no-such-app" in doc["error"]
+        # The region-parallel kernel is gone: a grid asking for it is
+        # refused by name rather than run serially under a new key.
+        bad = dict(GRID, options={"scheduler": "parallel", "parallel_regions": 4})
+        status, doc, _ = client.post("/v1/jobs", {"grid": bad})
+        assert status == 400
+        assert "'parallel'" in doc["error"]
+        assert client.get("/v1/jobs")[1]["jobs"] == []
 
     @pytest.mark.parametrize(
-        "options, field",
+        "options, message",
         [
-            ({"log_spill_window": 5}, "log_spill_window"),
-            ({"parallel_regions": 2}, "parallel_regions"),
+            ({"log_spill_window": 5}, "log_spill_window needs"),
+            # parallel_regions went with the region-parallel kernel; a
+            # grid still carrying it is refused by name, not run
+            # serially under a new cache key.
+            ({"parallel_regions": 2}, "['parallel_regions']"),
         ],
         ids=["log-spill-window", "regions"],
     )
-    def test_unpaired_run_options_400(self, service, options, field):
+    def test_unpaired_run_options_400(self, service, options, message):
         bad = dict(GRID, options=options)
         status, doc, _ = Client(service).post("/v1/jobs", {"grid": bad})
         assert status == 400
-        assert f"{field} needs" in doc["error"]
+        assert message in doc["error"]
 
     @pytest.mark.parametrize(
         "options, field",
@@ -486,35 +497,36 @@ class TestRestartResume:
     def test_stored_heap_bundle_fails_only_its_job(self, tmp_path):
         # A job stored with a scheduler the kernel does not have fails
         # by name on resume; the service runs the next job.
-        state = str(tmp_path / "state")
-        cache_dir = str(tmp_path / "cache")
-        manager = JobManager(state, ResultCache(cache_dir), cell_fn=quick_cell)
-        doc, _ = manager.submit_grid(GRID)
-        job_id = doc["id"]
-        manager.shutdown(wait=True)
-        stored = manager.index.load(job_id)
-        stored["spec"]["grid"]["options"] = {"scheduler": "heap"}
-        stored["state"] = "queued"
-        stored.pop("result", None)
-        manager.index.save(stored)
-        manager2 = JobManager(state, ResultCache(cache_dir), cell_fn=quick_cell)
-        assert manager2.resume() == 1
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            doc = manager2.index.load(job_id)
-            if doc["state"] in ("done", "failed"):
-                break
-            time.sleep(0.02)
-        assert doc["state"] == "failed"
-        assert "ValueError" in doc["error"] and "'heap'" in doc["error"]
-        fresh, _ = manager2.submit_grid(dict(GRID, seeds=[1]))
-        while time.monotonic() < deadline:
-            fresh = manager2.index.load(fresh["id"])
-            if fresh["state"] in ("done", "failed"):
-                break
-            time.sleep(0.02)
-        assert fresh["state"] == "done"
-        manager2.shutdown(wait=True)
+        for scheduler in ("heap", "parallel"):
+            state = str(tmp_path / scheduler / "state")
+            cache_dir = str(tmp_path / scheduler / "cache")
+            manager = JobManager(state, ResultCache(cache_dir), cell_fn=quick_cell)
+            doc, _ = manager.submit_grid(GRID)
+            job_id = doc["id"]
+            manager.shutdown(wait=True)
+            stored = manager.index.load(job_id)
+            stored["spec"]["grid"]["options"] = {"scheduler": scheduler}
+            stored["state"] = "queued"
+            stored.pop("result", None)
+            manager.index.save(stored)
+            manager2 = JobManager(state, ResultCache(cache_dir), cell_fn=quick_cell)
+            assert manager2.resume() == 1
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                doc = manager2.index.load(job_id)
+                if doc["state"] in ("done", "failed"):
+                    break
+                time.sleep(0.02)
+            assert doc["state"] == "failed"
+            assert "ValueError" in doc["error"] and f"'{scheduler}'" in doc["error"]
+            fresh, _ = manager2.submit_grid(dict(GRID, seeds=[1]))
+            while time.monotonic() < deadline:
+                fresh = manager2.index.load(fresh["id"])
+                if fresh["state"] in ("done", "failed"):
+                    break
+                time.sleep(0.02)
+            assert fresh["state"] == "done"
+            manager2.shutdown(wait=True)
 
 
 class TestKeepAlive:

@@ -43,6 +43,11 @@ def test_hold_advances_clock():
 def test_negative_hold_rejected():
     with pytest.raises(SimulationError):
         hold(-1.0)
+    # NaN fails every comparison, so "< 0" would let it through and
+    # put the clock at NaN; infinity is a legal (endless) hold.
+    with pytest.raises(SimulationError, match="got nan"):
+        hold(float("nan"))
+    assert hold(float("inf")).duration == float("inf")
 
 
 def test_negative_schedule_delay_raises_valueerror_naming_delay():
@@ -54,6 +59,9 @@ def test_negative_schedule_delay_raises_valueerror_naming_delay():
     # InvalidDelayError is both a kernel error and an invalid argument.
     with pytest.raises(ValueError, match=r"delay=-1\.5"):
         sim.schedule(-1.5, lambda: None)
+    with pytest.raises(InvalidDelayError, match=r"delay=nan"):
+        sim.schedule(float("nan"), lambda: None)
+    sim.schedule(float("inf"), lambda: None)
     assert issubclass(InvalidDelayError, SimulationError)
     assert issubclass(InvalidDelayError, ValueError)
 
@@ -62,15 +70,16 @@ def test_negative_schedule_delay_raises_valueerror_naming_delay():
 def test_negative_step_delay_rejected_inside_run(clock):
     from repro.simkernel import InvalidDelayError
 
-    sim = Simulator()
+    for delay, shown in ((-2.0, r"delay=-2\.0"), (float("nan"), r"delay=nan")):
+        sim = Simulator()
 
-    def proc():
-        sim._schedule_step(sim.current_process, None, delay=-2.0)
-        yield hold(1.0)
+        def proc():
+            sim._schedule_step(sim.current_process, None, delay=delay)
+            yield hold(1.0)
 
-    sim.process(proc(), name="p")
-    with pytest.raises(InvalidDelayError, match=r"delay=-2\.0"):
-        sim.run(max_no_progress_events=CLOCKS[clock])
+        sim.process(proc(), name="p")
+        with pytest.raises(InvalidDelayError, match=shown):
+            sim.run(max_no_progress_events=CLOCKS[clock])
 
 
 def test_simultaneous_events_fifo_order():

@@ -224,9 +224,21 @@ class TestAggregation:
         assert "no successful cells" in comparison_table([_failure_row("is")])
 
     def test_failure_table(self):
-        table = failure_table([_failure_row("is"), _ok_row("is", "2x2", "invalidate", 1.0, 4.0)])
+        # A stall row from a report saved while cell bundles still
+        # carried "scheduler": null.
+        stalled = _failure_row("1d-fft", status="stall")
+        stalled["cell"]["options"] = {
+            "check_leaks": True, "check_stall": True,
+            "max_no_progress_events": 1, "metrics": False,
+            "scheduler": None, "timeline": False,
+        }
+        stalled["error"] = "StallError: no simulated-time progress"
+        table = failure_table(
+            [_failure_row("is"), _ok_row("is", "2x2", "invalidate", 1.0, 4.0), stalled]
+        )
         assert "timeout after 2 attempt(s)" in table
         assert "cell exceeded 1s" in table
+        assert "stall after 2 attempt(s): StallError" in table
         assert failure_table([]) == "no failures"
 
     def test_sweep_status_counts_cached_cells(self, tmp_path):

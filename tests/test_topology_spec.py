@@ -4,10 +4,9 @@ The spec is the only way to build a network, and it must not perturb
 the paper's 2-D results: a hypothesis suite checks spec-built 2-D
 meshes against an independent XY-routing oracle (the golden netlog
 digests in ``test_golden_netlogs.py`` pin whole runs), and the N-D
-suites check that routes keep the invariants the parallel region
-replay and the deadlock argument rely on (minimal hops,
-dimension-order monotonicity, dateline virtual-channel discipline,
-up*/down* ordering on the hierarchy).
+suites check that routes keep the invariants the deadlock argument
+relies on (minimal hops, dimension-order monotonicity, dateline
+virtual-channel discipline, up*/down* ordering on the hierarchy).
 """
 
 import math
@@ -29,16 +28,9 @@ from repro.mesh import (
     build_topology,
     register_topology,
     registered_topologies,
-    slice_partition,
 )
 from repro.mesh.spec import TOPOLOGIES
 from repro.simkernel import Simulator, hold, release, request
-from repro.simkernel.engine_parallel import (
-    ScheduleTraffic,
-    logs_bit_identical,
-    run_parallel_mesh,
-    run_serial_schedule,
-)
 
 
 class TestSpecParse:
@@ -498,45 +490,3 @@ class TestChipletRouting:
         topo = ChipletTopology((4, 4), hubs=2)
         for hop in topo.route(17, 30):
             assert topo.chiplet_of(hop.src) == topo.chiplet_of(hop.dst) == 1
-
-
-# ---------------------------------------------------------------------------
-# N-D partitioning and parallel equivalence
-# ---------------------------------------------------------------------------
-
-class TestNDPartition:
-    def test_slices_highest_dimension(self):
-        cfg = MeshConfig(spec="4x3x4:mesh")
-        part = slice_partition(cfg, regions=2)
-        assert part.depth == 4
-        assert part.plane == 12
-        assert part.bounds == ((0, 2), (2, 4))
-        sub = part.region_config(0)
-        assert sub.spec.dims == (4, 3, 2)
-
-    def test_rejects_wrap_and_hierarchy(self):
-        with pytest.raises(ValueError, match="mesh"):
-            slice_partition(MeshConfig(spec="4x4x2:torus", virtual_channels=2), 2)
-        with pytest.raises(ValueError, match="mesh"):
-            slice_partition(MeshConfig.parse("chiplet(4x4,hubs=2)"), 2)
-
-    def test_parallel_matches_serial_3d_layer_local(self):
-        """Boundary-free (layer-local) traffic on a 3-D mesh is
-        bit-identical between the serial and parallel schedulers --
-        the same guarantee the 2-D suite pins for row-local traffic."""
-        cfg = MeshConfig(spec="3x2x4:mesh")
-        traffic = ScheduleTraffic.compile_pattern(
-            cfg, pattern="local", messages_per_source=12, seed=11
-        )
-        serial = run_serial_schedule(cfg, traffic)
-        parallel = run_parallel_mesh(cfg, traffic, regions=2)
-        assert logs_bit_identical(serial.log, parallel.merged_log())
-
-    def test_parallel_matches_serial_scaled_links(self):
-        cfg = MeshConfig(spec="2x2x4:mesh:z=2.0")
-        traffic = ScheduleTraffic.compile_pattern(
-            cfg, pattern="local", messages_per_source=10, seed=5
-        )
-        serial = run_serial_schedule(cfg, traffic)
-        parallel = run_parallel_mesh(cfg, traffic, regions=2)
-        assert logs_bit_identical(serial.log, parallel.merged_log())
