@@ -4,16 +4,16 @@ Runs a synthetic 100k-message kernel workload -- paired
 sender/consumer processes exercising the hot commands (hold with
 tie-prone quantized gaps, facility request/release under contention,
 mailbox send/receive handoffs) -- and reports its event throughput,
-after :data:`WARMUP_RUNS` untimed runs, in events per *reference
-second*: each timed iteration is bracketed by the fixed calibration
-kernel of ``perfbench/calibration.py``, and host seconds are divided
-by the speed factor those timings give, so a loaded host slows the
-yardstick along with the kernel.  Every
-iteration must fire the same events and finish at the same clock (the
-default workload's event count is pinned); a 4x4 wormhole-mesh run is
-then repeated with the stall watchdog armed -- the generic
-``_step``/``_dispatch`` loop -- and its ``NetworkLog`` records must
-equal the default ``steady_clock`` run's bit for bit.
+after one small untimed run (:data:`WARMUP_RUNS`), in events per
+*reference second*: each timed iteration is bracketed by the fixed
+calibration kernel of ``perfbench/calibration.py``, and host seconds
+are divided by the speed factor those timings give, so a loaded host
+slows the yardstick along with the kernel.  Every iteration must fire
+the same events and finish at the same clock (the default workload's
+event count is pinned); a 4x4 wormhole-mesh run is then repeated
+with the stall watchdog armed -- the generic ``_step``/``_dispatch``
+loop -- and its ``NetworkLog`` records must equal the default
+``steady_clock`` run's bit for bit.
 
 Standalone (not a pytest benchmark) so CI can gate on the result:
 
@@ -83,9 +83,10 @@ CONTENTION_EVERY = 16
 #: ``--check`` floor on the kernel workload's best iteration, in events
 #: per reference second: twice the throughput of the binary-heap event
 #: list the calendar queue replaced, on the slowest interpreter CI runs.
-#: Measured as this gate measures (fresh process, warm-up runs, best of
-#: 3 bracketed iterations), 12 processes per interpreter on a 2-vCPU
-#: x86-64 host, median [range] in events per reference second:
+#: Measured as this gate then measured (fresh process, eight warm-up
+#: runs, best of 3 bracketed iterations), 12 processes per interpreter
+#: on a 2-vCPU x86-64 host, median [range] in events per reference
+#: second:
 #:
 #:   CPython 3.9   heap 294k [272k-330k]   calendar 853k [744k-1.18M]
 #:   CPython 3.11  heap 382k [318k-457k]   calendar 1.60M [1.55M-2.00M]
@@ -96,14 +97,11 @@ CONTENTION_EVERY = 16
 #: 3.11 or 3.12; smaller regressions pass.
 KERNEL_FLOOR = 588_000
 
-#: Untimed runs before the timed ones.  CPython 3.11 specializes a
-#: function's bytecode only from its 8th call, and ``steady_clock`` is
-#: called once per run, so a process's first seven runs dispatch
-#: unspecialized -- about 2.3x slower on this workload.  CPython 3.9
-#: has no specializing interpreter and 3.12 measured the same with and
-#: without the warm-up.  The gate measures the kernel, not the
-#: interpreter's warm-up.
-WARMUP_RUNS = 8
+#: Untimed runs before the timed ones.  The one small run pays what a
+#: process pays once: ``steady_clock``'s deferred imports, and the call
+#: in which the interpreter first specializes the clock loop.  The loop
+#: specializes within that call (DESIGN §5f), so one run is enough.
+WARMUP_RUNS = 1
 
 #: Events the default workload (100k messages over 32 pairs) fires; a
 #: different count means the workload changed, not the kernel's speed.
@@ -214,13 +212,13 @@ def run_topology_bench(args):
         traffic = ScheduleTraffic.compile_pattern(
             config,
             pattern="uniform",
-            messages_per_source=args.parallel_messages,
+            messages_per_source=args.messages_per_source,
             seed=1234,
         )
         workloads.append((config, traffic))
 
     print(f"topology workload: {baseline_spec.num_nodes} nodes, "
-          f"{args.parallel_messages} uniform messages/source, "
+          f"{args.messages_per_source} uniform messages/source, "
           f"{args.iterations} interleaved iterations ...")
     best = [0.0] * len(workloads)  # best events/sec per workload
     for _ in range(args.iterations):
@@ -260,7 +258,7 @@ def main(argv=None):
                         help="kernel: event throughput against the floor "
                              "(the default); topology: N-D routing overhead "
                              "vs the 2-D mesh")
-    parser.add_argument("--parallel-messages", type=int, default=300,
+    parser.add_argument("--messages-per-source", type=int, default=300,
                         help="messages per source for --scheduler topology")
     parser.add_argument("--topology", action="append", default=[],
                         help="N-D topology spec(s) for --scheduler topology "

@@ -44,6 +44,16 @@ class ValidationReport:
         return _relative_error(self.original_mean_latency, self.synthetic_mean_latency)
 
     @property
+    def contention_error(self) -> float:
+        """Relative error of the synthetic mean contention.
+
+        Reported only: :meth:`acceptable` does not test it.
+        """
+        return _relative_error(
+            self.original_mean_contention, self.synthetic_mean_contention
+        )
+
+    @property
     def rate_error(self) -> float:
         """Relative error of the synthetic injection rate."""
         return _relative_error(self.original_rate, self.synthetic_rate)
@@ -77,7 +87,7 @@ class ValidationReport:
             ("mean latency", self.original_mean_latency, self.synthetic_mean_latency,
              self.latency_error),
             ("mean contention", self.original_mean_contention,
-             self.synthetic_mean_contention, float("nan")),
+             self.synthetic_mean_contention, self.contention_error),
             ("injection rate", self.original_rate, self.synthetic_rate, self.rate_error),
             ("mean length", self.original_mean_length, self.synthetic_mean_length,
              self.length_error),

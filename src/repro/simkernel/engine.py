@@ -16,10 +16,10 @@ slab-pooled event records (:mod:`repro.simkernel.engine_calendar`).
 Events fire in the total order ``(time, seq)``: simultaneous events in
 the order they were scheduled.  Two clock loops drain it.
 :func:`steady_clock`, the default, inlines process stepping, command
-dispatch and the queue's push/pop, and batches wakeup waves into single
-queue touches.  With the no-progress watchdog armed,
-:meth:`Simulator.run` steps every event through the generic
-``_step``/``_dispatch`` path instead.  Both loops fire the same events
+dispatch, facility statistics and the queue's push/pop (wave promotion
+included), and batches wakeup waves into single queue touches.  With
+the no-progress watchdog armed, :meth:`Simulator.run` steps every
+event through the generic ``_step``/``_dispatch`` path instead.  Both loops fire the same events
 in the same order, so a run's results do not depend on which one ran.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -201,9 +201,11 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
 
     This is the fast path of :meth:`Simulator.run`, used whenever
     ``max_no_progress_events`` is unarmed: it pops slab records straight
-    off the now-FIFO, resumes the process generator inline (no
-    ``_step``/``_dispatch`` frames for the hot commands), and
-    reschedules holds with a single calendar push.
+    off the now-FIFO and promotes the next wave itself when the FIFO
+    drains, resumes the process generator inline (no
+    ``_step``/``_dispatch`` frames for the hot commands, nor
+    ``Facility._integrate`` ones), and reschedules holds with a single
+    calendar push.
 
     Returns the final clock value.
     """
@@ -228,7 +230,13 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
     FAILED = ProcessState.FAILED
     fired = 0
     try:
-        while not simulator._stopped:
+        # ``while True`` with the stop test inside, not ``while not
+        # simulator._stopped``: CPython 3.11 warms a code object up only
+        # on calls and unconditional backward jumps, so only this shape
+        # specializes within the one call a run makes.
+        while True:
+            if simulator._stopped:
+                break
             if until is not None:
                 when = sched.peek_time()
                 if when is None:
@@ -242,9 +250,18 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                 fifo[head] = None
                 sched._head = head + 1
             else:
-                rec = sched.pop()
-                if rec is None:
+                # Inline CalendarScheduler.pop: promote the next wave.
+                if head:
+                    del fifo[:]
+                if not times:
+                    sched._head = 0
                     break
+                when = heappop(times)
+                sched._floor = when
+                fifo.extend(waves.pop(when))
+                rec = fifo[0]
+                fifo[0] = None
+                sched._head = 1
             simulator._now = now = rec.time
             proc = rec.proc
             if proc is None:
@@ -363,11 +380,16 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                                 box._waiters.append(proc)
                                 proc.waiting_on = box
                         elif command_type is Request:
-                            # Inline Request._execute/Facility._request:
-                            # an immediate grant resumes the requester
-                            # at ``now`` (reusing the fired record).
+                            # Inline Request._execute/Facility._request
+                            # (and its _integrate): an immediate grant
+                            # resumes the requester at ``now`` (reusing
+                            # the fired record).
                             fac = command.facility
-                            fac._integrate()
+                            span = now - fac._last_change
+                            if span > 0:
+                                fac._busy_integral += span * fac._busy
+                                fac._queue_integral += span * len(fac._queue)
+                                fac._last_change = now
                             fac.total_requests += 1
                             if fac._busy < fac.servers:
                                 fac._busy += 1
@@ -387,11 +409,17 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                                 proc.state = WAITING
                                 proc.waiting_on = fac
                         elif command_type is Release:
-                            # Inline Release._execute/Facility._release:
-                            # grantee first, then the releaser's own
-                            # zero-delay resume (reusing the record).
+                            # Inline Release._execute/Facility._release
+                            # (and its _integrate): grantee first, then
+                            # the releaser's own zero-delay resume
+                            # (reusing the record).
                             fac = command.facility
-                            fac._integrate()
+                            queue = fac._queue
+                            span = now - fac._last_change
+                            if span > 0:
+                                fac._busy_integral += span * fac._busy
+                                fac._queue_integral += span * len(queue)
+                                fac._last_change = now
                             held = proc._held.get(fac, 0)
                             if held <= 0:
                                 raise SimulationError(
@@ -402,7 +430,6 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                                 del proc._held[fac]
                             else:
                                 proc._held[fac] = held - 1
-                            queue = fac._queue
                             if queue:
                                 nxt = queue.popleft()
                                 queued_at = fac._enqueue_times.pop(id(nxt))
@@ -615,7 +642,9 @@ class Simulator:
         sched = self._sched
         observed = self._observed
         no_progress = 0
-        while not self._stopped:
+        while True:  # not ``while not self._stopped``: see steady_clock
+            if self._stopped:
+                break
             when = sched.peek_time()
             if when is None:
                 break

@@ -50,9 +50,10 @@ counter is stored:
 The property tests hold every push/pop/peek to a plain ``heapq`` of
 ``(time, seq)`` entries, the model of this contract.
 
-The engine's ``steady_clock`` inlines the hot paths, so the layout of
-``_fifo``/``_waves``/``_times`` is load-bearing: they are cleared in
-place, never rebound.
+The engine's ``steady_clock`` inlines the hot paths -- pushes, the
+now-FIFO pop and the wave promotion of :meth:`CalendarScheduler.pop`
+-- so the layout of ``_fifo``/``_waves``/``_times`` is load-bearing:
+they are cleared in place, never rebound.
 """
 
 from __future__ import annotations

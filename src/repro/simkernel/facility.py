@@ -118,6 +118,8 @@ class Facility:
     def _integrate(self) -> None:
         # The clock attribute, not the ``now`` property, here and in
         # the request/release hooks: they run on every grant.
+        # ``steady_clock`` inlines this body in its Request and Release
+        # branches; the two must stay in step.
         now = self.simulator._now
         span = now - self._last_change
         if span > 0:

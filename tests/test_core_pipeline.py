@@ -1,6 +1,8 @@
 """Tests for the characterization core: attributes, analyses, pipelines,
 synthetic generation and validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,23 @@ class TestSyntheticAndValidation:
         text = report.describe()
         assert "mean latency" in text and "rel.err" in text
         assert isinstance(report.acceptable(), bool)
+
+        def contention_row(text):
+            return next(
+                line for line in text.splitlines() if line.startswith("mean contention")
+            )
+
+        original = report.original_mean_contention
+        assert original > 0
+        assert report.contention_error == (
+            abs(report.synthetic_mean_contention - original) / original
+        )
+        assert contention_row(text).endswith(f"{report.contention_error:8.1%}")
+        # No original contention: the error is infinite and prints n/a.
+        # Contention is reported, not gated, so acceptable() ignores it.
+        skewed = dataclasses.replace(
+            report, original_mean_contention=0.0, synthetic_mean_contention=1.0
+        )
+        assert skewed.contention_error == float("inf")
+        assert contention_row(skewed.describe()).endswith("n/a")
+        assert skewed.acceptable() == report.acceptable()

@@ -12,8 +12,9 @@ hold it in place.
   compared with the generic ``_step``/``_dispatch`` path the watchdog
   loop runs (``run(max_no_progress_events=...)``): randomized process
   programs -- tie-prone quantized holds, contended facilities, paired
-  mailbox handoffs, events -- must leave the same execution trail, and
-  a mesh run a bit-identical activity log.
+  mailbox handoffs, events -- must leave the same execution trail and
+  channel statistics, and a mesh run a bit-identical activity log and
+  channel utilizations.
 """
 
 from __future__ import annotations
@@ -193,7 +194,16 @@ def _run_program(watchdog, num_pairs, extra_holds, sender_plans, walker_plans):
 
     final = sim.run(max_no_progress_events=watchdog)
     states = sorted((p.name, p.state.name) for p in sim.processes)
-    return trail, final, sim.events_fired, states
+    # steady_clock integrates the channel inline; the watchdog loop
+    # calls Facility._integrate.  The floats must agree exactly.
+    channel_stats = (
+        channel.utilization(),
+        channel.mean_queue_length(),
+        channel.mean_wait_time(),
+        channel.total_requests,
+        channel.total_queued,
+    )
+    return trail, final, sim.events_fired, states, channel_stats
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,7 +236,8 @@ def test_random_programs_identical_on_both_clock_loops(
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_mesh_netlog_bit_identical_on_both_clock_loops(seed):
     """Same seed, same mesh traffic: the activity logs must match
-    record for record (fixed msg_ids keep the runs comparable)."""
+    record for record (fixed msg_ids keep the runs comparable), and the
+    channel utilizations float for float."""
 
     def run(watchdog):
         sim = Simulator()
@@ -250,6 +261,11 @@ def test_mesh_netlog_bit_identical_on_both_clock_loops(seed):
             sim.process(source(src), name=f"src{src}")
         sim.run(check_stall=True, max_no_progress_events=watchdog)
         net.log.seal()
-        return net.log.records, sim.now, sim.events_fired
+        return (
+            net.log.records,
+            sim.now,
+            sim.events_fired,
+            net.channel_utilizations(),
+        )
 
     assert run(None) == run(NEVER_STALLS)

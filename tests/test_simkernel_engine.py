@@ -1,7 +1,14 @@
 """Unit tests for the process-oriented simulation kernel."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.simkernel import (
     Facility,
     Mailbox,
@@ -487,3 +494,80 @@ def test_random_streams_reset():
     first = streams.stream("s").random()
     streams.reset()
     assert streams.stream("s").random() == first
+
+
+#: One short run on each clock loop in a fresh interpreter, then how
+#: many of each loop's instructions were specialized to the types seen
+#: (names that differ from the plain bytecode, leaving out 3.11's
+#: not-yet-specialized ``*_ADAPTIVE`` forms and its type-blind
+#: quickened and paired ones).
+FIRST_RUN_SCRIPT = r"""
+import dis
+import json
+
+from repro.simkernel import Facility, Simulator, hold, release, request
+from repro.simkernel.engine import steady_clock
+
+
+def simulate(watchdog):
+    sim = Simulator()
+    channel = Facility(sim, name="channel")
+
+    def user(idx):
+        for n in range(25):
+            yield hold((idx + n) % 4 * 0.25)
+            yield request(channel)
+            yield hold(0.5)
+            yield release(channel)
+
+    for idx in range(4):
+        sim.process(user(idx), name=f"user{idx}")
+    sim.run(max_no_progress_events=watchdog)
+
+
+def specialized(function):
+    return sum(
+        1
+        for new, old in zip(
+            dis.get_instructions(function, adaptive=True),
+            dis.get_instructions(function),
+        )
+        if new.opname != old.opname
+        and not new.opname.endswith(("_ADAPTIVE", "_QUICK"))
+        and "__" not in new.opname
+    )
+
+
+simulate(None)
+simulate(10**9)
+print(json.dumps({
+    "steady_clock": specialized(steady_clock),
+    "watchdog_clock": specialized(Simulator._watchdog_clock),
+}))
+"""
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="no specializing interpreter before 3.11"
+)
+def test_both_clock_loops_specialize_in_their_first_run():
+    """A run calls its clock loop once, so the loop must specialize
+    within that call, or every one-shot CLI run pays unspecialized
+    dispatch.  CPython 3.11 warms a code object up only on calls and
+    unconditional backward jumps: a ``while not stopped:`` loop, whose
+    backward jump is conditional, would stay unspecialized for a
+    process's first seven runs."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", FIRST_RUN_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    seen = json.loads(result.stdout.strip().splitlines()[-1])
+    assert seen["steady_clock"], "steady_clock ran its first run unspecialized"
+    assert seen["watchdog_clock"], "_watchdog_clock ran its first run unspecialized"
