@@ -1,21 +1,29 @@
 """E8 -- methodology validation: synthetic traffic vs the original.
 
 The methodology's purpose is generating realistic ICN workloads from
-the fitted distributions.  For a dynamic-strategy application (1D-FFT)
-and a static-strategy one (3D-FFT), synthetic traffic drawn from the
-characterization drives the same mesh, and the network-level metrics
-are compared with the original run's.  Rate and message-length fidelity
-must be tight; latency must agree within the documented tolerance
-(independent closed-loop sources cannot reproduce cross-source barrier
-correlation, so synthetic contention is an underestimate).
+the fitted distributions.  For each of the seven applications, synthetic
+traffic drawn from the characterization drives the same mesh, and the
+network-level metrics (latency, contention, rate, length) are compared
+with the original run's.  Message lengths replicate by construction in
+every app.  For a dynamic-strategy application (1D-FFT) and a
+static-strategy one (3D-FFT), rate must also be in regime and latency
+must agree within the documented tolerance (independent closed-loop
+sources cannot reproduce cross-source barrier correlation, so synthetic
+contention is an underestimate).  The other five apps' latency, rate and
+contention errors are printed, not gated.
 """
 
 import pytest
 
 from repro import SyntheticTrafficGenerator, compare_logs
 
+from conftest import BENCH_PROBLEMS
 
-@pytest.mark.parametrize("name", ["1d-fft", "3d-fft"])
+#: Apps whose rate and latency are gated; the rest are only tabulated.
+GATED = ("1d-fft", "3d-fft")
+
+
+@pytest.mark.parametrize("name", list(BENCH_PROBLEMS))
 def test_e8_synthetic_validation(runs, name, benchmark):
     run = runs.run(name)
     generator = SyntheticTrafficGenerator(run.characterization, seed=42)
@@ -27,8 +35,9 @@ def test_e8_synthetic_validation(runs, name, benchmark):
     print(f"--- {name}: synthetic vs original ---")
     print(report.describe())
     assert report.length_error < 0.1, "message-length distribution must replicate"
-    assert report.rate_error < 0.5, "generation rate must be in the right regime"
-    assert report.acceptable(tolerance=0.6)
+    if name in GATED:
+        assert report.rate_error < 0.5, "generation rate must be in the right regime"
+        assert report.acceptable(tolerance=0.6)
 
 
 def test_e8_synthetic_preserves_spatial_shape(runs):

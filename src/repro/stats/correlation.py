@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.special import chdtrc
 
 
 def autocorrelation(series: np.ndarray, lag: int) -> float:
@@ -114,6 +113,9 @@ def correlation_profile(series: np.ndarray, max_lag: int = 10) -> CorrelationPro
     q_statistic = float(
         n * (n + 2) * sum(r * r / (n - lag) for lag, r in zip(lags, values))
     )
+    # Imported here, so that a process that never fits skips scipy.special.
+    from scipy.special import chdtrc
+
     # chi2(df).sf, with SciPy's 1 on the closed lower tail q <= 0.
     p_value = 1.0 if q_statistic <= 0 else float(chdtrc(len(lags), q_statistic))
     return CorrelationProfile(

@@ -14,21 +14,37 @@ own density and CDF expressions directly with NumPy and
 ``scipy.special`` ufuncs, under the same wrapper rules (:func:`_pdf`,
 :func:`_cdf`).  The values are bit-identical to SciPy's, without
 importing its statistics package (about 45 MiB and 0.8 s per process).
+``scipy.special`` itself loads at the first evaluation (:func:`_special`),
+so a process that never fits does not pay for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
-from scipy.special import expm1, gammainc, gammaln, ndtr, xlogy
 
 _EPS = 1e-12
 
 #: SciPy's normal-density constant, ``sqrt(2 pi)``.
 _SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+@functools.lru_cache(maxsize=None)
+def _special():
+    """``scipy.special``, imported by the first formula that needs it.
+
+    The import costs about 0.2 s and 300 modules (SciPy's array-API shim
+    loads ``numpy.f2py`` and ``numpy.testing``), which a process that
+    never fits should not pay.  A thread that calls this while another
+    is importing waits on the module lock until the import is done.
+    """
+    import scipy.special
+
+    return scipy.special
 
 
 def _exp(value: float) -> float:
@@ -112,11 +128,12 @@ def _cdf(x, cumulative, args: tuple, scale: float, loc: float = 0.0,
 
 
 def _gamma_pdf(y, a):
-    return np.exp(xlogy(a - 1.0, y) - y - gammaln(a))
+    special = _special()
+    return np.exp(special.xlogy(a - 1.0, y) - y - special.gammaln(a))
 
 
 def _gamma_cdf(y, a):
-    return gammainc(a, y)
+    return _special().gammainc(a, y)
 
 
 def _weibull_pdf(y, c):
@@ -124,11 +141,15 @@ def _weibull_pdf(y, c):
 
 
 def _weibull_cdf(y, c):
-    return -expm1(-pow(y, c))
+    return -_special().expm1(-pow(y, c))
 
 
 def _normal_pdf(y):
     return np.exp(-y**2 / 2.0) / _SQRT_2PI
+
+
+def _normal_cdf(y):
+    return _special().ndtr(y)
 
 
 def _lognormal_pdf(y, s):
@@ -136,7 +157,7 @@ def _lognormal_pdf(y, s):
 
 
 def _lognormal_cdf(y, s):
-    return ndtr(np.log(y) / s)
+    return _special().ndtr(np.log(y) / s)
 
 
 def _pareto_pdf(y, b):
@@ -476,7 +497,7 @@ class Normal(Distribution):
         return _pdf(x, _normal_pdf, (), self.sigma, loc=self.mu, low=-np.inf)
 
     def cdf(self, x):
-        return _cdf(x, ndtr, (), self.sigma, loc=self.mu, low=-np.inf)
+        return _cdf(x, _normal_cdf, (), self.sigma, loc=self.mu, low=-np.inf)
 
     def mean(self):
         return self.mu
