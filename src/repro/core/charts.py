@@ -12,11 +12,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-#: Glyphs for the two series in an overlaid histogram chart.
-EMPIRICAL_GLYPH = "#"
-FITTED_GLYPH = "*"
-
-
 def bar_chart(
     labels: Sequence[str],
     values: Sequence[float],
@@ -54,38 +49,3 @@ def spatial_chart(fractions: np.ndarray, src: int, width: int = 40) -> str:
         width=width,
         title=f"spatial distribution of p{src} (fraction of messages)",
     )
-
-
-def histogram_chart(
-    centers: np.ndarray,
-    empirical: np.ndarray,
-    fitted: Optional[np.ndarray] = None,
-    width: int = 40,
-    title: Optional[str] = None,
-) -> str:
-    """Inter-arrival figure: empirical density bars with the fitted
-    density marked by ``*`` on the same scale."""
-    centers = np.asarray(centers, dtype=float)
-    empirical = np.asarray(empirical, dtype=float)
-    if centers.shape != empirical.shape:
-        raise ValueError("centers and empirical must align")
-    if centers.size == 0:
-        raise ValueError("nothing to chart")
-    if fitted is not None:
-        fitted = np.asarray(fitted, dtype=float)
-        if fitted.shape != centers.shape:
-            raise ValueError("fitted must align with centers")
-    peak = float(
-        max(empirical.max(), fitted.max() if fitted is not None else 0.0)
-    )
-    lines = [] if title is None else [title]
-    for i, center in enumerate(centers):
-        bar_len = 0 if peak <= 0 else int(round(width * empirical[i] / peak))
-        row = list(f"{'#' * bar_len:<{width}}")
-        if fitted is not None and peak > 0:
-            mark = min(int(round(width * fitted[i] / peak)), width - 1)
-            row[mark] = FITTED_GLYPH
-        lines.append(f"{center:>10.2f} |{''.join(row)}| {empirical[i]:.4f}")
-    if fitted is not None:
-        lines.append(f"{'':>10}  ({EMPIRICAL_GLYPH} empirical density, {FITTED_GLYPH} fitted)")
-    return "\n".join(lines)

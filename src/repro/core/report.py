@@ -7,7 +7,7 @@ distributions.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,13 +65,3 @@ def volume_table(result: CommunicationCharacterization) -> str:
         f"messages: {result.volume.message_count}, bytes: {result.volume.total_bytes}"
     )
     return "\n".join(lines)
-
-
-def full_report(results: Iterable[CommunicationCharacterization]) -> str:
-    """Complete text report over several applications."""
-    results = list(results)
-    sections: List[str] = [temporal_table(results)]
-    for result in results:
-        sections.append(spatial_table(result))
-        sections.append(volume_table(result))
-    return "\n\n".join(sections)

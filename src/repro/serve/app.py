@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import os
 import signal
 import sys
 import threading
@@ -460,8 +459,3 @@ class BackgroundService:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
-
-
-def default_state_dir() -> str:
-    """The CLI's default service state directory."""
-    return os.environ.get("REPRO_SERVE_STATE", ".repro-serve")

@@ -14,7 +14,9 @@ silent states into *diagnosed* structured failures:
   when the event queue drains with processes still blocked; its message
   names the cycle (process -> held facility -> blocked requester).
 * :class:`StallError` is raised by the no-progress watchdog
-  (``max_no_progress_events``) on zero-delay event storms.
+  (``max_no_progress_events=N``, one test inside the kernel's clock
+  loop) when a zero-delay event storm would fire event ``N + 1`` at
+  one simulated instant.
 * :class:`FacilityLeakError` wraps the
   :meth:`~repro.simkernel.engine.Simulator.leaked_facilities` audit for
   run harnesses that must fail loudly on a leak.

@@ -47,18 +47,20 @@ counter is stored:
   trails the floor), so routing exact-floor pushes to the now-FIFO
   never bypasses an earlier event still parked in a wave.
 
-The property tests hold every push/pop/peek to a plain ``heapq`` of
-``(time, seq)`` entries, the model of this contract.
-
-The engine's ``steady_clock`` inlines the hot paths -- pushes, the
-now-FIFO pop and the wave promotion of :meth:`CalendarScheduler.pop`
--- so the layout of ``_fifo``/``_waves``/``_times`` is load-bearing:
-they are cleared in place, never rebound.
+The engine's ``steady_clock`` is the only pop: it drains the now-FIFO
+by head index and promotes the next wave itself, and it inlines the
+hot pushes.  So the layout of ``_fifo``/``_waves``/``_times`` is
+load-bearing: they are cleared in place, never rebound.  Promotion
+empties the now-FIFO, so ``_head`` also counts the events fired at the
+floor; the engine's no-progress watchdog reads it.  The property
+tests push here, fire through that loop, and hold every push, fired
+event and peek to a plain ``heapq`` of ``(time, seq)`` entries, the
+model of this contract.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappush
 from typing import Any, Callable, List, Optional, Sequence
 
 
@@ -161,57 +163,9 @@ class CalendarScheduler:
             rec.value = value
             target.append(rec)
 
-    def push_step_pairs(self, time: float, pairs: Sequence[tuple]) -> None:
-        """Like :meth:`push_step_wave`, but each ``(proc, value)`` pair
-        carries its own delivered value (mailbox broadcast waves)."""
-        if not pairs:
-            return
-        if time == self._floor:
-            target = self._fifo
-        else:
-            target = self._waves.get(time)
-            if target is None:
-                self._waves[time] = target = []
-                heappush(self._times, time)
-        pool = self._pool
-        for proc, value in pairs:
-            rec = pool.pop() if pool else EventRecord()
-            rec.time = time
-            rec.proc = proc
-            rec.value = value
-            target.append(rec)
-
     # ------------------------------------------------------------------
-    # pop / peek
+    # peek / clear
     # ------------------------------------------------------------------
-    def pop(self) -> Optional[EventRecord]:
-        """Dequeue the ``(time, seq)``-minimum event record.
-
-        The caller owns the returned record and must hand it back via
-        :meth:`recycle` (or clear and pool it directly) after firing.
-        """
-        head = self._head
-        fifo = self._fifo
-        if head < len(fifo):
-            rec = fifo[head]
-            fifo[head] = None
-            self._head = head + 1
-            return rec
-        if head:
-            del fifo[:]
-        if not self._times:
-            self._head = 0
-            return None
-        when = heappop(self._times)
-        self._floor = when
-        # Promote the whole wave: one C-level extend, and later pushes
-        # at ``when`` append behind its remaining events.
-        fifo.extend(self._waves.pop(when))
-        rec = fifo[0]
-        fifo[0] = None
-        self._head = 1
-        return rec
-
     def peek_time(self) -> Optional[float]:
         """Time of the next event, or ``None`` when empty."""
         fifo = self._fifo
@@ -220,17 +174,6 @@ class CalendarScheduler:
         if self._times:
             return self._times[0]
         return None
-
-    # ------------------------------------------------------------------
-    # slab pool / lifecycle
-    # ------------------------------------------------------------------
-    def recycle(self, rec: EventRecord) -> None:
-        """Return a fired record to the slab pool."""
-        rec.proc = None
-        rec.value = None
-        rec.callback = None
-        if len(self._pool) < POOL_LIMIT:
-            self._pool.append(rec)
 
     def clear(self) -> None:
         """Drop every pending event (shutdown/truncation path).

@@ -119,7 +119,8 @@ class Facility:
         # The clock attribute, not the ``now`` property, here and in
         # the request/release hooks: they run on every grant.
         # ``steady_clock`` inlines this body in its Request and Release
-        # branches; the two must stay in step.
+        # branches; the two must stay in step, and the equivalence tests
+        # compare them by yielding subclassed commands, which come here.
         now = self.simulator._now
         span = now - self._last_change
         if span > 0:

@@ -86,24 +86,6 @@ class Mailbox:
         else:
             self._messages.append(message)
 
-    def put_many(self, messages: Any) -> None:
-        """Deposit several messages with a single wakeup wave.
-
-        Equivalent to calling :meth:`put` per message (same waiter
-        order, same message matching), but the processes currently
-        blocked in receive are woken with one scheduler touch instead
-        of one push each.
-        """
-        msgs = list(messages)
-        waiters = self._waiters
-        ready = min(len(waiters), len(msgs))
-        self.total_sent += len(msgs)
-        if ready:
-            self.total_received += ready
-            pairs = [(waiters.popleft(), msgs[i]) for i in range(ready)]
-            self.simulator._schedule_step_pairs(pairs)
-        self._messages.extend(msgs[ready:])
-
     def peek_all(self) -> List[Any]:
         """Snapshot of queued messages (for diagnostics/tests)."""
         return list(self._messages)

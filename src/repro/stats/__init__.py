@@ -14,8 +14,8 @@ study."  This package provides the equivalent machinery:
 * :mod:`repro.stats.secant` -- derivative-free multivariate secant
   non-linear least squares (SAS PROC NLIN's DUD/secant method).
 * :mod:`repro.stats.regression` -- the PROC NLIN-style driver.
-* :mod:`repro.stats.goodness` -- R-squared, Kolmogorov-Smirnov and
-  chi-square goodness-of-fit measures.
+* :mod:`repro.stats.goodness` -- R-squared and Kolmogorov-Smirnov
+  goodness-of-fit measures.
 * :mod:`repro.stats.fitting` -- end-to-end inter-arrival / length
   distribution fitting with model selection.
 * :mod:`repro.stats.spatial_models` -- discrete destination-distribution
@@ -43,7 +43,7 @@ from repro.stats.distributions import (
 from repro.stats.correlation import CorrelationProfile, autocorrelation, correlation_profile
 from repro.stats.fitting import FitResult, fit_distribution, fit_interarrival
 from repro.stats.mle import MLEResult, fit_mle, fit_mle_best
-from repro.stats.goodness import chi_square_statistic, ks_statistic, r_squared
+from repro.stats.goodness import ks_statistic, r_squared
 from repro.stats.histogram import Histogram, build_histogram
 from repro.stats.regression import NonlinearRegression, RegressionResult
 from repro.stats.secant import SecantResult, secant_least_squares
@@ -89,7 +89,6 @@ __all__ = [
     "Weibull",
     "build_histogram",
     "autocorrelation",
-    "chi_square_statistic",
     "classify_spatial",
     "correlation_profile",
     "continuous_candidates",

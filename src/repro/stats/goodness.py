@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.stats.distributions import Distribution
@@ -41,44 +39,3 @@ def ks_statistic(data: np.ndarray, distribution: Distribution) -> float:
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(upper - cdf), np.abs(cdf - lower))))
-
-
-def chi_square_statistic(
-    counts: np.ndarray,
-    edges: np.ndarray,
-    distribution: Distribution,
-) -> Tuple[float, int]:
-    """Pearson chi-square of binned counts against a model distribution.
-
-    Returns ``(statistic, degrees_of_freedom)`` where the degrees of
-    freedom are ``n_used_bins - 1`` (parameter count must be subtracted
-    by the caller if desired).  Bins whose expected count falls below
-    1e-9 are pooled into their neighbour to keep the statistic finite.
-    """
-    counts = np.asarray(counts, dtype=float)
-    edges = np.asarray(edges, dtype=float)
-    if counts.size != edges.size - 1:
-        raise ValueError("counts/edges size mismatch")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("cannot compute chi-square of empty histogram")
-    cdf = np.asarray(distribution.cdf(edges), dtype=float)
-    probs = np.diff(cdf)
-    expected = probs * total
-
-    statistic = 0.0
-    used_bins = 0
-    carry_obs = 0.0
-    carry_exp = 0.0
-    for obs, exp in zip(counts, expected):
-        carry_obs += obs
-        carry_exp += exp
-        if carry_exp > 1e-9:
-            statistic += (carry_obs - carry_exp) ** 2 / carry_exp
-            used_bins += 1
-            carry_obs = 0.0
-            carry_exp = 0.0
-    if carry_exp > 0 and carry_obs > 0:
-        statistic += (carry_obs - carry_exp) ** 2 / carry_exp
-        used_bins += 1
-    return float(statistic), max(used_bins - 1, 1)

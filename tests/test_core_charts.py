@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.charts import bar_chart, histogram_chart, spatial_chart
+from repro.core.charts import bar_chart, spatial_chart
 
 
 class TestBarChart:
@@ -36,25 +36,3 @@ class TestSpatialChart:
         chart = spatial_chart(fractions, src=0)
         assert "p0" in chart and "p3" in chart
         assert "spatial distribution of p0" in chart
-
-
-class TestHistogramChart:
-    def test_fitted_marker_present(self):
-        centers = np.array([1.0, 2.0, 3.0])
-        empirical = np.array([0.5, 0.3, 0.1])
-        fitted = np.array([0.45, 0.32, 0.12])
-        chart = histogram_chart(centers, empirical, fitted)
-        assert "*" in chart
-        assert "fitted" in chart
-
-    def test_without_fit(self):
-        chart = histogram_chart(np.array([1.0]), np.array([0.2]))
-        assert "*" not in chart
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            histogram_chart(np.array([1.0]), np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            histogram_chart(np.array([]), np.array([]))
-        with pytest.raises(ValueError):
-            histogram_chart(np.array([1.0]), np.array([0.1]), np.array([0.1, 0.2]))

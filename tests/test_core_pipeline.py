@@ -19,7 +19,7 @@ from repro.core import (
     characterize_shared_memory,
     compare_logs,
 )
-from repro.core.report import full_report, spatial_table, temporal_table, volume_table
+from repro.core.report import spatial_table, temporal_table, volume_table
 from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
 from repro.simkernel import Simulator, hold
 
@@ -193,8 +193,6 @@ class TestPipelines:
         assert "application" in temporal_table(results)
         assert "spatial: 1d-fft" in spatial_table(results[0])
         assert "volume: 3d-fft" in volume_table(results[1])
-        report = full_report(results)
-        assert report.count("===") >= 4
 
 
 class TestSyntheticAndValidation:

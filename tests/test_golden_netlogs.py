@@ -5,8 +5,9 @@ Each run's activity log is hashed column by column (SHA-256 with
 ``perfbench/checks.log_digest`` does) and compared with a digest pinned
 here.  Anything that changes what the simulator computes -- a route, a
 lane, a wait, a float duration -- changes a digest; a pure speed-up of
-the routing or transfer path must not.  Every case runs on both kernel
-clock loops, and the event count is pinned alongside the digest.  One
+the routing or transfer path must not.  Every case runs with the
+kernel's no-progress watchdog unarmed and armed (never tripping), and
+the event count is pinned alongside the digest.  One
 case also replays with its log spilled to 64-record segments and reads
 the digest back from the manifest, so the segment writer and reader are
 held to the same pin.
@@ -40,11 +41,9 @@ DIGEST_COLUMNS = (
     "deliver_time", "contention", "hops",
 )
 
-#: The kernel's two clock loops, as ``run(max_no_progress_events=...)``:
-#: ``calendar`` is the unarmed ``steady_clock``, which inlines the
-#: calendar queue and the command dispatch; ``watchdog`` arms the
-#: stall watchdog (never tripped here), which steps every event
-#: through the generic ``_step``/``_dispatch`` path.
+#: The no-progress watchdog as ``run(max_no_progress_events=...)``:
+#: ``calendar`` runs the kernel's clock loop unarmed, ``watchdog`` armed
+#: (never tripped here).  Arming must not perturb a run.
 CLOCKS = {"calendar": None, "watchdog": 10**9}
 
 #: name -> (config, pattern, messages per source, mean gap)

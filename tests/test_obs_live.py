@@ -89,8 +89,8 @@ class TestLiveSeries:
 def _drive(watchdog=None, interval=10.0, registry=None, messages=30):
     """A small mesh run with a sampler attached; returns the sampler.
 
-    ``watchdog`` is ``run()``'s ``max_no_progress_events``: None takes
-    ``steady_clock``, a number the generic watchdog loop."""
+    ``watchdog`` is ``run()``'s ``max_no_progress_events``; None
+    leaves it unarmed."""
     sim = Simulator()
     net = MeshNetwork(sim, MeshConfig("2x2"))
 
@@ -152,8 +152,9 @@ class TestLiveSampler:
         assert sim_end % 5.0 == 0.0
 
     def test_identical_windows_on_both_clock_loops(self):
-        # The two loops tally ``events_fired`` differently (batched vs
-        # per event); the sampler's tick must read the same count.
+        # The clock loop tallies ``events_fired`` in a local and flushes
+        # it before each callback; armed or not, the sampler's tick must
+        # read the same count.
         a = _drive().series.as_dict()
         b = _drive(watchdog=10**9).series.as_dict()
         a.pop("wall"), b.pop("wall")

@@ -123,8 +123,8 @@ def test_run_synthetic_and_measure_load_point_honor_options():
             trace, MeshNetwork(Simulator(), MeshConfig()), options=options
         ),
     }
-    # A watchdog that never trips takes the generic clock loop and
-    # must reproduce the default run exactly ...
+    # A watchdog that never trips must reproduce the default run
+    # exactly ...
     armed = RunOptions(max_no_progress_events=10**9)
     for name, drive in drives.items():
         assert _normalized(drive(None)) == _normalized(drive(armed)), name

@@ -1,25 +1,30 @@
-"""Property tests: the event list and both clock loops keep one order.
+"""Property tests: the kernel's one clock loop keeps one order.
 
 The kernel's observable order is the total order ``(time, seq)``:
-simultaneous events fire in the order they were scheduled.  Two checks
-hold it in place.
+simultaneous events fire in the order they were scheduled.  Three
+checks hold ``steady_clock`` -- the only clock loop -- to a reference.
 
-* ``CalendarScheduler`` is driven with random interleavings of every
-  push, pop and peek and compared, operation by operation, with a
-  plain ``heapq`` of ``(time, seq)`` entries -- the model of the
-  ordering contract.
-* The inlined dispatch of ``steady_clock`` (an unarmed ``run()``) is
-  compared with the generic ``_step``/``_dispatch`` path the watchdog
-  loop runs (``run(max_no_progress_events=...)``): randomized process
-  programs -- tie-prone quantized holds, contended facilities, paired
-  mailbox handoffs, events -- must leave the same execution trail and
-  channel statistics, and a mesh run a bit-identical activity log and
-  channel utilizations.
+* Random interleavings of every calendar push, peek and ``len`` with
+  runs that fire one event each are compared, operation by operation,
+  with a plain ``heapq`` of ``(time, seq)`` entries -- the model of the
+  ordering contract.  Every fired event stops the run, so each pop goes
+  through the loop's inline now-FIFO pop and wave promotion.
+* Randomized process programs -- tie-prone quantized holds, contended
+  facilities, paired mailbox handoffs, events -- run once with the
+  stock commands, which the loop executes inline, and once with
+  test-local subclasses of them, which it routes through the generic
+  ``_dispatch``/``_execute`` handlers (``Facility._request``/
+  ``_release``, the ``Mailbox`` methods, ``_schedule_step``).  Both
+  must leave the same execution trail and channel statistics.
+* A mesh run with the no-progress watchdog armed (never tripping) must
+  write a bit-identical activity log and channel utilizations to an
+  unarmed one.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from hypothesis import given, settings, strategies as st
@@ -28,17 +33,18 @@ from repro.mesh.config import MeshConfig
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
 from repro.simkernel import (
-    CalendarScheduler,
     Facility,
+    Hold,
     Mailbox,
+    Passivate,
+    Receive,
+    Release,
+    Request,
+    Send,
     SimEvent,
     Simulator,
+    Wait,
     hold,
-    receive,
-    release,
-    request,
-    send,
-    wait,
 )
 
 #: Quantized delays (multiples of 0.25, including 0) make simultaneous
@@ -46,7 +52,7 @@ from repro.simkernel import (
 #: tie-break order can silently diverge.
 gaps = st.integers(min_value=0, max_value=8).map(lambda k: k * 0.25)
 
-#: Arms the watchdog loop without ever tripping it.
+#: Arms the watchdog without ever tripping it.
 NEVER_STALLS = 10**9
 
 operations = st.lists(
@@ -54,7 +60,6 @@ operations = st.lists(
         st.tuples(st.just("step"), gaps),
         st.tuples(st.just("callback"), gaps),
         st.tuples(st.just("wave"), gaps, st.integers(min_value=0, max_value=4)),
-        st.tuples(st.just("pairs"), gaps, st.integers(min_value=0, max_value=4)),
         st.just(("pop",)),
         st.just(("peek",)),
         st.just(("len",)),
@@ -63,59 +68,68 @@ operations = st.lists(
 )
 
 
+class Probe:
+    """Stands in for a process on a step record: firing it logs
+    ``(now, label, value)`` and stops the run after that one event."""
+
+    def __init__(self, sim, fired, label):
+        self.sim = sim
+        self.fired = fired
+        self.label = label
+        self.state = None
+
+    def _send(self, value):
+        self.fired.append((self.sim.now, self.label, value))
+        self.sim.stop()
+        return Passivate()
+
+
 @settings(max_examples=300, deadline=None)
 @given(ops=operations)
 def test_calendar_matches_the_heapq_model(ops):
     """Every operation agrees with a ``heapq`` of ``(time, seq)``.
 
-    Pushes land at or after the last popped time, as the kernel
+    Pushes land at or after the last fired time, as the kernel
     guarantees (delays are non-negative and the clock is the time of
     the last fired event).  The test drains both lists at the end.
     """
-    sched = CalendarScheduler()
+    sim = Simulator()
+    sched = sim._sched
     model = []
+    fired = []
     seq = itertools.count()
-    now = 0.0
 
     def pop_and_compare():
-        nonlocal now
-        rec = sched.pop()
+        before = len(fired)
+        sim.run()
         if not model:
-            assert rec is None
+            assert len(fired) == before
             return
-        when, _, proc, value, callback = heappop(model)
-        assert (rec.time, rec.proc, rec.value, rec.callback) == (
-            when, proc, value, callback,
-        )
-        now = when
-        sched.recycle(rec)
+        when, _, label, value = heappop(model)
+        assert fired[before:] == [(when, label, value)]
 
     for n, op in enumerate(ops):
         kind = op[0]
         if kind == "step":
-            when = now + op[1]
-            sched.push_step(when, ("step", n), ("value", n))
-            heappush(model, (when, next(seq), ("step", n), ("value", n), None))
+            when = sim.now + op[1]
+            sched.push_step(when, Probe(sim, fired, ("step", n)), ("value", n))
+            heappush(model, (when, next(seq), ("step", n), ("value", n)))
         elif kind == "callback":
-            when = now + op[1]
+            when = sim.now + op[1]
 
-            def callback():
-                return None
+            def callback(label=("callback", n)):
+                fired.append((sim.now, label, None))
+                sim.stop()
 
             sched.push_callback(when, callback)
-            heappush(model, (when, next(seq), None, None, callback))
+            heappush(model, (when, next(seq), ("callback", n), None))
         elif kind == "wave":
-            when = now + op[1]
-            procs = [("wave", n, i) for i in range(op[2])]
-            sched.push_step_wave(when, procs, ("shared", n))
-            for proc in procs:
-                heappush(model, (when, next(seq), proc, ("shared", n), None))
-        elif kind == "pairs":
-            when = now + op[1]
-            pairs = [(("pair", n, i), ("own", n, i)) for i in range(op[2])]
-            sched.push_step_pairs(when, pairs)
-            for proc, value in pairs:
-                heappush(model, (when, next(seq), proc, value, None))
+            when = sim.now + op[1]
+            labels = [("wave", n, i) for i in range(op[2])]
+            probes = [Probe(sim, fired, label) for label in labels]
+            sched.push_step_wave(when, probes, ("shared", n))
+            for label in labels:
+                heappush(model, (when, next(seq), label, ("shared", n)))
         elif kind == "pop":
             pop_and_compare()
         elif kind == "peek":
@@ -125,23 +139,35 @@ def test_calendar_matches_the_heapq_model(ops):
             assert bool(sched) == bool(model)
     while model:
         pop_and_compare()
-    assert sched.pop() is None
+    pop_and_compare()
     assert sched.peek_time() is None
     assert len(sched) == 0
 
 
-def _run_program(watchdog, num_pairs, extra_holds, sender_plans, walker_plans):
+#: The commands ``steady_clock`` matches by exact type and runs inline.
+STOCK = (Hold, Wait, Request, Release, Send, Receive)
+
+#: Test-local subclasses of them.  The loop does not match these by
+#: type, so it routes them through ``_dispatch`` or their ``_execute``
+#: handlers: the reference its inline branches must agree with.
+GENERIC = tuple(
+    dataclass(frozen=True)(type(f"Generic{command.__name__}", (command,), {}))
+    for command in STOCK
+)
+
+
+def _run_program(commands, num_pairs, extra_holds, sender_plans, walker_plans):
     """Execute one randomized program; returns its observable trail.
 
-    ``watchdog`` is passed to ``run()`` as ``max_no_progress_events``:
-    None takes ``steady_clock``, a number the generic watchdog loop.
-    ``sender_plans`` is one list of (gap, use_facility, service) per
-    sender; each sender ships its plan through a mailbox its receiver
-    drains (so every receive matches a send and the program always
-    terminates).  ``walker_plans`` are standalone processes doing
-    facility churn and holds.  The trail records every resume point:
-    (clock, process name, step tag).
+    ``commands`` is :data:`STOCK` or :data:`GENERIC`, the six command
+    types the program yields.  ``sender_plans`` is one list of (gap,
+    use_facility, service) per sender; each sender ships its plan
+    through a mailbox its receiver drains (so every receive matches a
+    send and the program always terminates).  ``walker_plans`` are
+    standalone processes doing facility churn and holds.  The trail
+    records every resume point: (clock, process name, step tag).
     """
+    hold_, wait_, request_, release_, send_, receive_ = commands
     sim = Simulator()
     trail = []
     boxes = [Mailbox(sim, name=f"box{i}") for i in range(num_pairs)]
@@ -151,33 +177,33 @@ def _run_program(watchdog, num_pairs, extra_holds, sender_plans, walker_plans):
     def sender(idx, plan):
         box = boxes[idx]
         for n, (gap, use_facility, service) in enumerate(plan):
-            yield hold(gap)
+            yield hold_(gap)
             trail.append((sim.now, f"send{idx}", n))
             if use_facility:
-                yield request(channel)
-                yield hold(service)
-                yield release(channel)
-            yield send(box, (idx, n))
+                yield request_(channel)
+                yield hold_(service)
+                yield release_(channel)
+            yield send_(box, (idx, n))
 
     def receiver(idx, count):
         box = boxes[idx]
         for n in range(count):
-            message = yield receive(box)
+            message = yield receive_(box)
             trail.append((sim.now, f"recv{idx}", message))
 
     def walker(idx, plan):
         # The first walker opens the gate others may wait on.
         if idx == 0:
-            yield hold(0.5)
+            yield hold_(0.5)
             gate.set()
         elif idx % 2 == 1:
-            yield wait(gate)
+            yield wait_(gate)
             trail.append((sim.now, f"walk{idx}", "gated"))
         for n, gap in enumerate(plan):
-            yield hold(gap)
-            yield request(channel)
+            yield hold_(gap)
+            yield request_(channel)
             trail.append((sim.now, f"walk{idx}", n))
-            yield release(channel)
+            yield release_(channel)
 
     for idx, plan in enumerate(sender_plans):
         sim.process(sender(idx, plan), name=f"send{idx}")
@@ -187,15 +213,16 @@ def _run_program(watchdog, num_pairs, extra_holds, sender_plans, walker_plans):
     for n, gap in enumerate(extra_holds):
 
         def lone(n=n, gap=gap):
-            yield hold(gap)
+            yield hold_(gap)
             trail.append((sim.now, "lone", n))
 
         sim.process(lone(), name=f"lone{n}")
 
-    final = sim.run(max_no_progress_events=watchdog)
+    final = sim.run()
     states = sorted((p.name, p.state.name) for p in sim.processes)
-    # steady_clock integrates the channel inline; the watchdog loop
-    # calls Facility._integrate.  The floats must agree exactly.
+    # The inline Request/Release branches integrate the channel in
+    # place; the generic path calls Facility._integrate.  The floats
+    # must agree exactly.
     channel_stats = (
         channel.utilization(),
         channel.mean_queue_length(),
@@ -223,21 +250,22 @@ def _run_program(watchdog, num_pairs, extra_holds, sender_plans, walker_plans):
 def test_random_programs_identical_on_both_clock_loops(
     sender_plans, walker_plans, extra_holds
 ):
-    steady, generic = (
+    """The inline dispatch and the generic one run each program alike."""
+    inline, generic = (
         _run_program(
-            watchdog, len(sender_plans), extra_holds, sender_plans, walker_plans
+            commands, len(sender_plans), extra_holds, sender_plans, walker_plans
         )
-        for watchdog in (None, NEVER_STALLS)
+        for commands in (STOCK, GENERIC)
     )
-    assert steady == generic
+    assert inline == generic
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_mesh_netlog_bit_identical_on_both_clock_loops(seed):
-    """Same seed, same mesh traffic: the activity logs must match
-    record for record (fixed msg_ids keep the runs comparable), and the
-    channel utilizations float for float."""
+    """Same seed, same mesh traffic, watchdog unarmed and armed: the
+    activity logs must match record for record (fixed msg_ids keep the
+    runs comparable), and the channel utilizations float for float."""
 
     def run(watchdog):
         sim = Simulator()

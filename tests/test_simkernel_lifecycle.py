@@ -473,6 +473,31 @@ class TestWatchdog:
         with pytest.raises(StallError, match="no simulated-time progress"):
             sim.run(max_no_progress_events=100)
 
+    @pytest.mark.parametrize("start, before", [(0.0, 0), (2.0, 1)])
+    def test_trips_after_exactly_the_limit_at_one_instant(self, start, before):
+        """``max_no_progress_events=N`` lets exactly ``N`` events fire at
+        one simulated instant, whether the storm starts at t=0 or later
+        (``before`` events fire ahead of it), and the next one raises.
+        That event stays queued, so a second run raises again at once."""
+        limit = 25
+        sim = Simulator()
+
+        def spinner():
+            if start:
+                yield hold(start)
+            while True:
+                yield hold(0.0)
+
+        sim.process(spinner(), name="spinner")
+        trip = f"after {limit} events at t={start:g}"
+        with pytest.raises(StallError, match=trip):
+            sim.run(max_no_progress_events=limit)
+        assert sim.now == start
+        assert sim.events_fired == before + limit
+        with pytest.raises(StallError, match=trip):
+            sim.run(max_no_progress_events=limit)
+        assert sim.events_fired == before + limit
+
     def test_watchdog_tolerates_progressing_runs(self):
         sim = Simulator()
 

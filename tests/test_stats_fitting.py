@@ -12,7 +12,6 @@ from repro.stats import (
     Uniform,
     Weibull,
     build_histogram,
-    chi_square_statistic,
     fit_distribution,
     fit_interarrival,
     ks_statistic,
@@ -127,18 +126,6 @@ class TestGoodness:
     def test_ks_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_statistic(np.array([]), Exponential(rate=1.0))
-
-    def test_chi_square_small_for_true_model(self):
-        dist = Exponential(rate=1.0)
-        sample = dist.sample(np.random.default_rng(2), 10000)
-        hist = build_histogram(sample, bins=20)
-        stat, dof = chi_square_statistic(hist.counts, hist.edges, dist)
-        # Expect stat ~ dof for the true model.
-        assert stat < 3 * dof
-
-    def test_chi_square_mismatched_sizes(self):
-        with pytest.raises(ValueError):
-            chi_square_statistic(np.array([1.0]), np.array([0.0, 1.0, 2.0]), Exponential(1.0))
 
 
 class TestSecantSolver:
