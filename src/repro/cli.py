@@ -708,8 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
         group = p.add_argument_group("simulation kernel")
         group.add_argument(
             "--max-no-progress", type=int, default=None, metavar="N",
-            help="abort with a stall diagnosis after N events fire without "
-                 "the clock advancing (default: watchdog off)",
+            help="let at most N events fire at one simulated instant; the "
+                 "next aborts with a stall diagnosis (default: watchdog off)",
         )
         group.add_argument(
             "--sample-interval", type=float, default=None, metavar="T",

@@ -40,9 +40,10 @@ class RunOptions:
         run, truncated or not: a run stopped at ``until`` with events
         still pending is not checked.
     max_no_progress_events:
-        Arm the kernel watchdog: abort with a stall diagnosis after
-        this many events without the clock advancing (None = off;
-        the fast clock path is only taken when off).
+        Arm the kernel watchdog: at most this many events fire at one
+        simulated instant, and the next one aborts the run with a
+        stall diagnosis (None = off; the one clock loop runs either
+        way).
     sample_interval:
         Live-telemetry sampling interval in simulated time units: the
         run carries a :class:`~repro.obs.live.LiveSampler` producing

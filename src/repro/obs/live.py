@@ -4,9 +4,9 @@ The registry (:mod:`repro.obs.registry`) answers "what happened over
 the whole run"; this module answers "what is happening *right now*".
 A :class:`LiveSampler` is a self-rescheduling kernel callback: attached
 to a :class:`~repro.simkernel.engine.Simulator`, it fires every
-``interval`` units of *simulated* time (on either clock loop --
-``Simulator.schedule`` is the shared seam), reads a set of registered
-probes, and appends one **windowed** sample -- deltas and rates over
+``interval`` units of *simulated* time (through ``Simulator.schedule``,
+with the watchdog armed or not), reads a set of registered probes, and
+appends one **windowed** sample -- deltas and rates over
 the window just closed, not cumulative totals -- to a struct-of-arrays
 :class:`LiveSeries` (the PR-4 columnar style: parallel column lists,
 one row per window).

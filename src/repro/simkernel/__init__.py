@@ -47,7 +47,6 @@ from repro.simkernel.engine import (
     steady_clock,
     wait,
 )
-from repro.simkernel.engine_calendar import CalendarScheduler
 from repro.simkernel.diagnosis import (
     DeadlockError,
     FacilityLeakError,
@@ -63,7 +62,6 @@ from repro.simkernel.mailbox import Mailbox, Receive, Send, receive, send
 from repro.simkernel.random_streams import RandomStreams
 
 __all__ = [
-    "CalendarScheduler",
     "DeadlockError",
     "Facility",
     "FacilityLeakError",
