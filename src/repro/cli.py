@@ -91,6 +91,7 @@ from repro.core.report import spatial_table, temporal_table, volume_table
 from repro.mesh import MeshConfig, registered_patterns
 from repro.mp.sp2 import SP2Config
 from repro.obs import load_metrics, report_from_run, summarize_metrics
+from repro.simkernel import SimulationError
 
 
 def _parse_params(entries: Sequence[str]) -> Dict[str, object]:
@@ -1056,7 +1057,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError, OSError) as error:
+    except (ValueError, KeyError, OSError, SimulationError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

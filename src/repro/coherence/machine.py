@@ -18,7 +18,7 @@ the protocol is deadlock-free.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.coherence.blocks import BlockMap
 from repro.coherence.cache import Cache, CacheState
@@ -28,7 +28,7 @@ from repro.coherence.protocol import MessageKind, payload_bytes
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
 from repro.obs.registry import MetricsRegistry
-from repro.simkernel import Facility, Simulator, hold, release, request
+from repro.simkernel import Facility, Hold, Release, Request, Simulator, hold
 
 
 class CCNUMAMachine:
@@ -72,7 +72,21 @@ class CCNUMAMachine:
         ]
         self.directories = [Directory(n) for n in range(self.num_processors)]
         self._memory: Dict[int, object] = {}
-        self._block_locks: Dict[int, Facility] = {}
+        # Built once, not per protocol step, as MeshNetwork does:
+        # commands are immutable, so re-yielding one is the same as
+        # yielding a fresh equal one.  Each block lock's request and
+        # release come with the lock (``_block_lock``), the fixed holds
+        # use hold()'s float(...), and ``_wire`` maps each message
+        # kind to its (payload bytes, log tag).
+        self._block_locks: Dict[int, Tuple[Request, Release]] = {}
+        self._directory_hold = Hold(float(self.config.directory_time))
+        self._memory_hold = Hold(float(self.config.memory_time))
+        self._local_hold = Hold(float(self.config.local_time))
+        block_bytes = self.config.block_bytes
+        self._wire = {
+            kind: (payload_bytes(kind, self.config.control_bytes, block_bytes), kind.value)
+            for kind in MessageKind
+        }
         self._pending_cycles = [0.0] * self.num_processors
         self._write_buffer = [[] for _ in range(self.num_processors)]
         self._pending_store_tx = [dict() for _ in range(self.num_processors)]
@@ -258,19 +272,19 @@ class CCNUMAMachine:
             yield from self.flush_cycles(pid)
             yield from self._read_miss(pid, block)
         home = self.block_map.home_of(block)
-        lock = self._block_lock(block)
+        acquire, release = self._block_lock(block)
         yield from self.flush_cycles(pid)
-        yield request(lock)
+        yield acquire
         yield from self.transfer(pid, home, MessageKind.UPDATE_REQ)
-        yield hold(self.config.directory_time)
+        yield self._directory_hold
         directory = self.directories[home]
         entry = directory.entry(block)
         sharers = set(entry.sharers)
         sharers.discard(pid)
         yield from self._update_all(home, block, sharers)
-        yield hold(self.config.memory_time)  # write-through to home memory
+        yield self._memory_hold  # write-through to home memory
         yield from self.transfer(home, pid, MessageKind.UPDATE_DONE)
-        yield release(lock)
+        yield release
 
     def _update_all(self, home: int, block: int, sharers):
         """Fan word updates out in parallel; resume when all are acked."""
@@ -309,28 +323,30 @@ class CCNUMAMachine:
                 )
         if src == dst:
             self.local_messages += 1
-            yield hold(self.config.local_time)
+            yield self._local_hold
             return
-        nbytes = payload_bytes(kind, self.config.control_bytes, self.config.block_bytes)
-        message = NetworkMessage(src=src, dst=dst, length_bytes=nbytes, kind=kind.value)
+        nbytes, tag = self._wire[kind]
+        message = NetworkMessage(src=src, dst=dst, length_bytes=nbytes, kind=tag)
         yield from self.network.transfer(message)
 
-    def _block_lock(self, block: int) -> Facility:
-        lock = self._block_locks.get(block)
-        if lock is None:
+    def _block_lock(self, block: int) -> Tuple[Request, Release]:
+        """The request and release commands of ``block``'s home-side
+        serialization lock, built with the lock at first use."""
+        commands = self._block_locks.get(block)
+        if commands is None:
             lock = Facility(self.simulator, name=f"dirlock[{block}]")
-            self._block_locks[block] = lock
-        return lock
+            commands = self._block_locks[block] = (Request(lock), Release(lock))
+        return commands
 
     # ------------------------------------------------------------------
     # protocol transactions
     # ------------------------------------------------------------------
     def _read_miss(self, pid: int, block: int):
         home = self.block_map.home_of(block)
-        lock = self._block_lock(block)
-        yield request(lock)
+        acquire, release = self._block_lock(block)
+        yield acquire
         yield from self.transfer(pid, home, MessageKind.READ_REQ)
-        yield hold(self.config.directory_time)
+        yield self._directory_hold
         directory = self.directories[home]
         entry = directory.entry(block)
 
@@ -341,7 +357,7 @@ class CCNUMAMachine:
             # the functional value is current either way.
             self.caches[owner].downgrade(block)
             yield from self.transfer(owner, home, MessageKind.FETCH_REPLY)
-            yield hold(self.config.memory_time)
+            yield self._memory_hold
             directory.clear_owner(block)
             # Record the owner as a sharer only if its (downgraded)
             # copy still exists *now* -- it may have been evicted while
@@ -353,18 +369,18 @@ class CCNUMAMachine:
             # reached the directory yet; reclaim ownership state.
             directory.clear_owner(block)
 
-        yield hold(self.config.memory_time)
+        yield self._memory_hold
         directory.record_reader(block, pid)
         yield from self.transfer(home, pid, MessageKind.DATA_REPLY)
         self._install(pid, block, CacheState.SHARED)
-        yield release(lock)
+        yield release
 
     def _write_miss(self, pid: int, block: int):
         home = self.block_map.home_of(block)
-        lock = self._block_lock(block)
-        yield request(lock)
+        acquire, release = self._block_lock(block)
+        yield acquire
         yield from self.transfer(pid, home, MessageKind.WRITE_REQ)
-        yield hold(self.config.directory_time)
+        yield self._directory_hold
         directory = self.directories[home]
         entry = directory.entry(block)
 
@@ -373,7 +389,7 @@ class CCNUMAMachine:
             yield from self.transfer(home, owner, MessageKind.FETCH)
             self.caches[owner].invalidate(block)
             yield from self.transfer(owner, home, MessageKind.FETCH_REPLY)
-            yield hold(self.config.memory_time)
+            yield self._memory_hold
             directory.clear_owner(block)
         elif entry.state is DirectoryState.EXCLUSIVE and entry.owner == pid:
             directory.clear_owner(block)
@@ -382,34 +398,34 @@ class CCNUMAMachine:
             sharers.discard(pid)
             yield from self._invalidate_all(home, block, sharers)
 
-        yield hold(self.config.memory_time)
+        yield self._memory_hold
         directory.record_owner(block, pid)
         yield from self.transfer(home, pid, MessageKind.DATA_REPLY)
         self._install(pid, block, CacheState.MODIFIED)
-        yield release(lock)
+        yield release
 
     def _upgrade(self, pid: int, block: int):
         home = self.block_map.home_of(block)
-        lock = self._block_lock(block)
-        yield request(lock)
+        acquire, release = self._block_lock(block)
+        yield acquire
         directory = self.directories[home]
         entry = directory.entry(block)
         if self.caches[pid].peek(block) is None or pid not in entry.sharers:
             # Lost the line (invalidation or eviction raced with us
             # while queueing on the block lock): fall back to a write
             # miss under the lock we already hold.
-            yield release(lock)
+            yield release
             yield from self._write_miss(pid, block)
             return
         yield from self.transfer(pid, home, MessageKind.UPGRADE_REQ)
-        yield hold(self.config.directory_time)
+        yield self._directory_hold
         sharers = directory.clear_sharers(block)
         sharers.discard(pid)
         yield from self._invalidate_all(home, block, sharers)
         directory.record_owner(block, pid)
         yield from self.transfer(home, pid, MessageKind.UPGRADE_ACK)
         self.caches[pid].set_state(block, CacheState.MODIFIED)
-        yield release(lock)
+        yield release
 
     def _invalidate_all(self, home: int, block: int, sharers: Iterable[int]):
         """Fan invalidations out in parallel; resume when all are acked."""
@@ -452,17 +468,17 @@ class CCNUMAMachine:
     def _writeback(self, pid: int, block: int):
         """Detached dirty-eviction writeback (owns only this block's lock)."""
         home = self.block_map.home_of(block)
-        lock = self._block_lock(block)
-        yield request(lock)
+        acquire, release = self._block_lock(block)
+        yield acquire
         directory = self.directories[home]
         entry = directory.entry(block)
         if entry.state is DirectoryState.EXCLUSIVE and entry.owner == pid:
             self.writebacks += 1
             yield from self.transfer(pid, home, MessageKind.WRITEBACK)
-            yield hold(self.config.memory_time)
+            yield self._memory_hold
             directory.clear_owner(block)
         # Otherwise a competing transaction already recalled the line.
-        yield release(lock)
+        yield release
 
     # ------------------------------------------------------------------
     # statistics

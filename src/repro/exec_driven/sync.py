@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.coherence.machine import CCNUMAMachine
 from repro.coherence.protocol import MessageKind
-from repro.simkernel import Facility, SimEvent, release, request, wait
+from repro.simkernel import Facility, Release, Request, SimEvent, wait
 
 
 def _next_sync_id(machine: CCNUMAMachine) -> int:
@@ -42,6 +42,10 @@ class SyncLock:
         self._facility = Facility(
             machine.simulator, name=f"lock[{self.lock_id}]@{self.home}"
         )
+        # Built once and re-yielded, as the coherence machine's block
+        # locks are.
+        self._request = Request(self._facility)
+        self._release = Release(self._facility)
         self._holder: Optional[int] = None
         self.acquisitions = 0
         self.contended_acquisitions = 0
@@ -58,7 +62,7 @@ class SyncLock:
         yield from self.machine.transfer(pid, self.home, MessageKind.LOCK_REQ)
         if not self._facility.is_free:
             self.contended_acquisitions += 1
-        yield request(self._facility)
+        yield self._request
         self._holder = pid
         self.acquisitions += 1
         yield from self.machine.transfer(self.home, pid, MessageKind.LOCK_GRANT)
@@ -73,7 +77,7 @@ class SyncLock:
         yield from self.machine.flush_cycles(pid)
         yield from self.machine.fence(pid)
         yield from self.machine.transfer(pid, self.home, MessageKind.LOCK_RELEASE)
-        yield release(self._facility)
+        yield self._release
 
 
 class SyncBarrier:

@@ -2,7 +2,7 @@
 
 Application code is an ordinary Python generator per thread.  All
 shared-memory traffic goes through :class:`ThreadContext`, whose
-operations are sub-generators: ``value = yield from ctx.load(a, i)``.
+operations return sub-generators: ``value = yield from ctx.load(a, i)``.
 Local computation is charged with :meth:`ThreadContext.compute`, which
 never enters the event loop -- cycles accumulate and are realized just
 before the next network-visible event, exactly SPASM's "execute
@@ -119,7 +119,11 @@ class ThreadContext:
     """Per-thread handle onto the simulated machine.
 
     One context exists per processor; the application's thread body is
-    a generator function receiving it.
+    a generator function receiving it.  Its memory and synchronization
+    operations return the machine's (or the sync primitive's) own
+    sub-generator rather than wrapping it in a second one, so every
+    event they fire resumes one frame fewer on its way down to the
+    network.
     """
 
     def __init__(self, machine: CCNUMAMachine, pid: int) -> None:
@@ -145,11 +149,11 @@ class ThreadContext:
     # ------------------------------------------------------------------
     def load(self, array: SharedArray, index: int):
         """Simulated LOAD: ``value = yield from ctx.load(a, i)``."""
-        return (yield from self.machine.load(self.pid, array.address(index)))
+        return self.machine.load(self.pid, array.address(index))
 
     def store(self, array: SharedArray, index: int, value: Any):
         """Simulated STORE: ``yield from ctx.store(a, i, v)``."""
-        yield from self.machine.store(self.pid, array.address(index), value)
+        return self.machine.store(self.pid, array.address(index), value)
 
     # ------------------------------------------------------------------
     # computation and synchronization
@@ -162,12 +166,12 @@ class ThreadContext:
 
     def barrier(self, barrier: SyncBarrier):
         """Join a barrier: ``yield from ctx.barrier(b)``."""
-        yield from barrier.arrive(self.pid)
+        return barrier.arrive(self.pid)
 
     def lock(self, lock: SyncLock):
         """Acquire a lock: ``yield from ctx.lock(l)``."""
-        yield from lock.acquire(self.pid)
+        return lock.acquire(self.pid)
 
     def unlock(self, lock: SyncLock):
         """Release a lock: ``yield from ctx.unlock(l)``."""
-        yield from lock.release_lock(self.pid)
+        return lock.release_lock(self.pid)

@@ -7,15 +7,18 @@ processor for IS/Cholesky, broad sharing for Nbody, graph-driven
 traffic for Maxflow).
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import create_app
 from repro.apps.base import partition
 from repro.apps.shared.cholesky import CholeskyApp, make_sparse_spd
 from repro.apps.shared.fft1d import FFT1DApp, _bit_reverse
 from repro.apps.shared.is_sort import IntegerSortApp
-from repro.apps.shared.maxflow import MaxflowApp, make_flow_network
+from repro.apps.shared.maxflow import MaxflowApp, make_flow_network, reference_max_flow
 from repro.apps.shared.nbody import NbodyApp
 
 
@@ -147,15 +150,60 @@ class TestCholesky:
             CholeskyApp(n=16, density=2.0)
 
 
+def min_cut_by_enumeration(n, edges, source, sink):
+    """Smallest capacity leaving any node set that holds the source and
+    not the sink: the max-flow value, by the max-flow min-cut theorem."""
+    others = [v for v in range(n) if v not in (source, sink)]
+    cuts = []
+    for mask in range(2 ** len(others)):
+        side = {source} | {v for i, v in enumerate(others) if mask >> i & 1}
+        cuts.append(sum(c for u, v, c in edges if u in side and v not in side))
+    return min(cuts)
+
+
+@st.composite
+def flow_networks(draw):
+    """(node count, edges) with source 0 and sink n - 1; edges may be
+    parallel, antiparallel, self-loops or of zero capacity."""
+    n = draw(st.integers(2, 7))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.integers(0, 20)), max_size=16))
+    return n, edges
+
+
 class TestMaxflow:
     def test_network_generator_has_st_path(self):
-        import networkx as nx
-
         edges, s, t = make_flow_network(16, 20, 10, seed=3)
-        graph = nx.DiGraph()
-        graph.add_weighted_edges_from(edges, weight="capacity")
-        assert nx.has_path(graph, s, t)
-        assert nx.maximum_flow_value(graph, s, t) > 0
+        successors = {}
+        for u, v, _ in edges:
+            successors.setdefault(u, []).append(v)
+        reached, frontier = {s}, deque([s])
+        while frontier:
+            for v in successors.get(frontier.popleft(), []):
+                if v not in reached:
+                    reached.add(v)
+                    frontier.append(v)
+        assert t in reached
+        assert reference_max_flow(edges, s, t) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(flow_networks())
+    # BFS first augments 0-1-3-5, which takes an edge from each of the
+    # disjoint paths 0-1-4-5 and 0-2-3-5; the second unit must cancel
+    # 1->3 through its reverse residual arc (0-2-3-1-4-5).
+    @example((6, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (1, 4, 1), (3, 5, 1), (4, 5, 1), (2, 3, 1)]))
+    def test_reference_equals_min_cut(self, network):
+        n, edges = network
+        assert reference_max_flow(edges, 0, n - 1) == min_cut_by_enumeration(
+            n, edges, 0, n - 1
+        )
+
+    def test_verify_rejects_a_wrong_flow(self):
+        app = MaxflowApp(n=8, extra_edges=4, seed=2)
+        app.run()
+        app.excess.poke(app.sink, app.flow_value + 1)
+        with pytest.raises(AssertionError, match="push-relabel found flow"):
+            app.verify()
 
     def test_finds_maximum_flow(self):
         app = MaxflowApp(n=16, extra_edges=24, seed=5)

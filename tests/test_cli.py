@@ -112,6 +112,13 @@ class TestCommands:
         code = main(["characterize", "1d-fft", "--param", "n=100"])
         assert code == 2
 
+    def test_watchdog_trip_reports_error(self, capsys):
+        # A kernel error (here StallError) is a CLI error, not a traceback.
+        code = main(["characterize", "1d-fft", "--param", "n=64", "--max-no-progress", "1"])
+        assert code == 2
+        first_line = capsys.readouterr().err.splitlines()[0]
+        assert first_line == "error: no simulated-time progress after 1 events at t=0"
+
 
 class TestObservabilityCommands:
     def test_metrics_flag_roundtrip(self, capsys, tmp_path):

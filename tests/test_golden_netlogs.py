@@ -12,6 +12,11 @@ case also replays with its log spilled to 64-record segments and reads
 the digest back from the manifest, so the segment writer and reader are
 held to the same pin.
 
+The coherence cases run shared-memory apps on machines that take the
+protocol paths the default 1d-fft run does not: a 4-line direct-mapped
+cache (upgrades, invalidations, dirty writebacks, queued block locks,
+``SyncLock``), the write-update protocol and release consistency.
+
 The synthetic cases drive a mesh from a fitted 1d-fft model through
 both generators.  Their message ids are drawn from the process-global
 counter after each source's hold, so on two virtual channels the
@@ -20,7 +25,9 @@ digest also pins which lane each message takes.
 The pinned values were recorded before route tables and compiled
 transfer plans replaced per-message route construction; the 2-D torus
 case was recorded while 2-D tori still had a topology class of their
-own, before they became wrapped ``NDMeshTopology`` instances.
+own, before they became wrapped ``NDMeshTopology`` instances.  The
+coherence cases were recorded while the coherence machine still built
+a fresh command for every protocol step.
 """
 
 import hashlib
@@ -29,6 +36,7 @@ import numpy as np
 import pytest
 
 from repro.apps import create_app
+from repro.coherence.config import CoherenceConfig
 from repro.core.options import RunOptions
 from repro.core.run import run_dynamic, run_synthetic
 from repro.core.synthetic import PhaseCoupledTrafficGenerator
@@ -63,6 +71,22 @@ SCHEDULE_CASES = {
     "hypercube-8": (lambda: MeshConfig.parse("4x2:hypercube"), "uniform", 40, 2.0),
 }
 
+SMALL_CACHE = CoherenceConfig(cache_lines=4, associativity=1)
+
+#: name -> (app, its parameters, the machine); every case runs on 4x2.
+COHERENCE_CASES = {
+    # 36 upgrades, 59 invalidations, 33 dirty writebacks, queued block locks.
+    "app-maxflow-4x2-small-cache": (
+        "maxflow", {"n": 8, "extra_edges": 4, "seed": 2}, SMALL_CACHE,
+    ),
+    # A SyncLock task queue, 87 dirty writebacks.
+    "app-cholesky-4x2-small-cache": ("cholesky", {"n": 16, "density": 0.2}, SMALL_CACHE),
+    # Write-update stores fanned out to the sharers.
+    "app-1d-fft-4x2-update": ("1d-fft", {"n": 64}, CoherenceConfig(protocol="update")),
+    # Buffered stores, drained at each barrier's fence.
+    "app-1d-fft-4x2-release": ("1d-fft", {"n": 64}, CoherenceConfig(consistency="release")),
+}
+
 #: name -> (node count of the 1d-fft fit, config, extra ``run_synthetic``
 #: arguments); every case draws 30 messages per source from seed 7.
 SYNTHETIC_CASES = {
@@ -82,6 +106,22 @@ GOLDEN = {
     "app-1d-fft-4x2": (
         "452806044ce6186e6607ab81ca3f968d35c657ebec230882615fc72c9b968739",
         164,
+    ),
+    "app-1d-fft-4x2-release": (
+        "1faf6101b451bac55686f2b4aea7f75a0bf9c924959cd56972bac36aaab4c5b6",
+        164,
+    ),
+    "app-1d-fft-4x2-update": (
+        "baf0676bb5d7586879fc92f22497cdf51119da9c823f764385db8195e0fa36e3",
+        388,
+    ),
+    "app-cholesky-4x2-small-cache": (
+        "3b0dae4d48fa6d928c8309c8e2b25f5caadacdf74ff1b17046549db25edc4e75",
+        1401,
+    ),
+    "app-maxflow-4x2-small-cache": (
+        "06002414715f677e2f8410c1ce98186039113e65a90f0cd498a68edfdd895b9f",
+        1748,
     ),
     "chiplet-2x2-hubs2": (
         "f76995d47161b851e323a210c61b7f0e653078eb3d3cb77df3fb7ef27a865554",
@@ -216,6 +256,18 @@ def test_spilled_schedule_digest(clock, tmp_path):
 @pytest.mark.parametrize("clock", sorted(CLOCKS))
 def test_app_digest(clock):
     assert run_app_case(clock) == GOLDEN["app-1d-fft-4x2"]
+
+
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+@pytest.mark.parametrize("name", sorted(COHERENCE_CASES))
+def test_coherence_digest(name, clock):
+    app, params, machine = COHERENCE_CASES[name]
+    sim = create_app(app, **params).run(
+        mesh_config=MeshConfig.parse("4x2"),
+        coherence_config=machine,
+        options=RunOptions(max_no_progress_events=CLOCKS[clock]),
+    )
+    assert (log_digest(sim.log), len(sim.log)) == GOLDEN[name]
 
 
 @pytest.fixture(scope="module")

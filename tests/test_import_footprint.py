@@ -1,4 +1,4 @@
-"""What SciPy a process loads, and when.
+"""What SciPy a process loads, and when; and that maxflow loads no networkx.
 
 Every process that imports :mod:`repro` (each CLI call, ``repro serve``,
 sweep workers) would otherwise carry SciPy's statistics package: about
@@ -6,6 +6,8 @@ sweep workers) would otherwise carry SciPy's statistics package: about
 imports ``scipy.stats``.  ``scipy.special`` (about 300 modules and
 0.2 s) loads at the first fit, so a process that only drives the
 network, reads a manifest back or reports on a run never loads it.
+Maxflow checks its answer against an in-repo reference max-flow, not
+networkx (about 330 modules and 12 MiB, and not a declared dependency).
 Each check runs in a fresh interpreter, since this test process may
 already hold the modules for other reasons.
 """
@@ -139,6 +141,18 @@ print(json.dumps({
 """
 
 
+MAXFLOW_SCRIPT = r"""
+import json
+import sys
+
+from repro import create_app
+from repro.core.run import run_dynamic
+
+run = run_dynamic(create_app("maxflow", n=8, extra_edges=4, seed=2))
+print(json.dumps({"messages": len(run.log), "networkx": "networkx" in sys.modules}))
+"""
+
+
 def _run_fresh(script):
     """Run ``script`` in a fresh interpreter and decode its last line."""
     env = dict(os.environ)
@@ -176,3 +190,9 @@ def test_concurrent_first_use_of_the_special_functions():
     assert seen["alive"] == 0
     assert seen["errors"] == []
     assert seen["matching"] == 4
+
+
+def test_maxflow_never_loads_networkx():
+    seen = _run_fresh(MAXFLOW_SCRIPT)
+    assert seen["messages"] > 0
+    assert not seen["networkx"]
