@@ -15,7 +15,7 @@ from repro import SyntheticTrafficGenerator
 from repro.mesh import MeshConfig
 
 #: name -> spec; ``MeshConfig.parse`` grants the torus its 2 VCs.
-TOPOLOGIES = (
+NETWORKS = (
     ("mesh", "4x2"),
     ("torus", "4x2:torus"),
     ("hypercube", "4x2:hypercube"),
@@ -25,7 +25,7 @@ TOPOLOGIES = (
 def test_e11_topology_comparison_table(runs, benchmark):
     characterization = runs.run("1d-fft").characterization
     rows = []
-    for name, spec in TOPOLOGIES:
+    for name, spec in NETWORKS:
         config = MeshConfig.parse(spec)
         generator = SyntheticTrafficGenerator(
             characterization, mesh_config=config, seed=5, rate_scale=2.0
@@ -59,6 +59,6 @@ def test_e11_topology_comparison_table(runs, benchmark):
 
 def test_e11_average_distance_ordering(runs):
     # Static topology property backing the dynamic result above.
-    mesh, torus, cube = (MeshConfig.parse(spec).make_topology() for _, spec in TOPOLOGIES)
+    mesh, torus, cube = (MeshConfig.parse(spec).make_topology() for _, spec in NETWORKS)
     assert cube.average_distance() < mesh.average_distance()
     assert torus.average_distance() <= mesh.average_distance()

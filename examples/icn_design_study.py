@@ -20,7 +20,7 @@ from repro.core import WormholeLatencyModel, run_pattern
 from repro.mesh import MeshConfig
 
 #: name -> spec; ``MeshConfig.parse`` grants the torus its 2 VCs.
-TOPOLOGIES = (
+NETWORKS = (
     ("mesh", "4x2"),
     ("torus", "4x2:torus"),
     ("hypercube", "4x2:hypercube"),
@@ -40,7 +40,7 @@ def main() -> None:
     print()
     print("=== topology comparison under the characterized workload ===")
     print(f"{'topology':<10} {'sim latency':>12} {'model latency':>14} {'saturation':>11}")
-    for name, spec in TOPOLOGIES:
+    for name, spec in NETWORKS:
         config = MeshConfig.parse(spec)
         log = SyntheticTrafficGenerator(
             characterization, mesh_config=config, seed=17, rate_scale=2.0

@@ -56,7 +56,8 @@ class SharedMemoryApplication(ABC):
 
     @abstractmethod
     def verify(self) -> None:
-        """Check the computed result; raise AssertionError on mismatch."""
+        """Check the computed result; raise AssertionError on mismatch
+        (explicitly: ``python -O`` strips ``assert`` statements)."""
 
     def run(
         self,
@@ -104,7 +105,8 @@ class MessagePassingApplication(ABC):
 
     @abstractmethod
     def verify(self) -> None:
-        """Check the computed result; raise AssertionError on mismatch."""
+        """Check the computed result; raise AssertionError on mismatch
+        (explicitly: ``python -O`` strips ``assert`` statements)."""
 
     def run(self, num_ranks: int = 8, **runtime_kwargs):
         """Execute on the simulated SP2; returns the MP runtime

@@ -86,12 +86,15 @@ class FFT3DApp(MessagePassingApplication):
 
     def verify(self) -> None:
         n = self.n
-        assert self.input is not None, "rank_body never ran"
+        if self.input is None:
+            raise AssertionError("rank_body never ran")
         expected = np.fft.fftn(self.input)
         size = len(self._slabs)
         for rank, slab in enumerate(self._slabs):
-            assert slab is not None, f"rank {rank} produced no slab"
+            if slab is None:
+                raise AssertionError(f"rank {rank} produced no slab")
             xs = partition(n, size, rank)
-            assert np.allclose(slab, expected[:, :, xs.start : xs.stop], atol=1e-6), (
-                f"3D-FFT slab of rank {rank} disagrees with numpy.fft.fftn"
-            )
+            if not np.allclose(slab, expected[:, :, xs.start : xs.stop], atol=1e-6):
+                raise AssertionError(
+                    f"3D-FFT slab of rank {rank} disagrees with numpy.fft.fftn"
+                )

@@ -217,11 +217,11 @@ class MultigridApp(MessagePassingApplication):
         self._fields[comm.rank] = u
 
     def verify(self) -> None:
-        assert self.initial_residual is not None and self.final_residual is not None, (
-            "MG never computed its residuals"
-        )
+        if self.initial_residual is None or self.final_residual is None:
+            raise AssertionError("MG never computed its residuals")
         reduction = self.final_residual / self.initial_residual
-        assert reduction < self.required_reduction, (
-            f"V-cycles reduced the residual only to {reduction:.3f} of initial "
-            f"(need < {self.required_reduction})"
-        )
+        if not reduction < self.required_reduction:
+            raise AssertionError(
+                f"V-cycles reduced the residual only to {reduction:.3f} of initial "
+                f"(need < {self.required_reduction})"
+            )

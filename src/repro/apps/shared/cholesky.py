@@ -125,7 +125,8 @@ class CholeskyApp(SharedMemoryApplication):
 
             # cdiv(j).
             diag = yield from ctx.load(self.factor, j * n + j)
-            assert diag > 0, f"matrix not positive definite at column {j}"
+            if not diag > 0:
+                raise AssertionError(f"matrix not positive definite at column {j}")
             root = float(np.sqrt(diag))
             yield from ctx.store(self.factor, j * n + j, root)
             for i in range(j + 1, n):
@@ -142,6 +143,5 @@ class CholeskyApp(SharedMemoryApplication):
             for i in range(j, n):
                 lower[i, j] = self.factor.peek(j * n + i)
         reconstructed = lower @ lower.T
-        assert np.allclose(reconstructed, self.matrix, atol=1e-6), (
-            "L L^T does not reconstruct the input matrix"
-        )
+        if not np.allclose(reconstructed, self.matrix, atol=1e-6):
+            raise AssertionError("L L^T does not reconstruct the input matrix")

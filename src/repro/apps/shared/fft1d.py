@@ -106,6 +106,5 @@ class FFT1DApp(SharedMemoryApplication):
         final: List[complex] = self._final.snapshot()
         self.result = np.asarray(final)
         expected = np.fft.fft(self.input)
-        assert np.allclose(self.result, expected, atol=1e-8), (
-            "1D-FFT result disagrees with numpy.fft.fft"
-        )
+        if not np.allclose(self.result, expected, atol=1e-8):
+            raise AssertionError("1D-FFT result disagrees with numpy.fft.fft")

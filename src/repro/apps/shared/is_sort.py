@@ -112,10 +112,10 @@ class IntegerSortApp(SharedMemoryApplication):
     def verify(self) -> None:
         ranks = self.ranks.snapshot()
         keys = self.keys.snapshot()
-        assert sorted(ranks) == list(range(self.n)), "ranks are not a permutation"
+        if sorted(ranks) != list(range(self.n)):
+            raise AssertionError("ranks are not a permutation")
         output = [None] * self.n
         for key, rank in zip(keys, ranks):
             output[rank] = key
-        assert all(
-            output[i] <= output[i + 1] for i in range(self.n - 1)
-        ), "gathering keys by rank is not sorted"
+        if not all(output[i] <= output[i + 1] for i in range(self.n - 1)):
+            raise AssertionError("gathering keys by rank is not sorted")

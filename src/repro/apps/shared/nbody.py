@@ -131,5 +131,7 @@ class NbodyApp(SharedMemoryApplication):
             gravity_step(expected_pos, expected_vel, masses, self.dt, self.softening)
         got_pos = np.asarray(self.pos.snapshot(), dtype=complex)
         got_vel = np.asarray(self.vel.snapshot(), dtype=complex)
-        assert np.allclose(got_pos, expected_pos, atol=1e-9), "positions diverged"
-        assert np.allclose(got_vel, expected_vel, atol=1e-9), "velocities diverged"
+        if not np.allclose(got_pos, expected_pos, atol=1e-9):
+            raise AssertionError("positions diverged")
+        if not np.allclose(got_vel, expected_vel, atol=1e-9):
+            raise AssertionError("velocities diverged")

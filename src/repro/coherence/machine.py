@@ -412,8 +412,9 @@ class CCNUMAMachine:
         entry = directory.entry(block)
         if self.caches[pid].peek(block) is None or pid not in entry.sharers:
             # Lost the line (invalidation or eviction raced with us
-            # while queueing on the block lock): fall back to a write
-            # miss under the lock we already hold.
+            # while queueing on the block lock): release the lock and
+            # fall back to a write miss, which queues for it again, so
+            # another transaction on this block may run in between.
             yield release
             yield from self._write_miss(pid, block)
             return

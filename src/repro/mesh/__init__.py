@@ -14,8 +14,8 @@ hierarchies behind the same simulator.
 Public surface:
 
 * :class:`~repro.mesh.spec.TopologySpec` -- frozen, serializable
-  topology description with the canonical spec grammar and the
-  :func:`~repro.mesh.spec.register_topology` plugin registry.
+  topology description with the canonical spec grammar, over the fixed
+  kinds in :data:`~repro.mesh.spec.KINDS`.
 * :class:`~repro.mesh.config.MeshConfig` -- a spec plus timing knobs.
 * :class:`~repro.mesh.topology.MeshTopology` (and the N-D/hierarchical
   classes) -- node/coordinate algebra and routing, with a lazily
@@ -26,9 +26,9 @@ Public surface:
   one run tail).
 * :class:`~repro.mesh.netlog.NetworkLog` -- the activity log analyzed by
   the statistics package.
-* :func:`~repro.mesh.patterns.make_pattern` and
-  :func:`~repro.mesh.patterns.register_pattern` -- synthetic/adversarial
-  traffic patterns.
+* :func:`~repro.mesh.patterns.make_pattern` over the fixed
+  :data:`~repro.mesh.patterns.PATTERNS` catalogue -- synthetic and
+  adversarial traffic patterns.
 """
 
 from repro.mesh.config import MeshConfig
@@ -58,17 +58,9 @@ from repro.mesh.patterns import (
     UniformTraffic,
     make_pattern,
     pattern_for_config,
-    register_pattern,
     registered_patterns,
 )
-from repro.mesh.spec import (
-    TOPOLOGIES,
-    TopologySpec,
-    TopologySpecError,
-    build_topology,
-    register_topology,
-    registered_topologies,
-)
+from repro.mesh.spec import TopologySpec, TopologySpecError
 from repro.mesh.topology import (
     ChipletTopology,
     Hop,
@@ -99,7 +91,6 @@ __all__ = [
     "PATTERNS",
     "ShuffleTraffic",
     "StreamingNetworkLog",
-    "TOPOLOGIES",
     "Topology",
     "TopologySpec",
     "TopologySpecError",
@@ -107,16 +98,12 @@ __all__ = [
     "TrafficPattern",
     "TransposeTraffic",
     "UniformTraffic",
-    "build_topology",
     "iter_segments",
     "make_pattern",
     "materialize_manifest",
     "pattern_for_config",
     "read_manifest",
-    "register_pattern",
-    "register_topology",
     "registered_patterns",
-    "registered_topologies",
     "summarize_csv",
     "summarize_npz",
     "summary_from_manifest",

@@ -34,8 +34,8 @@ Storage is struct-of-arrays, not row objects:
 Row-shaped accessors (:attr:`NetworkLog.records`, ``__iter__``,
 :meth:`NetworkLog.by_source`) still return :class:`NetLogRecord`
 objects, materialized lazily from the columns, so existing consumers
-keep working unchanged.  The legacy row-at-a-time implementation
-survives as the equivalence oracle in :mod:`repro.mesh.netlog_rows`.
+keep working unchanged.  ``tests/test_netlog_columnar.py`` holds every
+view bit-identical to a plain loop over those records.
 
 Persistence: :meth:`NetworkLog.write_csv` / :meth:`NetworkLog.read_csv`
 remain the interchange format (gzip-transparent); ``write_npz`` /
@@ -251,15 +251,8 @@ class LogSummary:
         "latency_digest",
     )
 
-    def __init__(self, *zeros: float) -> None:
-        # The empty summary.  The empty log's eight scalars, positionally,
-        # spell it too, so code comparing a log's summary with
-        # ``LogSummary(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)`` keeps working.
-        if zeros and (len(zeros) != 8 or any(zeros)):
-            raise TypeError(
-                "LogSummary() takes no arguments but the eight zero scalars "
-                "of the empty log"
-            )
+    def __init__(self) -> None:
+        """The empty summary."""
         self._messages = 0
         self._total_bytes = 0
         self.first_inject = math.inf

@@ -11,12 +11,11 @@ earlier than uniform random.
 
 Each pattern maps a source to a destination distribution; permutation
 patterns are deterministic, probabilistic ones draw per message.
-Patterns register themselves by name via :func:`register_pattern` --
-the same plugin seam as :func:`repro.mesh.spec.register_topology` --
-and :func:`make_pattern` builds them with named, argument-level
-errors.  Dimension-aware patterns (tornado, transpose, neighbor)
-accept a ``dims`` radix vector so they stress an N-D topology along
-its real axes; :func:`pattern_for_config` wires that up from a
+:data:`PATTERNS` is the fixed catalogue of them by name, and
+:func:`make_pattern` builds one with named, argument-level errors.
+Dimension-aware patterns (tornado, transpose, neighbor) accept a
+``dims`` radix vector so they stress an N-D topology along its real
+axes; :func:`pattern_for_config` wires that up from a
 :class:`~repro.mesh.config.MeshConfig` automatically.
 """
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import inspect
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -266,47 +265,40 @@ class HotspotTraffic(TrafficPattern):
         return dst
 
 
-#: Registered pattern factories: name -> factory(num_nodes, **kwargs).
-PATTERNS: Dict[str, Callable[..., TrafficPattern]] = {}
-
-
-def register_pattern(name: str, factory: Callable[..., TrafficPattern]) -> None:
-    """Register (or replace) a traffic-pattern factory by name.
-
-    The plugin seam mirroring
-    :func:`repro.mesh.spec.register_topology`: factories take
-    ``num_nodes`` plus their own keyword arguments.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"pattern name must be a non-empty string, got {name!r}")
-    if not callable(factory):
-        raise TypeError(f"pattern factory for {name!r} must be callable")
-    PATTERNS[name] = factory
+#: Every pattern class by name.
+PATTERNS: Dict[str, Type[TrafficPattern]] = {
+    cls.name: cls
+    for cls in (
+        UniformTraffic,
+        BitComplementTraffic,
+        BitReversalTraffic,
+        ShuffleTraffic,
+        TransposeTraffic,
+        TornadoTraffic,
+        NeighborTraffic,
+        HotspotTraffic,
+    )
+}
 
 
 def registered_patterns() -> Tuple[str, ...]:
-    """Sorted names of every registered pattern."""
+    """Sorted names of every pattern in :data:`PATTERNS`."""
     return tuple(sorted(PATTERNS))
 
 
-def _accepted_kwargs(factory: Callable[..., TrafficPattern]) -> Tuple[str, ...]:
-    """Keyword arguments a pattern factory accepts beyond num_nodes."""
-    target = factory.__init__ if inspect.isclass(factory) else factory
-    try:
-        parameters = inspect.signature(target).parameters
-    except (TypeError, ValueError):
-        return ()
-    names = [
+def _accepted_kwargs(factory: Type[TrafficPattern]) -> Tuple[str, ...]:
+    """Keyword arguments a pattern class accepts beyond num_nodes."""
+    parameters = inspect.signature(factory.__init__).parameters
+    return tuple(
         p.name
         for p in parameters.values()
         if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
         and p.name not in ("self", "num_nodes")
-    ]
-    return tuple(names)
+    )
 
 
 def make_pattern(name: str, num_nodes: int, **kwargs) -> TrafficPattern:
-    """Build a registered pattern by name.
+    """Build a pattern of :data:`PATTERNS` by name.
 
     Unknown names and unknown keyword arguments raise ``ValueError``\\ s
     that name the pattern and list what is accepted, instead of leaking
@@ -346,14 +338,3 @@ def pattern_for_config(name: str, config: MeshConfig, **kwargs) -> TrafficPatter
     ):
         kwargs["dims"] = config.spec.dims
     return make_pattern(name, config.num_nodes, **kwargs)
-
-
-register_pattern("uniform", UniformTraffic)
-register_pattern("bit-complement", BitComplementTraffic)
-register_pattern("bit-reversal", BitReversalTraffic)
-register_pattern("shuffle", ShuffleTraffic)
-register_pattern("transpose", TransposeTraffic)
-register_pattern("tornado", TornadoTraffic)
-register_pattern("neighbor", NeighborTraffic)
-register_pattern("hotspot", HotspotTraffic)
-

@@ -1,13 +1,13 @@
-"""First-class topology descriptions: :class:`TopologySpec` + registry.
+"""First-class topology descriptions: :class:`TopologySpec`.
 
 The paper simulates one 2-D wormhole mesh.  :class:`TopologySpec` is
 the one way to describe that network or any other: every consumer
 (``MeshConfig``, the CLI, sweep grids, serve validation, spatial
 fitting) gets its geometry from one frozen, serializable value:
 
-* ``kind`` -- which routing discipline/graph family builds the network
-  (``mesh``, ``torus``, ``hypercube``, ``chiplet``, or anything
-  registered via :func:`register_topology`);
+* ``kind`` -- which routing discipline/graph family builds the network,
+  one of :data:`KINDS` (``chiplet``, ``hypercube``, ``mesh``,
+  ``torus``);
 * ``dims`` -- N-dimensional radix vector, row-major node numbering
   (``dims[0]`` is the fastest-varying axis);
 * ``wrap`` -- per-dimension wraparound flags (derived from ``kind``
@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
+
+#: The topology kinds :func:`repro.mesh.topology.build` constructs.
+KINDS = ("chiplet", "hypercube", "mesh", "torus")
 
 #: Axis letters accepted by the ``axis=scale`` suffix, in dimension
 #: order (dimension 4 and beyond use ``d4=...``).
@@ -67,8 +70,10 @@ class TopologySpec:
 
     def __post_init__(self) -> None:
         kind = str(self.kind).strip().lower()
-        if not kind:
-            raise TopologySpecError("topology kind must be a non-empty name")
+        if kind not in KINDS:
+            raise TopologySpecError(
+                f"unknown topology {kind!r}; known kinds: {', '.join(KINDS)}"
+            )
         object.__setattr__(self, "kind", kind)
 
         try:
@@ -252,11 +257,10 @@ class TopologySpec:
             )
         dims = cls._parse_dims(parts[0], spec)
         kind = parts[1].strip() if len(parts) > 1 else "mesh"
-        _known_kinds_loaded()
-        if kind not in TOPOLOGIES:
+        if kind not in KINDS:
             raise TopologySpecError(
                 f"unknown topology {kind!r} in mesh spec {spec!r}; "
-                f"registered: {', '.join(registered_topologies())}"
+                f"known kinds: {', '.join(KINDS)}"
             )
         link_scale: Tuple[float, ...] = ()
         if len(parts) > 2:
@@ -313,47 +317,7 @@ class TopologySpec:
 
     def build(self):
         """Instantiate the described :class:`~repro.mesh.topology.Topology`."""
-        return build_topology(self)
+        # Imported here: repro.mesh.topology imports this module.
+        from repro.mesh.topology import build
 
-
-#: Registered topology builders: kind -> builder(spec) -> Topology.
-TOPOLOGIES: Dict[str, Callable[[TopologySpec], object]] = {}
-
-
-def register_topology(kind: str, builder: Callable[[TopologySpec], object]) -> None:
-    """Register (or replace) the builder for a topology ``kind``.
-
-    Builders take the full :class:`TopologySpec` so they can honor
-    dims, wrap flags, link scales and hierarchy blocks as they see fit.
-    """
-    if not kind or not isinstance(kind, str):
-        raise ValueError(f"topology kind must be a non-empty string, got {kind!r}")
-    if not callable(builder):
-        raise TypeError(f"topology builder for {kind!r} must be callable")
-    TOPOLOGIES[kind.lower()] = builder
-
-
-def registered_topologies() -> Tuple[str, ...]:
-    """Sorted names of every registered topology kind."""
-    _known_kinds_loaded()
-    return tuple(sorted(TOPOLOGIES))
-
-
-def build_topology(spec: TopologySpec):
-    """Build the topology a spec describes via the registry."""
-    _known_kinds_loaded()
-    builder = TOPOLOGIES.get(spec.kind)
-    if builder is None:
-        raise TopologySpecError(
-            f"unknown topology {spec.kind!r}; "
-            f"registered: {', '.join(registered_topologies())}"
-        )
-    return builder(spec)
-
-
-def _known_kinds_loaded() -> None:
-    # The built-in builders live in repro.mesh.topology, which registers
-    # them at import; importing lazily here avoids a module cycle while
-    # guaranteeing the registry is populated before any lookup.
-    if "mesh" not in TOPOLOGIES:
-        import repro.mesh.topology  # noqa: F401  (registers built-ins)
+        return build(self)

@@ -16,10 +16,9 @@ hop's ``scale`` multiplies the channel time on that link -- the
 TSV-style "vertical links are slower" knob driven by
 :class:`~repro.mesh.spec.TopologySpec` link scales.
 
-Topologies are built from specs through the registry in
-:mod:`repro.mesh.spec` (:func:`register_topology`); the built-in kinds
-``mesh``, ``torus``, ``hypercube`` and ``chiplet`` register themselves
-when this module is imported.
+:func:`build` constructs the topology a
+:class:`~repro.mesh.spec.TopologySpec` describes, for each kind in
+:data:`repro.mesh.spec.KINDS`.
 
 Because every discipline is deterministic, a route is a pure function
 of ``(src, dst)``.  Hot paths therefore read a topology's
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.mesh.spec import TopologySpec, register_topology
+from repro.mesh.spec import TopologySpec
 
 #: Most ``(src, dst)`` entries one :class:`RouteTable` keeps.  Past the
 #: cap a miss is still computed, just not stored.  65,536 pairs hold
@@ -511,21 +510,12 @@ class ChipletTopology(Topology):
         return up + [hub] + down
 
 
-def _build_cartesian(spec: TopologySpec) -> Topology:
+def build(spec: TopologySpec) -> Topology:
+    """The topology ``spec`` describes (what :meth:`TopologySpec.build` returns)."""
+    if spec.kind == "hypercube":
+        return HypercubeTopology.for_nodes(spec.num_nodes)
+    if spec.kind == "chiplet":
+        return ChipletTopology(spec.dims, spec.hubs, link_scale=spec.link_scale)
     if len(spec.dims) == 2 and not spec.wraps:
         return MeshTopology(spec.dims[0], spec.dims[1], link_scale=spec.link_scale)
     return NDMeshTopology(spec.dims, wrap=spec.wrap, link_scale=spec.link_scale)
-
-
-def _build_hypercube(spec: TopologySpec) -> Topology:
-    return HypercubeTopology.for_nodes(spec.num_nodes)
-
-
-def _build_chiplet(spec: TopologySpec) -> Topology:
-    return ChipletTopology(spec.dims, spec.hubs, link_scale=spec.link_scale)
-
-
-register_topology("mesh", _build_cartesian)
-register_topology("torus", _build_cartesian)
-register_topology("hypercube", _build_hypercube)
-register_topology("chiplet", _build_chiplet)

@@ -50,6 +50,16 @@ class TestMeshParsing:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_drive_rejections_list_the_kinds_and_patterns(self, capsys):
+        assert main(["drive", "--mesh", "4x4:klein"]) == 2
+        assert "known kinds: chiplet, hypercube, mesh, torus" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["drive", "--pattern", "zipf"])
+        err = capsys.readouterr().err
+        for name in ("bit-complement", "bit-reversal", "hotspot", "neighbor",
+                     "shuffle", "tornado", "transpose", "uniform"):
+            assert name in err
+
 
 class TestCommands:
     def test_apps_lists_suite(self, capsys):

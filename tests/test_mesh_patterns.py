@@ -200,11 +200,10 @@ class TestPatternRegistry:
     def test_registered_names(self):
         from repro.mesh import registered_patterns
 
-        names = registered_patterns()
-        for expected in ("uniform", "tornado", "transpose", "hotspot",
-                         "neighbor", "shuffle", "bit-complement"):
-            assert expected in names
-        assert names == tuple(sorted(names))
+        assert registered_patterns() == (
+            "bit-complement", "bit-reversal", "hotspot", "neighbor",
+            "shuffle", "tornado", "transpose", "uniform",
+        )
 
     def test_unknown_name_lists_registered(self):
         with pytest.raises(ValueError, match="registered"):
@@ -213,16 +212,6 @@ class TestPatternRegistry:
     def test_unknown_kwarg_names_accepted(self):
         with pytest.raises(ValueError, match="accepted"):
             make_pattern("hotspot", 16, temperature=3)
-
-    def test_register_pattern(self):
-        from repro.mesh import register_pattern
-        from repro.mesh.patterns import PATTERNS
-
-        register_pattern("everyone-to-zero", lambda num_nodes: UniformTraffic(num_nodes))
-        try:
-            assert make_pattern("everyone-to-zero", 8).num_nodes == 8
-        finally:
-            PATTERNS.pop("everyone-to-zero", None)
 
     def test_pattern_for_config_injects_dims(self):
         from repro.mesh import pattern_for_config

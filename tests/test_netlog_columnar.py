@@ -1,10 +1,10 @@
 """Columnar NetworkLog equivalence, persistence, and validation tests.
 
-The columnar log must be *bit-identical* to the legacy row-backed
-implementation (kept as the oracle in :mod:`repro.mesh.netlog_rows`)
-on every derived view -- the hypothesis property below drives both
-with randomized logs, and explicit cases cover empty, single-record,
-and single-source logs.  Persistence tests assert CSV <-> npz round
+Every derived view of the columnar log must be *bit-identical* to what
+plain loops over its records give (the row-at-a-time log it replaced,
+kept here as :func:`assert_views_identical`) -- the hypothesis property
+below drives it with randomized logs, and explicit cases cover empty,
+single-record, and single-source logs.  Persistence tests assert CSV <-> npz round
 trips reproduce the exact records and views, and that the npz writer
 produces what ``np.savez_compressed`` would; validation tests cover the
 endpoint checks and the CSV/npz format diagnostics.  The record
@@ -28,7 +28,6 @@ from repro.mesh.netlog import (
     NetLogRecord,
     NetworkLog,
 )
-from repro.mesh.netlog_rows import RowNetworkLog
 
 NUM_NODES = 8
 KINDS = ("p2p", "coherence", "reply")
@@ -61,108 +60,138 @@ record_tuples = st.tuples(
 )
 
 
-def build_logs(rows):
-    """The same records into a columnar log and the row oracle."""
-    columnar, reference = NetworkLog(), RowNetworkLog()
-    for i, (src, dst, nbytes, kind, inject, latency, contention) in enumerate(rows):
-        record = make_record(
-            i, src, dst, nbytes=nbytes, kind=kind, inject=inject,
-            latency=latency, contention=contention,
-        )
-        columnar.add(record)
-        reference.add(record)
-    return columnar, reference
+def build_log(rows):
+    """A columnar log of the records ``rows`` describe, and the records."""
+    log = NetworkLog()
+    records = [
+        make_record(i, src, dst, nbytes=nbytes, kind=kind, inject=inject,
+                    latency=latency, contention=contention)
+        for i, (src, dst, nbytes, kind, inject, latency, contention) in enumerate(rows)
+    ]
+    for record in records:
+        log.add(record)
+    return log, records
 
 
-def assert_views_identical(columnar, reference):
-    """Every derived view of both logs must be bit-identical."""
-    assert len(columnar) == len(reference)
-    assert columnar.records == tuple(reference.records)
-    assert list(columnar) == list(reference)
-    assert columnar.sources() == reference.sources()
-    assert columnar.kinds() == reference.kinds()
-    assert columnar.length_counts() == reference.length_counts()
-    assert columnar.total_bytes() == reference.total_bytes()
-    assert columnar.span() == reference.span()
-    assert columnar.injection_span() == reference.injection_span()
-    assert columnar.mean_latency() == reference.mean_latency()
-    assert columnar.mean_contention() == reference.mean_contention()
-    assert columnar.offered_rate() == reference.offered_rate()
-    assert columnar.throughput() == reference.throughput()
+def same(got, want):
+    """Equal values; arrays equal in dtype, shape and every element."""
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
 
-    def identical(a, b):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a, b)
 
-    identical(columnar.injection_times(), reference.injection_times())
-    identical(columnar.interarrival_times(), reference.interarrival_times())
-    identical(columnar.message_lengths(), reference.message_lengths())
-    identical(
-        columnar.destination_count_matrix(NUM_NODES),
-        reference.destination_count_matrix(NUM_NODES),
-    )
-    identical(
-        columnar.destination_fraction_matrix(NUM_NODES),
-        reference.destination_fraction_matrix(NUM_NODES),
-    )
-    identical(columnar.volume_matrix(NUM_NODES), reference.volume_matrix(NUM_NODES))
-    identical(
-        columnar.volume_fraction_matrix(NUM_NODES),
-        reference.volume_fraction_matrix(NUM_NODES),
-    )
-    for src in list(reference.sources()) + [NUM_NODES + 3]:
-        assert columnar.by_source(src) == tuple(reference.by_source(src))
-        identical(columnar.injection_times(src), reference.injection_times(src))
-        identical(columnar.interarrival_times(src), reference.interarrival_times(src))
-        identical(columnar.message_lengths(src), reference.message_lengths(src))
-        identical(
-            columnar.destination_counts(src, NUM_NODES),
-            reference.destination_counts(src, NUM_NODES),
-        )
-        identical(
-            columnar.destination_fractions(src, NUM_NODES),
-            reference.destination_fractions(src, NUM_NODES),
-        )
-        identical(
-            columnar.volume_by_destination(src, NUM_NODES),
-            reference.volume_by_destination(src, NUM_NODES),
-        )
-        identical(
-            columnar.volume_fractions(src, NUM_NODES),
-            reference.volume_fractions(src, NUM_NODES),
-        )
-    by_src = columnar.interarrivals_by_source()
-    assert list(by_src) == reference.sources()
-    for src, series in by_src.items():
-        identical(series, reference.interarrival_times(src))
+def assert_views_identical(log, records):
+    """Every derived view of ``log`` must equal, bit for bit, what plain
+    loops over ``records`` in arrival order give."""
+
+    def times(rs):
+        return np.sort(np.asarray([r.inject_time for r in rs], dtype=float))
+
+    def gaps(rs):
+        series = times(rs)
+        return np.diff(series) if series.size >= 2 else np.empty(0, dtype=float)
+
+    def lengths(rs):
+        return np.asarray([r.length_bytes for r in rs], dtype=float)
+
+    def tally(rs, weight):
+        row = np.zeros(NUM_NODES, dtype=float)
+        for r in rs:
+            row[r.dst] += weight(r)
+        return row
+
+    def share(row):
+        total = row.sum()
+        return row / total if total > 0 else row
+
+    def mean(values):
+        return float(np.mean(values)) if values else 0.0
+
+    def rate(duration):
+        return len(records) / duration if duration > 0 else 0.0
+
+    by_src = {}
+    for r in records:
+        by_src.setdefault(r.src, []).append(r)
+    sources = sorted(by_src)
+    injects = [r.inject_time for r in records]
+    span = max(r.deliver_time for r in records) - min(injects) if records else 0.0
+    injection_span = max(injects) - min(injects) if records else 0.0
+    rows = {
+        "destination_counts": lambda rs: tally(rs, lambda r: 1),
+        "destination_fractions": lambda rs: share(tally(rs, lambda r: 1)),
+        "volume_by_destination": lambda rs: tally(rs, lambda r: r.length_bytes),
+        "volume_fractions": lambda rs: share(tally(rs, lambda r: r.length_bytes)),
+    }
+    matrices = {
+        "destination_count_matrix": "destination_counts",
+        "destination_fraction_matrix": "destination_fractions",
+        "volume_matrix": "volume_by_destination",
+        "volume_fraction_matrix": "volume_fractions",
+    }
+
+    same(len(log), len(records))
+    same(log.records, tuple(records))
+    same(tuple(log), tuple(records))
+    same(log.sources(), sources)
+    kinds = collections.Counter(r.kind for r in records)
+    lengths_seen = collections.Counter(int(r.length_bytes) for r in records)
+    same(list(log.kinds().items()), list(kinds.items()))
+    same(list(log.length_counts().items()), sorted(lengths_seen.items()))
+    same(log.total_bytes(), int(sum(r.length_bytes for r in records)))
+    same(log.span(), span)
+    same(log.injection_span(), injection_span)
+    same(log.mean_latency(), mean([r.latency for r in records]))
+    same(log.mean_contention(), mean([r.contention for r in records]))
+    same(log.offered_rate(), rate(injection_span))
+    same(log.throughput(), rate(span))
+    same(log.injection_times(), times(records))
+    same(log.interarrival_times(), gaps(records))
+    same(log.message_lengths(), lengths(records))
+    for view, row_view in matrices.items():
+        matrix = np.zeros((NUM_NODES, NUM_NODES))
+        for src in sources:
+            matrix[src] = rows[row_view](by_src[src])
+        same(getattr(log, view)(NUM_NODES), matrix)
+    for src in sources + [NUM_NODES + 3]:
+        rs = by_src.get(src, [])
+        same(log.by_source(src), tuple(sorted(rs, key=lambda r: r.inject_time)))
+        same(log.injection_times(src), times(rs))
+        same(log.interarrival_times(src), gaps(rs))
+        same(log.message_lengths(src), lengths(rs))
+        for view, row in rows.items():
+            same(getattr(log, view)(src, NUM_NODES), row(rs))
+    by_source = log.interarrivals_by_source()
+    same(list(by_source), sources)
+    for src, series in by_source.items():
+        same(series, gaps(by_src[src]))
 
 
 class TestRowEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(record_tuples, min_size=0, max_size=60))
     def test_every_view_matches_row_oracle(self, rows):
-        columnar, reference = build_logs(rows)
-        assert_views_identical(columnar, reference)
+        assert_views_identical(*build_log(rows))
 
     def test_empty_log(self):
-        columnar, reference = build_logs([])
-        assert_views_identical(columnar, reference)
-        assert columnar.summary() == LogSummary(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        columnar, records = build_log([])
+        assert_views_identical(columnar, records)
+        assert columnar.summary() == LogSummary()
 
     def test_single_record_log(self):
-        columnar, reference = build_logs([(2, 5, 64, "p2p", 3.0, 4.0, 0.25)])
-        assert_views_identical(columnar, reference)
+        assert_views_identical(*build_log([(2, 5, 64, "p2p", 3.0, 4.0, 0.25)]))
 
     def test_single_source_log(self):
         rows = [(4, dst, 16, "reply", float(t), 2.0, 0.0)
                 for t, dst in enumerate([0, 3, 3, 7, 1])]
-        columnar, reference = build_logs(rows)
-        assert_views_identical(columnar, reference)
+        assert_views_identical(*build_log(rows))
 
     @settings(max_examples=20, deadline=None)
     @given(rows=st.lists(record_tuples, min_size=1, max_size=40))
     def test_summary_matches_individual_metrics(self, rows):
-        columnar, _ = build_logs(rows)
+        columnar, _ = build_log(rows)
         stats = columnar.summary()
         assert stats.messages == len(columnar)
         assert stats.total_bytes == columnar.total_bytes()
@@ -184,7 +213,7 @@ class TestRowEquivalence:
                                         inject=inject, latency=latency,
                                         contention=contention))
             incremental.interarrival_times()  # force a view mid-collection
-        oneshot, _ = build_logs(rows)
+        oneshot, _ = build_log(rows)
         assert incremental.records == oneshot.records
         assert np.array_equal(
             incremental.destination_count_matrix(NUM_NODES),
@@ -325,7 +354,7 @@ class TestPersistence:
     @settings(max_examples=15, deadline=None)
     @given(rows=st.lists(record_tuples, min_size=0, max_size=30))
     def test_csv_npz_round_trip_equality(self, rows, tmp_path_factory):
-        columnar, _ = build_logs(rows)
+        columnar, _ = build_log(rows)
         tmp_path = tmp_path_factory.mktemp("netlog")
         csv_path = str(tmp_path / "log.csv")
         npz_path = str(tmp_path / "log.npz")
@@ -346,7 +375,7 @@ class TestPersistence:
         assert from_npz.summary() == columnar.summary()
 
     def test_npz_is_binary_and_loadable_by_numpy(self, tmp_path):
-        columnar, _ = build_logs([(0, 1, 64, "p2p", 1.0, 2.0, 0.5)])
+        columnar, _ = build_log([(0, 1, 64, "p2p", 1.0, 2.0, 0.5)])
         path = str(tmp_path / "log.npz")
         columnar.write_npz(path)
         with np.load(path) as data:
@@ -360,7 +389,7 @@ class TestPersistence:
             NetworkLog.read_npz(path)
 
     def test_npz_length_mismatch_rejected(self, tmp_path):
-        columnar, _ = build_logs([(0, 1, 8, "p2p", 0.0, 1.0, 0.0)] * 3)
+        columnar, _ = build_log([(0, 1, 8, "p2p", 0.0, 1.0, 0.0)] * 3)
         path = str(tmp_path / "log.npz")
         columnar.write_npz(path)
         with np.load(path) as data:
@@ -387,7 +416,7 @@ class TestPersistence:
     def test_npz_malformed_member_rejected(self, member, value, message, tmp_path, capsys):
         from repro.cli import main
 
-        columnar, _ = build_logs([(0, 1, 8, "p2p", 0.0, 1.0, 0.0)])
+        columnar, _ = build_log([(0, 1, 8, "p2p", 0.0, 1.0, 0.0)])
         path = columnar.write_npz(str(tmp_path / "bad.npz"))
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
@@ -428,7 +457,7 @@ class TestNpzWriter:
              0.25 * i, 1.0 + i % 7, 0.125 * (i % 5))
             for i in range(300)
         ]
-        return build_logs(rows)[0]
+        return build_log(rows)[0]
 
     @pytest.mark.parametrize("case", ["empty", "empty-with-vocabulary", "many-kinds"])
     def test_round_trip_is_bit_identical(self, case, tmp_path):
@@ -515,7 +544,7 @@ class TestCsvFormatErrors:
         return str(path)
 
     def header(self):
-        log, _ = build_logs([(0, 1, 8, "p2p", 0.0, 1.0, 0.0)])
+        log, _ = build_log([(0, 1, 8, "p2p", 0.0, 1.0, 0.0)])
         return "msg_id,src,dst,length_bytes,kind,inject_time,start_time,deliver_time,contention,hops"
 
     def test_empty_file_rejected(self, tmp_path):
@@ -568,7 +597,7 @@ class TestCsvFormatErrors:
         assert issubclass(NetLogFormatError, ValueError)
 
     def test_clean_round_trip_still_works(self, tmp_path):
-        columnar, _ = build_logs(
+        columnar, _ = build_log(
             [(0, 1, 8, "p2p", 0.25, 1.5, 0.125), (3, 0, 16, "reply", 2.0, 1.0, 0.0)]
         )
         path = str(tmp_path / "log.csv")

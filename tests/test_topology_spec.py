@@ -1,4 +1,4 @@
-"""TopologySpec API: grammar, registry, N-D routing, the 2-D XY oracle.
+"""TopologySpec API: grammar, kinds, N-D routing, the 2-D XY oracle.
 
 The spec is the only way to build a network, and it must not perturb
 the paper's 2-D results: a hypothesis suite checks spec-built 2-D
@@ -25,11 +25,8 @@ from repro.mesh import (
     NetworkMessage,
     TopologySpec,
     TopologySpecError,
-    build_topology,
-    register_topology,
-    registered_topologies,
 )
-from repro.mesh.spec import TOPOLOGIES
+from repro.mesh.spec import KINDS
 from repro.simkernel import Simulator, hold, release, request
 
 
@@ -133,24 +130,16 @@ class TestSpecCanonical:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = registered_topologies()
-        for kind in ("mesh", "torus", "hypercube", "chiplet"):
-            assert kind in names
-
-    def test_register_and_build(self):
-        def builder(spec):
-            return NDMeshTopology(spec.dims)
-
-        register_topology("testgrid", builder)
-        try:
-            topo = TopologySpec(kind="testgrid", dims=(3, 3)).build()
-            assert topo.num_nodes == 9
-        finally:
-            TOPOLOGIES.pop("testgrid", None)
+        assert KINDS == ("chiplet", "hypercube", "mesh", "torus")
 
     def test_unknown_kind_lists_registered(self):
-        with pytest.raises(ValueError, match="registered"):
-            build_topology(TopologySpec(kind="klein", dims=(4, 4)))
+        known = "known kinds: chiplet, hypercube, mesh, torus"
+        with pytest.raises(TopologySpecError, match=f"unknown topology 'klein'; {known}"):
+            TopologySpec(kind="klein", dims=(4, 4))
+        with pytest.raises(TopologySpecError, match=f"unknown topology 'klein'; {known}"):
+            TopologySpec.from_dict({"kind": "klein", "dims": [4, 4]})
+        with pytest.raises(TopologySpecError, match=f"in mesh spec '4x4:klein'; {known}"):
+            TopologySpec.parse("4x4:klein")
 
 
 class TestMeshConfigFacade:
@@ -314,7 +303,7 @@ class TestNDRouting:
 
 scales = st.sampled_from((1.0, 0.5, 2.0, 4.0))
 
-#: One spec strategy per registered topology kind.
+#: One spec strategy per topology kind.
 SPEC_STRATEGIES = {
     "mesh": st.builds(
         lambda dims, scale: TopologySpec(
@@ -350,7 +339,7 @@ def _fields(route):
 
 class TestRouteTable:
     def test_every_registered_kind_is_covered(self):
-        assert set(registered_topologies()) <= set(SPEC_STRATEGIES)
+        assert set(KINDS) <= set(SPEC_STRATEGIES)
 
     @given(spec=any_spec, data=st.data())
     @settings(max_examples=80, deadline=None)
