@@ -99,8 +99,7 @@ class SyntheticTrafficGenerator:
         rate_correction = target_mean / dist_mean if dist_mean > 0 else 1.0
 
         def sample(rng: np.random.Generator) -> float:
-            gap = float(distribution.sample(rng, 1)[0]) * rate_correction
-            return max(gap, 0.0)
+            return max(distribution.sample(rng) * rate_correction, 0.0)
 
         return sample
 
@@ -135,7 +134,7 @@ class SyntheticTrafficGenerator:
             # Drawn lazily, gap then destination then length.
             for _ in range(messages_per_source):
                 gap = sampler(rng) * scale / self.rate_scale
-                yield gap, int(draw_dst(rng)), int(draw_length(rng)), None
+                yield gap, draw_dst(rng), draw_length(rng), None
 
         per_source = {}
         for src in sources:
@@ -247,9 +246,9 @@ class PhaseCoupledTrafficGenerator:
             while sent < total_messages:
                 burst_size = min(int(rng.geometric(burst_p)), total_messages - sent)
                 for _ in range(burst_size):
-                    src = int(draw_source(rng))
-                    dst = int(draw_dst[src](rng))
-                    length = int(draw_length(rng))
+                    src = draw_source(rng)
+                    dst = draw_dst[src](rng)
+                    length = draw_length(rng)
                     network.inject(
                         NetworkMessage(src=src, dst=dst, length_bytes=length, kind="burst")
                     )

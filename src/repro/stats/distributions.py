@@ -15,7 +15,9 @@ own density and CDF expressions directly with NumPy and
 :func:`_cdf`).  The values are bit-identical to SciPy's, without
 importing its statistics package (about 45 MiB and 0.8 s per process).
 ``scipy.special`` itself loads at the first evaluation (:func:`_special`),
-so a process that never fits does not pay for it.
+so a process that never fits does not pay for it.  The regression
+evaluates each family through :meth:`Distribution._density`, its ``pdf``
+on finite, positive points without the masks ``pdf`` needs elsewhere.
 """
 
 from __future__ import annotations
@@ -195,8 +197,14 @@ class Distribution(ABC):
         """Analytic variance."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` variates using ``rng``."""
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        """Draw ``size`` variates using ``rng``, as an array.
+
+        Without ``size``, draw one variate as a Python float:
+        ``sample(rng)`` takes the same draws from the generator as
+        ``sample(rng, 1)[0]``, returns the same value and leaves ``rng``
+        in the same state.
+        """
 
     @abstractmethod
     def params(self) -> Dict[str, float]:
@@ -215,6 +223,21 @@ class Distribution(ABC):
     @abstractmethod
     def initial_guess(cls, data: np.ndarray) -> "Distribution":
         """Moment-matched starting point for the regression."""
+
+    def _density(self, x: np.ndarray) -> np.ndarray:
+        """``pdf(x)`` bit for bit, for a 1-D float array of finite,
+        positive ``x``.
+
+        The regression calls this at its bin centers on every residual.
+        A family whose support holds every positive ``x`` evaluates its
+        in-support formula here without ``pdf``'s conversions, support
+        masks and parameter checks, and its ``pdf`` runs the same
+        formula.  The SciPy-formula families pass each shape parameter
+        full length, the layout :func:`_reduced` uses when every point is
+        inside the support.  Families whose support is a shift, an
+        interval or a point away from 0 use ``pdf`` itself.
+        """
+        return self.pdf(x)
 
     def std(self) -> float:
         """Analytic standard deviation."""
@@ -246,7 +269,10 @@ class Exponential(Distribution):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, self.rate * np.exp(-self.rate * x), 0.0)
+        return np.where(x >= 0, self._density(x), 0.0)
+
+    def _density(self, x):
+        return self.rate * np.exp(-self.rate * x)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -258,7 +284,7 @@ class Exponential(Distribution):
     def variance(self):
         return 1.0 / self.rate**2
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
 
     def params(self):
@@ -311,7 +337,7 @@ class ShiftedExponential(Distribution):
     def variance(self):
         return 1.0 / self.rate**2
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return self.shift + rng.exponential(1.0 / self.rate, size)
 
     def params(self):
@@ -353,6 +379,10 @@ class Erlang(Distribution):
     def pdf(self, x):
         return _pdf(x, _gamma_pdf, (self.k,), 1.0 / self.rate)
 
+    def _density(self, x):
+        scale = 1.0 / self.rate
+        return _gamma_pdf(x / scale, np.full(x.size, self.k)) / scale
+
     def cdf(self, x):
         return _cdf(x, _gamma_cdf, (self.k,), 1.0 / self.rate)
 
@@ -362,7 +392,7 @@ class Erlang(Distribution):
     def variance(self):
         return self.k / self.rate**2
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return rng.gamma(self.k, 1.0 / self.rate, size)
 
     def params(self):
@@ -400,6 +430,9 @@ class Gamma(Distribution):
     def pdf(self, x):
         return _pdf(x, _gamma_pdf, (self.shape,), self.scale)
 
+    def _density(self, x):
+        return _gamma_pdf(x / self.scale, np.full(x.size, self.shape)) / self.scale
+
     def cdf(self, x):
         return _cdf(x, _gamma_cdf, (self.shape,), self.scale)
 
@@ -409,7 +442,7 @@ class Gamma(Distribution):
     def variance(self):
         return self.shape * self.scale**2
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return rng.gamma(self.shape, self.scale, size)
 
     def params(self):
@@ -446,6 +479,9 @@ class Weibull(Distribution):
     def pdf(self, x):
         return _pdf(x, _weibull_pdf, (self.shape,), self.scale)
 
+    def _density(self, x):
+        return _weibull_pdf(x / self.scale, np.full(x.size, self.shape)) / self.scale
+
     def cdf(self, x):
         return _cdf(x, _weibull_cdf, (self.shape,), self.scale)
 
@@ -457,7 +493,7 @@ class Weibull(Distribution):
         g2 = math.gamma(1.0 + 2.0 / self.shape)
         return self.scale**2 * (g2 - g1**2)
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return self.scale * rng.weibull(self.shape, size)
 
     def params(self):
@@ -496,6 +532,9 @@ class Normal(Distribution):
     def pdf(self, x):
         return _pdf(x, _normal_pdf, (), self.sigma, loc=self.mu, low=-np.inf)
 
+    def _density(self, x):
+        return _normal_pdf((x - self.mu) / self.sigma) / self.sigma
+
     def cdf(self, x):
         return _cdf(x, _normal_cdf, (), self.sigma, loc=self.mu, low=-np.inf)
 
@@ -505,7 +544,7 @@ class Normal(Distribution):
     def variance(self):
         return self.sigma**2
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return rng.normal(self.mu, self.sigma, size)
 
     def params(self):
@@ -558,7 +597,7 @@ class Uniform(Distribution):
     def variance(self):
         return self.width**2 / 12.0
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return rng.uniform(self.low, self.high, size)
 
     def params(self):
@@ -600,9 +639,11 @@ class Hyperexponential2(Distribution):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
+        return np.where(x >= 0, self._density(x), 0.0)
+
+    def _density(self, x):
         out = self.p * self.rate1 * np.exp(-self.rate1 * x)
-        out = out + (1 - self.p) * self.rate2 * np.exp(-self.rate2 * x)
-        return np.where(x >= 0, out, 0.0)
+        return out + (1 - self.p) * self.rate2 * np.exp(-self.rate2 * x)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -617,10 +658,12 @@ class Hyperexponential2(Distribution):
         second = 2 * self.p / self.rate1**2 + 2 * (1 - self.p) / self.rate2**2
         return second - self.mean() ** 2
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         choose_first = rng.random(size) < self.p
         fast = rng.exponential(1.0 / self.rate1, size)
         slow = rng.exponential(1.0 / self.rate2, size)
+        if size is None:
+            return fast if choose_first else slow
         return np.where(choose_first, fast, slow)
 
     def params(self):
@@ -672,10 +715,12 @@ class Hypoexponential2(Distribution):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
+        return np.where(x >= 0, self._density(x), 0.0)
+
+    def _density(self, x):
         r1, r2 = self.rate1, self.rate2
         coeff = r1 * r2 / (r2 - r1)
-        out = coeff * (np.exp(-r1 * x) - np.exp(-r2 * x))
-        return np.where(x >= 0, np.maximum(out, 0.0), 0.0)
+        return np.maximum(coeff * (np.exp(-r1 * x) - np.exp(-r2 * x)), 0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -689,7 +734,7 @@ class Hypoexponential2(Distribution):
     def variance(self):
         return 1.0 / self.rate1**2 + 1.0 / self.rate2**2
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate1, size) + rng.exponential(
             1.0 / self.rate2, size
         )
@@ -741,8 +786,8 @@ class Deterministic(Distribution):
     def variance(self):
         return 0.0
 
-    def sample(self, rng, size):
-        return np.full(size, self.value)
+    def sample(self, rng, size=None):
+        return self.value if size is None else np.full(size, self.value)
 
     def params(self):
         return {"value": self.value}
@@ -778,6 +823,16 @@ class Lognormal(Distribution):
     def pdf(self, x):
         return _pdf(x, _lognormal_pdf, (self.sigma,), math.exp(self.mu), closed=False)
 
+    def _density(self, x):
+        scale = math.exp(self.mu)
+        y = x / scale
+        if not y.all():
+            # A tiny x over a large scale underflows to y = 0, outside
+            # the open support.  (An overflow to y = inf gives 0 either
+            # way, and this formula does not depend on the layout.)
+            return self.pdf(x)
+        return _lognormal_pdf(y, np.full(y.size, self.sigma)) / scale
+
     def cdf(self, x):
         return _cdf(x, _lognormal_cdf, (self.sigma,), math.exp(self.mu))
 
@@ -788,7 +843,7 @@ class Lognormal(Distribution):
         factor = math.exp(self.sigma**2) - 1.0
         return factor * math.exp(2.0 * self.mu + self.sigma**2)
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return rng.lognormal(self.mu, self.sigma, size)
 
     def params(self):
@@ -848,7 +903,7 @@ class Pareto(Distribution):
         a = self.shape
         return self.scale**2 * a / ((a - 1.0) ** 2 * (a - 2.0))
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return self.scale * (1.0 + rng.pareto(self.shape, size))
 
     def params(self):

@@ -77,18 +77,23 @@ def _fit_one(
         return None
 
     template = start  # Erlang freezes k on the instance; others are classmethods.
-
-    def model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-        dist = template.from_unconstrained(params)
-        return np.asarray(dist.pdf(x), dtype=float)
-
-    regression = NonlinearRegression(model, max_iter=max_iter)
     mask = histogram.counts > 0
     centers = histogram.centers[mask]
     density = histogram.density[mask]
     weights = histogram.counts[mask].astype(float)
     if centers.size == 0:
         return None
+
+    # Every parameter point still builds its instance, so each family's
+    # parameter checks run; on finite, positive centers the instance's
+    # in-support density gives pdf's bits without pdf's masks.
+    positive = bool(np.isfinite(centers).all() and (centers > 0).all())
+
+    def model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
+        dist = template.from_unconstrained(params)
+        return dist._density(x) if positive else np.asarray(dist.pdf(x), dtype=float)
+
+    regression = NonlinearRegression(model, max_iter=max_iter)
     try:
         result = regression.fit(centers, density, start.to_unconstrained(), weights=weights)
         fitted = template.from_unconstrained(result.params)

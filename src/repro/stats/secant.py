@@ -13,8 +13,9 @@ analytic derivatives are ever used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -87,20 +88,26 @@ def _solve(
     n = x.size
     eye = np.eye(n)
 
-    def safe_residual(point: np.ndarray) -> Optional[np.ndarray]:
+    def evaluate(point: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
+        """The residual at ``point`` and its sum of squares; ``None``
+        (and an infinite sum) where a residual is not finite."""
         try:
             r = np.asarray(residual_fn(point), dtype=float)
         except (FloatingPointError, OverflowError, ValueError, ZeroDivisionError):
-            return None
-        if not np.isfinite(r).all():
-            return None
-        return r
+            return None, math.inf
+        sse = float(np.dot(r, r))
+        # A square cannot cancel, so a finite sum proves every residual
+        # finite.  Only a sum that is not finite needs the element scan,
+        # to tell a non-finite residual from finite ones whose squares
+        # overflow.
+        if not math.isfinite(sse) and not np.isfinite(r).all():
+            return None, math.inf
+        return r, sse
 
-    r = safe_residual(x)
+    r, sse = evaluate(x)
     if r is None:
         raise ValueError("residual function is not finite at the starting point")
-    sse = float(np.dot(r, r))
-    if not np.isfinite(sse):
+    if not math.isfinite(sse):
         # Residuals can be individually finite while their dot product
         # overflows; an infinite starting SSE would make every line
         # search accept (inf <= inf) and poison the gain computation.
@@ -117,10 +124,10 @@ def _solve(
             h = secant_step * (abs(x[j]) + 1.0)
             xj = x.copy()
             xj[j] += h
-            rj = safe_residual(xj)
+            rj, _ = evaluate(xj)
             if rj is None:
                 xj[j] -= 2 * h
-                rj = safe_residual(xj)
+                rj, _ = evaluate(xj)
                 h = -h
             if rj is None:
                 degenerate = True
@@ -130,14 +137,18 @@ def _solve(
             break
 
         grad = jac.T @ r
-        if np.linalg.norm(grad) < 1e-14:
+        if math.sqrt(grad @ grad) < 1e-14:
             converged = True
             break
 
+        # The normal matrix and the right-hand side do not depend on the
+        # damping; only the diagonal term changes per attempt.
+        normal = jac.T @ jac
+        descent = -grad
         stepped = False
         for _ in range(30):  # damping escalation
             try:
-                step = np.linalg.solve(jac.T @ jac + damping * eye, -grad)
+                step = np.linalg.solve(normal + damping * eye, descent)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
@@ -145,21 +156,20 @@ def _solve(
             scale = 1.0
             for _ in range(10):
                 candidate = x + scale * step
-                cand_r = safe_residual(candidate)
-                if cand_r is not None:
-                    cand_sse = float(np.dot(cand_r, cand_r))
-                    # A wild step can overflow the SSE even with finite
-                    # residuals; treat it as a rejected step rather than
-                    # letting NaN/inf poison the comparison below.
-                    if np.isfinite(cand_sse) and cand_sse <= sse:
-                        gain = (sse - cand_sse) / max(sse, 1e-300)
-                        full_step = scale == 1.0
-                        x, r, sse = candidate, cand_r, cand_sse
-                        damping = max(damping / 4.0, 1e-12)
-                        stepped = True
-                        if full_step and gain < tol:
-                            converged = True
-                        break
+                cand_r, cand_sse = evaluate(candidate)
+                # sse is finite (the start is checked, and only a finite
+                # sum is accepted), so this rejects an infinite sum: a
+                # wild step whose finite residuals overflow it, or a
+                # non-finite residual.
+                if cand_sse <= sse:
+                    gain = (sse - cand_sse) / max(sse, 1e-300)
+                    full_step = scale == 1.0
+                    x, r, sse = candidate, cand_r, cand_sse
+                    damping = max(damping / 4.0, 1e-12)
+                    stepped = True
+                    if full_step and gain < tol:
+                        converged = True
+                    break
                 scale *= 0.5
             if stepped:
                 break

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -39,9 +40,12 @@ def choice_sampler(a, p) -> Callable[[np.random.Generator], object]:
     ``p`` is checked once, as :meth:`numpy.random.Generator.choice`
     checks it, and its CDF is built once, as ``choice`` builds it on
     every call (``cumsum``, then divided by its last entry).  Each draw
-    spends one ``rng.random()`` on a right-sided ``searchsorted``, the
-    algorithm ``choice`` itself runs, so draws and generator state match
-    ``choice`` exactly.  An integer ``a`` draws indices ``0..a-1``.
+    spends one ``rng.random()`` on a right-sided binary search of that
+    CDF, the algorithm ``choice`` itself runs (``searchsorted``), here
+    as :func:`bisect.bisect_right` over the CDF as a list of Python
+    floats; so draws and generator state match ``choice`` exactly.  An
+    integer ``a`` draws indices ``0..a-1``.  Draws are Python scalars
+    (ints for an integer ``a`` or an integer array).
     """
     values = None if np.ndim(a) == 0 else np.asarray(a)
     size = operator.index(a) if values is None else len(values)
@@ -61,10 +65,11 @@ def choice_sampler(a, p) -> Callable[[np.random.Generator], object]:
         raise ValueError("probabilities do not sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    search = cdf.searchsorted
+    cdf = cdf.tolist()
     if values is None:
-        return lambda rng: search(rng.random(), side="right")
-    return lambda rng: values[search(rng.random(), side="right")]
+        return lambda rng: bisect_right(cdf, rng.random())
+    values = values.tolist()
+    return lambda rng: values[bisect_right(cdf, rng.random())]
 
 
 class SpatialPattern(ABC):
@@ -94,7 +99,7 @@ class SpatialPattern(ABC):
         self, src: int, num_nodes: int, rng: np.random.Generator
     ) -> int:
         """Draw a destination according to the pattern."""
-        return int(self.destination_sampler(src, num_nodes)(rng))
+        return self.destination_sampler(src, num_nodes)(rng)
 
 
 class UniformPattern(SpatialPattern):
@@ -276,20 +281,42 @@ def _fit_butterfly(observed: np.ndarray, src: int) -> Optional[SpatialFit]:
     return SpatialFit(pattern=pattern, r2=r_squared(observed, predicted))
 
 
+#: The locality model's decay grid, as Python floats.
+_DECAYS = np.linspace(0.0, 4.0, 41).tolist()
+
+
 def _fit_locality(
     observed: np.ndarray, src: int, hops: Sequence[int]
 ) -> Optional[SpatialFit]:
-    best: Optional[SpatialFit] = None
-    for decay in np.linspace(0.0, 4.0, 41):
-        pattern = LocalityDecayPattern(decay=float(decay), hops=hops)
-        try:
-            predicted = pattern.fractions(src, observed.size)
-        except ValueError:
-            return None
-        fit = SpatialFit(pattern=pattern, r2=r_squared(observed, predicted))
-        if best is None or fit.r2 > best.r2:
-            best = fit
-    return best
+    """Score every decay on the grid in one array pass; the first
+    maximum of R² wins.
+
+    Row ``k`` holds :meth:`LocalityDecayPattern.fractions` for decay
+    ``k`` bit for bit: the same ``math.exp(-decay * hop)`` per (decay,
+    hop value), each row divided by its own sum, and R² per row as
+    :func:`r_squared` computes it.  The rows are C-contiguous, so
+    ``sum(axis=1)`` is each row's own 1-D (pairwise) sum; a fancy-indexed
+    ``table[:, column]`` would be Fortran-ordered and sum in another
+    order.
+    """
+    if hops[src] != 0:
+        return None
+    levels, column = np.unique(np.asarray(hops), return_inverse=True)
+    table = np.array([[math.exp(-d * h) for h in levels.tolist()] for d in _DECAYS])
+    weights = table.take(column, axis=1)
+    weights[:, src] = 0.0
+    totals = weights.sum(axis=1)
+    if (totals <= 0).any():
+        return None
+    ss_res = ((observed - weights / totals[:, None]) ** 2).sum(axis=1)
+    ss_tot = float(np.sum((observed - np.mean(observed)) ** 2))
+    if ss_tot <= 0.0:
+        r2 = np.where(ss_res <= 1e-30, 1.0, 0.0)
+    else:
+        r2 = 1.0 - ss_res / ss_tot
+    best = int(np.argmax(r2))
+    pattern = LocalityDecayPattern(decay=_DECAYS[best], hops=hops)
+    return SpatialFit(pattern=pattern, r2=float(r2[best]))
 
 
 #: A bimodal/locality fit must beat plain uniform by this margin to be

@@ -180,6 +180,7 @@ class TestChoiceSampler:
         for _ in range(draws):
             got, want = draw(ours), theirs.choice(a, p=p)
             assert got == want
+            assert type(got) is int
             assert p[(got - 100) // 3 if as_array else got] > 0
         # Same generator state afterwards: one uniform per draw, as choice.
         assert ours.random() == theirs.random()
