@@ -326,7 +326,7 @@ class CCNUMAMachine:
             yield self._local_hold
             return
         nbytes, tag = self._wire[kind]
-        message = NetworkMessage(src=src, dst=dst, length_bytes=nbytes, kind=tag)
+        message = NetworkMessage(src, dst, nbytes, tag)
         yield from self.network.transfer(message)
 
     def _block_lock(self, block: int) -> Tuple[Request, Release]:

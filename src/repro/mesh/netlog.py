@@ -119,11 +119,6 @@ class NetLogRecord:
         """End-to-end latency including source queueing."""
         return self.deliver_time - self.inject_time
 
-    @property
-    def network_latency(self) -> float:
-        """Latency from network entry to delivery (excludes source queueing)."""
-        return self.deliver_time - self.start_time
-
 
 _new_object = object.__new__
 
@@ -849,20 +844,29 @@ class NetworkLog(AggregateViews):
         hops: int,
     ) -> None:
         """Append one record from its fields (no :class:`NetLogRecord`
-        construction needed -- the collection fast path)."""
-        code = self._intern_kind(kind)
+        construction needed -- the collection fast path).
+
+        Values are staged as given, not converted: every caller passes
+        them typed (``transfer`` its own locals, :meth:`add` a record's
+        fields, the CSV reader what it parsed), and :meth:`seal` casts
+        each column to its dtype, so an ``int`` and a NumPy integer of
+        the same value seal to the same bytes.
+        """
+        code = self._kind_codes.get(kind)
+        if code is None:
+            code = self._intern_kind(kind)
         self._pending.append(
             (
-                int(msg_id),
-                int(src),
-                int(dst),
-                int(length_bytes),
+                msg_id,
+                src,
+                dst,
+                length_bytes,
                 code,
-                float(inject_time),
-                float(start_time),
-                float(deliver_time),
-                float(contention),
-                int(hops),
+                inject_time,
+                start_time,
+                deliver_time,
+                contention,
+                hops,
             )
         )
         self._views = None

@@ -30,7 +30,7 @@ from repro.mesh.topology import ROUTE_TABLE_CAP, Hop
 from repro.obs.live import start_live_telemetry
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import CHANNELS_PID, NULL_TIMELINE, TimelineRecorder
-from repro.simkernel import Facility, Hold, Mailbox, Release, Request, SimEvent, Simulator
+from repro.simkernel import Facility, Hold, Mailbox, Release, Request, SimEvent, Simulator, hold
 from repro.simkernel.diagnosis import check_leaks
 
 DeliveryHandler = Callable[[NetworkMessage, NetLogRecord], None]
@@ -250,7 +250,7 @@ class MeshNetwork:
         delivered = False
         # Channel acquire times for the timeline's per-channel occupancy
         # spans (wormhole: held until the tail drains).
-        acquire_times: List[float] = []
+        acquire_times: Optional[List[float]] = [] if timeline_on else None
 
         try:
             # Source NI: serializes messages leaving the same node.
@@ -294,19 +294,39 @@ class MeshNetwork:
                 yield release_cmd
                 released += 1
 
-            record = make_record(
-                message.msg_id,
-                message.src,
-                message.dst,
-                message.length_bytes,
-                message.kind,
+            # The log row and the returned record take the same locals:
+            # reading a factory record's fields back costs more.
+            msg_id = message.msg_id
+            src = message.src
+            dst = message.dst
+            length_bytes = message.length_bytes
+            kind = message.kind
+            deliver_time = simulator._now
+            hops = len(route)
+            self.log.append(
+                msg_id,
+                src,
+                dst,
+                length_bytes,
+                kind,
                 inject_time,
                 start_time,
-                simulator._now,
+                deliver_time,
                 contention,
-                len(route),
+                hops,
             )
-            self.log.add(record)
+            record = make_record(
+                msg_id,
+                src,
+                dst,
+                length_bytes,
+                kind,
+                inject_time,
+                start_time,
+                deliver_time,
+                contention,
+                hops,
+            )
             self._in_flight -= 1
             self.total_delivered += 1
             delivered = True
@@ -346,7 +366,8 @@ class MeshNetwork:
                         tid=self._channel_tids[(hop.src, hop.dst)],
                         args={"src": message.src, "dst": message.dst},
                     )
-            self._deliver(message, record)
+            if self._handlers or self._mailboxes:
+                self._deliver(message, record)
         except BaseException:
             # The unwind may arrive via GeneratorExit (shutdown/GC), so
             # no yields here: facilities are released synchronously.
@@ -446,7 +467,7 @@ class MeshNetwork:
 
     def _source(self, src: int, entries: Iterable[SourceEntry], kind: str):
         for gap, dst, length_bytes, msg_id in entries:
-            yield Hold(float(gap))
+            yield hold(gap)
             if msg_id is None:
                 message = NetworkMessage(src, dst, length_bytes, kind)
             else:

@@ -25,10 +25,12 @@ Subclassed commands and unknown yields take the generic
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
+from types import GeneratorType
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.simkernel.engine_calendar import (
@@ -87,9 +89,26 @@ class Passivate:
     :meth:`Process.activate`."""
 
 
+_new_object = object.__new__
+
+
 def hold(duration: float) -> Hold:
-    """Advance the issuing process's clock by ``duration`` (CSIM ``hold``)."""
-    return Hold(float(duration))
+    """Advance the issuing process's clock by ``duration`` (CSIM ``hold``).
+
+    Returns ``Hold(float(duration))`` without running the frozen
+    dataclass's ``__init__``, as :func:`repro.mesh.netlog.make_record`
+    builds a record: the same ``>= 0`` test and message, then the one
+    field filled into the instance ``__dict__``.  ``==``, ``hash``,
+    ``repr``, pickled bytes, ``vars()`` and
+    :class:`dataclasses.FrozenInstanceError` are those of a constructed
+    command.
+    """
+    duration = float(duration)
+    if not duration >= 0:  # written so that NaN fails too
+        raise SimulationError(f"hold() duration must be >= 0, got {duration}")
+    command = _new_object(Hold)
+    command.__dict__["duration"] = duration
+    return command
 
 
 def wait(event: Any) -> Wait:
@@ -103,6 +122,10 @@ def passivate() -> Passivate:
 
 
 ProcessBody = Generator[Any, Any, Any]
+
+#: What :meth:`Process.join` yields: commands are immutable, so one
+#: instance serves every join.
+_PASSIVATE = Passivate()
 
 
 class Process:
@@ -190,7 +213,7 @@ class Process:
                 raise SimulationError("join() may only be used from inside a process")
             self._waiters.append(waiter)
             waiter.waiting_on = self
-            yield Passivate()
+            yield _PASSIVATE
         if self.state is ProcessState.FAILED and self.error is not None:
             raise self.error
         return self.result
@@ -272,9 +295,15 @@ def steady_clock(
                     break
                 when = heappop(times)
                 sched._floor = when
-                fifo.extend(waves.pop(when))
-                rec = fifo[0]
-                fifo[0] = None
+                rec = waves.pop(when)
+                if type(rec) is list:
+                    fifo.extend(rec)
+                    rec = fifo[0]
+                    fifo[0] = None
+                else:
+                    # A bare one-event wave fires straight away; its
+                    # placeholder slot keeps the head count.
+                    fifo.append(None)
                 sched._head = 1
             simulator._now = now = rec.time
             proc = rec.proc
@@ -345,10 +374,12 @@ def steady_clock(
                             else:
                                 wave = waves.get(when)
                                 if wave is None:
-                                    waves[when] = [rec]
+                                    waves[when] = rec
                                     heappush(times, when)
-                                else:
+                                elif type(wave) is list:
                                     wave.append(rec)
+                                else:
+                                    waves[when] = [wave, rec]
                         elif command_type is Send:
                             # Inline Send._execute + Mailbox.put: both
                             # wakeups are zero-delay, and inside this
@@ -575,8 +606,15 @@ class Simulator:
         self._sched.push_callback(self._now + delay, callback)
 
     def process(self, body: ProcessBody, name: str = "process") -> Process:
-        """Create a process from generator ``body`` and schedule its start."""
-        if not isinstance(body, Iterator):
+        """Create a process from generator ``body`` and schedule its start.
+
+        ``body`` must speak the generator protocol (the clock resumes it
+        with ``send``): a generator, or any other
+        :class:`collections.abc.Generator`.
+        """
+        if type(body) is not GeneratorType and not isinstance(
+            body, collections.abc.Generator
+        ):
             raise SimulationError(
                 f"process body must be a generator, got {type(body).__name__}; "
                 "did you forget to call the generator function?"

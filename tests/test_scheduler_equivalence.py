@@ -1,14 +1,20 @@
 """Property tests: the kernel's one clock loop keeps one order.
 
 The kernel's observable order is the total order ``(time, seq)``:
-simultaneous events fire in the order they were scheduled.  Three
+simultaneous events fire in the order they were scheduled.  Four
 checks hold ``steady_clock`` -- the only clock loop -- to a reference.
 
 * Random interleavings of every calendar push, peek and ``len`` with
   runs that fire one event each are compared, operation by operation,
   with a plain ``heapq`` of ``(time, seq)`` entries -- the model of the
   ordering contract.  Every fired event stops the run, so each pop goes
-  through the loop's inline now-FIFO pop and wave promotion.
+  through the loop's inline now-FIFO pop and wave promotion.  Some
+  fired events yield a hold, so the loop's inline hold push is held to
+  the model too, and some pushes land on the time of the latest push,
+  so a second step, callback, wave or hold joins a wave that holds one
+  event: waves of both shapes, the bare record and the list.
+* Each kind of second push turns a one-event wave, stored as the bare
+  record, into a list, and both events fire in push order.
 * Randomized process programs -- tie-prone quantized holds, contended
   facilities, paired mailbox handoffs, events -- run once with the
   stock commands, which the loop executes inline, and once with
@@ -27,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mesh.config import MeshConfig
@@ -46,6 +53,7 @@ from repro.simkernel import (
     Wait,
     hold,
 )
+from repro.simkernel.engine_calendar import EventRecord
 
 #: Quantized delays (multiples of 0.25, including 0) make simultaneous
 #: events the common case, which is exactly where an event list's
@@ -60,6 +68,15 @@ operations = st.lists(
         st.tuples(st.just("step"), gaps),
         st.tuples(st.just("callback"), gaps),
         st.tuples(st.just("wave"), gaps, st.integers(min_value=0, max_value=4)),
+        st.tuples(st.just("hold"), gaps, gaps),
+        # Push again at the time of the latest push: onto a one-event
+        # wave if that push opened one.
+        st.tuples(
+            st.just("again"),
+            st.sampled_from(("step", "callback", "wave", "hold")),
+            st.integers(min_value=1, max_value=3),
+            gaps,
+        ),
         st.just(("pop",)),
         st.just(("peek",)),
         st.just(("len",)),
@@ -84,6 +101,25 @@ class Probe:
         return Passivate()
 
 
+class HoldingProbe(Probe):
+    """A probe that yields ``hold(delay)`` the first time it fires, so
+    the loop's inline hold push reschedules it, and passivates after
+    its second firing."""
+
+    def __init__(self, sim, fired, label, delay):
+        super().__init__(sim, fired, label)
+        self.delay = delay
+        self.waiting_on = None
+
+    def _send(self, value):
+        command = super()._send(value)
+        if self.delay is None:
+            return command
+        delay, self.delay = self.delay, None
+        self.label = ("held",) + self.label[1:]
+        return hold(delay)
+
+
 @settings(max_examples=300, deadline=None)
 @given(ops=operations)
 def test_calendar_matches_the_heapq_model(ops):
@@ -98,6 +134,9 @@ def test_calendar_matches_the_heapq_model(ops):
     model = []
     fired = []
     seq = itertools.count()
+    # Label of each pushed holding probe -> the hold it yields when fired.
+    holds = {}
+    latest = 0.0
 
     def pop_and_compare():
         before = len(fired)
@@ -107,15 +146,31 @@ def test_calendar_matches_the_heapq_model(ops):
             return
         when, _, label, value = heappop(model)
         assert fired[before:] == [(when, label, value)]
+        delay = holds.pop(label, None)
+        if delay is not None:
+            held = ("held",) + label[1:]
+            heappush(model, (when + delay, next(seq), held, None))
 
     for n, op in enumerate(ops):
         kind = op[0]
+        if kind == "again":
+            # ``latest`` is still at or after the clock: a push may land
+            # on it.
+            when = max(latest, sim.now)
+            kind, size, delay = op[1:]
+        else:
+            when = sim.now + op[1] if len(op) > 1 else None
+            size = op[2] if kind == "wave" else None
+            delay = op[2] if kind == "hold" else None
         if kind == "step":
-            when = sim.now + op[1]
             sched.push_step(when, Probe(sim, fired, ("step", n)), ("value", n))
             heappush(model, (when, next(seq), ("step", n), ("value", n)))
+        elif kind == "hold":
+            label = ("hold", n)
+            sched.push_step(when, HoldingProbe(sim, fired, label, delay), ("value", n))
+            heappush(model, (when, next(seq), label, ("value", n)))
+            holds[label] = delay
         elif kind == "callback":
-            when = sim.now + op[1]
 
             def callback(label=("callback", n)):
                 fired.append((sim.now, label, None))
@@ -124,8 +179,7 @@ def test_calendar_matches_the_heapq_model(ops):
             sched.push_callback(when, callback)
             heappush(model, (when, next(seq), ("callback", n), None))
         elif kind == "wave":
-            when = sim.now + op[1]
-            labels = [("wave", n, i) for i in range(op[2])]
+            labels = [("wave", n, i) for i in range(size)]
             probes = [Probe(sim, fired, label) for label in labels]
             sched.push_step_wave(when, probes, ("shared", n))
             for label in labels:
@@ -137,11 +191,53 @@ def test_calendar_matches_the_heapq_model(ops):
         else:
             assert len(sched) == len(model)
             assert bool(sched) == bool(model)
+        if when is not None:
+            latest = when
     while model:
         pop_and_compare()
     pop_and_compare()
     assert sched.peek_time() is None
     assert len(sched) == 0
+
+
+@pytest.mark.parametrize("second", ["step", "callback", "wave", "hold"])
+def test_a_second_push_turns_a_bare_wave_into_a_list(second):
+    """A wave holds its one event bare; the second push at that time,
+    of any kind, makes it the list ``[first, second, ...]``, and both
+    fire in push order."""
+    sim = Simulator()
+    sched = sim._sched
+    fired = []
+    sched.push_step(2.0, Probe(sim, fired, "first"), "v")
+    assert type(sched._waves[2.0]) is EventRecord
+    assert len(sched) == 1 and sched.peek_time() == 2.0
+    if second == "step":
+        sched.push_step(2.0, Probe(sim, fired, "second"), "w")
+        expected = [(2.0, "second", "w")]
+    elif second == "callback":
+
+        def callback():
+            fired.append((sim.now, "second", None))
+            sim.stop()
+
+        sched.push_callback(2.0, callback)
+        expected = [(2.0, "second", None)]
+    elif second == "wave":
+        sched.push_step_wave(2.0, [Probe(sim, fired, i) for i in range(2)], "s")
+        expected = [(2.0, 0, "s"), (2.0, 1, "s")]
+    else:
+        # The loop's inline hold push: a process at t=0 holding for 2.
+        sched.push_step(0.0, HoldingProbe(sim, fired, ("hold", 0), 2.0), "h")
+        sim.run()
+        assert fired == [(0.0, ("hold", 0), "h")]
+        fired.clear()
+        expected = [(2.0, ("held", 0), None)]
+    wave = sched._waves[2.0]
+    assert type(wave) is list and len(wave) == 1 + len(expected)
+    assert len(sched) == 1 + len(expected)
+    while sched:
+        sim.run()
+    assert fired == [(2.0, "first", "v")] + expected
 
 
 #: The commands ``steady_clock`` matches by exact type and runs inline.

@@ -1,5 +1,6 @@
 """Unit tests for the process-oriented simulation kernel."""
 
+import collections.abc
 import json
 import os
 import subprocess
@@ -188,6 +189,43 @@ def test_process_requires_generator():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.process(lambda: None)  # type: ignore[arg-type]
+
+
+def test_process_rejects_an_iterator_without_send():
+    """An iterator is not a generator: the clock resumes bodies with
+    ``send``, so one must fail at ``process()``, with the kernel's own
+    error, not as an ``AttributeError`` inside it."""
+    sim = Simulator()
+    with pytest.raises(
+        SimulationError, match="process body must be a generator, got list_iterator"
+    ):
+        sim.process(iter([1, 2]))  # type: ignore[arg-type]
+    assert sim.processes == ()
+
+
+def test_process_accepts_any_generator_protocol_body():
+    """A body that is not a Python generator but implements
+    ``collections.abc.Generator`` runs like one."""
+    sim = Simulator()
+    trail = []
+
+    class Steps(collections.abc.Generator):
+        def __init__(self):
+            self.left = [hold(2.0), hold(3.0)]
+
+        def send(self, value):
+            trail.append(sim.now)
+            if not self.left:
+                raise StopIteration("finished")
+            return self.left.pop(0)
+
+        def throw(self, *args):
+            return super().throw(*args)
+
+    proc = sim.process(Steps(), name="steps")
+    sim.run()
+    assert trail == [0.0, 2.0, 5.0]
+    assert proc.state is ProcessState.FINISHED and proc.result == "finished"
 
 
 def test_exception_in_process_propagates():
