@@ -11,7 +11,7 @@ sharpening the temporal burstiness around write phases.
 
 import pytest
 
-from repro import characterize_shared_memory, create_app
+from repro import create_app, run_dynamic
 from repro.coherence import CoherenceConfig
 
 APPS = {
@@ -26,7 +26,7 @@ def protocol_runs():
     out = {}
     for name, params in APPS.items():
         out[name] = {
-            protocol: characterize_shared_memory(
+            protocol: run_dynamic(
                 create_app(name, **params),
                 coherence_config=CoherenceConfig(protocol=protocol),
             )
@@ -59,7 +59,7 @@ def test_e13_protocol_comparison_table(protocol_runs, benchmark):
         assert update.message_lengths().mean() < invalidate.message_lengths().mean(), name
 
     benchmark.pedantic(
-        lambda: characterize_shared_memory(
+        lambda: run_dynamic(
             create_app("1d-fft", n=64),
             coherence_config=CoherenceConfig(protocol="update"),
         ),

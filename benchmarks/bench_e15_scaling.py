@@ -10,11 +10,7 @@ length mix survive scaling, while rates shift with the machine size.
 
 import pytest
 
-from repro import (
-    characterize_message_passing,
-    characterize_shared_memory,
-    create_app,
-)
+from repro import create_app, run_dynamic, run_static
 from repro.mesh import MeshConfig
 
 MACHINES = (
@@ -28,10 +24,10 @@ MACHINES = (
 def scaling_runs():
     out = {"1d-fft": {}, "3d-fft": {}}
     for label, config in MACHINES:
-        out["1d-fft"][label] = characterize_shared_memory(
+        out["1d-fft"][label] = run_dynamic(
             create_app("1d-fft", n=256), mesh_config=config
         )
-        out["3d-fft"][label] = characterize_message_passing(
+        out["3d-fft"][label] = run_static(
             create_app("3d-fft", n=16), mesh_config=config
         )
     return out
@@ -55,7 +51,7 @@ def test_e15_scaling_table(scaling_runs, benchmark):
             )
 
     benchmark.pedantic(
-        lambda: characterize_shared_memory(
+        lambda: run_dynamic(
             create_app("1d-fft", n=256), mesh_config=MeshConfig("4x4")
         ),
         rounds=1,

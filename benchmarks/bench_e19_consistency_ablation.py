@@ -13,7 +13,7 @@ injection process gets denser.
 
 import pytest
 
-from repro import characterize_shared_memory, create_app
+from repro import create_app, run_dynamic
 from repro.coherence import CoherenceConfig
 
 APPS = {
@@ -29,7 +29,7 @@ def consistency_runs():
     out = {}
     for name, params in APPS.items():
         out[name] = {
-            consistency: characterize_shared_memory(
+            consistency: run_dynamic(
                 create_app(name, **params),
                 coherence_config=CoherenceConfig(consistency=consistency),
             )
@@ -63,7 +63,7 @@ def test_e19_consistency_table(consistency_runs, benchmark):
         assert len(rc) == pytest.approx(len(sc), rel=0.35), name
 
     benchmark.pedantic(
-        lambda: characterize_shared_memory(
+        lambda: run_dynamic(
             create_app("1d-fft", n=64),
             coherence_config=CoherenceConfig(consistency="release"),
         ),

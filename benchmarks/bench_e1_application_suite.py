@@ -8,7 +8,7 @@ benchmarked operation is one full dynamic-strategy pipeline run.
 
 import pytest
 
-from repro import characterize_shared_memory, create_app
+from repro import create_app, run_dynamic
 
 from conftest import BENCH_PROBLEMS, MESSAGE_PASSING, SHARED_MEMORY
 
@@ -33,7 +33,7 @@ def test_e1_application_suite_table(runs, benchmark):
 
     # Benchmark: one full dynamic pipeline (run + analysis) on 1D-FFT.
     result = benchmark.pedantic(
-        lambda: characterize_shared_memory(create_app("1d-fft", n=128)),
+        lambda: run_dynamic(create_app("1d-fft", n=128)),
         rounds=1,
         iterations=1,
     )

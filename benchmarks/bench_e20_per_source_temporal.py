@@ -13,7 +13,7 @@ aggregate expression.
 import numpy as np
 import pytest
 
-from repro import SyntheticTrafficGenerator, characterize_shared_memory, create_app
+from repro import SyntheticTrafficGenerator, create_app, run_dynamic
 from repro.core.attributes import (
     CommunicationCharacterization,
     TemporalCharacterization,
@@ -55,7 +55,7 @@ def pacing_errors(original_log, synthetic_log, num_nodes: int):
 
 @pytest.fixture(scope="module")
 def is_run():
-    return characterize_shared_memory(
+    return run_dynamic(
         create_app("is", n=1024, buckets=64), per_source_temporal=True
     )
 

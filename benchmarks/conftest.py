@@ -14,7 +14,7 @@ from typing import Dict
 
 import pytest
 
-from repro import characterize_message_passing, characterize_shared_memory, create_app
+from repro import create_app, run_dynamic, run_static
 from repro.core.methodology import CharacterizationRun
 from repro.obs.report import report_from_run
 
@@ -82,9 +82,9 @@ class RunCache:
             app = create_app(name, **BENCH_PROBLEMS[name])
             started = time.perf_counter()
             if name in SHARED_MEMORY:
-                cached = characterize_shared_memory(app)
+                cached = run_dynamic(app)
             else:
-                cached = characterize_message_passing(app)
+                cached = run_static(app)
             self.wall_seconds[name] = time.perf_counter() - started
             self._runs[name] = cached
             if self._disk is not None:

@@ -12,7 +12,7 @@ spread (the halo neighbours).
 Run:  python examples/characterize_message_passing.py
 """
 
-from repro import characterize_message_passing, create_app
+from repro import create_app, run_static
 from repro.core.report import spatial_table, temporal_table, volume_table
 from repro.trace import profile_trace
 
@@ -22,7 +22,7 @@ def main() -> None:
     for name, params in (("3d-fft", {"n": 16}), ("mg", {"n": 32, "cycles": 2})):
         app = create_app(name, **params)
         print(f"running {name} {params} on the simulated SP2 ...", flush=True)
-        run = characterize_message_passing(app)
+        run = run_static(app)
         profile = profile_trace(run.trace, 8)
         print(f"  traced {profile.total_messages} messages, "
               f"{profile.total_bytes} bytes "

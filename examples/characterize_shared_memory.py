@@ -13,7 +13,7 @@ Run:  python examples/characterize_shared_memory.py [--small]
 
 import sys
 
-from repro import characterize_shared_memory, create_app
+from repro import create_app, run_dynamic
 from repro.core.report import spatial_table, temporal_table
 
 #: Default problem sizes (paper-scale shapes, laptop-scale sizes).
@@ -40,7 +40,7 @@ def main() -> None:
     for name, params in problems.items():
         app = create_app(name, **params)
         print(f"running {name} {params} ...", flush=True)
-        run = characterize_shared_memory(app)
+        run = run_dynamic(app)
         results.append(run.characterization)
         favorite_story = ", ".join(
             f"p{src}->p{run.characterization.spatial.favorite_of(src)}"

@@ -15,7 +15,7 @@ under a real application's fitted communication model.  The study:
 Run:  python examples/icn_design_study.py
 """
 
-from repro import SyntheticTrafficGenerator, characterize_shared_memory, create_app
+from repro import SyntheticTrafficGenerator, create_app, run_dynamic
 from repro.core import WormholeLatencyModel, run_pattern
 from repro.mesh import MeshConfig
 
@@ -32,7 +32,7 @@ PATTERNS = ("uniform", "bit-complement", "transpose", "hotspot")
 def main() -> None:
     app = create_app("1d-fft", n=256)
     print(f"characterizing {app.name} ...")
-    run = characterize_shared_memory(app)
+    run = run_dynamic(app)
     characterization = run.characterization
     print(f"temporal: {characterization.temporal.fit.describe()}")
     print(f"spatial:  dominant {characterization.spatial.dominant_pattern}")

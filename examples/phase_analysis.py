@@ -12,7 +12,7 @@ that motivates burst-aware synthetic generation.
 Run:  python examples/phase_analysis.py
 """
 
-from repro import characterize_shared_memory, create_app
+from repro import create_app, run_dynamic
 from repro.core import estimate_bursts, phase_table, segment_phases
 from repro.core.charts import spatial_chart
 from repro.stats import correlation_profile
@@ -21,7 +21,7 @@ from repro.stats import correlation_profile
 def main() -> None:
     app = create_app("1d-fft", n=256)
     print(f"running {app.name} on the execution-driven CC-NUMA simulator ...")
-    run = characterize_shared_memory(app)
+    run = run_dynamic(app)
 
     print()
     print("=== execution phases (segmented at injection lulls) ===")

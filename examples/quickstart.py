@@ -10,14 +10,14 @@ length/volume breakdown.
 Run:  python examples/quickstart.py
 """
 
-from repro import characterize_shared_memory, create_app
+from repro import create_app, run_dynamic
 from repro.core.report import spatial_table, volume_table
 
 
 def main() -> None:
     app = create_app("1d-fft", n=256)
     print(f"running {app.name}: {app.description}")
-    run = characterize_shared_memory(app)
+    run = run_dynamic(app)
 
     characterization = run.characterization
     print()

@@ -21,9 +21,9 @@ import numpy as np
 
 from repro import (
     SyntheticTrafficGenerator,
-    characterize_shared_memory,
     compare_logs,
     create_app,
+    run_dynamic,
 )
 from repro.core.attributes import (
     CommunicationCharacterization,
@@ -56,7 +56,7 @@ def uniformized(characterization: CommunicationCharacterization) -> Communicatio
 def main() -> None:
     app = create_app("1d-fft", n=256)
     print(f"characterizing {app.name} ...", flush=True)
-    run = characterize_shared_memory(app)
+    run = run_dynamic(app)
     characterization = run.characterization
     print(characterization.temporal.describe())
 

@@ -11,9 +11,9 @@ parallel applications' communication.
 
 Quick start::
 
-    from repro import characterize_shared_memory, create_app
+    from repro import run_dynamic
 
-    run = characterize_shared_memory(create_app("1d-fft", n=256))
+    run = run_dynamic("1d-fft", params={"n": 256})
     print(run.characterization.describe())
 
 Package map (bottom-up):
@@ -36,12 +36,9 @@ from repro.core import (
     RunOptions,
     SyntheticTrafficGenerator,
     characterize_log,
-    characterize_message_passing,
-    characterize_shared_memory,
     compare_logs,
     run_dynamic,
     run_static,
-    run_synthetic,
 )
 from repro.mesh import MeshConfig, MeshNetwork, NetworkLog, NetworkMessage
 
@@ -57,11 +54,8 @@ __all__ = [
     "SyntheticTrafficGenerator",
     "__version__",
     "characterize_log",
-    "characterize_message_passing",
-    "characterize_shared_memory",
     "compare_logs",
     "create_app",
     "run_dynamic",
     "run_static",
-    "run_synthetic",
 ]

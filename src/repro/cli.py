@@ -79,13 +79,13 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps import MESSAGE_PASSING_APPS, SHARED_MEMORY_APPS, create_app
+from repro.apps import MESSAGE_PASSING_APPS, SHARED_MEMORY_APPS
 from repro.core import (
     RunOptions,
     SyntheticTrafficGenerator,
-    characterize_message_passing,
-    characterize_shared_memory,
     compare_logs,
+    run_dynamic,
+    run_static,
 )
 from repro.core.report import spatial_table, temporal_table, volume_table
 from repro.mesh import MeshConfig, registered_patterns
@@ -165,10 +165,9 @@ def _run_characterization(
     mesh: MeshConfig,
     options: Optional[RunOptions] = None,
 ):
-    app = create_app(name, **params)
     if name in SHARED_MEMORY_APPS:
-        return characterize_shared_memory(app, mesh_config=mesh, options=options)
-    return characterize_message_passing(app, mesh_config=mesh, options=options)
+        return run_dynamic(name, params=params, mesh_config=mesh, options=options)
+    return run_static(name, params=params, mesh_config=mesh, options=options)
 
 
 def cmd_apps(_: argparse.Namespace) -> int:

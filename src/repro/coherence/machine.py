@@ -18,7 +18,7 @@ the protocol is deadlock-free.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.coherence.blocks import BlockMap
 from repro.coherence.cache import Cache, CacheState
@@ -130,10 +130,6 @@ class CCNUMAMachine:
     def add_cycles(self, pid: int, cycles: float) -> None:
         """Charge local computation without entering the event loop."""
         self._pending_cycles[pid] += cycles
-
-    def pending_cycles(self, pid: int) -> float:
-        """Cycles charged but not yet realized as simulated time."""
-        return self._pending_cycles[pid]
 
     def flush_cycles(self, pid: int):
         """Sub-generator realizing accumulated cycles as simulated time.

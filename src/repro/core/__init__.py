@@ -12,8 +12,10 @@ network activity log:
 * **volume** -- message counts and the message-length distribution
   (:mod:`repro.core.volume`).
 
-:mod:`repro.core.methodology` runs the two strategies end to end
-(dynamic = execution-driven CC-NUMA, static = traced SP2 + replay);
+:mod:`repro.core.run` runs the two strategies end to end
+(:func:`run_dynamic` = execution-driven CC-NUMA, :func:`run_static` =
+traced SP2 + replay), both ending in
+:func:`~repro.core.methodology.characterize_log`;
 :mod:`repro.core.synthetic` turns a fitted characterization back into
 a traffic generator; :mod:`repro.core.validation` closes the loop by
 comparing synthetic traffic's network behaviour with the original's.
@@ -34,13 +36,8 @@ from repro.core.loadsweep import (
 )
 from repro.core.options import RunOptions
 from repro.core.phases import PhaseSegment, phase_table, segment_phases
-from repro.core.methodology import (
-    CharacterizationRun,
-    characterize_log,
-    characterize_message_passing,
-    characterize_shared_memory,
-)
-from repro.core.run import run_dynamic, run_pattern, run_static, run_synthetic
+from repro.core.methodology import CharacterizationRun, characterize_log
+from repro.core.run import run_dynamic, run_pattern, run_static
 from repro.core.spatial import analyze_spatial
 from repro.core.analytical import AnalyticalEstimate, WormholeLatencyModel
 from repro.core.bursts import BurstModel, estimate_bursts
@@ -70,8 +67,6 @@ __all__ = [
     "analyze_temporal",
     "analyze_volume",
     "characterize_log",
-    "characterize_message_passing",
-    "characterize_shared_memory",
     "compare_logs",
     "estimate_bursts",
     "measure_load_point",
@@ -79,7 +74,6 @@ __all__ = [
     "run_dynamic",
     "run_pattern",
     "run_static",
-    "run_synthetic",
     "segment_phases",
     "sweep_load",
 ]

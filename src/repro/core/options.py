@@ -4,8 +4,8 @@ The characterization pipelines, the synthetic generators, the load
 sweep and the grid runner each used to grow their own ad-hoc keyword
 arguments for instrumentation and kernel knobs.  :class:`RunOptions`
 bundles them into one frozen, JSON-serializable value that travels the
-whole stack: ``run_dynamic``/``run_static``/``run_synthetic``
-(:mod:`repro.core.run`), the ``characterize_*`` pipelines,
+whole stack: ``run_dynamic``/``run_static``/``run_pattern``
+(:mod:`repro.core.run`), the synthetic generators,
 :func:`~repro.core.loadsweep.measure_load_point`, and sweep cell specs
 (where it becomes part of the cell's content address).
 """
@@ -100,11 +100,6 @@ class RunOptions:
             )
         if self.log_spill_window is not None and self.log_spill is None:
             raise ValueError("log_spill_window needs log_spill (a spill directory)")
-
-    @property
-    def live_enabled(self) -> bool:
-        """True when this bundle requests live telemetry."""
-        return self.sample_interval is not None or self.heartbeat is not None
 
     # ------------------------------------------------------------------
     # instrument / log factories

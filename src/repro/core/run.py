@@ -1,20 +1,33 @@
-"""Unified pipeline entry points: one options bundle, three verbs.
+"""The characterization pipelines: one function per strategy.
 
-:func:`run_dynamic`, :func:`run_static` and :func:`run_synthetic` are
-the front door to the methodology: each takes the workload (an
-application instance or registry name, or a fitted characterization)
-plus a single :class:`~repro.core.options.RunOptions` bundle, instead
-of the per-function instrumentation kwargs the lower-level
-``characterize_*`` pipelines accumulated.
+Dynamic strategy (shared memory), :func:`run_dynamic`::
+
+    app -> execution-driven CC-NUMA simulation -> network activity log
+        -> temporal/spatial/volume analysis -> characterization
+
+Static strategy (message passing), :func:`run_static`::
+
+    app -> simulated SP2 run -> application-level trace
+        -> dependency-preserving replay into the mesh -> activity log
+        -> temporal/spatial/volume analysis -> characterization
+
+Both strategies drive the *same* 2-D mesh simulator, as the paper
+stresses ("for both application categories, we intentionally use the
+same 2-D network topology and log the network events"), and both end
+in :func:`~repro.core.methodology.characterize_log`.  Each takes the
+application (an instance, or a registry name plus ``params``) and one
+:class:`~repro.core.options.RunOptions` bundle.  :func:`run_pattern`
+replays a pre-drawn pattern workload on the mesh; traffic regenerated
+from a fitted model comes from
+:class:`~repro.core.synthetic.SyntheticTrafficGenerator`.
 
 ::
 
-    from repro.core import RunOptions, run_dynamic, run_synthetic
+    from repro.core import RunOptions, SyntheticTrafficGenerator, run_dynamic
 
     run = run_dynamic("1d-fft", params={"n": 128},
                       options=RunOptions(metrics=True))
-    log = run_synthetic(run.characterization,
-                        options=RunOptions(max_no_progress_events=100_000))
+    log = SyntheticTrafficGenerator(run.characterization).generate()
 """
 
 from __future__ import annotations
@@ -23,17 +36,12 @@ from typing import Mapping, Optional, Union
 
 from repro.apps.base import MessagePassingApplication, SharedMemoryApplication
 from repro.coherence.config import CoherenceConfig
-from repro.core.attributes import CommunicationCharacterization
-from repro.core.methodology import (
-    CharacterizationRun,
-    characterize_message_passing,
-    characterize_shared_memory,
-)
+from repro.core.methodology import CharacterizationRun, characterize_log
 from repro.core.options import RunOptions
-from repro.core.synthetic import SyntheticTrafficGenerator
 from repro.mesh.config import MeshConfig
-from repro.mesh.netlog import NetworkLog
-from repro.mp.sp2 import SP2Config
+from repro.mesh.network import MeshNetwork
+from repro.simkernel import Simulator
+from repro.trace.replay import replay_trace
 
 
 def _resolve_app(app, params: Optional[Mapping[str, object]], expected: type):
@@ -66,14 +74,36 @@ def run_dynamic(
 
     ``app`` is a :class:`SharedMemoryApplication` instance or a
     registry name (with ``params`` as its constructor arguments).
+    ``options`` configures instrumentation and kernel knobs; the
+    returned run then carries the materialized ``registry``/``timeline``
+    and a ``metrics`` snapshot.
     """
     app = _resolve_app(app, params, SharedMemoryApplication)
-    return characterize_shared_memory(
-        app,
+    options = options or RunOptions()
+    registry = options.make_registry()
+    recorder = options.make_timeline()
+    mesh_config = mesh_config or MeshConfig()
+    sim = app.run(
         mesh_config=mesh_config,
         coherence_config=coherence_config,
-        per_source_temporal=per_source_temporal,
+        obs=registry,
+        timeline=recorder,
         options=options,
+    )
+    characterization = characterize_log(
+        sim.log,
+        mesh_config,
+        app_name=app.name,
+        strategy="dynamic",
+        per_source_temporal=per_source_temporal,
+    )
+    return CharacterizationRun(
+        characterization=characterization,
+        log=sim.log,
+        metrics=registry.as_dict() if registry is not None and registry.enabled else None,
+        registry=registry,
+        timeline=recorder,
+        live=sim.network.live_series,
     )
 
 
@@ -81,51 +111,43 @@ def run_static(
     app: Union[str, MessagePassingApplication],
     params: Optional[Mapping[str, object]] = None,
     mesh_config: Optional[MeshConfig] = None,
-    sp2: Optional[SP2Config] = None,
-    replay_mode: str = "dependency",
-    time_scale: float = 1.0,
-    per_source_temporal: bool = False,
     options: Optional[RunOptions] = None,
 ) -> CharacterizationRun:
     """Static strategy: traced SP2 run replayed into the mesh.
 
     ``app`` is a :class:`MessagePassingApplication` instance or a
-    registry name (with ``params`` as its constructor arguments).
+    registry name (with ``params`` as its constructor arguments).  The
+    rank count equals the mesh's node count (each SP2 rank maps onto
+    one mesh node), and the replay preserves each source's order and
+    traced gaps.  ``options`` configures both the SP2 run and the
+    replay (the registry observes both, the timeline records the
+    replay's network activity).  Per-source temporal fits of the log
+    come from :func:`~repro.core.methodology.characterize_log`.
     """
     app = _resolve_app(app, params, MessagePassingApplication)
-    return characterize_message_passing(
-        app,
-        mesh_config=mesh_config,
-        sp2=sp2,
-        replay_mode=replay_mode,
-        time_scale=time_scale,
-        per_source_temporal=per_source_temporal,
-        options=options,
+    options = options or RunOptions()
+    registry = options.make_registry()
+    recorder = options.make_timeline()
+    mesh_config = mesh_config or MeshConfig()
+    runtime = app.run(num_ranks=mesh_config.num_nodes, obs=registry, options=options)
+    network = MeshNetwork(
+        Simulator(obs=registry), mesh_config, timeline=recorder, log=options.make_netlog()
     )
-
-
-def run_synthetic(
-    characterization: CommunicationCharacterization,
-    mesh_config: Optional[MeshConfig] = None,
-    seed: int = 1234,
-    rate_scale: float = 1.0,
-    messages_per_source: int = 200,
-    until: Optional[float] = None,
-    options: Optional[RunOptions] = None,
-) -> NetworkLog:
-    """Drive a mesh with synthetic traffic from a fitted model.
-
-    Builds a :class:`SyntheticTrafficGenerator` and returns the sealed
-    activity log of one ``generate`` run.
-    """
-    generator = SyntheticTrafficGenerator(
-        characterization,
-        mesh_config=mesh_config,
-        seed=seed,
-        rate_scale=rate_scale,
-        options=options,
+    # Telemetry covers the mesh replay (the phase producing the activity
+    # log the methodology analyzes), not the SP2 front half.
+    log = replay_trace(runtime.trace, network, options=options)
+    characterization = characterize_log(
+        log, mesh_config, app_name=app.name, strategy="static"
     )
-    return generator.generate(messages_per_source=messages_per_source, until=until)
+    return CharacterizationRun(
+        characterization=characterization,
+        log=log,
+        trace=runtime.trace,
+        metrics=registry.as_dict() if registry is not None and registry.enabled else None,
+        registry=registry,
+        timeline=recorder,
+        live=network.live_series,
+    )
 
 
 def run_pattern(

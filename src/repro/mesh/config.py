@@ -9,6 +9,7 @@ topology); timing and wormhole parameters live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Union
 
 from repro.mesh.spec import TopologySpec
@@ -178,6 +179,10 @@ class MeshConfig:
         ``length_bytes`` payload bytes."""
         if length_bytes < 0:
             raise ValueError(f"message length must be >= 0, got {length_bytes}")
+        if isinstance(length_bytes, Integral):
+            # A NumPy integer counts as the equal Python int: negating
+            # an unsigned one below would wrap.
+            length_bytes = int(length_bytes)
         payload_flits = -(-length_bytes // self.flit_bytes)  # ceil div
         return max(1, self.header_flits + payload_flits)
 

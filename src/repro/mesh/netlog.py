@@ -425,14 +425,14 @@ class LogSummary:
         self._check_within(num_nodes)
         return self._dense(num_nodes, 3 if volume else 2)
 
-    def row(self, src: int, num_nodes: int, volume: bool = False) -> np.ndarray:
-        """Row ``src`` of :meth:`matrix`, built from ``src``'s pairs
-        alone (zeros for a source outside the network); validates the
-        whole log like :meth:`matrix`."""
+    def row(self, src: int, num_nodes: int) -> np.ndarray:
+        """Row ``src`` of the message-count :meth:`matrix`, built from
+        ``src``'s pairs alone (zeros for a source outside the network);
+        validates the whole log like :meth:`matrix`."""
         self._check_within(num_nodes)
         picked = self.pairs[0] == src
         out = np.zeros(num_nodes)
-        out[self.pairs[1, picked]] = self.pairs[3 if volume else 2, picked]
+        out[self.pairs[1, picked]] = self.pairs[2, picked]
         return out
 
     # ------------------------------------------------------------------
@@ -595,14 +595,6 @@ class AggregateViews:
         messages sent by a processor to others in the system".
         """
         return _normalized(self.destination_counts(src, num_nodes))
-
-    def volume_by_destination(self, src: int, num_nodes: int) -> np.ndarray:
-        """Bytes sent by ``src`` to each node (the *volume* distribution)."""
-        return self._summary_within(num_nodes).row(src, num_nodes, volume=True)
-
-    def volume_fractions(self, src: int, num_nodes: int) -> np.ndarray:
-        """Fraction of ``src``'s byte volume sent to each node."""
-        return _normalized(self.volume_by_destination(src, num_nodes))
 
     def length_counts(self) -> Dict[int, int]:
         """Message count per distinct payload length, ascending sizes."""

@@ -162,9 +162,8 @@ class StreamingNetworkLog(AggregateViews):
             self._spill()
 
     def add(self, record: NetLogRecord) -> None:
-        """Append one delivered-message record (the delivery path: one
-        call into the window log, as :meth:`append` makes)."""
-        self._window_log.append(
+        """Append one delivered-message record."""
+        self.append(
             record.msg_id,
             record.src,
             record.dst,
@@ -176,10 +175,6 @@ class StreamingNetworkLog(AggregateViews):
             record.contention,
             record.hops,
         )
-        self._merged_cache = None
-        self._window_fill += 1
-        if self._window_fill >= self.window:
-            self._spill()
 
     def extend(self, records) -> None:
         """Append many records."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mesh.spec import TopologySpec
@@ -78,14 +79,16 @@ class RouteTable:
 
     def get(self, src: int, dst: int) -> Tuple[Hop, ...]:
         """The route from ``src`` to ``dst`` (empty when equal)."""
-        key = (src, dst)
-        entry = self._entries.get(key)
+        entry = self._entries.get((src, dst))
         if entry is None:
+            # NumPy endpoints route as the equal Python ints: a walk
+            # stepping in an unsigned dtype would wrap past node 0.
+            src, dst = index(src), index(dst)
             intern = self._hops.setdefault
             route = getattr(self._owner, self._method)(src, dst)
             entry = tuple([intern(hop, hop) for hop in route])
             if len(self._entries) < ROUTE_TABLE_CAP:
-                self._entries[key] = entry
+                self._entries[src, dst] = entry
         return entry
 
 

@@ -19,10 +19,10 @@ Three pieces:
 
 Enabling it end to end::
 
-    from repro import RunOptions, characterize_shared_memory, create_app
+    from repro import RunOptions, run_dynamic
 
-    run = characterize_shared_memory(
-        create_app("1d-fft", n=256),
+    run = run_dynamic(
+        "1d-fft", params={"n": 256},
         options=RunOptions(metrics=True, timeline=True),
     )
     run.registry.write_json("metrics.json")

@@ -13,11 +13,11 @@ study."  This package provides the equivalent machinery:
   empirical densities the regression is run against.
 * :mod:`repro.stats.secant` -- derivative-free multivariate secant
   non-linear least squares (SAS PROC NLIN's DUD/secant method).
-* :mod:`repro.stats.regression` -- the PROC NLIN-style driver.
 * :mod:`repro.stats.goodness` -- R-squared and Kolmogorov-Smirnov
   goodness-of-fit measures.
 * :mod:`repro.stats.fitting` -- end-to-end inter-arrival / length
-  distribution fitting with model selection.
+  distribution fitting with model selection (the PROC NLIN-style
+  weighted regression of each family's density).
 * :mod:`repro.stats.spatial_models` -- discrete destination-distribution
   models (uniform, bimodal uniform / favorite processor, locality decay).
 * :mod:`repro.stats.streaming` -- one-pass mergeable estimators
@@ -41,11 +41,10 @@ from repro.stats.distributions import (
     continuous_candidates,
 )
 from repro.stats.correlation import CorrelationProfile, autocorrelation, correlation_profile
-from repro.stats.fitting import FitResult, fit_distribution, fit_interarrival
+from repro.stats.fitting import FitResult, fit_distribution
 from repro.stats.mle import MLEResult, fit_mle, fit_mle_best
 from repro.stats.goodness import ks_statistic, r_squared
 from repro.stats.histogram import Histogram, build_histogram
-from repro.stats.regression import NonlinearRegression, RegressionResult
 from repro.stats.secant import SecantResult, secant_least_squares
 from repro.stats.streaming import QuantileDigest, StreamingMoments
 from repro.stats.spatial_models import (
@@ -74,11 +73,9 @@ __all__ = [
     "LocalityDecayPattern",
     "Lognormal",
     "MLEResult",
-    "NonlinearRegression",
     "Pareto",
     "Normal",
     "QuantileDigest",
-    "RegressionResult",
     "SecantResult",
     "ShiftedExponential",
     "SpatialFit",
@@ -95,7 +92,6 @@ __all__ = [
     "fit_distribution",
     "fit_mle",
     "fit_mle_best",
-    "fit_interarrival",
     "ks_statistic",
     "r_squared",
     "secant_least_squares",

@@ -11,7 +11,7 @@ distribution".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Type
+from typing import List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.stats.distributions import (
 )
 from repro.stats.goodness import ks_statistic, r_squared
 from repro.stats.histogram import Histogram, build_histogram
-from repro.stats.regression import NonlinearRegression
+from repro.stats.secant import secant_least_squares
 
 #: Relative coefficient of variation below which a sample is treated as
 #: deterministic (no regression needed).
@@ -86,17 +86,24 @@ def _fit_one(
 
     # Every parameter point still builds its instance, so each family's
     # parameter checks run; on finite, positive centers the instance's
-    # in-support density gives pdf's bits without pdf's masks.
+    # in-support density gives pdf's bits without pdf's masks.  Each
+    # residual is weighted by the square root of its bin's count, so
+    # dense bins dominate the fit.
     positive = bool(np.isfinite(centers).all() and (centers > 0).all())
+    sqrt_w = np.sqrt(weights)
 
-    def model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
+    def residual(params: np.ndarray) -> np.ndarray:
         dist = template.from_unconstrained(params)
-        return dist._density(x) if positive else np.asarray(dist.pdf(x), dtype=float)
+        predicted = (
+            dist._density(centers) if positive else np.asarray(dist.pdf(centers), dtype=float)
+        )
+        return (predicted - density) * sqrt_w
 
-    regression = NonlinearRegression(model, max_iter=max_iter)
     try:
-        result = regression.fit(centers, density, start.to_unconstrained(), weights=weights)
-        fitted = template.from_unconstrained(result.params)
+        solution = secant_least_squares(
+            residual, start.to_unconstrained(), max_iter=max_iter, tol=1e-10
+        )
+        fitted = template.from_unconstrained(solution.x)
     except (ValueError, np.linalg.LinAlgError):
         return None
 
@@ -109,8 +116,8 @@ def _fit_one(
         distribution=fitted,
         r2=r_squared(density, predicted),
         ks=ks_statistic(data, fitted),
-        sse=result.sse,
-        converged=result.converged,
+        sse=solution.sse,
+        converged=solution.converged,
     )
 
 
@@ -171,18 +178,3 @@ def fit_distribution(
     results.sort(key=lambda f: (-(f.r2 - f.ks), f.ks))
     return results
 
-
-def fit_interarrival(
-    interarrival_times: np.ndarray,
-    candidates: Optional[Sequence[Type[Distribution]]] = None,
-    bins: int = 0,
-    policy: str = "equal-mass",
-) -> FitResult:
-    """Fit the inter-arrival series and return the winning model.
-
-    Thin convenience over :func:`fit_distribution` returning only the
-    best-ranked result -- what experiment tables report per application.
-    """
-    return fit_distribution(
-        interarrival_times, candidates=candidates, bins=bins, policy=policy
-    )[0]

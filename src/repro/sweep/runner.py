@@ -35,11 +35,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.apps import SHARED_MEMORY_APPS, create_app
 from repro.coherence.config import CoherenceConfig
 from repro.core.loadsweep import measure_load_point
-from repro.core.methodology import (
-    characterize_message_passing,
-    characterize_shared_memory,
-)
 from repro.core.options import RunOptions
+from repro.core.run import run_dynamic, run_pattern, run_static
 from repro.obs.heartbeat import HEARTBEAT_SUFFIX, safe_label, write_status_record
 from repro.obs.report import report_from_summary
 from repro.sweep.aggregate import SweepResult
@@ -163,11 +160,11 @@ def execute_cell(
             if spec.protocol != NO_PROTOCOL
             else None
         )
-        run = characterize_shared_memory(
+        run = run_dynamic(
             app, mesh_config=mesh, coherence_config=coherence, options=run_options
         )
     else:
-        run = characterize_message_passing(app, mesh_config=mesh, options=run_options)
+        run = run_static(app, mesh_config=mesh, options=run_options)
     cell_seed = int(spec.seed_sequence().generate_state(1)[0])
     measurement = measure_load_point(
         run.characterization,
@@ -228,29 +225,25 @@ def _cell_options(spec: CellSpec, heartbeat: Optional[str]) -> RunOptions:
 def _execute_pattern_cell(spec: CellSpec, options: RunOptions) -> Dict[str, object]:
     """Execute a synthetic-pattern cell; returns a run-report dict.
 
-    Compiles the cell's pattern against its mesh (dims-aware for
-    mesh/torus specs) into closed-loop per-source Poisson schedules and
-    replays them on the serial kernel under ``options``;
+    Replays the cell's pattern on its mesh with :func:`run_pattern`
+    (closed-loop per-source Poisson schedules, dims-aware for
+    mesh/torus specs) under ``options``, drawn from the cell's seed;
     ``rate_scale`` scales the offered load by shrinking the mean
     inter-injection gap.  The report uses the pattern name as both
     ``app`` and ``strategy`` axis values, so topology x pattern x load
     comparison tables line up with application rows.
     """
-    from repro.simkernel.engine_parallel import ScheduleTraffic, run_serial_schedule
-
     started = time.perf_counter()
-    mesh = spec.mesh_config()
     cell_seed = int(spec.seed_sequence().generate_state(1)[0])
     mean_gap = 10.0 / spec.rate_scale
-    traffic = ScheduleTraffic.compile_pattern(
-        mesh,
+    log = run_pattern(
+        spec.mesh_config(),
         pattern=spec.pattern,
         messages_per_source=spec.messages_per_source,
         seed=cell_seed,
         mean_gap=mean_gap,
-    )
-    log = options.make_netlog()
-    run_serial_schedule(mesh, traffic, log=log, options=options)
+        options=options,
+    ).log
     stats = log.summary()
     report = report_from_summary(
         stats,

@@ -14,8 +14,6 @@ retained deliberately so the pitfall can be demonstrated.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.mesh.netlog import NetworkLog
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
@@ -30,7 +28,6 @@ def replay_trace(
     trace: TraceLog,
     network: MeshNetwork,
     mode: str = "dependency",
-    time_scale: float = 1.0,
     options=None,
 ) -> NetworkLog:
     """Feed ``trace`` through ``network``; returns the network's log.
@@ -45,9 +42,6 @@ def replay_trace(
     mode:
         ``"dependency"`` (default) preserves per-source ordering and
         gaps; ``"open-loop"`` injects at absolute trace timestamps.
-    time_scale:
-        Multiplier applied to traced gaps/timestamps (unit conversion
-        between trace time and mesh time).
     options:
         The :class:`~repro.core.options.RunOptions` the replay runs
         under (see :meth:`MeshNetwork.run`); its live series lands on
@@ -55,8 +49,6 @@ def replay_trace(
     """
     if mode not in REPLAY_MODES:
         raise ValueError(f"unknown replay mode {mode!r}; choose from {REPLAY_MODES}")
-    if time_scale <= 0:
-        raise ValueError(f"time_scale must be > 0, got {time_scale}")
     num_nodes = network.config.num_nodes
     ranks = trace.sources() + [e.dst for e in trace]
     if ranks and max(ranks) >= num_nodes:
@@ -83,8 +75,8 @@ def replay_trace(
                 # (the timeline stretch congestion causes).
                 expected = 0.0
                 for event in events:
-                    yield hold(event.gap * time_scale)
-                    expected += event.gap * time_scale
+                    yield hold(event.gap)
+                    expected += event.gap
                     if observed:
                         stall = max(simulator.now - expected, 0.0)
                         m_messages.inc()
@@ -114,7 +106,7 @@ def replay_trace(
                 yield from network.transfer(message)
 
             simulator.schedule(
-                event.post_time * time_scale,
+                event.post_time,
                 lambda message=message: simulator.process(
                     injector(message), name=f"replay#{message.msg_id}"
                 ),

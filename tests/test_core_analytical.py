@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import characterize_shared_memory, create_app
+from repro import create_app, run_dynamic
 from repro.core import WormholeLatencyModel
 from repro.mesh import MeshConfig
 
 
 @pytest.fixture(scope="module")
 def fft_run():
-    return characterize_shared_memory(create_app("1d-fft", n=128))
+    return run_dynamic(create_app("1d-fft", n=128))
 
 
 @pytest.fixture(scope="module")

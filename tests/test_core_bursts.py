@@ -7,8 +7,8 @@ from repro.core import (
     BurstModel,
     PhaseCoupledTrafficGenerator,
     compare_logs,
-    characterize_shared_memory,
     estimate_bursts,
+    run_dynamic,
 )
 from repro.apps.shared.fft1d import FFT1DApp
 from repro.mesh import MeshConfig
@@ -65,7 +65,7 @@ class TestEstimateBursts:
 class TestPhaseCoupledGenerator:
     @pytest.fixture(scope="class")
     def fft_run(self):
-        return characterize_shared_memory(FFT1DApp(n=128))
+        return run_dynamic(FFT1DApp(n=128))
 
     def test_generates_requested_messages(self, fft_run):
         generator = PhaseCoupledTrafficGenerator(

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro import characterize_shared_memory, create_app
+from repro import create_app, run_dynamic
 from repro.core import measure_load_point, sweep_load
 from repro.mesh import MeshConfig
 
 
 @pytest.fixture(scope="module")
 def fft_characterization():
-    return characterize_shared_memory(create_app("1d-fft", n=128)).characterization
+    return run_dynamic(create_app("1d-fft", n=128)).characterization
 
 
 class TestSweepLoad:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import characterize_shared_memory, create_app
+from repro import create_app, run_dynamic
 from repro.core import PhaseSegment, phase_table, segment_phases
 from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
 from repro.simkernel import Simulator, hold
@@ -105,7 +105,7 @@ class TestFFTPhaseStructure:
 
     @pytest.fixture(scope="class")
     def fft_segments(self):
-        run = characterize_shared_memory(create_app("1d-fft", n=256))
+        run = run_dynamic(create_app("1d-fft", n=256))
         return segment_phases(run.log)
 
     def test_local_stages_move_no_data(self, fft_segments):

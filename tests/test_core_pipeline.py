@@ -15,9 +15,9 @@ from repro.core import (
     analyze_temporal,
     analyze_volume,
     characterize_log,
-    characterize_message_passing,
-    characterize_shared_memory,
     compare_logs,
+    run_dynamic,
+    run_static,
 )
 from repro.core.report import spatial_table, temporal_table, volume_table
 from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
@@ -139,11 +139,11 @@ class TestAnalyses:
 class TestPipelines:
     @pytest.fixture(scope="class")
     def fft_run(self):
-        return characterize_shared_memory(FFT1DApp(n=128))
+        return run_dynamic(FFT1DApp(n=128))
 
     @pytest.fixture(scope="class")
     def fft3d_run(self):
-        return characterize_message_passing(FFT3DApp(n=16))
+        return run_static(FFT3DApp(n=16))
 
     def test_dynamic_strategy_produces_characterization(self, fft_run):
         c = fft_run.characterization
@@ -174,7 +174,7 @@ class TestPipelines:
             assert fit.r2 > 0.99
 
     def test_is_favorite_processor(self):
-        run = characterize_shared_memory(IntegerSortApp(n=512, buckets=32))
+        run = run_dynamic(IntegerSortApp(n=512, buckets=32))
         spatial = run.characterization.spatial
         favorites = [spatial.favorite_of(src) for src in range(1, 8)]
         assert favorites.count(0) >= 6
@@ -198,7 +198,7 @@ class TestPipelines:
 class TestSyntheticAndValidation:
     @pytest.fixture(scope="class")
     def fft_run(self):
-        return characterize_shared_memory(FFT1DApp(n=128))
+        return run_dynamic(FFT1DApp(n=128))
 
     def test_generator_reproduces_rate_and_lengths(self, fft_run):
         gen = SyntheticTrafficGenerator(fft_run.characterization, seed=7)

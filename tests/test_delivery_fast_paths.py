@@ -117,11 +117,10 @@ def decoded(log):
     return out
 
 
-#: The integer types a message's fields may arrive as.  Endpoints and
-#: lengths are signed: the mesh's axis walkers step by ``dst - src``,
-#: and ``MeshConfig.flits_for`` rounds up by negating the length.
+#: The integer types a message's fields may arrive as, unsigned ones
+#: included: the route table and ``MeshConfig.flits_for`` take a NumPy
+#: endpoint or length as the equal Python int.
 INT_TYPES = (int, np.int64, np.int32, np.uint16)
-SIGNED_TYPES = INT_TYPES[:3]
 
 messages = st.lists(
     st.tuples(
@@ -132,9 +131,9 @@ messages = st.lists(
         st.integers(0, 8).map(lambda k: k * 0.25),   # gap before sending
         st.tuples(                                   # msg_id, src, dst, length types
             st.sampled_from(INT_TYPES),
-            st.sampled_from(SIGNED_TYPES),
-            st.sampled_from(SIGNED_TYPES),
-            st.sampled_from(SIGNED_TYPES),
+            st.sampled_from(INT_TYPES),
+            st.sampled_from(INT_TYPES),
+            st.sampled_from(INT_TYPES),
         ),
     ),
     min_size=1,

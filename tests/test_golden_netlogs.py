@@ -17,6 +17,10 @@ protocol paths the default 1d-fft run does not: a 4-line direct-mapped
 cache (upgrades, invalidations, dirty writebacks, queued block locks,
 ``SyncLock``), the write-update protocol and release consistency.
 
+The static cases trace a message-passing app on the SP2 and replay the
+trace into the mesh, in dependency mode through ``run_static`` and, for
+MG, open loop at the traced timestamps.
+
 The synthetic cases drive a mesh from a fitted 1d-fft model through
 both generators.  Their message ids are drawn from the process-global
 counter after each source's hold, so on two virtual channels the
@@ -38,11 +42,12 @@ import pytest
 from repro.apps import create_app
 from repro.coherence.config import CoherenceConfig
 from repro.core.options import RunOptions
-from repro.core.run import run_dynamic, run_synthetic
-from repro.core.synthetic import PhaseCoupledTrafficGenerator
+from repro.core.run import run_dynamic, run_static
+from repro.core.synthetic import PhaseCoupledTrafficGenerator, SyntheticTrafficGenerator
 from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage, materialize_manifest
 from repro.simkernel import Simulator, hold
 from repro.simkernel.engine_parallel import ScheduleTraffic
+from repro.trace import replay_trace
 
 DIGEST_COLUMNS = (
     "msg_id", "src", "dst", "length_bytes", "inject_time", "start_time",
@@ -87,7 +92,14 @@ COHERENCE_CASES = {
     "app-1d-fft-4x2-release": ("1d-fft", {"n": 64}, CoherenceConfig(consistency="release")),
 }
 
-#: name -> (node count of the 1d-fft fit, config, extra ``run_synthetic``
+#: name -> (app, its parameters); every case traces the app on as many
+#: SP2 ranks as 4x2 has nodes.
+STATIC_CASES = {
+    "static-3d-fft-4x2": ("3d-fft", {"n": 8}),
+    "static-mg-4x2": ("mg", {"n": 16}),
+}
+
+#: name -> (node count of the 1d-fft fit, config, extra ``generate``
 #: arguments); every case draws 30 messages per source from seed 7.
 SYNTHETIC_CASES = {
     "synthetic-4x2": (8, lambda: MeshConfig.parse("4x2"), {}),
@@ -96,8 +108,8 @@ SYNTHETIC_CASES = {
     "synthetic-4x2-until": (8, lambda: MeshConfig.parse("4x2"), {"until": 400.0}),
 }
 
-#: name -> (sha256 of the log, kernel events fired); the app and
-#: synthetic cases pin their record count instead of events.
+#: name -> (sha256 of the log, kernel events fired); the app, static
+#: and synthetic cases pin their record count instead of events.
 GOLDEN = {
     "adaptive-4x4-2vc": (
         "1c73d6f38b5f874f07ddd427c6ee11e879c0c79e8cd3f303a91f964bd82be04f",
@@ -146,6 +158,18 @@ GOLDEN = {
     "torus-4x4x2-uniform": (
         "fa04c9360033c1e1ce35b023439bb81b4163d6041c61393910c494119a198981",
         14927,
+    ),
+    "static-3d-fft-4x2": (
+        "c1a6f00231f41adc4b9f53bba39d7e4a6f4a950221806a8e37efefab42a3638d",
+        56,
+    ),
+    "static-mg-4x2": (
+        "fb15d1ba0636a53be1b0e25a4d92c417f98c20f6e0374ad38ab32ab96a649989",
+        322,
+    ),
+    "static-mg-4x2-open-loop": (
+        "03d9589ec5053ec368fa04d7cb7d2892688e86be2286b137f5624873dad83966",
+        322,
     ),
     "synthetic-4x2": (
         "0cf8393491180a4488da4b7c924f4c2eb5c0096067156495792cb3ba4dc8dbc8",
@@ -270,6 +294,35 @@ def test_coherence_digest(name, clock):
     assert (log_digest(sim.log), len(sim.log)) == GOLDEN[name]
 
 
+def run_static_case(name, clock):
+    app, params = STATIC_CASES[name]
+    return run_static(
+        app,
+        params=params,
+        mesh_config=MeshConfig.parse("4x2"),
+        options=RunOptions(max_no_progress_events=CLOCKS[clock]),
+    )
+
+
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+@pytest.mark.parametrize("name", sorted(STATIC_CASES))
+def test_static_digest(name, clock):
+    run = run_static_case(name, clock)
+    assert (log_digest(run.log), len(run.log)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+def test_open_loop_replay_digest(clock):
+    trace = run_static_case("static-mg-4x2", clock).trace
+    log = replay_trace(
+        trace,
+        MeshNetwork(Simulator(), MeshConfig.parse("4x2")),
+        mode="open-loop",
+        options=RunOptions(max_no_progress_events=CLOCKS[clock]),
+    )
+    assert (log_digest(log), len(log)) == GOLDEN["static-mg-4x2-open-loop"]
+
+
 @pytest.fixture(scope="module")
 def fits():
     """The 1d-fft (n=64) fits the synthetic cases draw from, by node count."""
@@ -288,14 +341,13 @@ def fits():
 @pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
 def test_synthetic_digest(name, clock, fits):
     nodes, make_config, extra = SYNTHETIC_CASES[name]
-    log = run_synthetic(
+    generator = SyntheticTrafficGenerator(
         fits[nodes].characterization,
         mesh_config=make_config(),
         seed=7,
-        messages_per_source=30,
         options=RunOptions(max_no_progress_events=CLOCKS[clock]),
-        **extra,
     )
+    log = generator.generate(messages_per_source=30, **extra)
     assert (log_digest(log), len(log)) == GOLDEN[name]
 
 

@@ -31,7 +31,7 @@ import repro.cli
 import repro.serve.app
 import repro.simkernel.engine_parallel
 import repro.sweep.runner
-from repro import characterize_shared_memory, create_app
+from repro import create_app, run_dynamic
 from repro.core.methodology import characterize_log
 from repro.core.synthetic import SyntheticTrafficGenerator
 from repro.mesh.config import MeshConfig
@@ -39,7 +39,7 @@ from repro.stats import Gamma, correlation_profile, fit_mle, ks_statistic
 
 seen = {}
 config = MeshConfig.parse("4x2")
-run = characterize_shared_memory(create_app("1d-fft", n=64), mesh_config=config)
+run = run_dynamic(create_app("1d-fft", n=64), mesh_config=config)
 characterization = characterize_log(run.log, config, per_source_temporal=True)
 seen["special_after_fit"] = "scipy.special" in sys.modules
 gaps = run.log.interarrival_times()

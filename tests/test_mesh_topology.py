@@ -1,5 +1,6 @@
 """Unit tests for mesh topology and XY routing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,6 +109,17 @@ class TestXYRouting:
             node = v
         assert node == dst
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16, np.uint64])
+    def test_route_table_takes_numpy_endpoints_as_ints(self, kind):
+        # A walk stepping by dst - src in an unsigned dtype once went
+        # 1 -> 0 -> -1 -> ..., and the table kept that route under a key
+        # equal to (1, 0).
+        expected = tuple(MeshTopology(3, 3).route(1, 0))
+        routes = MeshConfig("3x3").make_topology().routes
+        assert routes.get(kind(1), kind(0)) == expected
+        assert routes.get(1, kind(0)) == expected
+        assert routes.get(1, 0) == expected
+
 
 class TestMeshConfig:
     def test_defaults(self):
@@ -121,6 +133,17 @@ class TestMeshConfig:
         assert cfg.flits_for(8) == 2
         assert cfg.flits_for(9) == 3
         assert cfg.flits_for(64) == 9
+        # The analytical model asks for the flits of a mean length.
+        assert cfg.flits_for(8.5) == 3.0
+        assert isinstance(cfg.flits_for(np.float64(12.0)), float)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16, np.uint8])
+    def test_flits_for_numpy_integers(self, kind):
+        # Rounding up negates the length, which wraps an unsigned NumPy
+        # integer: np.uint16(8) once needed 57346 flits.
+        cfg = MeshConfig("3x3")
+        for length in (0, 1, 8, 9, 64, 200):
+            assert cfg.flits_for(kind(length)) == cfg.flits_for(length)
 
     def test_zero_load_latency_formula(self):
         cfg = MeshConfig(

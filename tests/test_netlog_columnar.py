@@ -122,14 +122,12 @@ def assert_views_identical(log, records):
     rows = {
         "destination_counts": lambda rs: tally(rs, lambda r: 1),
         "destination_fractions": lambda rs: share(tally(rs, lambda r: 1)),
-        "volume_by_destination": lambda rs: tally(rs, lambda r: r.length_bytes),
-        "volume_fractions": lambda rs: share(tally(rs, lambda r: r.length_bytes)),
     }
     matrices = {
-        "destination_count_matrix": "destination_counts",
-        "destination_fraction_matrix": "destination_fractions",
-        "volume_matrix": "volume_by_destination",
-        "volume_fraction_matrix": "volume_fractions",
+        "destination_count_matrix": rows["destination_counts"],
+        "destination_fraction_matrix": rows["destination_fractions"],
+        "volume_matrix": lambda rs: tally(rs, lambda r: r.length_bytes),
+        "volume_fraction_matrix": lambda rs: share(tally(rs, lambda r: r.length_bytes)),
     }
 
     same(len(log), len(records))
@@ -150,10 +148,10 @@ def assert_views_identical(log, records):
     same(log.injection_times(), times(records))
     same(log.interarrival_times(), gaps(records))
     same(log.message_lengths(), lengths(records))
-    for view, row_view in matrices.items():
+    for view, row in matrices.items():
         matrix = np.zeros((NUM_NODES, NUM_NODES))
         for src in sources:
-            matrix[src] = rows[row_view](by_src[src])
+            matrix[src] = row(by_src[src])
         same(getattr(log, view)(NUM_NODES), matrix)
     for src in sources + [NUM_NODES + 3]:
         rs = by_src.get(src, [])
@@ -233,7 +231,7 @@ class TestEndpointValidation:
         log.add(make_record(0, src=0, dst=1))
         log.add(make_record(9, src=0, dst=NUM_NODES))
         with pytest.raises(ValueError, match=rf"msg_id=9.*dst={NUM_NODES}"):
-            log.volume_by_destination(0, NUM_NODES)
+            log.destination_fractions(0, NUM_NODES)
 
     def test_matrix_validates_sources_too(self):
         log = NetworkLog()
@@ -323,8 +321,8 @@ class TestSparsePairTallies:
         log.add(make_record(2, src=0, dst=self.HUGE, nbytes=64))
         assert log.sources() == [0, self.HUGE]
         assert log.summary().node_bound == self.HUGE + 1
-        row = log.volume_by_destination(0, self.HUGE + 1)
-        assert row[self.HUGE] == 72 and row.sum() == 72
+        row = log.destination_counts(0, self.HUGE + 1)
+        assert row[self.HUGE] == 2 and row.sum() == 2
         with pytest.raises(
             ValueError, match=rf"msg_id=1 .*has src={self.HUGE} outside the 8-node"
         ):

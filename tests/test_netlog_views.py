@@ -43,7 +43,7 @@ class TestSourceIndex:
         views = log._views
         assert views is not None
         log.destination_counts(0, 4)
-        log.volume_by_destination(0, 4)
+        log.volume_matrix(4)
         assert log._views is views  # view snapshot not rebuilt
 
     def test_by_source_tuple_cached_until_mutation(self):
@@ -68,13 +68,13 @@ class TestSourceIndex:
         assert log.sources() == [0, 1]
         log.extend([make_record(4, src=3, dst=0, inject=9.0)])
         assert log.sources() == [0, 1, 3]
-        assert log.volume_by_destination(3, 4)[0] == 8
+        assert log.volume_matrix(4)[3, 0] == 8
 
     def test_views_match_bruteforce(self):
         log = sample_log()
         counts = log.destination_counts(0, 4)
         assert list(counts) == [0, 1, 1, 0]
-        volume = log.volume_by_destination(0, 4)
+        volume = log.volume_matrix(4)[0]
         assert list(volume) == [0, 8, 32, 0]
         np.testing.assert_allclose(log.injection_times(0), [1.0, 3.0])
         np.testing.assert_allclose(sorted(log.message_lengths(0)), [8.0, 32.0])

@@ -11,9 +11,9 @@ import pytest
 
 from repro import (
     RunOptions,
-    characterize_message_passing,
-    characterize_shared_memory,
     create_app,
+    run_dynamic,
+    run_static,
 )
 from repro.mesh import MeshConfig, MeshNetwork
 from repro.obs import (
@@ -317,7 +317,7 @@ class TestRunReport:
 
 class TestInstrumentedPipelines:
     def test_shared_memory_metrics_content(self):
-        run = characterize_shared_memory(
+        run = run_dynamic(
             create_app("1d-fft", n=64), options=RunOptions(metrics=True)
         )
         metrics = run.metrics
@@ -337,7 +337,7 @@ class TestInstrumentedPipelines:
         assert metrics["sim.holds_per_process"]["count"] > 0
 
     def test_message_passing_metrics_content(self):
-        run = characterize_message_passing(
+        run = run_static(
             create_app("3d-fft", n=8), options=RunOptions(metrics=True)
         )
         metrics = run.metrics
@@ -348,11 +348,11 @@ class TestInstrumentedPipelines:
         assert metrics["net.delivered"]["value"] == len(run.log)
 
     def test_uninstrumented_run_has_no_metrics(self):
-        run = characterize_shared_memory(create_app("1d-fft", n=64))
+        run = run_dynamic(create_app("1d-fft", n=64))
         assert run.metrics is None
 
     def test_timeline_spans_match_log(self):
-        run = characterize_shared_memory(
+        run = run_dynamic(
             create_app("1d-fft", n=64), options=RunOptions(timeline=True)
         )
         doc = run.timeline.to_dict()
@@ -367,8 +367,8 @@ class TestInstrumentedPipelines:
         assert all(0 <= e["ts"] <= end for e in spans)
 
     def test_instrumentation_does_not_change_results(self):
-        plain = characterize_shared_memory(create_app("1d-fft", n=64))
-        observed = characterize_shared_memory(
+        plain = run_dynamic(create_app("1d-fft", n=64))
+        observed = run_dynamic(
             create_app("1d-fft", n=64),
             options=RunOptions(metrics=True, timeline=True),
         )
@@ -386,7 +386,7 @@ class TestInstrumentedPipelines:
 
 class TestReportFromRun:
     def test_report_reflects_run(self):
-        run = characterize_shared_memory(
+        run = run_dynamic(
             create_app("1d-fft", n=64), options=RunOptions(metrics=True)
         )
         report = report_from_run(

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro import characterize_message_passing, characterize_shared_memory, create_app
+from repro import create_app, run_dynamic, run_static
 from repro.core.options import RunOptions
 from repro.core.synthetic import SyntheticTrafficGenerator
 from repro.mesh import MeshConfig, MeshNetwork
@@ -193,9 +193,9 @@ class TestNullPath:
         assert sim.queue_depth == 0
 
     def test_default_options_do_not_perturb_results(self):
-        run = characterize_shared_memory(create_app("1d-fft", n=64))
+        run = run_dynamic(create_app("1d-fft", n=64))
         assert run.live is None
-        sampled = characterize_shared_memory(
+        sampled = run_dynamic(
             create_app("1d-fft", n=64),
             options=RunOptions(sample_interval=25.0),
         )
@@ -227,8 +227,6 @@ class TestRunOptionsWiring:
     def test_validation(self):
         with pytest.raises(ValueError):
             RunOptions(sample_interval=0.0)
-        assert RunOptions(heartbeat="hb.jsonl").live_enabled
-        assert not RunOptions().live_enabled
 
     def test_heartbeat_defaults_sample_interval(self, tmp_path):
         path = str(tmp_path / "hb.jsonl")
@@ -249,14 +247,14 @@ class TestRunOptionsWiring:
 
 class TestPipelineIntegration:
     def test_static_strategy_samples_replay(self):
-        run = characterize_message_passing(
+        run = run_static(
             create_app("3d-fft", n=8), options=RunOptions(sample_interval=50.0)
         )
         assert len(run.live) >= 1
         assert "net.delivered.delta" in run.live.columns
 
     def test_synthetic_generator_samples_drive(self):
-        base = characterize_shared_memory(create_app("1d-fft", n=64))
+        base = run_dynamic(create_app("1d-fft", n=64))
         gen = SyntheticTrafficGenerator(
             base.characterization,
             mesh_config=MeshConfig("4x2"),

@@ -13,9 +13,8 @@ from repro.core import (
     run_dynamic,
     run_pattern,
     run_static,
-    run_synthetic,
 )
-from repro.core.synthetic import PhaseCoupledTrafficGenerator
+from repro.core.synthetic import PhaseCoupledTrafficGenerator, SyntheticTrafficGenerator
 from repro.mesh import MeshConfig, MeshNetwork
 from repro.obs import MetricsRegistry, TimelineRecorder
 from repro.simkernel import Simulator, StallError
@@ -107,9 +106,9 @@ def test_run_synthetic_and_measure_load_point_honor_options():
     trace = run_static("3d-fft", params={"n": 8}).trace
     # Every mesh driver, each taking the bundle to the one run tail.
     drives = {
-        "synthetic": lambda options: run_synthetic(
-            run.characterization, messages_per_source=10, options=options
-        ),
+        "synthetic": lambda options: SyntheticTrafficGenerator(
+            run.characterization, options=options
+        ).generate(messages_per_source=10),
         "load point": lambda options: measure_load_point(
             run.characterization, messages_per_source=10, options=options
         ).log,

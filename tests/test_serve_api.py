@@ -265,10 +265,10 @@ class TestJobLifecycle:
         assert status == 200 and health["status"] == "ok"
 
     def test_trace_job(self, service, tmp_path):
-        from repro.core import characterize_message_passing
+        from repro.core import run_static
         from repro.apps import create_app
 
-        run = characterize_message_passing(create_app("3d-fft", n=8))
+        run = run_static(create_app("3d-fft", n=8))
         csv_path = str(tmp_path / "trace.csv")
         run.log.write_csv(csv_path)
         with open(csv_path) as handle:

@@ -81,9 +81,9 @@ class TestApplicationSeries:
         """The justification for the phase-coupled generator: real
         barrier-synchronized traffic has temporal dependence at its
         burst period (the per-wave message count)."""
-        from repro import characterize_shared_memory, create_app
+        from repro import create_app, run_dynamic
 
-        run = characterize_shared_memory(create_app("1d-fft", n=256))
+        run = run_dynamic(create_app("1d-fft", n=256))
         profile = correlation_profile(run.log.interarrival_times(), max_lag=20)
         assert not profile.is_renewal_like
         assert profile.peak_lag == 14  # messages per injection wave

@@ -1,4 +1,4 @@
-"""Tests for histogramming, the secant solver, regression and fitting."""
+"""Tests for histogramming, the secant solver and fitting."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from repro.stats import (
     Exponential,
     Gamma,
     Hyperexponential2,
-    NonlinearRegression,
     Normal,
     Uniform,
     Weibull,
     build_histogram,
     fit_distribution,
-    fit_interarrival,
     ks_statistic,
     r_squared,
     secant_least_squares,
@@ -191,45 +189,6 @@ class TestSecantSolver:
         np.testing.assert_allclose(result.x, [0.5], atol=1e-4)
 
 
-class TestRegression:
-    def test_fit_quadratic(self):
-        x = np.linspace(0, 10, 50)
-        y = 2.0 * x**2 + 3.0 * x + 1.0
-
-        def model(x, p):
-            return p[0] * x**2 + p[1] * x + p[2]
-
-        result = NonlinearRegression(model).fit(x, y, np.ones(3))
-        np.testing.assert_allclose(result.params, [2.0, 3.0, 1.0], atol=1e-4)
-        assert result.r2 == pytest.approx(1.0)
-        assert result.dof == 47
-
-    def test_weighted_fit_prefers_heavy_points(self):
-        x = np.array([0.0, 1.0, 2.0])
-        y = np.array([0.0, 1.0, 10.0])  # last point is an outlier
-        weights = np.array([1.0, 1.0, 1e-9])
-
-        def model(x, p):
-            return p[0] * x
-
-        result = NonlinearRegression(model).fit(x, y, np.array([5.0]), weights=weights)
-        assert result.params[0] == pytest.approx(1.0, abs=0.05)
-
-    def test_shape_validation(self):
-        reg = NonlinearRegression(lambda x, p: p[0] * x)
-        with pytest.raises(ValueError):
-            reg.fit(np.array([1.0]), np.array([1.0, 2.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            reg.fit(np.array([]), np.array([]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            reg.fit(
-                np.array([1.0]),
-                np.array([1.0]),
-                np.array([1.0]),
-                weights=np.array([1.0, 2.0]),
-            )
-
-
 class TestDistributionRecovery:
     """Generate from a known family; the fitter should pick it (or an
     equivalent) and recover its parameters."""
@@ -237,7 +196,7 @@ class TestDistributionRecovery:
     def test_recovers_exponential(self):
         true = Exponential(rate=0.25)
         sample = true.sample(np.random.default_rng(11), 20000)
-        best = fit_interarrival(sample)
+        best = fit_distribution(sample)[0]
         assert best.distribution.mean() == pytest.approx(true.mean(), rel=0.1)
         assert best.r2 > 0.95
         assert best.ks < 0.05
@@ -245,7 +204,7 @@ class TestDistributionRecovery:
     def test_recovers_normal(self):
         true = Normal(mu=50.0, sigma=5.0)
         sample = true.sample(np.random.default_rng(12), 20000)
-        best = fit_interarrival(sample)
+        best = fit_distribution(sample)[0]
         assert best.name in ("normal", "gamma", "weibull", "erlang")
         assert best.distribution.mean() == pytest.approx(50.0, rel=0.05)
         assert best.r2 > 0.97
@@ -253,14 +212,14 @@ class TestDistributionRecovery:
     def test_recovers_uniform(self):
         true = Uniform(low=10.0, width=20.0)
         sample = true.sample(np.random.default_rng(13), 20000)
-        best = fit_interarrival(sample)
+        best = fit_distribution(sample)[0]
         assert best.name == "uniform"
         assert best.distribution.mean() == pytest.approx(20.0, rel=0.05)
 
     def test_recovers_hyperexponential_burstiness(self):
         true = Hyperexponential2(p=0.8, rate1=10.0, rate2=0.1)
         sample = true.sample(np.random.default_rng(14), 30000)
-        best = fit_interarrival(sample)
+        best = fit_distribution(sample)[0]
         # A CV >> 1 sample must not be called exponential/normal/uniform.
         assert best.name in ("hyperexponential", "gamma", "weibull")
         assert best.distribution.cv() > 1.2
@@ -268,7 +227,7 @@ class TestDistributionRecovery:
     def test_recovers_gamma_shape(self):
         true = Gamma(shape=4.0, scale=2.0)
         sample = true.sample(np.random.default_rng(15), 30000)
-        best = fit_interarrival(sample)
+        best = fit_distribution(sample)[0]
         assert best.distribution.mean() == pytest.approx(8.0, rel=0.08)
         assert best.distribution.cv() == pytest.approx(0.5, abs=0.12)
         assert best.r2 > 0.95
@@ -299,6 +258,6 @@ class TestDistributionRecovery:
 
     def test_fit_result_describe(self):
         sample = Exponential(rate=1.0).sample(np.random.default_rng(18), 2000)
-        best = fit_interarrival(sample)
+        best = fit_distribution(sample)[0]
         text = best.describe()
         assert "R2=" in text and "KS=" in text

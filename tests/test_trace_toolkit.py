@@ -123,19 +123,9 @@ class TestReplay:
         assert open_second.inject_time == 1.0
         assert dep_second.inject_time > open_second.inject_time
 
-    def test_time_scale(self):
-        trace = build_trace([(0, 1, 8, 4.0)])
-        net = fresh_network()
-        log = replay_trace(trace, net, mode="dependency", time_scale=10.0)
-        assert log.records[0].inject_time == pytest.approx(40.0)
-
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             replay_trace(TraceLog(), fresh_network(), mode="magic")
-
-    def test_bad_scale_rejected(self):
-        with pytest.raises(ValueError):
-            replay_trace(TraceLog(), fresh_network(), time_scale=0.0)
 
     def test_rank_overflow_rejected(self):
         trace = build_trace([(0, 12, 8, 1.0)])
