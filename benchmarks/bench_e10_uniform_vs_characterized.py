@@ -11,9 +11,8 @@ regression binning.
 """
 
 import numpy as np
-import pytest
 
-from repro import SyntheticTrafficGenerator, compare_logs
+from repro import SyntheticTrafficGenerator
 from repro.core.attributes import (
     CommunicationCharacterization,
     SpatialCharacterization,

@@ -9,8 +9,6 @@ topologies -- including how the butterfly pattern favours the
 hypercube, whose XOR partners are single hops.
 """
 
-import pytest
-
 from repro import SyntheticTrafficGenerator
 from repro.mesh import MeshConfig
 

@@ -10,7 +10,6 @@ what the 1997-era regression methodology gives up.
 """
 
 import numpy as np
-import pytest
 
 from repro.stats import continuous_candidates, fit_distribution, fit_mle_best, ks_statistic
 from repro.stats.mle import negative_log_likelihood

@@ -7,7 +7,6 @@ latency model and validates its predictions against the simulator
 across a load sweep, including the predicted saturation point.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import SyntheticTrafficGenerator, WormholeLatencyModel

@@ -10,8 +10,6 @@ of these phases.  MG similarly separates halo sweeps from the
 p0-centric collective phases.
 """
 
-import pytest
-
 from repro.core import phase_table, segment_phases
 
 

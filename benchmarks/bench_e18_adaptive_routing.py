@@ -14,7 +14,6 @@ by the unit tests.
 """
 
 import numpy as np
-import pytest
 
 from repro import SyntheticTrafficGenerator
 from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage

@@ -6,8 +6,6 @@ category, problem size, communication event count, byte volume, and
 benchmarked operation is one full dynamic-strategy pipeline run.
 """
 
-import pytest
-
 from repro import create_app, run_dynamic
 
 from conftest import BENCH_PROBLEMS, MESSAGE_PASSING, SHARED_MEMORY

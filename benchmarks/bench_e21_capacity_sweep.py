@@ -7,8 +7,6 @@ Closed-loop sources make saturation appear as a throughput plateau
 harness detects via the efficiency threshold.
 """
 
-import pytest
-
 from repro.core import sweep_load
 from repro.mesh import MeshConfig
 

@@ -8,8 +8,6 @@ distributions").  The benchmarked operation is the SAS-substitute
 regression over all candidate families.
 """
 
-import pytest
-
 from repro.core.report import temporal_table
 from repro.stats import fit_distribution
 

@@ -9,7 +9,6 @@ operation is the spatial classification.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import analyze_spatial
 from repro.core.report import spatial_table

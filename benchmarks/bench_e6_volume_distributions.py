@@ -8,7 +8,6 @@ over the halo partners -- small control messages vs big data messages.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import analyze_volume
 

@@ -191,8 +191,7 @@ def main(argv=None):
         print(f"end-to-end (ingest + summary + finalize): {total_seconds:.2f}s")
         print(
             f"{stats.messages} messages, {log.segment_count} segment(s), "
-            f"mean latency {stats.mean_latency:.4f}, "
-            f"p99 latency ~{stats.latency_percentile(0.99):.3f}"
+            f"mean latency {stats.mean_latency:.4f}"
         )
         print(f"peak RSS: {rss:.1f} MiB (ceiling {args.max_rss_mb:.0f} MiB)")
 

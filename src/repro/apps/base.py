@@ -16,7 +16,6 @@ from repro.coherence.config import CoherenceConfig
 from repro.exec_driven.runtime import ExecutionDrivenSimulation
 from repro.exec_driven.thread_api import ThreadContext
 from repro.mesh.config import MeshConfig
-from repro.mesh.netlog import NetworkLog
 
 
 def partition(length: int, parties: int, pid: int) -> range:

@@ -14,7 +14,7 @@ complex value per body.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 import numpy as np
 

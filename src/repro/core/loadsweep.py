@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.attributes import CommunicationCharacterization
 from repro.core.options import RunOptions
 from repro.core.synthetic import SyntheticTrafficGenerator

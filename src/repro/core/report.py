@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.attributes import CommunicationCharacterization
 
 

@@ -12,7 +12,7 @@ throttles the offered load.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -8,7 +8,7 @@ analyzes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, Optional
 
 from repro.coherence.config import CoherenceConfig
 from repro.coherence.machine import CCNUMAMachine

@@ -10,7 +10,7 @@ machine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.coherence.machine import CCNUMAMachine
 from repro.coherence.protocol import MessageKind

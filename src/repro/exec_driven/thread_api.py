@@ -11,7 +11,7 @@ natively, trap interesting instructions" strategy.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 from repro.coherence.machine import CCNUMAMachine
 from repro.exec_driven.sync import SyncBarrier, SyncLock

@@ -56,7 +56,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.stats.streaming import QuantileDigest, StreamingMoments
+from repro.stats.streaming import StreamingMoments
 
 
 def _open_csv(path: str, mode: str):
@@ -214,9 +214,9 @@ class LogSummary:
 
     The state is the message and byte totals, the first/last injection
     and last delivery times, running latency and contention sums, exact
-    int64 message and byte tallies per distinct (src, dst) pair, length
-    and kind tallies, and a bounded latency quantile sketch.  The eight
-    scalar metrics are read-only properties derived from it.
+    int64 message and byte tallies per distinct (src, dst) pair, and
+    length and kind tallies.  The eight scalar metrics are read-only
+    properties derived from it.
 
     :meth:`NetworkLog.summary` is the fold over one chunk, the whole
     log; a spilled log's summary is :meth:`merged` over its per-segment
@@ -243,7 +243,6 @@ class LogSummary:
         "pairs",
         "length_counts",
         "kind_counts",
-        "latency_digest",
     )
 
     def __init__(self) -> None:
@@ -259,7 +258,6 @@ class LogSummary:
         self.pairs = np.zeros((4, 0), dtype=np.int64)
         self.length_counts: Dict[int, int] = {}
         self.kind_counts: Dict[str, int] = {}
-        self.latency_digest = QuantileDigest()
 
     # ------------------------------------------------------------------
     # folding and merging
@@ -298,10 +296,8 @@ class LogSummary:
         out.last_inject = max(out.last_inject, float(inject.max()))
         out.last_deliver = max(out.last_deliver, float(deliver.max()))
 
-        latency = deliver - inject
-        out.latency.observe(latency)
+        out.latency.observe(deliver - inject)
         out.contention.observe(cols["contention"])
-        out.latency_digest.observe_sorted(np.sort(latency))
 
         out.pairs = _tally_pairs(src, dst, np.ones(n, dtype=np.int64), lengths)
 
@@ -338,7 +334,6 @@ class LogSummary:
                 out.length_counts[key] = out.length_counts.get(key, 0) + count
             for kind, count in part.kind_counts.items():
                 out.kind_counts[kind] = out.kind_counts.get(kind, 0) + count
-            out.latency_digest.merge(part.latency_digest)
         return out
 
     # ------------------------------------------------------------------
@@ -392,10 +387,6 @@ class LogSummary:
         delivery (the network's sustained delivery capacity)."""
         duration = self.span
         return self._messages / duration if duration > 0 else 0.0
-
-    def latency_percentile(self, q: float) -> float:
-        """Estimated latency quantile (documented sketch tolerance)."""
-        return self.latency_digest.quantile(q)
 
     @property
     def node_bound(self) -> int:
@@ -459,7 +450,6 @@ class LogSummary:
                 str(size): count for size, count in sorted(self.length_counts.items())
             },
             "kind_counts": dict(sorted(self.kind_counts.items())),
-            "latency_digest": self.latency_digest.as_dict(),
         }
 
     @classmethod
@@ -508,7 +498,6 @@ class LogSummary:
                 str(kind): int(count)
                 for kind, count in doc["kind_counts"].items()  # type: ignore[union-attr]
             }
-            out.latency_digest = QuantileDigest.from_dict(doc["latency_digest"])  # type: ignore[arg-type]
         except (KeyError, TypeError, AttributeError) as error:
             raise ValueError(f"not a log summary document: {error!r}") from error
         return out

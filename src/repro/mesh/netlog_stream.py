@@ -30,8 +30,7 @@ Determinism contract:
   *for the merge order used*: merging the same partials in the same
   order is bit-for-bit reproducible, but differs from
   :func:`numpy.mean` over the whole column (pairwise summation) by
-  normal round-off.  Latency quantiles come from a bounded sketch and
-  carry a documented rank error instead of bit-equality.
+  normal round-off.
 * Exact inter-arrival series are read back from the segments
   (:meth:`StreamingNetworkLog.interarrival_times`).
 

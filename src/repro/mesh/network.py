@@ -30,7 +30,7 @@ from repro.mesh.topology import ROUTE_TABLE_CAP, Hop
 from repro.obs.live import start_live_telemetry
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import CHANNELS_PID, NULL_TIMELINE, TimelineRecorder
-from repro.simkernel import Facility, Hold, Mailbox, Release, Request, SimEvent, Simulator, hold
+from repro.simkernel import Facility, Hold, Release, Request, SimEvent, Simulator, hold
 from repro.simkernel.diagnosis import check_leaks
 
 DeliveryHandler = Callable[[NetworkMessage, NetLogRecord], None]
@@ -69,12 +69,11 @@ class MeshNetwork:
 
     Messages enter through :meth:`inject` (fire-and-forget, returns a
     completion :class:`SimEvent`), :meth:`transfer` (a sub-generator
-    for blocking sends: ``record = yield from net.transfer(msg)``) or
+    for blocking sends: ``yield from net.transfer(msg)``) or
     :meth:`start_sources` (closed-loop per-source processes); drivers
     then finish with :meth:`run`.
-    Deliveries append to :attr:`log`, fire any handler registered for
-    the destination node, and are deposited in the destination's
-    delivery mailbox if one has been requested.
+    Deliveries append a row to :attr:`log` and call any handler
+    registered for the destination node.
     """
 
     #: Sample per-channel utilization/queue series every this many
@@ -135,7 +134,6 @@ class MeshNetwork:
             Tuple[int, int], Tuple[Plan, Plan, Optional[Tuple[Facility, Facility]]]
         ] = {}
         self._handlers: Dict[int, List[DeliveryHandler]] = {}
-        self._mailboxes: Dict[int, Mailbox] = {}
         self._in_flight = 0
         self.total_injected = 0
         self.total_delivered = 0
@@ -172,19 +170,11 @@ class MeshNetwork:
     # wiring
     # ------------------------------------------------------------------
     def register_handler(self, node: int, handler: DeliveryHandler) -> None:
-        """Invoke ``handler(message, record)`` on every delivery at ``node``."""
+        """Invoke ``handler(message, record)`` on every delivery at
+        ``node``; ``record`` is the :class:`NetLogRecord` of the row the
+        delivery appended to :attr:`log`."""
         self._check_node(node)
         self._handlers.setdefault(node, []).append(handler)
-
-    def delivery_mailbox(self, node: int) -> Mailbox:
-        """Mailbox receiving ``(message, record)`` tuples delivered to
-        ``node`` (created lazily)."""
-        self._check_node(node)
-        box = self._mailboxes.get(node)
-        if box is None:
-            box = Mailbox(self.simulator, name=f"deliver[{node}]")
-            self._mailboxes[node] = box
-        return box
 
     def channel(self, u: int, v: int, lane: int = 0) -> Facility:
         """The facility modeling lane ``lane`` of channel ``u -> v``."""
@@ -208,8 +198,8 @@ class MeshNetwork:
         done = SimEvent(self.simulator, name=f"done#{message.msg_id}")
 
         def runner():
-            record = yield from self.transfer(message)
-            done.set(record)
+            yield from self.transfer(message)
+            done.set()
 
         self.simulator.process(runner(), name=f"xfer#{message.msg_id}")
         return done
@@ -217,9 +207,9 @@ class MeshNetwork:
     def transfer(self, message: NetworkMessage):
         """Sub-generator performing one wormhole transfer.
 
-        Use from model code as ``record = yield from net.transfer(msg)``;
-        the caller blocks until the tail flit is delivered and receives
-        the :class:`NetLogRecord`.
+        Use from model code as ``yield from net.transfer(msg)``; the
+        caller blocks until the tail flit is delivered and its row is in
+        :attr:`log`.
 
         Exception-safe: if the owning process fails or the run is
         truncated (the exception or ``GeneratorExit`` unwinds through
@@ -294,8 +284,7 @@ class MeshNetwork:
                 yield release_cmd
                 released += 1
 
-            # The log row and the returned record take the same locals:
-            # reading a factory record's fields back costs more.
+            # The log row and a handler's record take the same locals.
             msg_id = message.msg_id
             src = message.src
             dst = message.dst
@@ -315,25 +304,13 @@ class MeshNetwork:
                 contention,
                 hops,
             )
-            record = make_record(
-                msg_id,
-                src,
-                dst,
-                length_bytes,
-                kind,
-                inject_time,
-                start_time,
-                deliver_time,
-                contention,
-                hops,
-            )
             self._in_flight -= 1
             self.total_delivered += 1
             delivered = True
             if observed:
                 self._m_delivered.inc()
                 self._m_in_flight.set(self._in_flight)
-                self._m_latency.observe(record.latency)
+                self._m_latency.observe(deliver_time - inject_time)
                 self._m_contention.observe(contention)
                 self._m_hops.observe(len(route))
                 self._deliveries_since_sample += 1
@@ -366,8 +343,22 @@ class MeshNetwork:
                         tid=self._channel_tids[(hop.src, hop.dst)],
                         args={"src": message.src, "dst": message.dst},
                     )
-            if self._handlers or self._mailboxes:
-                self._deliver(message, record)
+            handlers = self._handlers.get(dst)
+            if handlers:
+                record = make_record(
+                    msg_id,
+                    src,
+                    dst,
+                    length_bytes,
+                    kind,
+                    inject_time,
+                    start_time,
+                    deliver_time,
+                    contention,
+                    hops,
+                )
+                for handler in handlers:
+                    handler(message, record)
         except BaseException:
             # The unwind may arrive via GeneratorExit (shutdown/GC), so
             # no yields here: facilities are released synchronously.
@@ -380,7 +371,6 @@ class MeshNetwork:
                 if observed:
                     self._m_in_flight.set(self._in_flight)
             raise
-        return record
 
     def _sample_channels(self, now: float) -> None:
         """Record the per-channel utilization/queue-depth time series
@@ -598,15 +588,8 @@ class MeshNetwork:
         return body_hold
 
     # ------------------------------------------------------------------
-    # delivery + stats
+    # stats
     # ------------------------------------------------------------------
-    def _deliver(self, message: NetworkMessage, record: NetLogRecord) -> None:
-        for handler in self._handlers.get(message.dst, ()):  # registered callbacks
-            handler(message, record)
-        box = self._mailboxes.get(message.dst)
-        if box is not None:
-            box.put((message, record))
-
     def finalize_metrics(self) -> None:
         """Record one final sample of every channel series.
 

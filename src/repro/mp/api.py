@@ -11,7 +11,7 @@ broadcast calls resulting in processor p0 being the favorite").
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Tuple
 
 from repro.simkernel import SimEvent, hold, wait
 

@@ -49,7 +49,6 @@ class MessagePassingRuntime:
         self.trace = TraceLog()
         self.contexts = [MPIContext(self, rank) for rank in range(num_ranks)]
         self.finished = False
-        self.messages_sent = 0
         self._observed = self.obs.enabled
         self._pending = 0  # delivered but not yet received (all ranks)
         if self._observed:
@@ -69,7 +68,6 @@ class MessagePassingRuntime:
         self, src: int, dst: int, payload: Any, nbytes: int, tag: int
     ) -> None:
         """Detached transit of one message through the SP2 switch."""
-        self.messages_sent += 1
         if self._observed:
             self._m_messages.inc()
             self._m_bytes.inc(nbytes)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.fsio import atomic_write_text
 from repro.obs.heartbeat import HeartbeatWriter
@@ -57,9 +57,6 @@ LIVE_SCHEMA_VERSION = 1
 #: Mesh timings default to 1.0 per hop/flit, so 50 time units spans
 #: tens of deliveries per window on the default meshes.
 DEFAULT_SAMPLE_INTERVAL = 50.0
-
-#: Window-health verdicts, benign to severe.
-HEALTH_VERDICTS = ("idle", "ok", "saturating", "stalled")
 
 
 class LiveSeries:

@@ -145,10 +145,6 @@ def read_trajectory(path: str) -> List[Dict[str, object]]:
 # health summaries (the `repro doctor` backend)
 # ----------------------------------------------------------------------
 
-#: Failure statuses produced by diagnosed simulation failures
-#: (:mod:`repro.sweep.runner` classification).
-DIAGNOSED_STATUSES = ("deadlock", "leak", "stall")
-
 
 def netlog_health(stats) -> Tuple[List[str], int]:
     """Health lines + problem count for a network activity log, from

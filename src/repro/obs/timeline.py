@@ -17,7 +17,7 @@ and ``M`` (metadata) phases are emitted, which every viewer supports.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.obs.fsio import atomic_write_text
 

@@ -39,9 +39,6 @@ STATUS_TEXT = {
     503: "Service Unavailable",
 }
 
-#: Methods the router will ever dispatch; anything else is a 405.
-ALLOWED_METHODS = ("GET", "POST", "DELETE")
-
 
 class HttpError(Exception):
     """A structured API error: status code + JSON-serializable detail."""

@@ -10,13 +10,13 @@ the same conceptual primitives CSIM offers:
   written as a Python generator that yields *commands* such as
   :func:`~repro.simkernel.engine.hold`.
 * :class:`~repro.simkernel.facility.Facility` -- a served resource with
-  FIFO queueing and utilization accounting (CSIM ``facility``).
-* :class:`~repro.simkernel.mailbox.Mailbox` -- typed message queues with
-  blocking receive (CSIM ``mailbox``).
+  FIFO queueing (CSIM ``facility``).  It keeps its busy and queue time
+  integrals, which give channel utilization; it counts no requests and
+  times no waits (a message's contention is timed by the mesh).
+* :class:`~repro.simkernel.mailbox.Mailbox` -- unbounded message queues
+  with blocking receive (CSIM ``mailbox``).
 * :class:`~repro.simkernel.events.SimEvent` -- waitable condition
   variables (CSIM ``event``).
-* :class:`~repro.simkernel.random_streams.RandomStreams` -- reproducible
-  named random-number streams.
 
 Example
 -------
@@ -59,7 +59,6 @@ from repro.simkernel.diagnosis import (
 from repro.simkernel.events import SimEvent
 from repro.simkernel.facility import Facility, Release, Request, request, release
 from repro.simkernel.mailbox import Mailbox, Receive, Send, receive, send
-from repro.simkernel.random_streams import RandomStreams
 
 __all__ = [
     "DeadlockError",
@@ -71,7 +70,6 @@ __all__ = [
     "Passivate",
     "Process",
     "ProcessState",
-    "RandomStreams",
     "Receive",
     "Release",
     "Request",

@@ -16,7 +16,7 @@ slab-pooled event records (:mod:`repro.simkernel.engine_calendar`).
 Events fire in the total order ``(time, seq)``: simultaneous events in
 the order they were scheduled.  One clock loop, :func:`steady_clock`,
 drains it.  It inlines process stepping, the hot commands' dispatch,
-facility statistics and the queue's push/pop (wave promotion
+facility integrals and the queue's push/pop (wave promotion
 included), batches wakeup waves into single queue touches, and keeps
 the no-progress watchdog as one test on its same-instant branch.
 Subclassed commands and unknown yields take the generic
@@ -388,11 +388,9 @@ def steady_clock(
                             # first, then the sender's own resume
                             # (which reuses the fired record).
                             box = command.mailbox
-                            box.total_sent += 1
                             waiters = box._waiters
                             if waiters:
                                 receiver = waiters.popleft()
-                                box.total_received += 1
                                 receiver.state = RUNNABLE
                                 receiver.waiting_on = None
                                 rec2 = pool.pop() if pool else EventRecord()
@@ -412,7 +410,6 @@ def steady_clock(
                             box = command.mailbox
                             msgs = box._messages
                             if msgs:
-                                box.total_received += 1
                                 proc.state = RUNNABLE
                                 proc.waiting_on = None
                                 rec.value = msgs.popleft()
@@ -435,12 +432,10 @@ def steady_clock(
                                 fac._busy_integral += span * fac._busy
                                 fac._queue_integral += span * len(fac._queue)
                                 fac._last_change = now
-                            fac.total_requests += 1
                             if fac._busy < fac.servers:
                                 fac._busy += 1
                                 held_map = proc._held
                                 held_map[fac] = held_map.get(fac, 0) + 1
-                                fac._grants += 1
                                 proc.state = RUNNABLE
                                 proc.waiting_on = None
                                 fifo.append(rec)
@@ -448,8 +443,6 @@ def steady_clock(
                                 rec.proc = None
                                 if len(pool) < pool_limit:
                                     pool.append(rec)
-                                fac.total_queued += 1
-                                fac._enqueue_times[id(proc)] = now
                                 fac._queue.append(proc)
                                 proc.state = WAITING
                                 proc.waiting_on = fac
@@ -477,9 +470,6 @@ def steady_clock(
                                 proc._held[fac] = held - 1
                             if queue:
                                 nxt = queue.popleft()
-                                queued_at = fac._enqueue_times.pop(id(nxt))
-                                fac._grants += 1
-                                fac._wait_total += now - queued_at
                                 held_map = nxt._held
                                 held_map[fac] = held_map.get(fac, 0) + 1
                                 nxt.state = RUNNABLE

@@ -23,7 +23,6 @@ class SimEvent:
         self._set = False
         self._value: Any = None
         self._waiters: List[Process] = []
-        self.set_count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimEvent({self.name!r}, set={self._set})"
@@ -51,13 +50,11 @@ class SimEvent:
         """
         self._set = True
         self._value = value
-        self.set_count += 1
         self._release_all(value)
 
     def pulse(self, value: Any = None) -> None:
         """Wake current waiters without leaving the flag raised."""
         self._value = value
-        self.set_count += 1
         self._release_all(value)
 
     def clear(self) -> None:

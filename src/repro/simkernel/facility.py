@@ -11,7 +11,7 @@ busy-time integral gives the channel *utilization* the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List
 from collections import deque
 
 from repro.simkernel.engine import Hold, Process, SimulationError, Simulator
@@ -74,13 +74,6 @@ class Facility:
         self._busy_integral = 0.0
         self._queue_integral = 0.0
         self._last_change = 0.0
-        self.total_requests = 0
-        self.total_queued = 0
-        # Grant count and summed queueing wait: O(1) state however many
-        # requests a run makes (the mean is all that is reported).
-        self._grants = 0
-        self._wait_total = 0.0
-        self._enqueue_times: Dict[int, float] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Facility({self.name!r}, busy={self._busy}/{self.servers}, q={len(self._queue)})"
@@ -136,21 +129,6 @@ class Facility:
             return 0.0
         return self._busy_integral / (elapsed * self.servers)
 
-    def mean_queue_length(self) -> float:
-        """Time-averaged number of queued (not yet served) processes."""
-        self._integrate()
-        elapsed = self.simulator.now
-        if elapsed <= 0:
-            return 0.0
-        return self._queue_integral / elapsed
-
-    def mean_wait_time(self) -> float:
-        """Mean time granted requests spent queued before acquiring a
-        server (immediate grants count as zero waits)."""
-        if not self._grants:
-            return 0.0
-        return self._wait_total / self._grants
-
     # ------------------------------------------------------------------
     # engine hooks
     # ------------------------------------------------------------------
@@ -165,15 +143,11 @@ class Facility:
 
     def _request(self, proc: Process) -> None:
         self._integrate()
-        self.total_requests += 1
         if self._busy < self.servers:
             self._busy += 1
             self._grant(proc)
-            self._grants += 1
             self.simulator._schedule_step(proc, None, delay=0.0)
         else:
-            self.total_queued += 1
-            self._enqueue_times[id(proc)] = self.simulator._now
             self._queue.append(proc)
             proc.waiting_on = self
 
@@ -190,9 +164,6 @@ class Facility:
             proc._held[self] = held - 1
         if self._queue:
             nxt = self._queue.popleft()
-            queued_at = self._enqueue_times.pop(id(nxt))
-            self._grants += 1
-            self._wait_total += self.simulator._now - queued_at
             self._grant(nxt)
             self.simulator._schedule_step(nxt, None, delay=0.0)
         else:
@@ -207,7 +178,6 @@ class Facility:
         if proc in self._queue:
             self._integrate()
             self._queue.remove(proc)
-            self._enqueue_times.pop(id(proc), None)
             if proc.waiting_on is self:
                 proc.waiting_on = None
 

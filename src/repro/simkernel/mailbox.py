@@ -9,7 +9,7 @@ substrate builds its MPI-like matching on top of tagged mailboxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Deque, List
+from typing import Any, Deque
 from collections import deque
 
 from repro.simkernel.engine import Process, Simulator
@@ -57,8 +57,6 @@ class Mailbox:
         self.name = name
         self._messages: Deque[Any] = deque()
         self._waiters: Deque[Process] = deque()
-        self.total_sent = 0
-        self.total_received = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Mailbox({self.name!r}, pending={len(self._messages)})"
@@ -78,21 +76,14 @@ class Mailbox:
 
     def put(self, message: Any) -> None:
         """Deposit a message; callable from process or non-process code."""
-        self.total_sent += 1
         if self._waiters:
             proc = self._waiters.popleft()
-            self.total_received += 1
             self.simulator._schedule_step(proc, message, delay=0.0)
         else:
             self._messages.append(message)
 
-    def peek_all(self) -> List[Any]:
-        """Snapshot of queued messages (for diagnostics/tests)."""
-        return list(self._messages)
-
     def _receive(self, proc: Process) -> None:
         if self._messages:
-            self.total_received += 1
             self.simulator._schedule_step(proc, self._messages.popleft(), delay=0.0)
         else:
             self._waiters.append(proc)

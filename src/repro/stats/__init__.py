@@ -20,8 +20,8 @@ study."  This package provides the equivalent machinery:
   weighted regression of each family's density).
 * :mod:`repro.stats.spatial_models` -- discrete destination-distribution
   models (uniform, bimodal uniform / favorite processor, locality decay).
-* :mod:`repro.stats.streaming` -- one-pass mergeable estimators
-  (moments, quantile digests) for the activity log's summary fold.
+* :mod:`repro.stats.streaming` -- the one-pass mergeable moments
+  (count, sum, min, max) of the activity log's summary fold.
 """
 
 from repro.stats.distributions import (
@@ -46,7 +46,7 @@ from repro.stats.mle import MLEResult, fit_mle, fit_mle_best
 from repro.stats.goodness import ks_statistic, r_squared
 from repro.stats.histogram import Histogram, build_histogram
 from repro.stats.secant import SecantResult, secant_least_squares
-from repro.stats.streaming import QuantileDigest, StreamingMoments
+from repro.stats.streaming import StreamingMoments
 from repro.stats.spatial_models import (
     BimodalUniformPattern,
     ButterflyPattern,
@@ -75,7 +75,6 @@ __all__ = [
     "MLEResult",
     "Pareto",
     "Normal",
-    "QuantileDigest",
     "SecantResult",
     "ShiftedExponential",
     "SpatialFit",

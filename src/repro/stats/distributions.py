@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Type
 
 import numpy as np
 

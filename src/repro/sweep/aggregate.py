@@ -20,12 +20,6 @@ from repro.sweep.grid import CellSpec, GridSpec
 #: Bumped when the sweep report layout changes incompatibly.
 SWEEP_SCHEMA_VERSION = 1
 
-#: Values resolvable by :func:`comparison_table`: top-level run-report
-#: fields first, then the sweep-specific extras.  ``offered_rate`` (the
-#: injection-window rate from the cell log's one-pass summary) joins
-#: the delivered-rate numbers so saturation shows up in one table.
-_EXTRA_VALUES = ("requested_rate", "achieved_rate", "offered_rate", "efficiency")
-
 
 def _row_value(row: Dict[str, object], value: str) -> Optional[float]:
     report = row.get("report")

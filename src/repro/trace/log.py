@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.trace.events import CommEvent
 

@@ -15,7 +15,6 @@ protocol's global invariants must hold:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coherence import CacheState, CoherenceConfig, DirectoryState

@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     BurstModel,
     PhaseCoupledTrafficGenerator,
-    compare_logs,
     estimate_bursts,
     run_dynamic,
 )

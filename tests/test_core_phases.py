@@ -3,7 +3,7 @@
 import pytest
 
 from repro import create_app, run_dynamic
-from repro.core import PhaseSegment, phase_table, segment_phases
+from repro.core import phase_table, segment_phases
 from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
 from repro.simkernel import Simulator, hold
 

@@ -1,4 +1,4 @@
-"""Every import in the repository names a declared dependency.
+"""Every import in the repository names a declared dependency, and is read.
 
 ``pyproject.toml`` declares NumPy and SciPy for the package, and
 pytest, pytest-benchmark and hypothesis as its ``test`` extra; CI
@@ -7,7 +7,8 @@ happens to be installed, and costs every process that reaches it.
 This guard parses each ``.py`` file under ``src/``, ``tests/``,
 ``benchmarks/``, ``perfbench/`` and ``examples/`` with :mod:`ast`
 (imports inside functions included) and names every module it does not
-allow.
+allow.  It also names every imported name that its file never reads:
+an import nothing uses is a dependency kept for nothing.
 """
 
 import ast
@@ -79,14 +80,53 @@ def is_stdlib(name):
     return name in names if names is not None else stdlib_by_origin(name)
 
 
-def repository_imports():
-    """``(path relative to the root, module, allowed)`` per imported module."""
+def python_files():
+    """``(path, modules that path may import)`` per ``.py`` file."""
     for directory, allowed in ALLOWED.items():
         files = sorted((ROOT / directory).rglob("*.py"))
         assert files, f"no Python files under {directory}/"
         for path in files:
-            for module in sorted(set(imported_modules(path))):
-                yield path.relative_to(ROOT), module, allowed
+            yield path, allowed
+
+
+def repository_imports():
+    """``(path relative to the root, module, allowed)`` per imported module."""
+    for path, allowed in python_files():
+        for module in sorted(set(imported_modules(path))):
+            yield path.relative_to(ROOT), module, allowed
+
+
+def unread_imports(path):
+    """``(line, name)`` of every name ``path`` imports and never reads.
+
+    A name counts as read wherever a ``Name`` node uses it, the root of
+    an attribute chain included (``np`` in ``np.linalg.solve``).  Names
+    the module lists in ``__all__`` are its exports, and ``__future__``
+    imports are compiler directives, so neither needs a reader.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    read = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in read | exported
+    )
 
 
 def test_every_import_is_declared():
@@ -96,6 +136,17 @@ def test_every_import_is_declared():
         if module not in allowed and not is_stdlib(module)
     ]
     assert not undeclared, "undeclared dependencies:\n" + "\n".join(undeclared)
+
+
+def test_no_import_goes_unread():
+    # A package's __init__.py imports names to re-export them.
+    unread = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, _ in python_files()
+        if path.name != "__init__.py"
+        for line, name in unread_imports(path)
+    ]
+    assert not unread, "imported and never read:\n" + "\n".join(unread)
 
 
 @pytest.mark.skipif(

@@ -10,10 +10,10 @@ replaced:
 * ``hold(d)`` from ``Hold(float(d))`` on every observable of a command,
   the error raised for a negative or NaN ``d`` included;
 * the rows ``transfer`` appends, in memory and spilled, from ``add()``
-  of the records it returns, and from :class:`ConvertingLog`, the
-  reference kept here: the log whose ``append`` ran ``int()`` or
-  ``float()`` on every field before staging it.  Messages carry
-  Python or NumPy integers, in every mix.
+  of the records it hands the delivery handlers, and from
+  :class:`ConvertingLog`, the reference kept here: the log whose
+  ``append`` ran ``int()`` or ``float()`` on every field before staging
+  it.  Messages carry Python or NumPy integers, in every mix.
 """
 
 import dataclasses
@@ -143,15 +143,18 @@ messages = st.lists(
 
 def run_transfers(plan, log=None):
     """Send ``plan``'s messages on a 3x3 mesh (2 lanes), one process per
-    message; returns the network and the records ``transfer`` returned,
-    in delivery order."""
+    message; returns the network and the records ``transfer`` handed
+    the delivery handlers, one registered on every node, in delivery
+    order."""
     sim = Simulator()
     net = MeshNetwork(sim, MeshConfig("3x3", virtual_channels=2), log=log)
     records = []
+    for node in range(9):
+        net.register_handler(node, lambda message, record: records.append(record))
 
     def sender(message, gap):
         yield hold(gap)
-        records.append((yield from net.transfer(message)))
+        yield from net.transfer(message)
 
     for n, (src, dst, length, kind, gap, types) in enumerate(plan):
         as_id, as_src, as_dst, as_length = types

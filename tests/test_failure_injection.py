@@ -8,7 +8,6 @@ misuse, degenerate geometries, malformed traces, starved analyses.
 import numpy as np
 import pytest
 
-from repro.coherence import CoherenceConfig
 from repro.exec_driven import ExecutionDrivenSimulation
 from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
 from repro.mp import MessagePassingRuntime
@@ -111,17 +110,19 @@ class TestNetworkBoundaries:
         net = MeshNetwork(sim, MeshConfig("1x1"))
         done = net.inject(NetworkMessage(src=0, dst=0, length_bytes=8))
         sim.run()
-        assert done.value.hops == 0
+        assert done.is_set
+        assert net.log.records[0].hops == 0
         with pytest.raises(ValueError):
             net.inject(NetworkMessage(src=0, dst=1, length_bytes=8))
 
     def test_zero_byte_message_still_one_flit(self):
         sim = Simulator()
         net = MeshNetwork(sim, MeshConfig())
-        done = net.inject(NetworkMessage(src=0, dst=1, length_bytes=0))
+        net.inject(NetworkMessage(src=0, dst=1, length_bytes=0))
         sim.run()
-        assert done.value.length_bytes == 0
-        assert done.value.deliver_time > 0
+        (record,) = net.log.records
+        assert record.length_bytes == 0
+        assert record.deliver_time > 0
 
     def test_negative_length_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -130,9 +131,9 @@ class TestNetworkBoundaries:
     def test_huge_message_delivered(self):
         sim = Simulator()
         net = MeshNetwork(sim, MeshConfig())
-        done = net.inject(NetworkMessage(src=0, dst=7, length_bytes=1_000_000))
+        net.inject(NetworkMessage(src=0, dst=7, length_bytes=1_000_000))
         sim.run()
-        record = done.value
+        (record,) = net.log.records
         expected = net.config.zero_load_latency(record.hops, 1_000_000)
         assert record.latency == pytest.approx(expected)
 

@@ -6,7 +6,6 @@ the heartbeat doctor check, the `repro watch` CLI, and the sweep
 runner's per-cell heartbeat files.
 """
 
-import json
 import os
 
 import pytest

@@ -81,10 +81,10 @@ class TestAdaptiveBehaviour:
         # src and dst in the same row: XY == YX, no adaptivity needed.
         sim = Simulator()
         net = MeshNetwork(sim, adaptive_config())
-        done = net.inject(NetworkMessage(src=0, dst=3, length_bytes=8))
+        net.inject(NetworkMessage(src=0, dst=3, length_bytes=8))
         sim.run()
         assert net.adaptive_yx_taken == 0
-        assert done.value.hops == 3
+        assert net.log.records[0].hops == 3
 
     def test_lanes_pinned_per_order(self):
         # YX worms must never touch lane 0 of their first hop.

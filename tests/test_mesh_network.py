@@ -12,13 +12,20 @@ def make_net(spec="4x2", **kwargs):
     return sim, MeshNetwork(sim, cfg)
 
 
+def row(net, message):
+    """The activity-log row of ``message``'s delivery."""
+    (record,) = [r for r in net.log.records if r.msg_id == message.msg_id]
+    return record
+
+
 class TestSingleMessage:
     def test_zero_load_latency_matches_config(self):
         sim, net = make_net()
         msg = NetworkMessage(src=0, dst=7, length_bytes=16)
         done = net.inject(msg)
         sim.run()
-        record = done.value
+        assert done.is_set
+        record = row(net, msg)
         hops = net.topology.hops(0, 7)
         assert record.hops == hops
         assert record.latency == pytest.approx(net.config.zero_load_latency(hops, 16))
@@ -26,9 +33,10 @@ class TestSingleMessage:
 
     def test_local_message_zero_hops(self):
         sim, net = make_net()
-        done = net.inject(NetworkMessage(src=3, dst=3, length_bytes=8))
+        msg = NetworkMessage(src=3, dst=3, length_bytes=8)
+        net.inject(msg)
         sim.run()
-        record = done.value
+        record = row(net, msg)
         assert record.hops == 0
         assert record.latency == pytest.approx(net.config.zero_load_latency(0, 8))
 
@@ -55,59 +63,55 @@ class TestSingleMessage:
 class TestContention:
     def test_same_source_messages_serialize_at_injection(self):
         sim, net = make_net()
-        done1 = net.inject(NetworkMessage(src=0, dst=1, length_bytes=8))
-        done2 = net.inject(NetworkMessage(src=0, dst=1, length_bytes=8))
+        m1 = NetworkMessage(src=0, dst=1, length_bytes=8)
+        m2 = NetworkMessage(src=0, dst=1, length_bytes=8)
+        net.inject(m1)
+        net.inject(m2)
         sim.run()
-        r1, r2 = done1.value, done2.value
+        r1, r2 = row(net, m1), row(net, m2)
         assert r2.contention > 0.0
         assert r2.deliver_time > r1.deliver_time
 
     def test_crossing_messages_on_shared_channel_contend(self):
         sim, net = make_net("4x1")
         # Both messages use channel (1->2).
-        d1 = net.inject(NetworkMessage(src=0, dst=3, length_bytes=64))
-        d2 = net.inject(NetworkMessage(src=1, dst=3, length_bytes=64))
+        net.inject(NetworkMessage(src=0, dst=3, length_bytes=64))
+        net.inject(NetworkMessage(src=1, dst=3, length_bytes=64))
         sim.run()
-        total_contention = d1.value.contention + d2.value.contention
+        total_contention = sum(record.contention for record in net.log.records)
         assert total_contention > 0.0
 
     def test_disjoint_paths_no_contention(self):
         sim, net = make_net("4x2")
-        d1 = net.inject(NetworkMessage(src=0, dst=1, length_bytes=8))
-        d2 = net.inject(NetworkMessage(src=6, dst=7, length_bytes=8))
+        net.inject(NetworkMessage(src=0, dst=1, length_bytes=8))
+        net.inject(NetworkMessage(src=6, dst=7, length_bytes=8))
         sim.run()
-        assert d1.value.contention == 0.0
-        assert d2.value.contention == 0.0
+        assert [record.contention for record in net.log.records] == [0.0, 0.0]
 
     def test_contention_increases_latency(self):
         sim, net = make_net("4x1")
-        d1 = net.inject(NetworkMessage(src=0, dst=3, length_bytes=256))
-        d2 = net.inject(NetworkMessage(src=0, dst=3, length_bytes=256))
+        m1 = NetworkMessage(src=0, dst=3, length_bytes=256)
+        m2 = NetworkMessage(src=0, dst=3, length_bytes=256)
+        net.inject(m1)
+        net.inject(m2)
         sim.run()
         zero_load = net.config.zero_load_latency(3, 256)
-        assert d1.value.latency == pytest.approx(zero_load)
-        assert d2.value.latency > zero_load
+        assert row(net, m1).latency == pytest.approx(zero_load)
+        assert row(net, m2).latency > zero_load
 
 
 class TestDelivery:
     def test_handler_invoked(self):
+        # The handler sees its own node's deliveries only, each with the
+        # record of the row that delivery appended to the log.
         sim, net = make_net()
         seen = []
-        net.register_handler(5, lambda msg, rec: seen.append((msg.msg_id, rec.dst)))
+        net.register_handler(5, lambda msg, rec: seen.append((msg, rec)))
         msg = NetworkMessage(src=0, dst=5, length_bytes=8)
         net.inject(msg)
+        net.inject(NetworkMessage(src=0, dst=2, length_bytes=8))
         sim.run()
-        assert seen == [(msg.msg_id, 5)]
-
-    def test_delivery_mailbox(self):
-        sim, net = make_net()
-        box = net.delivery_mailbox(2)
-        net.inject(NetworkMessage(src=0, dst=2, length_bytes=8, payload="hi"))
-        sim.run()
-        assert box.pending == 1
-        message, record = box.peek_all()[0]
-        assert message.payload == "hi"
-        assert record.dst == 2
+        assert seen == [(msg, row(net, msg))]
 
     def test_blocking_transfer_from_process(self):
         sim, net = make_net()
@@ -115,14 +119,17 @@ class TestDelivery:
 
         def sender():
             yield hold(5.0)
-            record = yield from net.transfer(NetworkMessage(src=0, dst=7, length_bytes=8))
-            results.append((record.inject_time, sim.now))
+            returned = yield from net.transfer(NetworkMessage(src=0, dst=7, length_bytes=8))
+            results.append((returned, sim.now))
 
         sim.process(sender(), name="sender")
         sim.run()
-        inject_time, end = results[0]
-        assert inject_time == 5.0
-        assert end > 5.0
+        [(returned, end)] = results
+        # The caller resumes at the delivery; the row is the only result.
+        assert returned is None
+        (record,) = net.log.records
+        assert record.inject_time == 5.0
+        assert end == record.deliver_time > 5.0
 
 
 class TestNetworkStats:

@@ -146,13 +146,16 @@ def test_route_property_connected_and_minimal(name, data):
 
 class TestNetworkOnAlternativeTopologies:
     def run_traffic(self, config, pairs):
+        """Inject one message per ``(src, dst)`` pair; returns the network
+        and the messages' log rows in injection order."""
         sim = Simulator()
         net = MeshNetwork(sim, config)
-        events = [
-            net.inject(NetworkMessage(src=s, dst=d, length_bytes=64)) for s, d in pairs
-        ]
+        messages = [NetworkMessage(src=s, dst=d, length_bytes=64) for s, d in pairs]
+        for message in messages:
+            net.inject(message)
         sim.run()
-        return net, [e.value for e in events]
+        rows = {record.msg_id: record for record in net.log.records}
+        return net, [rows[message.msg_id] for message in messages]
 
     def test_torus_delivers_under_load(self):
         config = MeshConfig("4x2:torus", virtual_channels=2)

@@ -47,7 +47,7 @@ from repro.mesh.netlog_stream import (
     summarize_npz,
     summary_from_manifest,
 )
-from repro.stats.streaming import QuantileDigest, StreamingMoments
+from repro.stats.streaming import StreamingMoments
 
 NUM_NODES = 8
 KINDS = ("p2p", "coherence", "reply")
@@ -96,6 +96,21 @@ record_tuples = st.tuples(
     st.floats(0.0, 1e4, allow_nan=False),               # latency
     st.floats(0.0, 1e3, allow_nan=False),               # contention
 )
+
+
+def old_sketch(values):
+    """The document a since-removed quantile sketch wrote into older
+    manifests for at most 128 values: every value, ascending, each of
+    weight 1."""
+    values = sorted(float(value) for value in values)
+    assert len(values) <= 128
+    return {
+        "maxlen": 512,
+        "chunk_samples": 128,
+        "count": len(values),
+        "values": values,
+        "weights": [1.0] * len(values),
+    }
 
 
 def build_pair(rows, tmp_path, window):
@@ -412,8 +427,7 @@ class TestEdgeCases:
             (doc["summary"], len(doc["segments"]))
         ]:
             assert "latency_hist" not in summary
-            gaps = QuantileDigest()
-            gaps.observe(np.random.default_rng(chunks).exponential(1.0, 12))
+            gaps = np.random.default_rng(chunks).exponential(1.0, 12)
             summary["chunks"] = chunks
             summary["latency_hist"] = {
                 "edges": [float(edge) for edge in edges],
@@ -421,7 +435,7 @@ class TestEdgeCases:
                 "underflow": 0,
                 "overflow": summary["messages"],
             }
-            summary["interarrival_digest"] = gaps.as_dict()
+            summary["interarrival_digest"] = old_sketch(gaps)
         with open(manifest, "w") as handle:
             json.dump(doc, handle, sort_keys=True)
 
@@ -481,6 +495,42 @@ class TestEdgeCases:
             json.dump(merged, handle, sort_keys=True)
         assert main(["doctor", manifest]) == 0
         assert capsys.readouterr().out == with_block
+
+    def test_summary_document_without_the_latency_sketch(self, tmp_path, capsys):
+        # The summary document holds exactly these keys.  Manifests
+        # written while the fold kept a latency quantile sketch carry
+        # one in every summary; they still load to the same summaries,
+        # and doctor still prints the same lines.
+        from repro.cli import main
+
+        streaming = StreamingNetworkLog(str(tmp_path), window=13)
+        fill(streaming, 40)
+        assert set(streaming.summary().as_dict()) == {
+            "schema", "messages", "total_bytes", "first_inject", "last_inject",
+            "last_deliver", "latency", "contention", "count_matrix",
+            "volume_matrix", "length_counts", "kind_counts",
+        }
+        manifest = streaming.finalize()
+        assert main(["doctor", manifest]) == 0
+        expected = capsys.readouterr().out
+        assert expected.splitlines()[-1] == "healthy"
+
+        doc = read_manifest(manifest)
+        latencies = []
+        for entry, (_, segment) in zip(doc["segments"], iter_segments(manifest)):
+            cols = segment.columns()[0]
+            latency = cols["deliver_time"] - cols["inject_time"]
+            latencies.append(latency)
+            entry["summary"]["latency_digest"] = old_sketch(latency)
+        doc["summary"]["latency_digest"] = old_sketch(np.concatenate(latencies))
+        with open(manifest, "w") as handle:
+            json.dump(doc, handle, sort_keys=True)
+
+        assert read_manifest(manifest) == doc
+        assert summary_from_manifest(manifest) == streaming.summary()
+        assert merge_manifest_partials(manifest) == streaming.summary()
+        assert main(["doctor", manifest]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_csv_npz_segment_round_trip(self, tmp_path):
         # streaming -> CSV -> oracle -> npz -> oracle: the records
@@ -587,50 +637,6 @@ class TestStreamingMoments:
         moments.observe(np.array([1.0, 2.0, 3.0]))
         doc = json.loads(json.dumps(moments.as_dict()))
         assert StreamingMoments.from_dict(doc).as_dict() == moments.as_dict()
-
-
-class TestQuantileDigest:
-    def test_merged_digest_tracks_quantiles(self):
-        rng = np.random.default_rng(17)
-        values = rng.exponential(2.0, 30000)
-        whole = QuantileDigest()
-        whole.observe(values)
-        parts = []
-        for chunk in np.array_split(values, 13):
-            digest = QuantileDigest()
-            digest.observe(chunk)
-            parts.append(digest)
-        folded = QuantileDigest()
-        for part in parts:
-            folded.merge(part)
-        for q in (0.5, 0.9, 0.99):
-            true = float(np.quantile(values, q))
-            assert whole.quantile(q) == pytest.approx(true, rel=0.05)
-            assert folded.quantile(q) == pytest.approx(true, rel=0.05)
-
-    def test_empty_quantile_is_nan(self):
-        assert np.isnan(QuantileDigest().quantile(0.5))
-
-    def test_round_trip(self):
-        digest = QuantileDigest()
-        digest.observe(np.random.default_rng(1).uniform(0, 1, 1000))
-        doc = json.loads(json.dumps(digest.as_dict()))
-        restored = QuantileDigest.from_dict(doc)
-        assert restored.quantile(0.5) == digest.quantile(0.5)
-
-    def test_summary_percentiles_reasonable(self, tmp_path):
-        streaming = StreamingNetworkLog(str(tmp_path), window=50)
-        oracle = NetworkLog()
-        fill(streaming, 2000)
-        fill(oracle, 2000)
-        latencies = (
-            np.asarray(oracle.columns()[0]["deliver_time"])
-            - np.asarray(oracle.columns()[0]["inject_time"])
-        )
-        summary = streaming.summary()
-        for q in (0.5, 0.9):
-            true = float(np.quantile(latencies, q))
-            assert summary.latency_percentile(q) == pytest.approx(true, rel=0.1)
 
 
 class TestCliSpill:

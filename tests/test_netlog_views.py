@@ -3,7 +3,6 @@
 import gzip
 
 import numpy as np
-import pytest
 
 from repro.mesh.netlog import NetLogRecord, NetworkLog
 

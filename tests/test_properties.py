@@ -157,9 +157,9 @@ class TestMeshProperties:
         nbytes = data.draw(st.integers(0, 256))
         sim = Simulator()
         net = MeshNetwork(sim, config)
-        done = net.inject(NetworkMessage(src=src, dst=dst, length_bytes=nbytes))
+        net.inject(NetworkMessage(src=src, dst=dst, length_bytes=nbytes))
         sim.run()
-        record = done.value
+        (record,) = net.log.records
         assert record.latency == pytest.approx(
             config.zero_load_latency(record.hops, nbytes)
         )

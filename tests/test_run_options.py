@@ -101,7 +101,7 @@ def test_run_rejects_wrong_category():
         run_dynamic(create_app("1d-fft", n=16), params={"n": 32})
 
 
-def test_run_synthetic_and_measure_load_point_honor_options():
+def test_every_mesh_driver_honors_options():
     run = run_dynamic("1d-fft", params={"n": 16})
     trace = run_static("3d-fft", params={"n": 8}).trace
     # Every mesh driver, each taking the bundle to the one run tail.

@@ -21,7 +21,8 @@ checks hold ``steady_clock`` -- the only clock loop -- to a reference.
   test-local subclasses of them, which it routes through the generic
   ``_dispatch``/``_execute`` handlers (``Facility._request``/
   ``_release``, the ``Mailbox`` methods, ``_schedule_step``).  Both
-  must leave the same execution trail and channel statistics.
+  must leave the same execution trail, and the same channel
+  utilization and busy and queue time integrals, float for float.
 * A mesh run with the no-progress watchdog armed (never tripping) must
   write a bit-identical activity log and channel utilizations to an
   unarmed one.
@@ -318,13 +319,11 @@ def _run_program(commands, num_pairs, extra_holds, sender_plans, walker_plans):
     states = sorted((p.name, p.state.name) for p in sim.processes)
     # The inline Request/Release branches integrate the channel in
     # place; the generic path calls Facility._integrate.  The floats
-    # must agree exactly.
+    # must agree exactly (``utilization()`` integrates up to the end).
     channel_stats = (
         channel.utilization(),
-        channel.mean_queue_length(),
-        channel.mean_wait_time(),
-        channel.total_requests,
-        channel.total_queued,
+        channel._busy_integral,
+        channel._queue_integral,
     )
     return trail, final, sim.events_fired, states, channel_stats
 

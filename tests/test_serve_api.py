@@ -10,7 +10,6 @@ first job open until the second identical submission has attached.
 
 import http.client
 import json
-import os
 import re
 import threading
 import time

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -13,10 +12,7 @@ import pytest
 import repro
 from repro.simkernel import (
     Facility,
-    Hold,
     Mailbox,
-    Release,
-    Request,
     SimEvent,
     SimulationError,
     Simulator,
@@ -34,16 +30,6 @@ from repro.simkernel.engine import ProcessState
 #: ``calendar`` runs ``steady_clock`` unarmed, ``watchdog`` armed (it
 #: never trips here).
 CLOCKS = {"calendar": None, "watchdog": 10**9}
-
-#: The stock facility commands, which ``steady_clock`` runs inline, and
-#: test-local subclasses of them, which it does not match by type and
-#: so sends through ``_dispatch``/``_execute`` to the generic
-#: ``Facility._request``/``_release`` path.
-STOCK_COMMANDS = (Hold, Request, Release)
-GENERIC_COMMANDS = tuple(
-    dataclass(frozen=True)(type(f"Generic{command.__name__}", (command,), {}))
-    for command in STOCK_COMMANDS
-)
 
 
 def test_hold_advances_clock():
@@ -413,63 +399,6 @@ class TestFacility:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_mean_wait_time(self):
-        sim = Simulator()
-        fac = Facility(sim, name="f")
-        spans = []
-        sim.process(_facility_user(sim, fac, "a", spans), name="a")
-        sim.process(_facility_user(sim, fac, "b", spans), name="b")
-        sim.run()
-        # a waits 0, b waits 10.
-        assert fac.mean_wait_time() == pytest.approx(5.0)
-
-    @pytest.mark.parametrize(
-        "clock, commands",
-        [
-            pytest.param("calendar", STOCK_COMMANDS, id="calendar"),
-            pytest.param("watchdog", STOCK_COMMANDS, id="watchdog"),
-            pytest.param("calendar", GENERIC_COMMANDS, id="generic"),
-        ],
-    )
-    def test_wait_stats_keep_no_per_request_storage(self, clock, commands, monkeypatch):
-        """10^5 grants leave O(1) wait state and the same mean wait,
-        through the inlined facility path (watchdog unarmed and armed)
-        and through the generic ``Facility._request``/``_release``."""
-        hold_, request_, release_ = commands
-        generic_requests = []
-        generic_request = Facility._request
-
-        def counted_request(fac, proc):
-            generic_requests.append(proc)
-            generic_request(fac, proc)
-
-        monkeypatch.setattr(Facility, "_request", counted_request)
-        sim = Simulator()
-        fac = Facility(sim, name="f")
-        waits = []
-
-        def user(offset):
-            yield hold_(offset)
-            for _ in range(50_000):
-                t0 = sim.now
-                yield request_(fac)
-                waits.append(sim.now - t0)
-                yield hold_(1.0)
-                yield release_(fac)
-
-        sim.process(user(0.0), name="a")
-        sim.process(user(0.25), name="b")
-        sim.run(max_no_progress_events=CLOCKS[clock])
-        assert len(generic_requests) == (100_000 if commands is GENERIC_COMMANDS else 0)
-        assert fac.total_requests == len(waits) == 100_000
-        assert fac.mean_wait_time() > 0
-        assert fac.mean_wait_time() == pytest.approx(sum(waits) / len(waits))
-        containers = [
-            value for value in vars(fac).values()
-            if hasattr(value, "__len__") and not isinstance(value, str)
-        ]
-        assert sum(len(value) for value in containers) == 0
-
     def test_zero_servers_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
@@ -541,28 +470,8 @@ class TestMailbox:
         box = Mailbox(sim, name="m")
         box.put(1)
         box.put(2)
-        assert box.total_sent == 2
         assert box.pending == 2
         assert len(box) == 2
-
-
-def test_random_streams_reproducible_and_independent():
-    from repro.simkernel import RandomStreams
-
-    a = RandomStreams(42)
-    b = RandomStreams(42)
-    assert a.stream("x").random() == b.stream("x").random()
-    c = RandomStreams(42)
-    assert c.stream("x").random() != c.stream("y").random()
-
-
-def test_random_streams_reset():
-    from repro.simkernel import RandomStreams
-
-    streams = RandomStreams(7)
-    first = streams.stream("s").random()
-    streams.reset()
-    assert streams.stream("s").random() == first
 
 
 #: One short run in a fresh interpreter, with the watchdog given as

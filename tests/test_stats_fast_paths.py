@@ -135,8 +135,8 @@ def reference_solve(residual_fn, x0, max_iter, tol, secant_step):
 
 
 def reference_fit_one(data, histogram, family, max_iter=60):
-    """``_fit_one`` on the object path, with ``NonlinearRegression``'s
-    weighted residual written out."""
+    """``_fit_one`` on the object path, with its count-weighted residual
+    written out."""
     try:
         start = family.initial_guess(data)
     except (ValueError, ZeroDivisionError):

@@ -9,7 +9,6 @@ from repro.stats import (
     Hyperexponential2,
     Normal,
     Uniform,
-    Weibull,
     build_histogram,
     fit_distribution,
     ks_statistic,

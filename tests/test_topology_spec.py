@@ -27,6 +27,7 @@ from repro.mesh import (
     TopologySpecError,
 )
 from repro.mesh.spec import KINDS
+from repro.obs import CHANNELS_PID, TimelineRecorder
 from repro.simkernel import Simulator, hold, release, request
 
 
@@ -399,7 +400,12 @@ class TestAdaptivePlans:
         """Send 0 -> dst with the chosen first channels held, then again
         once they are free; returns how many messages took YX."""
         sim = Simulator()
-        net = MeshNetwork(sim, MeshConfig(spec="4x4", virtual_channels=2, routing="adaptive"))
+        timeline = TimelineRecorder()
+        net = MeshNetwork(
+            sim,
+            MeshConfig(spec="4x4", virtual_channels=2, routing="adaptive"),
+            timeline=timeline,
+        )
         # 0 -> 5: XY starts on channel 0->1 (class 0), YX on 0->4 (class 1).
         xy_first, yx_first = net.channel(0, 1, 0), net.channel(0, 4, 1)
         blocked = [xy_first] * xy_busy + [yx_first] * yx_busy
@@ -420,10 +426,19 @@ class TestAdaptivePlans:
         sim.process(prober(), name="prober")
         sim.run()
         assert len(net.log) == 2
-        # Every message took exactly one of the two first channels.
+        # Every message took exactly one of the two first channels: each
+        # channel a message holds leaves one span on that channel's track
+        # (the blockers, which are not messages, leave none).
         if dst == 5:
-            took_xy = xy_first.total_requests - xy_busy
-            took_yx = yx_first.total_requests - yx_busy
+            events = timeline.to_dict()["traceEvents"]
+            tracks = {
+                event["args"]["name"]: event["tid"]
+                for event in events
+                if event["name"] == "thread_name" and event["pid"] == CHANNELS_PID
+            }
+            spans = [event["tid"] for event in events if event.get("cat") == "channel"]
+            took_xy = spans.count(tracks["ch 0->1"])
+            took_yx = spans.count(tracks["ch 0->4"])
             assert took_xy + took_yx == 2 and took_yx == net.adaptive_yx_taken
         return net.adaptive_yx_taken
 

@@ -1,6 +1,5 @@
 """Tests for trace records, the profiler, and both replay modes."""
 
-import numpy as np
 import pytest
 
 from repro.mesh import MeshConfig, MeshNetwork
