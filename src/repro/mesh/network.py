@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetLogRecord, NetworkLog, make_record
-from repro.mesh.packet import NetworkMessage
+from repro.mesh.packet import NetworkMessage, next_message_id
 from repro.mesh.topology import ROUTE_TABLE_CAP, Hop
 from repro.obs.live import start_live_telemetry
 from repro.obs.registry import MetricsRegistry
@@ -70,8 +70,8 @@ class MeshNetwork:
     Messages enter through :meth:`inject` (fire-and-forget, returns a
     completion :class:`SimEvent`), :meth:`transfer` (a sub-generator
     for blocking sends: ``yield from net.transfer(msg)``) or
-    :meth:`start_sources` (closed-loop per-source processes); drivers
-    then finish with :meth:`run`.
+    :meth:`start_sources` (closed-loop per-source processes, each one
+    walk over its messages); drivers then finish with :meth:`run`.
     Deliveries append a row to :attr:`log` and call any handler
     registered for the destination node.
     """
@@ -205,11 +205,14 @@ class MeshNetwork:
         return done
 
     def transfer(self, message: NetworkMessage):
-        """Sub-generator performing one wormhole transfer.
+        """Generator performing one wormhole transfer: the walk of
+        :meth:`start_sources` over ``message`` alone, sent at once.
 
         Use from model code as ``yield from net.transfer(msg)``; the
         caller blocks until the tail flit is delivered and its row is in
-        :attr:`log`.
+        :attr:`log`, and the destination's handlers receive ``message``
+        itself.  Nothing runs until the generator is iterated, and it
+        returns None.
 
         Exception-safe: if the owning process fails or the run is
         truncated (the exception or ``GeneratorExit`` unwinds through
@@ -218,134 +221,116 @@ class MeshNetwork:
         an aborted transfer cannot corrupt the contention and
         utilization accounting of the survivors.
         """
-        plan = self._plans.get((message.src, message.dst, message.msg_id % self._lanes))
-        if plan is None:
-            plan = self._plan_for(message)
-        inj_request, steps, ej_request, releases, route = plan
+        return self._walk(
+            message.src,
+            ((None, message.dst, message.length_bytes, message.msg_id),),
+            message.kind,
+            message,
+        )
+
+    def _walk(
+        self,
+        src: int,
+        entries: Iterable[SourceEntry],
+        kind: str,
+        message: Optional[NetworkMessage] = None,
+    ):
+        """The wormhole walk, one message per entry, sent from ``src``.
+
+        A source loop (``message`` None) holds for each entry's gap,
+        draws a None id after the hold, and rejects a negative length
+        with :class:`NetworkMessage`'s error; a handler at the
+        destination gets a :class:`NetworkMessage` built at delivery.
+        :meth:`transfer` passes its one message, whose entry has no
+        gap, and hands handlers that message.  The lookups every
+        message makes are taken once per walk.
+        """
         simulator = self.simulator
         observed = self._observed
         timeline_on = self.timeline.enabled
         owner = simulator.current_process
-        self._in_flight += 1
-        self.total_injected += 1
-        if observed:
-            self._m_injected.inc()
-            self._m_in_flight.set(self._in_flight)
-        inject_time = simulator._now
-        contention = 0.0
-        # Facilities granted so far / released so far, both counted in
-        # ``releases`` order (source NI, route channels, destination NI).
-        acquired = 0
-        released = 0
-        delivered = False
-        # Channel acquire times for the timeline's per-channel occupancy
-        # spans (wormhole: held until the tail drains).
-        acquire_times: Optional[List[float]] = [] if timeline_on else None
-
-        try:
-            # Source NI: serializes messages leaving the same node.
-            yield inj_request
-            start_time = simulator._now
-            contention += start_time - inject_time
-            acquired = 1
-            yield self._injection_hold
-
-            # Head flit walks the compiled route, seizing each channel
-            # lane in order and holding its routing + (scaled) channel
-            # time.
-            for request_cmd, hold_cmd in steps:
-                t0 = simulator._now
-                yield request_cmd
-                hop_wait = simulator._now - t0
-                contention += hop_wait
-                if observed:
-                    self._m_hop_wait.observe(hop_wait)
-                if timeline_on:
-                    acquire_times.append(simulator._now)
-                acquired += 1
-                yield hold_cmd
-
-            # Destination NI.
-            t0 = simulator._now
-            yield ej_request
-            contention += simulator._now - t0
-            acquired += 1
-            yield self._ejection_hold
-
-            # Body flits stream over the held path (pipelined circuit).
-            try:
-                body_hold = self._body_holds[message.length_bytes]
-            except KeyError:
-                body_hold = self._body_hold(message.length_bytes)
-            if body_hold is not None:
-                yield body_hold
-
-            for release_cmd in releases:
-                yield release_cmd
-                released += 1
-
-            # The log row and a handler's record take the same locals.
-            msg_id = message.msg_id
-            src = message.src
-            dst = message.dst
-            length_bytes = message.length_bytes
-            kind = message.kind
-            deliver_time = simulator._now
-            hops = len(route)
-            self.log.append(
-                msg_id,
-                src,
-                dst,
-                length_bytes,
-                kind,
-                inject_time,
-                start_time,
-                deliver_time,
-                contention,
-                hops,
-            )
-            self._in_flight -= 1
-            self.total_delivered += 1
-            delivered = True
+        plans = self._plans
+        lanes = self._lanes
+        body_holds = self._body_holds
+        injection_hold = self._injection_hold
+        ejection_hold = self._ejection_hold
+        append = self.log.append
+        handlers_at = self._handlers
+        for gap, dst, length_bytes, msg_id in entries:
+            if message is None:
+                yield hold(gap)
+                if msg_id is None:
+                    msg_id = next_message_id()
+                if length_bytes < 0:
+                    # Raises NetworkMessage's ValueError.
+                    NetworkMessage(src, dst, length_bytes, kind, msg_id=msg_id)
+            plan = plans.get((src, dst, msg_id % lanes))
+            if plan is None:
+                plan = self._plan_for(src, dst, msg_id)
+            inj_request, steps, ej_request, releases, route = plan
+            self._in_flight += 1
+            self.total_injected += 1
             if observed:
-                self._m_delivered.inc()
+                self._m_injected.inc()
                 self._m_in_flight.set(self._in_flight)
-                self._m_latency.observe(deliver_time - inject_time)
-                self._m_contention.observe(contention)
-                self._m_hops.observe(len(route))
-                self._deliveries_since_sample += 1
-                if self._deliveries_since_sample >= self.CHANNEL_SAMPLE_INTERVAL:
-                    self._deliveries_since_sample = 0
-                    self._sample_channels(simulator.now)
-            if timeline_on:
-                now = simulator.now
-                self.timeline.complete(
-                    name=f"{message.kind} -> {message.dst}",
-                    category="message",
-                    start=inject_time,
-                    duration=now - inject_time,
-                    pid=message.src,
-                    tid=0,
-                    args={
-                        "msg_id": message.msg_id,
-                        "bytes": message.length_bytes,
-                        "contention": contention,
-                        "hops": len(route),
-                    },
-                )
-                for hop, acquire_time in zip(route, acquire_times):
-                    self.timeline.complete(
-                        name=f"msg {message.msg_id}",
-                        category="channel",
-                        start=acquire_time,
-                        duration=now - acquire_time,
-                        pid=CHANNELS_PID,
-                        tid=self._channel_tids[(hop.src, hop.dst)],
-                        args={"src": message.src, "dst": message.dst},
-                    )
-            handlers = self._handlers.get(dst)
-            if handlers:
-                record = make_record(
+            inject_time = simulator._now
+            contention = 0.0
+            # Facilities granted so far / released so far, both counted
+            # in ``releases`` order (source NI, route channels,
+            # destination NI).
+            acquired = 0
+            released = 0
+            delivered = False
+            # Channel acquire times for the timeline's per-channel
+            # occupancy spans (wormhole: held until the tail drains).
+            acquire_times: Optional[List[float]] = [] if timeline_on else None
+
+            try:
+                # Source NI: serializes messages leaving the same node.
+                yield inj_request
+                start_time = simulator._now
+                contention += start_time - inject_time
+                acquired = 1
+                yield injection_hold
+
+                # Head flit walks the compiled route, seizing each
+                # channel lane in order and holding its routing +
+                # (scaled) channel time.
+                for request_cmd, hold_cmd in steps:
+                    t0 = simulator._now
+                    yield request_cmd
+                    hop_wait = simulator._now - t0
+                    contention += hop_wait
+                    if observed:
+                        self._m_hop_wait.observe(hop_wait)
+                    if timeline_on:
+                        acquire_times.append(simulator._now)
+                    acquired += 1
+                    yield hold_cmd
+
+                # Destination NI.
+                t0 = simulator._now
+                yield ej_request
+                contention += simulator._now - t0
+                acquired += 1
+                yield ejection_hold
+
+                # Body flits stream over the held path (pipelined circuit).
+                try:
+                    body_hold = body_holds[length_bytes]
+                except KeyError:
+                    body_hold = self._body_hold(length_bytes)
+                if body_hold is not None:
+                    yield body_hold
+
+                for release_cmd in releases:
+                    yield release_cmd
+                    released += 1
+
+                # The log row and a handler's record take the same locals.
+                deliver_time = simulator._now
+                hops = len(route)
+                append(
                     msg_id,
                     src,
                     dst,
@@ -357,20 +342,79 @@ class MeshNetwork:
                     contention,
                     hops,
                 )
-                for handler in handlers:
-                    handler(message, record)
-        except BaseException:
-            # The unwind may arrive via GeneratorExit (shutdown/GC), so
-            # no yields here: facilities are released synchronously.
-            holder = owner if owner is not None else simulator.current_process
-            if holder is not None:
-                for release_cmd in releases[released:acquired]:
-                    release_cmd.facility._abandon(holder)
-            if not delivered:
                 self._in_flight -= 1
+                self.total_delivered += 1
+                delivered = True
                 if observed:
+                    self._m_delivered.inc()
                     self._m_in_flight.set(self._in_flight)
-            raise
+                    self._m_latency.observe(deliver_time - inject_time)
+                    self._m_contention.observe(contention)
+                    self._m_hops.observe(hops)
+                    self._deliveries_since_sample += 1
+                    if self._deliveries_since_sample >= self.CHANNEL_SAMPLE_INTERVAL:
+                        self._deliveries_since_sample = 0
+                        self._sample_channels(simulator.now)
+                if timeline_on:
+                    now = simulator.now
+                    self.timeline.complete(
+                        name=f"{kind} -> {dst}",
+                        category="message",
+                        start=inject_time,
+                        duration=now - inject_time,
+                        pid=src,
+                        tid=0,
+                        args={
+                            "msg_id": msg_id,
+                            "bytes": length_bytes,
+                            "contention": contention,
+                            "hops": hops,
+                        },
+                    )
+                    for hop, acquire_time in zip(route, acquire_times):
+                        self.timeline.complete(
+                            name=f"msg {msg_id}",
+                            category="channel",
+                            start=acquire_time,
+                            duration=now - acquire_time,
+                            pid=CHANNELS_PID,
+                            tid=self._channel_tids[(hop.src, hop.dst)],
+                            args={"src": src, "dst": dst},
+                        )
+                handlers = handlers_at.get(dst)
+                if handlers:
+                    record = make_record(
+                        msg_id,
+                        src,
+                        dst,
+                        length_bytes,
+                        kind,
+                        inject_time,
+                        start_time,
+                        deliver_time,
+                        contention,
+                        hops,
+                    )
+                    delivered_message = (
+                        message
+                        if message is not None
+                        else NetworkMessage(src, dst, length_bytes, kind, msg_id=msg_id)
+                    )
+                    for handler in handlers:
+                        handler(delivered_message, record)
+            except BaseException:
+                # The unwind may arrive via GeneratorExit (shutdown/GC),
+                # so no yields here: facilities are released
+                # synchronously.
+                holder = owner if owner is not None else simulator.current_process
+                if holder is not None:
+                    for release_cmd in releases[released:acquired]:
+                        release_cmd.facility._abandon(holder)
+                if not delivered:
+                    self._in_flight -= 1
+                    if observed:
+                        self._m_in_flight.set(self._in_flight)
+                raise
 
     def _sample_channels(self, now: float) -> None:
         """Record the per-channel utilization/queue-depth time series
@@ -448,21 +492,14 @@ class MeshNetwork:
         network activity at the source"), sends a ``kind`` message and
         waits for its delivery.  A None ``msg_id`` is assigned after
         the hold, so ids follow event order.  Entries are taken lazily,
-        so a generator drawing them costs O(1) memory per source.
+        so a generator drawing them costs O(1) memory per source.  The
+        process body is the wormhole walk itself (:meth:`_walk`), with
+        no per-message sub-generator.
         """
         for src in sorted(per_source):
             self.simulator.process(
-                self._source(src, per_source[src], kind), name=f"{kind}[{src}]"
+                self._walk(src, per_source[src], kind), name=f"{kind}[{src}]"
             )
-
-    def _source(self, src: int, entries: Iterable[SourceEntry], kind: str):
-        for gap, dst, length_bytes, msg_id in entries:
-            yield hold(gap)
-            if msg_id is None:
-                message = NetworkMessage(src, dst, length_bytes, kind)
-            else:
-                message = NetworkMessage(src, dst, length_bytes, kind, msg_id=msg_id)
-            yield from self.transfer(message)
 
     def run(self, options=None, until: Optional[float] = None, label: str = "run"):
         """The run tail every driver shares; returns the sealed log.
@@ -508,16 +545,15 @@ class MeshNetwork:
     # ------------------------------------------------------------------
     # transfer plans
     # ------------------------------------------------------------------
-    def _plan_for(self, message: NetworkMessage) -> Plan:
-        """The plan :meth:`transfer` walks when its key is not stored:
+    def _plan_for(self, src: int, dst: int, msg_id: int) -> Plan:
+        """The plan :meth:`_walk` takes when its key is not stored:
         validates the endpoints, then compiles (and, under the cap,
         stores) the deterministic plan or makes the adaptive choice."""
-        src, dst = message.src, message.dst
         self._check_node(src)
         self._check_node(dst)
         if self._adaptive:
             return self._adaptive_plan(src, dst)
-        lane = message.msg_id % self._lanes
+        lane = msg_id % self._lanes
         plan = self._compile_plan(self.topology.routes.get(src, dst), src, dst, lane)
         if len(self._plans) < ROUTE_TABLE_CAP:
             self._plans[(src, dst, lane)] = plan

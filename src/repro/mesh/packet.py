@@ -9,6 +9,11 @@ from typing import Any
 _message_ids = itertools.count()
 
 
+def next_message_id() -> int:
+    """Draw the next unique message id (the one counter every id comes from)."""
+    return next(_message_ids)
+
+
 @dataclass
 class NetworkMessage:
     """A message to be carried by the mesh.
@@ -30,7 +35,7 @@ class NetworkMessage:
     payload:
         Opaque model data delivered to the destination handler.
     msg_id:
-        Unique id, auto-assigned.
+        Unique id, auto-assigned by :func:`next_message_id`.
     """
 
     src: int
@@ -38,7 +43,7 @@ class NetworkMessage:
     length_bytes: int
     kind: str = "data"
     payload: Any = None
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=next_message_id)
 
     def __post_init__(self) -> None:
         if self.length_bytes < 0:

@@ -62,17 +62,8 @@ class Mailbox:
         return f"Mailbox({self.name!r}, pending={len(self._messages)})"
 
     def __len__(self) -> int:
-        return len(self._messages)
-
-    @property
-    def pending(self) -> int:
         """Number of queued, not yet received, messages."""
         return len(self._messages)
-
-    @property
-    def waiting(self) -> int:
-        """Number of processes blocked in receive."""
-        return len(self._waiters)
 
     def put(self, message: Any) -> None:
         """Deposit a message; callable from process or non-process code."""

@@ -4,8 +4,9 @@
 ``__init__``.  ``MeshNetwork.transfer`` appends its log row from its
 own locals instead of calling ``add(record)``, and
 ``NetworkLog.append`` stages the values it is given without converting
-them.  Each fast path must be indistinguishable from the code it
-replaced:
+them.  ``MeshNetwork.start_sources`` runs each source as one walk over
+its messages instead of a loop delegating to ``transfer`` per message.
+Each fast path must be indistinguishable from the code it replaced:
 
 * ``hold(d)`` from ``Hold(float(d))`` on every observable of a command,
   the error raised for a negative or NaN ``d`` included;
@@ -13,12 +14,19 @@ replaced:
   of the records it hands the delivery handlers, and from
   :class:`ConvertingLog`, the reference kept here: the log whose
   ``append`` ran ``int()`` or ``float()`` on every field before staging
-  it.  Messages carry Python or NumPy integers, in every mix.
+  it.  Messages carry Python or NumPy integers, in every mix;
+* the source walk from :func:`reference_start_sources`, the per-source
+  loop it replaced: the same rows, handler calls, id draws and errors.
+  A source process's own generator yields every command, so none of
+  them is left delegating to a sub-generator mid-message.
 """
 
 import dataclasses
+import itertools
+import os
 import pickle
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,9 +34,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetworkLog
+from repro.mesh import packet
 from repro.mesh.netlog_stream import StreamingNetworkLog, materialize_manifest
 from repro.mesh.network import MeshNetwork
-from repro.mesh.packet import NetworkMessage
+from repro.mesh.packet import NetworkMessage, next_message_id
 from repro.simkernel import Hold, SimulationError, Simulator, hold
 
 
@@ -168,7 +177,7 @@ def run_transfers(plan, log=None):
 
 @settings(max_examples=40, deadline=None)
 @given(plan=messages)
-def test_transfer_rows_seal_like_the_records_it_returns(plan):
+def test_transfer_rows_seal_like_the_records_its_handlers_receive(plan):
     net, records = run_transfers(plan)
     assert len(records) == len(plan) == len(net.log)
     by_add = NetworkLog()
@@ -186,3 +195,179 @@ def test_transfer_rows_seal_like_the_records_it_returns(plan):
         assert spilled_records == records
         manifest = spilled.log.finalize()
         assert decoded(materialize_manifest(manifest)) == decoded(reference)
+
+
+def reference_start_sources(net, per_source, kind):
+    """The per-source loop the source walk replaced, kept as the
+    oracle: one process per source, in source order, each holding for
+    an entry's gap, building its :class:`NetworkMessage` after the hold
+    (a None id drawn there) and sending it with ``yield from
+    net.transfer(message)``.  Returns the messages it built."""
+    sent = []
+
+    def source(src, entries):
+        for gap, dst, length_bytes, msg_id in entries:
+            yield hold(gap)
+            if msg_id is None:
+                message = NetworkMessage(src, dst, length_bytes, kind)
+            else:
+                message = NetworkMessage(src, dst, length_bytes, kind, msg_id=msg_id)
+            sent.append(message)
+            yield from net.transfer(message)
+
+    for src in sorted(per_source):
+        net.simulator.process(source(src, per_source[src]), name=f"{kind}[{src}]")
+    return sent
+
+
+WALK_CONFIGS = (
+    MeshConfig("4x2"),
+    MeshConfig("4x4x2:torus", virtual_channels=2),
+    MeshConfig("4x4", virtual_channels=2, routing="adaptive"),
+)
+
+#: Payloads of no body flit, one flit and many flits (8-byte flits).
+WALK_LENGTHS = (0, 8, 200)
+
+
+@st.composite
+def drives(draw):
+    """A mesh, a schedule of ``(gap, dst, length_bytes, msg_id)`` entries
+    per source (ids None or given), the nodes with handlers, where the
+    id counter starts, and maybe one entry made negative in length."""
+    config = draw(st.sampled_from(WALK_CONFIGS))
+    n = config.num_nodes
+    given_ids = itertools.count(10**9)
+    per_source = {}
+    for src in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True)):
+        entries = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 8).map(lambda k: k * 0.5),
+                    st.integers(0, n - 1),
+                    st.sampled_from(WALK_LENGTHS),
+                    st.booleans(),
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        per_source[src] = [
+            (gap, dst, length, next(given_ids) if given else None)
+            for gap, dst, length, given in entries
+        ]
+    bad = draw(st.none() | st.tuples(st.sampled_from(sorted(per_source)), st.integers(0, 4)))
+    if bad is not None:
+        src, index = bad
+        entries = per_source[src]
+        gap, dst, _, msg_id = entries[index % len(entries)]
+        entries[index % len(entries)] = (gap, dst, -8, msg_id)
+    handler_nodes = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    first_id = draw(st.integers(0, 5))
+    return config, per_source, handler_nodes, first_id
+
+
+def drive(start, config, per_source, handler_nodes, first_id, directory=None):
+    """Run ``start(net, per_source, kind)`` on a fresh network, with the
+    id counter starting at ``first_id`` and two handlers on each of
+    ``handler_nodes``; spills into ``directory`` when given.  Returns
+    what the oracle compares, and what ``start`` returned."""
+    sim = Simulator()
+    log = None if directory is None else StreamingNetworkLog(directory, window=4)
+    net = MeshNetwork(sim, config, log=log)
+    calls = []
+    for node in sorted(handler_nodes):
+        for slot in range(2):
+            net.register_handler(
+                node,
+                lambda message, record, at=(node, slot): calls.append((at, message, record)),
+            )
+    with mock.patch.object(packet, "_message_ids", itertools.count(first_id)):
+        started = start(net, per_source, "walk")
+        try:
+            net.run()
+            error = None
+        except ValueError as caught:
+            error = str(caught)
+            sim.shutdown()
+        drawn = next_message_id() - first_id
+    rows = sealed(net.log if directory is None else materialize_manifest(net.log.finalize()))
+    fields = [
+        (at, type(m), m.src, m.dst, m.length_bytes, m.kind, m.payload, m.msg_id, record)
+        for at, m, record in calls
+    ]
+    # Which earlier call got the same message object: every handler of
+    # one delivery gets one message.
+    messages = [m for _, m, _ in calls]
+    shared = [next(i for i, m in enumerate(messages) if m is message) for message in messages]
+    result = {
+        "rows": rows,
+        "calls": fields,
+        "shared": shared,
+        "drawn": drawn,
+        "error": error,
+        "now": sim.now,
+        "in_flight": net.in_flight,
+        "injected": net.total_injected,
+        "delivered": net.total_delivered,
+        "yx_taken": net.adaptive_yx_taken,
+    }
+    return result, messages, started
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=drives())
+def test_source_walk_matches_the_reference_loop(case):
+    config, per_source, handler_nodes, first_id = case
+    negative = any(length < 0 for entries in per_source.values() for _, _, length, _ in entries)
+    walked, _, _ = drive(MeshNetwork.start_sources, config, per_source, handler_nodes, first_id)
+    expected, received, sent = drive(
+        reference_start_sources, config, per_source, handler_nodes, first_id
+    )
+    assert walked == expected
+    # ``transfer`` hands the handlers the caller's own message.
+    assert all(any(m is s for s in sent) for m in received)
+    if negative:
+        assert expected["error"] == "length_bytes must be >= 0, got -8"
+        assert expected["in_flight"] == 0
+    else:
+        assert expected["error"] is None
+        assert expected["delivered"] == sum(map(len, per_source.values()))
+
+    with tempfile.TemporaryDirectory() as directory:
+        spilled_walk, _, _ = drive(
+            MeshNetwork.start_sources, config, per_source, handler_nodes, first_id,
+            os.path.join(directory, "walk"),
+        )
+        spilled_reference, _, _ = drive(
+            reference_start_sources, config, per_source, handler_nodes, first_id,
+            os.path.join(directory, "reference"),
+        )
+    assert spilled_walk == spilled_reference
+    assert spilled_walk["calls"] == walked["calls"]
+
+
+def test_source_processes_walk_without_delegating():
+    # Every unfinished source process yields its commands from its own
+    # generator: none is suspended inside a per-message sub-generator,
+    # also while its message is in flight.
+    sim = Simulator()
+    net = MeshNetwork(sim, MeshConfig("4x2"))
+    per_source = {src: [(0.5, (src + 3) % 8, 64, None)] * 4 for src in range(8)}
+    net.start_sources(per_source, "guard")
+    seen = []
+
+    def look():
+        live = [proc for proc in sim.processes if not proc.finished]
+        seen.append(
+            (net.in_flight, len(live), [proc._body.gi_yieldfrom for proc in live])
+        )
+
+    for when in (2.0, 5.0, 9.0, 30.0):
+        sim.schedule(when, look)
+    net.run()
+    assert net.total_delivered == 32
+    assert len(seen) == 4
+    for in_flight, live, delegates in seen:
+        assert in_flight > 0 and live == 8
+        assert delegates == [None] * live

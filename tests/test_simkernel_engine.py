@@ -470,7 +470,6 @@ class TestMailbox:
         box = Mailbox(sim, name="m")
         box.put(1)
         box.put(2)
-        assert box.pending == 2
         assert len(box) == 2
 
 
