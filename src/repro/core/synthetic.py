@@ -12,7 +12,7 @@ throttles the offered load.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -103,23 +103,14 @@ class SyntheticTrafficGenerator:
 
         return sample
 
-    def generate(
-        self,
-        messages_per_source: int = 200,
-        until: Optional[float] = None,
-    ) -> NetworkLog:
-        """Drive a fresh mesh; returns its activity log.
-
-        Each source injects ``messages_per_source`` messages (or stops
-        at ``until`` simulated time, whichever comes first).
-        """
+    def source_entries(self, messages_per_source: int = 200) -> Dict[int, Iterator]:
+        """Each fitted source's ``messages_per_source`` ``(gap, dst,
+        length_bytes, None, "synthetic")`` entries for
+        :meth:`MeshNetwork.start_sources`, drawn lazily."""
         if messages_per_source < 1:
             raise ValueError(
                 f"messages_per_source must be >= 1, got {messages_per_source}"
             )
-        network = MeshNetwork(
-            Simulator(), self.mesh_config, log=self.options.make_netlog("synthetic")
-        )
         num_nodes = self.mesh_config.num_nodes
         sources = sorted(self.characterization.spatial.per_source)
         n_sources = max(len(sources), 1)
@@ -134,7 +125,7 @@ class SyntheticTrafficGenerator:
             # Drawn lazily, gap then destination then length.
             for _ in range(messages_per_source):
                 gap = sampler(rng) * scale / self.rate_scale
-                yield gap, draw_dst(rng), draw_length(rng), None
+                yield gap, draw_dst(rng), draw_length(rng), None, "synthetic"
 
         per_source = {}
         for src in sources:
@@ -145,8 +136,17 @@ class SyntheticTrafficGenerator:
                 np.random.default_rng(streams[src]),
                 n_sources if use_aggregate else 1.0,
             )
+        return per_source
+
+    def generate(self, messages_per_source: int = 200) -> NetworkLog:
+        """Drive a fresh mesh with :meth:`source_entries`; returns its
+        activity log."""
+        per_source = self.source_entries(messages_per_source)
+        network = MeshNetwork(
+            Simulator(), self.mesh_config, log=self.options.make_netlog("synthetic")
+        )
         network.start_sources(per_source, "synthetic")
-        log = network.run(self.options, until=until, label="drive")
+        log = network.run(self.options, label="drive")
         self.live_series = network.live_series
         return log
 

@@ -35,8 +35,8 @@ from repro.simkernel.diagnosis import check_leaks
 
 DeliveryHandler = Callable[[NetworkMessage, NetLogRecord], None]
 
-#: A source-loop entry (see :meth:`MeshNetwork.start_sources`).
-SourceEntry = Tuple[float, int, int, Optional[int]]
+#: A :meth:`MeshNetwork.start_sources` entry: gap, dst, length_bytes, msg_id, kind.
+SourceEntry = Tuple[float, int, int, Optional[int], str]
 
 #: A compiled transfer: source-NI request, per-hop ``(request, hold)``
 #: steps, destination-NI request, every release in acquisition order,
@@ -223,8 +223,7 @@ class MeshNetwork:
         """
         return self._walk(
             message.src,
-            ((None, message.dst, message.length_bytes, message.msg_id),),
-            message.kind,
+            ((None, message.dst, message.length_bytes, message.msg_id, message.kind),),
             message,
         )
 
@@ -232,10 +231,10 @@ class MeshNetwork:
         self,
         src: int,
         entries: Iterable[SourceEntry],
-        kind: str,
         message: Optional[NetworkMessage] = None,
     ):
-        """The wormhole walk, one message per entry, sent from ``src``.
+        """The wormhole walk, one message per entry, sent from ``src``;
+        each entry carries its message's kind.
 
         A source loop (``message`` None) holds for each entry's gap,
         draws a None id after the hold, and rejects a negative length
@@ -256,7 +255,7 @@ class MeshNetwork:
         ejection_hold = self._ejection_hold
         append = self.log.append
         handlers_at = self._handlers
-        for gap, dst, length_bytes, msg_id in entries:
+        for gap, dst, length_bytes, msg_id, kind in entries:
             if message is None:
                 yield hold(gap)
                 if msg_id is None:
@@ -483,23 +482,23 @@ class MeshNetwork:
     # drive harness
     # ------------------------------------------------------------------
     def start_sources(
-        self, per_source: Mapping[int, Iterable[SourceEntry]], kind: str
+        self, per_source: Mapping[int, Iterable[SourceEntry]], name: str
     ) -> None:
-        """Start one closed-loop process per source, in source order.
+        """Start one closed-loop process per source, in source order,
+        each named ``name[src]``.
 
-        Each process takes its ``(gap, dst, length_bytes, msg_id)``
-        entries in turn: it holds for ``gap`` ("time since the last
-        network activity at the source"), sends a ``kind`` message and
-        waits for its delivery.  A None ``msg_id`` is assigned after
+        Each process takes its ``(gap, dst, length_bytes, msg_id,
+        kind)`` entries in turn: it holds for ``gap`` ("time since the
+        last network activity at the source"), sends a ``kind`` message
+        and waits for its delivery.  A None ``msg_id`` is assigned after
         the hold, so ids follow event order.  Entries are taken lazily,
-        so a generator drawing them costs O(1) memory per source.  The
+        just before the hold, so a generator drawing them costs O(1)
+        memory per source and sees the clock the hold starts from.  The
         process body is the wormhole walk itself (:meth:`_walk`), with
         no per-message sub-generator.
         """
         for src in sorted(per_source):
-            self.simulator.process(
-                self._walk(src, per_source[src], kind), name=f"{kind}[{src}]"
-            )
+            self.simulator.process(self._walk(src, per_source[src]), name=f"{name}[{src}]")
 
     def run(self, options=None, until: Optional[float] = None, label: str = "run"):
         """The run tail every driver shares; returns the sealed log.

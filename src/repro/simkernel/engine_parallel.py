@@ -39,11 +39,12 @@ TRAFFIC_KIND = "pattern"
 class ScheduleTraffic:
     """Pre-drawn traffic, replayed identically on every run.
 
-    Per-source entry lists of ``(gap, dst, length_bytes, msg_id)``:
-    each source process holds for ``gap``, transfers the message, and
-    waits for delivery before drawing the next entry (closed loop).
-    All randomness happens at compile time, so every replay of one
-    schedule consumes byte-for-byte the same workload.
+    Per-source lists of ``(gap, dst, length_bytes, msg_id)``, stored
+    with :data:`TRAFFIC_KIND` as each entry's kind: each source process
+    holds for ``gap``, transfers the message, and waits for delivery
+    before drawing the next entry (closed loop).  All randomness
+    happens at compile time, so every replay of one schedule consumes
+    byte-for-byte the same workload.
     """
 
     def __init__(
@@ -54,18 +55,18 @@ class ScheduleTraffic:
         self.num_nodes = int(num_nodes)
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        clean: Dict[int, Tuple[Tuple[float, int, int, int], ...]] = {}
+        clean: Dict[int, Tuple[Tuple[float, int, int, int, str], ...]] = {}
         seen_ids: Set[int] = set()
         for src in sorted(per_source):
             entries = tuple(
-                (float(gap), int(dst), int(length), int(msg_id))
+                (float(gap), int(dst), int(length), int(msg_id), TRAFFIC_KIND)
                 for gap, dst, length, msg_id in per_source[src]
             )
             if not entries:
                 continue
             if not (0 <= src < self.num_nodes):
                 raise ValueError(f"source {src} outside {self.num_nodes}-node mesh")
-            for gap, dst, length, msg_id in entries:
+            for gap, dst, length, msg_id, _ in entries:
                 if not (0 <= dst < self.num_nodes):
                     raise ValueError(
                         f"destination {dst} outside {self.num_nodes}-node mesh"
@@ -180,7 +181,7 @@ def run_serial_schedule(
             f"{config.num_nodes}"
         )
     net = MeshNetwork(Simulator(), config, log=log)
-    net.start_sources(traffic.per_source, TRAFFIC_KIND)
+    net.start_sources(traffic.per_source, "pattern")
     net.run(options, label="replay")
     spilled = isinstance(net.log, StreamingNetworkLog)
     return SerialRunResult(

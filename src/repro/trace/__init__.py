@@ -9,9 +9,10 @@
   summarizing a trace before replay.
 * :mod:`~repro.trace.replay` -- feeds a trace into the mesh simulator
   either *dependency-preserving* (per-source gaps maintained, timeline
-  stretches under contention -- the paper's "intelligent" replay) or
-  *open-loop* (absolute timestamps, the classic trace-driven pitfall,
-  kept for the ablation).
+  stretches under contention -- the paper's "intelligent" replay, one
+  source walk per rank) or *open-loop* (each message injected at its
+  absolute timestamp, the classic trace-driven pitfall, kept for the
+  ablation).
 """
 
 from repro.trace.events import CommEvent

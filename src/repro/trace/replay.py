@@ -8,16 +8,19 @@ between network contention and message generation.  The
 dependency-preserving mode therefore replays each source's messages in
 order, separated by the *traced gaps* ("time since the last network
 activity at the source"), letting the replayed timeline stretch when
-the mesh is congested.  The open-loop mode (absolute timestamps) is
-retained deliberately so the pitfall can be demonstrated.
+the mesh is congested; it runs through
+:meth:`~repro.mesh.network.MeshNetwork.start_sources`.  The open-loop
+mode (absolute timestamps) is retained deliberately so the pitfall can
+be demonstrated.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.mesh.netlog import NetworkLog
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
-from repro.simkernel import hold
 from repro.trace.log import TraceLog
 
 #: Replay modes accepted by :func:`replay_trace`.
@@ -41,7 +44,8 @@ def replay_trace(
         in the trace).
     mode:
         ``"dependency"`` (default) preserves per-source ordering and
-        gaps; ``"open-loop"`` injects at absolute trace timestamps.
+        gaps, one ``replay[src]`` source walk per rank; ``"open-loop"``
+        injects at absolute trace timestamps.
     options:
         The :class:`~repro.core.options.RunOptions` the replay runs
         under (see :meth:`MeshNetwork.run`); its live series lands on
@@ -65,51 +69,42 @@ def replay_trace(
         m_stall = obs.histogram("replay.stall")
         m_stall_series = obs.time_series("replay.stall.series")
 
-    if mode == "dependency":
-        for src in trace.sources():
-            events = trace.by_source(src)
-
-            def source_process(events=events):
-                # The traced schedule for this source: cumulative gaps.
-                # How far injection lags behind it is the replay stall
-                # (the timeline stretch congestion causes).
-                expected = 0.0
-                for event in events:
-                    yield hold(event.gap)
-                    expected += event.gap
-                    if observed:
-                        stall = max(simulator.now - expected, 0.0)
-                        m_messages.inc()
-                        m_stall.observe(stall)
-                        m_stall_series.sample(simulator.now, stall)
-                    message = NetworkMessage(
-                        src=event.src,
-                        dst=event.dst,
-                        length_bytes=event.length_bytes,
-                        kind=event.kind,
-                    )
-                    yield from network.transfer(message)
-
-            simulator.process(source_process(), name=f"replay[src={src}]")
-    else:
+    if mode == "open-loop":
         for event in trace:
-            message = NetworkMessage(
-                src=event.src,
-                dst=event.dst,
-                length_bytes=event.length_bytes,
-                kind=event.kind,
-            )
+            message = NetworkMessage(event.src, event.dst, event.length_bytes, event.kind)
 
-            def injector(message=message):
+            def inject(message=message):
                 if observed:
                     m_messages.inc()
-                yield from network.transfer(message)
+                network.inject(message)
 
-            simulator.schedule(
-                event.post_time,
-                lambda message=message: simulator.process(
-                    injector(message), name=f"replay#{message.msg_id}"
-                ),
-            )
+            simulator.schedule(event.post_time, inject)
+        return network.run(options, label="replay")
 
-    return network.run(options, label="replay")
+    # (injection time, stall) per message: how far injection lags the
+    # traced schedule (the stretch congestion causes).  The walk holds
+    # exactly ``gap`` after pulling an entry, so the message leaves at
+    # ``now + gap``, the float the kernel computes.
+    stalls = []
+
+    def entries(events):
+        expected = 0.0
+        for event in events:
+            expected += event.gap
+            if observed:
+                injected = simulator.now + event.gap
+                stalls.append((injected, max(injected - expected, 0.0)))
+            yield event.gap, event.dst, event.length_bytes, None, event.kind
+
+    network.start_sources(
+        {src: entries(trace.by_source(src)) for src in trace.sources()}, "replay"
+    )
+    log = network.run(options, label="replay")
+    # Holds that end at one instant resume in the order they were
+    # pulled, so a stable sort by time observes in injection order.
+    stalls.sort(key=itemgetter(0))
+    for injected, stall in stalls:
+        m_messages.inc()
+        m_stall.observe(stall)
+        m_stall_series.sample(injected, stall)
+    return log

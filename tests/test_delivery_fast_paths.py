@@ -18,7 +18,11 @@ Each fast path must be indistinguishable from the code it replaced:
 * the source walk from :func:`reference_start_sources`, the per-source
   loop it replaced: the same rows, handler calls, id draws and errors.
   A source process's own generator yields every command, so none of
-  them is left delegating to a sub-generator mid-message.
+  them is left delegating to a sub-generator mid-message;
+* ``replay_trace``'s dependency mode, which runs through
+  ``start_sources``, from :func:`reference_replay_dependency`, the
+  per-source loop it replaced: the same rows, events, id draws and
+  ``replay.*`` metrics, stall series order included.
 """
 
 import dataclasses
@@ -32,13 +36,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.options import RunOptions
+from repro.core.run import run_static
 from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetworkLog
 from repro.mesh import packet
 from repro.mesh.netlog_stream import StreamingNetworkLog, materialize_manifest
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage, next_message_id
+from repro.obs.registry import MetricsRegistry
 from repro.simkernel import Hold, SimulationError, Simulator, hold
+from repro.trace import TraceLog, replay_trace
 
 
 durations = st.one_of(
@@ -197,7 +205,7 @@ def test_transfer_rows_seal_like_the_records_its_handlers_receive(plan):
         assert decoded(materialize_manifest(manifest)) == decoded(reference)
 
 
-def reference_start_sources(net, per_source, kind):
+def reference_start_sources(net, per_source, name):
     """The per-source loop the source walk replaced, kept as the
     oracle: one process per source, in source order, each holding for
     an entry's gap, building its :class:`NetworkMessage` after the hold
@@ -206,7 +214,7 @@ def reference_start_sources(net, per_source, kind):
     sent = []
 
     def source(src, entries):
-        for gap, dst, length_bytes, msg_id in entries:
+        for gap, dst, length_bytes, msg_id, kind in entries:
             yield hold(gap)
             if msg_id is None:
                 message = NetworkMessage(src, dst, length_bytes, kind)
@@ -216,7 +224,7 @@ def reference_start_sources(net, per_source, kind):
             yield from net.transfer(message)
 
     for src in sorted(per_source):
-        net.simulator.process(source(src, per_source[src]), name=f"{kind}[{src}]")
+        net.simulator.process(source(src, per_source[src]), name=f"{name}[{src}]")
     return sent
 
 
@@ -229,12 +237,15 @@ WALK_CONFIGS = (
 #: Payloads of no body flit, one flit and many flits (8-byte flits).
 WALK_LENGTHS = (0, 8, 200)
 
+KINDS = ("p2p", "req", "reply")
+
 
 @st.composite
 def drives(draw):
-    """A mesh, a schedule of ``(gap, dst, length_bytes, msg_id)`` entries
-    per source (ids None or given), the nodes with handlers, where the
-    id counter starts, and maybe one entry made negative in length."""
+    """A mesh, a schedule of ``(gap, dst, length_bytes, msg_id, kind)``
+    entries per source (ids None or given), the nodes with handlers,
+    where the id counter starts, and maybe one entry made negative in
+    length."""
     config = draw(st.sampled_from(WALK_CONFIGS))
     n = config.num_nodes
     given_ids = itertools.count(10**9)
@@ -247,28 +258,29 @@ def drives(draw):
                     st.integers(0, n - 1),
                     st.sampled_from(WALK_LENGTHS),
                     st.booleans(),
+                    st.sampled_from(KINDS),
                 ),
                 min_size=1,
                 max_size=5,
             )
         )
         per_source[src] = [
-            (gap, dst, length, next(given_ids) if given else None)
-            for gap, dst, length, given in entries
+            (gap, dst, length, next(given_ids) if given else None, kind)
+            for gap, dst, length, given, kind in entries
         ]
     bad = draw(st.none() | st.tuples(st.sampled_from(sorted(per_source)), st.integers(0, 4)))
     if bad is not None:
         src, index = bad
         entries = per_source[src]
-        gap, dst, _, msg_id = entries[index % len(entries)]
-        entries[index % len(entries)] = (gap, dst, -8, msg_id)
+        gap, dst, _, msg_id, kind = entries[index % len(entries)]
+        entries[index % len(entries)] = (gap, dst, -8, msg_id, kind)
     handler_nodes = draw(st.sets(st.integers(0, n - 1), max_size=4))
     first_id = draw(st.integers(0, 5))
     return config, per_source, handler_nodes, first_id
 
 
 def drive(start, config, per_source, handler_nodes, first_id, directory=None):
-    """Run ``start(net, per_source, kind)`` on a fresh network, with the
+    """Run ``start(net, per_source, name)`` on a fresh network, with the
     id counter starting at ``first_id`` and two handlers on each of
     ``handler_nodes``; spills into ``directory`` when given.  Returns
     what the oracle compares, and what ``start`` returned."""
@@ -319,7 +331,7 @@ def drive(start, config, per_source, handler_nodes, first_id, directory=None):
 @given(case=drives())
 def test_source_walk_matches_the_reference_loop(case):
     config, per_source, handler_nodes, first_id = case
-    negative = any(length < 0 for entries in per_source.values() for _, _, length, _ in entries)
+    negative = any(entry[2] < 0 for entries in per_source.values() for entry in entries)
     walked, _, _ = drive(MeshNetwork.start_sources, config, per_source, handler_nodes, first_id)
     expected, received, sent = drive(
         reference_start_sources, config, per_source, handler_nodes, first_id
@@ -353,7 +365,7 @@ def test_source_processes_walk_without_delegating():
     # also while its message is in flight.
     sim = Simulator()
     net = MeshNetwork(sim, MeshConfig("4x2"))
-    per_source = {src: [(0.5, (src + 3) % 8, 64, None)] * 4 for src in range(8)}
+    per_source = {src: [(0.5, (src + 3) % 8, 64, None, "guard")] * 4 for src in range(8)}
     net.start_sources(per_source, "guard")
     seen = []
 
@@ -371,3 +383,136 @@ def test_source_processes_walk_without_delegating():
     for in_flight, live, delegates in seen:
         assert in_flight > 0 and live == 8
         assert delegates == [None] * live
+
+
+def reference_replay_dependency(trace, network, options=None):
+    """``replay_trace(mode="dependency")``'s own per-source loop, kept
+    verbatim as the oracle: each source's process holds for an event's
+    gap, observes its stall at the clock it wakes at, builds its
+    :class:`NetworkMessage` (the id drawn there) and sends it with
+    ``yield from network.transfer(message)``."""
+    simulator = network.simulator
+
+    obs = network.obs
+    observed = obs.enabled
+    if observed:
+        m_messages = obs.counter("replay.messages")
+        m_stall = obs.histogram("replay.stall")
+        m_stall_series = obs.time_series("replay.stall.series")
+
+    for src in trace.sources():
+        events = trace.by_source(src)
+
+        def source_process(events=events):
+            # The traced schedule for this source: cumulative gaps.
+            # How far injection lags behind it is the replay stall
+            # (the timeline stretch congestion causes).
+            expected = 0.0
+            for event in events:
+                yield hold(event.gap)
+                expected += event.gap
+                if observed:
+                    stall = max(simulator.now - expected, 0.0)
+                    m_messages.inc()
+                    m_stall.observe(stall)
+                    m_stall_series.sample(simulator.now, stall)
+                message = NetworkMessage(
+                    src=event.src,
+                    dst=event.dst,
+                    length_bytes=event.length_bytes,
+                    kind=event.kind,
+                )
+                yield from network.transfer(message)
+
+        simulator.process(source_process(), name=f"replay[src={src}]")
+
+    return network.run(options, label="replay")
+
+
+REPLAY_CONFIGS = (
+    MeshConfig("4x2"),
+    MeshConfig("2x2"),
+    MeshConfig("4x4x2:torus", virtual_channels=2),
+)
+
+#: Gaps whose sums tie, so many holds end at one instant.
+TIED_GAPS = st.sampled_from((0.0, 0.5, 1.0, 3.0))
+
+#: Gaps whose float sums need not match a source's clock.
+FREE_GAPS = st.floats(min_value=0.0, max_value=1e3)
+
+
+@st.composite
+def traces(draw):
+    """A mesh, a trace of 1-60 events over several sources and three
+    kinds, its gaps tied, free or both, and where the id counter
+    starts."""
+    config = draw(st.sampled_from(REPLAY_CONFIGS))
+    n = config.num_nodes
+    gaps = draw(st.sampled_from((TIED_GAPS, FREE_GAPS, TIED_GAPS | FREE_GAPS)))
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from(WALK_LENGTHS),
+                st.sampled_from(KINDS),
+                gaps,
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    trace = TraceLog()
+    posted = {}
+    for tag, (src, dst, length, kind, gap) in enumerate(events):
+        posted[src] = posted.get(src, 0.0) + gap
+        trace.record(src, dst, length, kind, tag, posted[src])
+    return config, trace, draw(st.integers(0, 5))
+
+
+REPLAY_METRICS = ("replay.messages", "replay.stall", "replay.stall.series")
+
+
+def replayed(replay, config, trace, first_id):
+    """Replay ``trace`` with ``replay(trace, network)`` on a fresh
+    metrics-on network, the id counter starting at ``first_id``;
+    returns what the oracle compares and the process names."""
+    sim = Simulator(obs=MetricsRegistry())
+    net = MeshNetwork(sim, config)
+    with mock.patch.object(packet, "_message_ids", itertools.count(first_id)):
+        log = replay(trace, net)
+        drawn = next_message_id() - first_id
+    metrics = sim.obs.as_dict()
+    result = {
+        "rows": sealed(log),
+        "events": sim.events_fired,
+        "drawn": drawn,
+        # repr: equal floats with equal bits, in the same order.
+        "replay": repr({name: metrics[name] for name in REPLAY_METRICS}),
+    }
+    return result, [proc.name for proc in sim.processes]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=traces())
+def test_dependency_replay_matches_the_reference_loop(case):
+    config, trace, first_id = case
+    walked, names = replayed(replay_trace, config, trace, first_id)
+    expected, reference_names = replayed(reference_replay_dependency, config, trace, first_id)
+    assert walked == expected
+    assert names == [f"replay[{src}]" for src in trace.sources()]
+    assert reference_names == [f"replay[src={src}]" for src in trace.sources()]
+
+
+def test_dependency_replay_of_mg_matches_the_reference_loop():
+    run = run_static(
+        "mg", params={"n": 16}, mesh_config=MeshConfig("4x2"),
+        options=RunOptions(metrics=True),
+    )
+    walked, _ = replayed(replay_trace, MeshConfig("4x2"), run.trace, 0)
+    expected, _ = replayed(reference_replay_dependency, MeshConfig("4x2"), run.trace, 0)
+    assert walked == expected
+    # run_static's own replay observed the same stalls in the same order.
+    assert repr({name: run.metrics[name] for name in REPLAY_METRICS}) == expected["replay"]
+    assert expected["drawn"] == len(run.log) == 322

@@ -99,13 +99,14 @@ STATIC_CASES = {
     "static-mg-4x2": ("mg", {"n": 16}),
 }
 
-#: name -> (node count of the 1d-fft fit, config, extra ``generate``
-#: arguments); every case draws 30 messages per source from seed 7.
+#: name -> (node count of the 1d-fft fit, config, the simulated time
+#: the drive is cut at or None); every case draws 30 messages per
+#: source from seed 7.
 SYNTHETIC_CASES = {
-    "synthetic-4x2": (8, lambda: MeshConfig.parse("4x2"), {}),
-    "synthetic-4x4-2vc": (16, lambda: MeshConfig("4x4", virtual_channels=2), {}),
-    "synthetic-4x2-torus": (8, lambda: MeshConfig.parse("4x2:torus"), {}),
-    "synthetic-4x2-until": (8, lambda: MeshConfig.parse("4x2"), {"until": 400.0}),
+    "synthetic-4x2": (8, lambda: MeshConfig.parse("4x2"), None),
+    "synthetic-4x4-2vc": (16, lambda: MeshConfig("4x4", virtual_channels=2), None),
+    "synthetic-4x2-torus": (8, lambda: MeshConfig.parse("4x2:torus"), None),
+    "synthetic-4x2-until": (8, lambda: MeshConfig.parse("4x2"), 400.0),
 }
 
 #: name -> (sha256 of the log, kernel events fired); the app, static
@@ -215,11 +216,11 @@ def replay(config, traffic, clock, log=None):
     net = MeshNetwork(sim, config, log=log)
 
     def source(src, entries):
-        for gap, dst, length_bytes, msg_id in entries:
+        for gap, dst, length_bytes, msg_id, kind in entries:
             yield hold(gap)
             yield from net.transfer(
                 NetworkMessage(src=src, dst=dst, length_bytes=length_bytes,
-                               kind="pattern", msg_id=msg_id)
+                               kind=kind, msg_id=msg_id)
             )
 
     for src in sorted(traffic.per_source):
@@ -340,14 +341,20 @@ def fits():
 @pytest.mark.parametrize("clock", sorted(CLOCKS))
 @pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
 def test_synthetic_digest(name, clock, fits):
-    nodes, make_config, extra = SYNTHETIC_CASES[name]
+    nodes, make_config, until = SYNTHETIC_CASES[name]
     generator = SyntheticTrafficGenerator(
         fits[nodes].characterization,
         mesh_config=make_config(),
         seed=7,
         options=RunOptions(max_no_progress_events=CLOCKS[clock]),
     )
-    log = generator.generate(messages_per_source=30, **extra)
+    if until is None:
+        log = generator.generate(messages_per_source=30)
+    else:
+        # The generator's sources, stopped by the run tail at ``until``.
+        net = MeshNetwork(Simulator(), generator.mesh_config)
+        net.start_sources(generator.source_entries(30), "synthetic")
+        log = net.run(generator.options, until=until)
     assert (log_digest(log), len(log)) == GOLDEN[name]
 
 

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.options import RunOptions
 from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetLogRecord, NetworkLog
 from repro.mesh.network import MeshNetwork
@@ -209,45 +210,28 @@ class TestShutdownRegrant:
         assert fac.busy == 0
         check_leaks(sim)
 
-    def test_truncated_synthetic_generation_checks_clean(self):
-        # generate(until=...) wires run -> shutdown -> check_leaks; a
+    def test_truncated_source_walks_check_clean(self):
+        # run(until=...) wires run -> shutdown -> check_leaks; a
         # truncated run with contention must not trip the leak audit.
-        from repro.core import SyntheticTrafficGenerator, characterize_log
-
-        # All-pairs traffic so fitted spatial patterns share channels:
-        # cross-source channel contention at the truncation instant is
-        # what used to trip the re-grant leak.
-        source_log = NetworkLog()
-        msg_id = 0
-        for src in range(4):
-            for dst in range(4):
-                if dst == src:
-                    continue
-                for _ in range(4):
-                    source_log.add(
-                        NetLogRecord(
-                            msg_id=msg_id,
-                            src=src,
-                            dst=dst,
-                            length_bytes=1024,
-                            kind="data",
-                            inject_time=float(msg_id),
-                            start_time=float(msg_id),
-                            deliver_time=float(msg_id + 2),
-                            contention=0.0,
-                            hops=1,
-                        )
-                    )
-                    msg_id += 1
-        mesh = MeshConfig("2x2")
-        characterization = characterize_log(source_log, mesh)
-        generator = SyntheticTrafficGenerator(
-            characterization,
-            mesh_config=mesh,
-            seed=1,
-            rate_scale=16.0,
+        # All-pairs traffic so sources share channels: cross-source
+        # channel contention at the truncation instant is what used to
+        # trip the re-grant leak.
+        net = MeshNetwork(Simulator(), MeshConfig("2x2"))
+        per_source = {
+            src: [(0.25, dst, 16, None, "data") for dst in range(4) if dst != src] * 20
+            for src in range(4)
+        }
+        net.start_sources(per_source, "source")
+        channels = [net.channel(u, v) for u, v in net.topology.channels()]
+        at_cut = []
+        net.simulator.schedule(
+            8.0,
+            lambda: at_cut.append((net.in_flight, sum(f.queue_length for f in channels))),
         )
-        log = generator.generate(messages_per_source=60, until=8.0)
+        log = net.run(RunOptions(), until=8.0)
+        in_flight, queued = at_cut[0]
+        assert in_flight == 4 and queued > 0
+        assert len(log) > 0
         assert all(r.inject_time <= 8.0 for r in log)
 
     def test_raising_cleanup_does_not_abort_teardown(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.run import run_dynamic, run_static
 from repro.mesh import MeshConfig, MeshNetwork
 from repro.simkernel import Simulator
 from repro.trace import CommEvent, TraceLog, profile_trace, replay_trace
@@ -121,6 +122,35 @@ class TestReplay:
         open_second = sorted(open_log.by_source(0), key=lambda r: r.inject_time)[1]
         assert open_second.inject_time == 1.0
         assert dep_second.inject_time > open_second.inject_time
+
+    @pytest.mark.parametrize(
+        "run, app, params, messages",
+        [
+            (run_dynamic, "1d-fft", {"n": 64}, 164),
+            (run_static, "3d-fft", {"n": 16}, 56),
+            (run_static, "mg", {"n": 16}, 322),
+        ],
+        ids=["1d-fft", "3d-fft", "mg"],
+    )
+    def test_open_loop_replay_of_a_log_reproduces_it(self, run, app, params, messages):
+        # A log's own rows as a trace, each posted at its injection time
+        # in (inject_time, msg_id) order with its kind, replayed open
+        # loop on a fresh mesh: the network holds no hidden state, so
+        # every latency and contention comes back bit for bit.
+        log = run(app, params=params, mesh_config=MeshConfig("4x2")).log
+        trace = TraceLog()
+        for r in sorted(log, key=lambda r: (r.inject_time, r.msg_id)):
+            trace.record(r.src, r.dst, r.length_bytes, r.kind, 0, r.inject_time)
+        replayed = replay_trace(trace, fresh_network(), mode="open-loop")
+        assert len(replayed) == len(log) == messages
+
+        def bits(log, field):
+            return sorted(getattr(r, field) for r in log)
+
+        for field in ("latency", "contention"):
+            assert [v.hex() for v in bits(replayed, field)] == [
+                v.hex() for v in bits(log, field)
+            ]
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
